@@ -15,8 +15,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The arm64 pass keeps the MTTKRP kernel and the vector helpers portable Go
+# (no assembly) on a target whose compiler contracts multiply-add.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/cpals ./internal/la
 
 # staticcheck is optional locally (this repo vendors nothing and installs
 # nothing); CI installs it explicitly. Skips with a notice when absent.
@@ -29,8 +32,10 @@ staticcheck:
 build:
 	$(GO) build ./...
 
+# Worker-range cut points, pool fan-out and panic propagation depend on the
+# core count, so the suite runs at each (CI runs the three as a matrix).
 test:
-	$(GO) test ./...
+	@for p in 1 2 4; do echo "GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test ./... || exit 1; done
 
 race:
 	$(GO) test -race $(RACE_PKGS)

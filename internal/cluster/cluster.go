@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
+	"cstf/internal/par"
 	"cstf/internal/rng"
 )
 
@@ -47,8 +47,6 @@ type Cluster struct {
 	crashFns      []func(node int)
 	diskFns       []func(node int)
 	abortErr      error // sticky job-abort error (*StageFailure, *DataLoss)
-
-	pool chan struct{} // host-side worker tokens for Parallel
 }
 
 // New creates a simulated cluster with the given worker-node count.
@@ -59,7 +57,6 @@ func New(nodes int, p Profile) *Cluster {
 	if p.CoresPerNode <= 0 {
 		panic("cluster: profile needs at least one core per node")
 	}
-	w := runtime.GOMAXPROCS(0)
 	c := &Cluster{
 		Nodes:       nodes,
 		Profile:     p,
@@ -67,10 +64,6 @@ func New(nodes int, p Profile) *Cluster {
 		phase:       "Other",
 		cachedBytes: make([]float64, nodes),
 		workScale:   1,
-		pool:        make(chan struct{}, w),
-	}
-	for i := 0; i < w; i++ {
-		c.pool <- struct{}{}
 	}
 	return c
 }
@@ -439,28 +432,8 @@ func (c *Cluster) ChargeDriver(flops float64) {
 
 // Parallel executes fn(0..n-1) on the host worker pool and waits for all of
 // them. This is the *real* execution path: partition closures do the actual
-// arithmetic here while RunStage separately charges modeled time.
+// arithmetic here while RunStage separately charges modeled time. A panic in
+// fn is re-raised on the calling goroutine (see par.Run).
 func (c *Cluster) Parallel(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if cap(c.pool) == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		tok := <-c.pool
-		go func(i int, tok struct{}) {
-			defer func() {
-				c.pool <- tok
-				wg.Done()
-			}()
-			fn(i)
-		}(i, tok)
-	}
-	wg.Wait()
+	par.Run(0, n, fn)
 }

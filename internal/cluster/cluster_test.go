@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -323,4 +325,23 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if len(c.Trace()) != 0 {
 		t.Fatal("tracing must be opt-in")
 	}
+}
+
+// A partition closure that panics must be recoverable by whoever called
+// Parallel, on any core count: it used to die on a pool goroutine and take
+// the process with it whenever GOMAXPROCS was 2 or more.
+func TestParallelReraisesPanicOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := New(2, LaptopProfile())
+	defer func() {
+		if v := recover(); v != "partition 1" {
+			t.Fatalf("recovered %v, want the panic of partition 1", v)
+		}
+	}()
+	c.Parallel(8, func(i int) {
+		if i >= 1 {
+			panic(fmt.Sprintf("partition %d", i))
+		}
+	})
+	t.Fatal("Parallel returned normally")
 }

@@ -1,0 +1,55 @@
+package cpals
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"cstf/internal/tensor"
+)
+
+// resultHash is FNV-1a over the bit patterns of lambda and every factor, in
+// that order.
+func resultHash(res *Result) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(vs []float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	put(res.Lambda)
+	for _, f := range res.Factors {
+		put(f.Data)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// The hashes were captured on the commit before the fused MTTKRP kernel
+// replaced the fill/VecMulInto/VecAdd loop: Solve must keep producing the
+// same bits through any later kernel work, at every Parallelism.
+func TestSolveGoldenHash(t *testing.T) {
+	cases := []struct {
+		name string
+		x    *tensor.COO
+		rank int
+		want string
+	}{
+		{"order3", tensor.GenZipf(11, 6000, 0.7, 60, 50, 40), 6, "c0f7660e5a4294a2"},
+		{"order4", tensor.GenLowRank(12, 5000, 3, 0.1, 30, 25, 20, 15), 5, "161d1181ee28c3cc"},
+	}
+	for _, c := range cases {
+		for _, p := range []int{1, 4} {
+			res, err := Solve(c.x, Options{Rank: c.rank, MaxIters: 4, Seed: 5, Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultHash(res); got != c.want {
+				t.Errorf("%s Parallelism %d: hash %s, want %s", c.name, p, got, c.want)
+			}
+		}
+	}
+}

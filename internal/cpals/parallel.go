@@ -16,13 +16,11 @@ import (
 // to the entry-order reference MTTKRP.
 
 // Workspace holds the reusable scratch of a CP-ALS run: one output matrix
-// per mode (reused across iterations instead of reallocated order×iters
-// times) and one length-R Hadamard accumulator per worker range. A zero
-// Workspace is ready to use; it is NOT safe for concurrent runs — give each
-// concurrent Solve its own.
+// per mode, reused across iterations instead of reallocated order×iters
+// times. A zero Workspace is ready to use; it is NOT safe for concurrent
+// runs — give each concurrent Solve its own.
 type Workspace struct {
 	outs []*la.Dense
-	tmps [][]float64
 }
 
 // Out returns the cached rows×rank output matrix for `mode`, zeroed.
@@ -46,56 +44,25 @@ func (w *Workspace) Out(mode, rows, rank, workers int) *la.Dense {
 	return m
 }
 
-// tmp returns the length-`rank` scratch vector for worker range k.
-func (w *Workspace) tmp(k, rank int) []float64 {
-	for len(w.tmps) <= k {
-		w.tmps = append(w.tmps, nil)
-	}
-	if cap(w.tmps[k]) < rank {
-		w.tmps[k] = make([]float64, rank)
-	}
-	w.tmps[k] = w.tmps[k][:rank]
-	return w.tmps[k]
-}
-
 // MTTKRPWorkers computes the mode-n MTTKRP on up to `workers` goroutines,
-// writing into out (allocated when nil; must be t.Dims[mode]×rank and
-// zeroed otherwise). ws may be nil for one-shot calls. The result is
-// bitwise identical to MTTKRP for every worker count.
-func MTTKRPWorkers(t *tensor.COO, mode int, factors []*la.Dense, workers int, out *la.Dense, ws *Workspace) *la.Dense {
-	order := t.Order()
-	if len(factors) != order {
+// adding into out (allocated when nil; must be t.Dims[mode]×rank, and zeroed
+// for a plain MTTKRP). Each goroutine runs MTTKRPAccumulate over one
+// row-aligned range of the mode index. The result is bitwise identical to
+// MTTKRP for every worker count. The kernel keeps its scratch on the stack,
+// so the last parameter is unused; it stays for the callers that pass one.
+func MTTKRPWorkers(t *tensor.COO, mode int, factors []*la.Dense, workers int, out *la.Dense, _ *Workspace) *la.Dense {
+	if len(factors) != t.Order() {
 		panic("cpals: factor count != tensor order")
 	}
-	rank := factors[0].Cols
 	if out == nil {
-		out = la.NewDense(t.Dims[mode], rank)
-	}
-	if ws == nil {
-		ws = &Workspace{}
+		out = la.NewDense(t.Dims[mode], factors[0].Cols)
 	}
 	workers = par.Workers(workers)
 	mi := t.ModeIndex(mode)
 	ranges := mi.Ranges(workers)
-	for k := range ranges {
-		ws.tmp(k, rank) // materialize scratch before the fan-out
-	}
 	par.Run(workers, len(ranges), func(k int) {
 		r := ranges[k]
-		tmp := ws.tmps[k]
-		for p := r.Lo; p < r.Hi; p++ {
-			e := &t.Entries[mi.Perm[p]]
-			for c := range tmp {
-				tmp[c] = e.Val
-			}
-			for n := 0; n < order; n++ {
-				if n == mode {
-					continue
-				}
-				la.VecMulInto(tmp, factors[n].Row(int(e.Idx[n])))
-			}
-			la.VecAdd(out.Row(int(e.Idx[mode])), tmp)
-		}
+		MTTKRPAccumulate(out, 0, t.Entries, mi.Perm[r.Lo:r.Hi], mode, factors)
 	})
 	return out
 }

@@ -84,7 +84,6 @@ type ralsKernel struct {
 
 	degraded bool
 	w        int // coordinator-local parallelism
-	ws       cpals.Workspace
 }
 
 // FactorUpdated broadcasts the updated factor to the fleet (full matrix —
@@ -160,7 +159,7 @@ func (k *ralsKernel) ship(r *remote, mode int, rg tensor.NNZRange) error {
 func (k *ralsKernel) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error {
 	sm := k.sampled[mode]
 	if k.degraded {
-		cpals.MTTKRPWorkers(sm, mode, factors, k.w, out, &k.ws)
+		cpals.MTTKRPWorkers(sm, mode, factors, k.w, out, nil)
 		return nil
 	}
 	rank := out.Cols
@@ -205,7 +204,7 @@ func (k *ralsKernel) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error 
 				d[i] = 0
 			}
 		})
-		cpals.MTTKRPWorkers(sm, mode, factors, k.w, out, &k.ws)
+		cpals.MTTKRPWorkers(sm, mode, factors, k.w, out, nil)
 		return nil
 	}
 	return err

@@ -122,6 +122,44 @@ type shardKey struct {
 	rowLo, rowHi int
 }
 
+// residentShard is a shard plus what the worker checked about it once, on
+// arrival: the largest index its entries carry along each mode. A task
+// compares those with the factor shapes it is about to index, so the
+// per-nonzero kernels run over trusted entries with no bounds test of
+// their own.
+type residentShard struct {
+	*Shard
+	maxIdx [tensor.MaxOrder]uint32
+}
+
+func newResidentShard(sh *Shard) *residentShard {
+	rs := &residentShard{Shard: sh}
+	for i := range sh.Entries {
+		for n, x := range sh.Entries[i].Idx[:sh.Order] {
+			if x > rs.maxIdx[n] {
+				rs.maxIdx[n] = x
+			}
+		}
+	}
+	return rs
+}
+
+// checkIndices reports the first mode other than `mode` along which the
+// shard indexes past rows(n), the row count of the matrix the kernel will
+// read for mode n.
+func (rs *residentShard) checkIndices(kernel string, mode, order int, rows func(n int) int) error {
+	if len(rs.Entries) == 0 {
+		return nil
+	}
+	for n := 0; n < order; n++ {
+		if n != mode && int(rs.maxIdx[n]) >= rows(n) {
+			return fmt.Errorf("%s mode %d: entry index %d out of range for factor %d (%d rows)",
+				kernel, mode, rs.maxIdx[n], n, rows(n))
+		}
+	}
+	return nil
+}
+
 // gramKey identifies one cached partial gram: (mode, global block index).
 type gramKey struct {
 	mode, block int
@@ -136,7 +174,7 @@ type gramKey struct {
 type wsession struct {
 	mu      sync.Mutex
 	hello   *Hello
-	shards  map[shardKey]*Shard
+	shards  map[shardKey]*residentShard
 	factors []*la.Dense
 	mrows   map[shardKey]*la.Dense // MTTKRP outputs kept for the RowSolve that follows
 
@@ -169,7 +207,7 @@ func (w *Worker) handle(c net.Conn) {
 	}
 
 	s := &wsession{
-		shards:    map[shardKey]*Shard{},
+		shards:    map[shardKey]*residentShard{},
 		mrows:     map[shardKey]*la.Dense{},
 		gramCache: map[gramKey]*la.Dense{},
 		csfs:      map[shardKey]*tensor.CSF{},
@@ -236,8 +274,9 @@ func (w *Worker) handle(c net.Conn) {
 			// Replacing a resident shard (per-epoch sampled shards reuse
 			// their key) invalidates any CSF tree built from the old one.
 			key := shardKey{sh.Mode, sh.RowLo, sh.RowHi}
+			rs := newResidentShard(sh)
 			s.mu.Lock()
-			s.shards[key] = sh
+			s.shards[key] = rs
 			delete(s.csfs, key)
 			s.mu.Unlock()
 		case MsgFactor:
@@ -388,26 +427,11 @@ func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Resu
 	if hello.Flags&HelloUseCSF != 0 {
 		return s.execMTTKRPCSF(t, hello, factors, sh)
 	}
-	rank := hello.Rank
-	out := la.NewDense(t.RowHi-t.RowLo, rank)
-	tmp := make([]float64, rank)
-	for i := range sh.Entries {
-		e := &sh.Entries[i]
-		for c := range tmp {
-			tmp[c] = e.Val
-		}
-		for n := 0; n < order; n++ {
-			if n == t.Mode {
-				continue
-			}
-			if int(e.Idx[n]) >= factors[n].Rows {
-				return nil, fmt.Errorf("mttkrp mode %d: entry index %d out of range for factor %d (%d rows)",
-					t.Mode, e.Idx[n], n, factors[n].Rows)
-			}
-			la.VecMulInto(tmp, factors[n].Row(int(e.Idx[n])))
-		}
-		la.VecAdd(out.Row(int(e.Idx[t.Mode])-t.RowLo), tmp)
+	if err := sh.checkIndices("mttkrp", t.Mode, order, func(n int) int { return factors[n].Rows }); err != nil {
+		return nil, err
 	}
+	out := la.NewDense(t.RowHi-t.RowLo, hello.Rank)
+	cpals.MTTKRPAccumulate(out, t.RowLo, sh.Entries, nil, t.Mode, factors)
 	s.mu.Lock()
 	s.mrows[key] = out
 	s.mu.Unlock()
@@ -422,7 +446,7 @@ func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Resu
 // rows are bitwise identical to the corresponding rows of a full-tensor
 // CSF MTTKRP — the dist CSF path reproduces the single-process CSF solver
 // exactly, though not the COO reference (the factored arithmetic differs).
-func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh *Shard) (*Result, error) {
+func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh *residentShard) (*Result, error) {
 	if t.Mode >= len(hello.Dims) || t.RowHi > hello.Dims[t.Mode] || t.RowLo < 0 {
 		return nil, fmt.Errorf("csf mttkrp mode %d: rows [%d,%d) out of dims", t.Mode, t.RowLo, t.RowHi)
 	}
@@ -431,19 +455,10 @@ func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh 
 	csf := s.csfs[key]
 	s.mu.Unlock()
 	if csf == nil {
-		// Entry indices are validated once, before the tree is cached;
-		// subsequent iterations walk the trusted tree directly.
-		for i := range sh.Entries {
-			e := &sh.Entries[i]
-			for n := 0; n < hello.Order; n++ {
-				if n == t.Mode {
-					continue
-				}
-				if int(e.Idx[n]) >= hello.Dims[n] {
-					return nil, fmt.Errorf("csf mttkrp mode %d: entry index %d out of range for factor %d (%d rows)",
-						t.Mode, e.Idx[n], n, hello.Dims[n])
-				}
-			}
+		// The tree is built over hello.Dims, so that is what the shard's
+		// indices are held to before it is cached.
+		if err := sh.checkIndices("csf mttkrp", t.Mode, hello.Order, func(n int) int { return hello.Dims[n] }); err != nil {
+			return nil, err
 		}
 		tc := tensor.New(hello.Dims...)
 		tc.Entries = sh.Entries

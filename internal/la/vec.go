@@ -2,9 +2,10 @@ package la
 
 import "math"
 
-// The vector kernels below are the per-nonzero hot path of every MTTKRP
-// variant in this repository: each sparse tensor entry triggers a handful of
-// length-R Hadamard products and scaled accumulations.
+// The length-R vector helpers below serve the reference MTTKRP, the CSF
+// kernel, the fit inner products and the serving scans. The per-nonzero COO
+// hot path does not go through them: it is cpals.MTTKRPAccumulate, one fused
+// loop.
 
 // VecHadamardInto sets dst[i] = a[i] * b[i].
 func VecHadamardInto(dst, a, b []float64) {

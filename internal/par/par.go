@@ -32,6 +32,13 @@ func Workers(requested int) int {
 // finished. Tasks are claimed from a shared atomic counter, so scheduling is
 // dynamic but the task decomposition itself is caller-fixed. workers <= 1 or
 // tasks <= 1 degrades to a plain loop with no goroutines.
+//
+// A panic in fn never escapes on a pool goroutine, where no caller could
+// recover it and it would take the process down: it is captured, no further
+// task is claimed, the tasks in flight finish, and Run re-raises the value
+// on the calling goroutine. Tasks are claimed in ascending order, so the
+// lowest-indexed task that panics is always among those that ran; its value
+// is the one re-raised — the same panic the plain loop would have stopped at.
 func Run(workers, tasks int, fn func(task int)) {
 	if tasks <= 0 {
 		return
@@ -46,11 +53,27 @@ func Run(workers, tasks int, fn func(task int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next      atomic.Int64
+		wg        sync.WaitGroup
+		mu        sync.Mutex // guards panicTask, panicVal
+		panicTask = -1
+		panicVal  any
+	)
 	body := func() {
+		t := -1
+		defer func() {
+			if v := recover(); v != nil {
+				next.Store(int64(tasks))
+				mu.Lock()
+				if panicTask < 0 || t < panicTask {
+					panicTask, panicVal = t, v
+				}
+				mu.Unlock()
+			}
+		}()
 		for {
-			t := int(next.Add(1)) - 1
+			t = int(next.Add(1)) - 1
 			if t >= tasks {
 				return
 			}
@@ -66,6 +89,9 @@ func Run(workers, tasks int, fn func(task int)) {
 	}
 	body()
 	wg.Wait()
+	if panicTask >= 0 {
+		panic(panicVal)
+	}
 }
 
 // BlockSize is the row granularity of every blocked reduction in this

@@ -1,8 +1,10 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunCoversAllTasks(t *testing.T) {
@@ -69,5 +71,37 @@ func TestSumBlocksDeterministic(t *testing.T) {
 		if got := SumBlocks(workers, n, sum); got != want {
 			t.Fatalf("workers=%d: sum %v != single-worker %v", workers, got, want)
 		}
+	}
+}
+
+// A panic on a pool goroutine must reach the caller's recover() instead of
+// killing the process, the lowest-indexed panicking task must win whatever
+// the scheduling, and Run must leave no goroutine behind.
+func TestRunReraisesPanicOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := runtime.NumGoroutine()
+	for rep := 0; rep < 200; rep++ {
+		func() {
+			defer func() {
+				if v := recover(); v != 2 {
+					t.Fatalf("rep %d: recovered %v, want the panic of task 2", rep, v)
+				}
+			}()
+			Run(2, 16, func(task int) {
+				if task >= 2 {
+					panic(task)
+				}
+			})
+			t.Fatal("Run returned normally")
+		}()
+	}
+	// wg.Wait returns when a pool goroutine's deferred Done has run, which
+	// is just before it exits: give the last ones a moment to be gone.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d after", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
 	}
 }

@@ -254,27 +254,12 @@ func (u *Updater) restrictedSweep(touched [][]int) {
 		// per-row entry order comes from the stable mode index, making the
 		// result independent of the worker count.
 		par.ForBlocks(w, len(rows), func(lo, hi int) {
-			acc := make([]float64, u.rank)
-			tmp := make([]float64, u.rank)
+			acc := la.NewDense(1, u.rank)
 			for k := lo; k < hi; k++ {
 				i := rows[k]
-				for c := range acc {
-					acc[c] = 0
-				}
-				for p := mi.RowPtr[i]; p < mi.RowPtr[i+1]; p++ {
-					e := &u.t.Entries[mi.Perm[p]]
-					for c := range tmp {
-						tmp[c] = e.Val
-					}
-					for o := 0; o < order; o++ {
-						if o == n {
-							continue
-						}
-						la.VecMulInto(tmp, u.factors[o].Row(int(e.Idx[o])))
-					}
-					la.VecAdd(acc, tmp)
-				}
-				la.VecMatInto(f.Row(i), acc, pinv)
+				acc.Zero()
+				cpals.MTTKRPAccumulate(acc, i, u.t.Entries, mi.Perm[mi.RowPtr[i]:mi.RowPtr[i+1]], n, u.factors)
+				la.VecMatInto(f.Row(i), acc.Data, pinv)
 			}
 		})
 		grams[n] = la.GramParallel(f, w)
