@@ -7,7 +7,7 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck check-deprecated build test race bench stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck check-deprecated build test race bench bench-la stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
 ci: fmt vet staticcheck check-deprecated build test race
 
@@ -34,14 +34,21 @@ build:
 
 # Worker-range cut points, pool fan-out and panic propagation depend on the
 # core count, so the suite runs at each (CI runs the three as a matrix).
+# -shuffle=on: no test may depend on which ran before it.
 test:
-	@for p in 1 2 4; do echo "GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test ./... || exit 1; done
+	@for p in 1 2 4; do echo "GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test -shuffle=on ./... || exit 1; done
 
 race:
 	$(GO) test -race $(RACE_PKGS)
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The dense-algebra microbenchmarks (row-solve, gram, normalize and the three
+# in sequence on subnormal-prone input), one iteration each: CI runs this so
+# they keep compiling and running; for numbers raise -benchtime and pin -cpu.
+bench-la:
+	$(GO) test ./internal/la -run '^$$' -bench . -benchtime 1x
 
 # End-to-end streaming smoke under the race detector: train a tiny model,
 # stream three windows through ingest -> incremental update -> publish.

@@ -28,22 +28,26 @@ func resultHash(res *Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// The hashes were captured on the commit before the fused MTTKRP kernel
-// replaced the fill/VecMulInto/VecAdd loop: Solve must keep producing the
-// same bits through any later kernel work, at every Parallelism.
+// The first two hashes were captured on the commit before the fused MTTKRP
+// kernel replaced the fill/VecMulInto/VecAdd loop: Solve must keep producing
+// the same bits through any later kernel work, at every Parallelism. The
+// third is collapsingTensor, whose factors pass through la.FlushBelow; it
+// was captured on the commit that introduced the flush.
 func TestSolveGoldenHash(t *testing.T) {
+	collapsing, collapsingOpts := collapsingTensor()
 	cases := []struct {
-		name string
-		x    *tensor.COO
-		rank int
-		want string
+		name        string
+		x           *tensor.COO
+		rank, iters int
+		want        string
 	}{
-		{"order3", tensor.GenZipf(11, 6000, 0.7, 60, 50, 40), 6, "c0f7660e5a4294a2"},
-		{"order4", tensor.GenLowRank(12, 5000, 3, 0.1, 30, 25, 20, 15), 5, "161d1181ee28c3cc"},
+		{"order3", tensor.GenZipf(11, 6000, 0.7, 60, 50, 40), 6, 4, "c0f7660e5a4294a2"},
+		{"order4", tensor.GenLowRank(12, 5000, 3, 0.1, 30, 25, 20, 15), 5, 4, "161d1181ee28c3cc"},
+		{"collapsing", collapsing, collapsingOpts.Rank, collapsingOpts.MaxIters, "fab6ee9777bdd519"},
 	}
 	for _, c := range cases {
 		for _, p := range []int{1, 4} {
-			res, err := Solve(c.x, Options{Rank: c.rank, MaxIters: 4, Seed: 5, Parallelism: p})
+			res, err := Solve(c.x, Options{Rank: c.rank, MaxIters: c.iters, Seed: 5, Parallelism: p})
 			if err != nil {
 				t.Fatal(err)
 			}

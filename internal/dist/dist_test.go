@@ -88,6 +88,29 @@ func TestDistBitwiseMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDistBitwiseThroughFlush is the same guarantee on the tensor of
+// cpals.TestCollapseBitwiseContracts, whose rank-24 model collapses and sends
+// most factor entries through la.FlushBelow: the flush lives in the
+// coordinator's normalize, so two workers still reproduce Serial bit for bit.
+func TestDistBitwiseThroughFlush(t *testing.T) {
+	x := tensor.GenLowRank(21, 3000, 3, 0.1, 1200, 800, 600, 400)
+	opts := cpals.Options{Rank: 24, MaxIters: 8, Seed: 5, Parallelism: 2}
+	want, err := cpals.Solve(x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartInProcess(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, _, err := Solve(x, opts, c.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "2 workers, collapsing model", want, got)
+}
+
 // TestChaosKillSurvives injects a NodeCrash through the chaos plan: a real
 // worker connection is severed at a stage boundary mid-iteration, the
 // coordinator re-homes its ranges (re-shipping shards), and the result is

@@ -21,7 +21,10 @@ func fastRetry() RetryPolicy {
 func TestPartitionRejoin(t *testing.T) {
 	x := plantedTensor()
 	opts := solveOpts()
-	opts.MaxIters = 12
+	// Long enough (tens of milliseconds) that the solve cannot end before
+	// fastRetry's redials, which take up to ~25 ms in all, get the worker
+	// back: at 12 iterations it ended first about once in 50 runs.
+	opts.MaxIters = 80
 	want, err := cpals.Solve(x, opts)
 	if err != nil {
 		t.Fatal(err)

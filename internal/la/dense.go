@@ -96,8 +96,15 @@ func (m *Dense) Gram() *Dense {
 	return g
 }
 
-// GramAccumulate adds m' * m into g (g must be Cols x Cols). Splitting
-// accumulation out lets distributed callers sum per-partition grams.
+// GramAccumulate adds m' * m into g (g must be Cols x Cols and symmetric on
+// entry, as a zero matrix or an earlier gram is). Splitting accumulation out
+// lets distributed callers sum per-partition grams.
+//
+// Only the upper triangle is accumulated; the lower one is its mirror. For
+// finite m that is bit for bit what accumulating all Cols x Cols entries
+// gives: ra*rb == rb*ra, both triangles sum their terms in row order, and
+// they differ only in which ±0 terms the ra == 0 skip drops — which cannot
+// change a sum that started at +0 or at any nonzero value.
 func GramAccumulate(g *Dense, m *Dense) {
 	if g.Rows != m.Cols || g.Cols != m.Cols {
 		panic("la: gram accumulate dimension mismatch")
@@ -105,15 +112,27 @@ func GramAccumulate(g *Dense, m *Dense) {
 	c := m.Cols
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*c : (i+1)*c]
-		for a := 0; a < c; a++ {
-			ra := row[a]
+		for a, ra := range row {
 			if ra == 0 {
 				continue
 			}
 			gr := g.Data[a*c : (a+1)*c]
-			for b := 0; b < c; b++ {
-				gr[b] += ra * row[b]
+			b := a
+			for ; b+4 <= c; b += 4 {
+				r, s := row[b:b+4:b+4], gr[b:b+4:b+4]
+				s[0] += float64(ra * r[0])
+				s[1] += float64(ra * r[1])
+				s[2] += float64(ra * r[2])
+				s[3] += float64(ra * r[3])
 			}
+			for ; b < c; b++ {
+				gr[b] += float64(ra * row[b])
+			}
+		}
+	}
+	for a := 0; a < c; a++ {
+		for b := a + 1; b < c; b++ {
+			g.Data[b*c+a] = g.Data[a*c+b]
 		}
 	}
 }
@@ -207,9 +226,33 @@ func (m *Dense) ColumnNorms() []float64 {
 	return sums
 }
 
+// FlushBelow is the magnitude under which a normalized factor entry is
+// stored as +0. Entries of a unit-norm column that small carry no value — one
+// adds less than 2^-75 ulp(1) to any gram entry or score it enters — but left
+// alone they make every kernel downstream run in the CPU's subnormal slow
+// path: the product of two ~1e-160 normals is already subnormal. At 2^-128 a
+// product of up to seven entries (tensor order <= 8) stays a normal number.
+const FlushBelow = 0x1p-128
+
+// scaleRows divides rows [lo, hi) of m by norms element by element, storing
+// quotients of magnitude below FlushBelow (-0 included) as +0.
+func (m *Dense) scaleRows(lo, hi int, norms []float64) {
+	for i := lo; i < hi; i++ {
+		row := m.Row(i)
+		for j, n := range norms {
+			v := row[j] / n
+			if math.Abs(v) < FlushBelow {
+				v = 0
+			}
+			row[j] = v
+		}
+	}
+}
+
 // NormalizeColumns divides each column by its norm and returns the norms
-// (the lambda vector of CP-ALS). Zero-norm columns are left untouched and
-// report a norm of 1 so downstream scaling is a no-op.
+// (the lambda vector of CP-ALS). Zero-norm columns report a norm of 1 so
+// downstream scaling is a no-op. Quotients of magnitude below FlushBelow are
+// stored as +0.
 func (m *Dense) NormalizeColumns() []float64 {
 	norms := m.ColumnNorms()
 	for j, n := range norms {
@@ -217,12 +260,7 @@ func (m *Dense) NormalizeColumns() []float64 {
 			norms[j] = 1
 		}
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] /= norms[j]
-		}
-	}
+	m.scaleRows(0, m.Rows, norms)
 	return norms
 }
 

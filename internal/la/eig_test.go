@@ -76,31 +76,40 @@ func TestPinvInvertible(t *testing.T) {
 	}
 }
 
-// The four Moore-Penrose axioms, checked on rank-deficient matrices.
+// The four Moore-Penrose axioms, checked on rank-deficient matrices. Each
+// residual is measured against the matrix it should reproduce: A P A against
+// |A|, P A P against |P|. The test used to hold P A P - P to |A| as well and
+// failed about once in 300 runs of random seeds — not because Pinv was wrong
+// (its vmax*1e-12*n cutoff was nowhere near an eigenvalue) but because a
+// full-rank b*b^T with a 6e-7 eigenvalue has |P| = 1.7e6, and a residual of
+// 2.8e-5 on that is 1.7e-11 relative. pinvAxiomsSeed pins that input; the
+// random inputs come from a fixed source.
+const pinvAxiomsSeed int64 = -5383417026009451933
+
+func pinvAxiomsHold(seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(4)
+	rank := 1 + rng.Intn(n)
+	// Build a symmetric PSD matrix of known rank.
+	b := randDense(rng, n, rank)
+	a := Mul(b, b.Transpose())
+	p := Pinv(a)
+	ap := Mul(a, p)
+	pa := Mul(p, a)
+	tolA := 1e-7 * (1 + a.FrobeniusNorm())
+	tolP := 1e-7 * (1 + p.FrobeniusNorm())
+	return MaxAbsDiff(Mul(ap, a), a) <= tolA && // A P A = A
+		MaxAbsDiff(Mul(pa, p), p) <= tolP && // P A P = P
+		MaxAbsDiff(ap, ap.Transpose()) <= tolA && // (AP)^T = AP
+		MaxAbsDiff(pa, pa.Transpose()) <= tolA // (PA)^T = PA
+}
+
 func TestPinvMoorePenroseAxioms(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4)
-		rank := 1 + rng.Intn(n)
-		// Build a symmetric PSD matrix of known rank.
-		b := randDense(rng, n, rank)
-		a := Mul(b, b.Transpose())
-		p := Pinv(a)
-		ap := Mul(a, p)
-		pa := Mul(p, a)
-		tol := 1e-7 * (1 + a.FrobeniusNorm())
-		if MaxAbsDiff(Mul(ap, a), a) > tol { // A P A = A
-			return false
-		}
-		if MaxAbsDiff(Mul(pa, p), p) > tol { // P A P = P
-			return false
-		}
-		if MaxAbsDiff(ap, ap.Transpose()) > tol { // (AP)^T = AP
-			return false
-		}
-		return MaxAbsDiff(pa, pa.Transpose()) <= tol // (PA)^T = PA
+	if !pinvAxiomsHold(pinvAxiomsSeed) {
+		t.Errorf("axioms fail on the pinned ill-conditioned input %d", pinvAxiomsSeed)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(2))}
+	if err := quick.Check(pinvAxiomsHold, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -71,8 +71,9 @@ func ColumnNormsParallel(m *Dense, workers int) []float64 {
 
 // NormalizeColumnsParallel divides each column by its norm (computed via
 // ColumnNormsParallel) and returns the norms, with zero-norm columns
-// reported as 1 exactly like NormalizeColumns. The row scaling fans out
-// over row blocks; it is elementwise, so any partitioning is exact.
+// reported as 1 and quotients below FlushBelow stored as +0 exactly like
+// NormalizeColumns. The row scaling fans out over row blocks; it is
+// elementwise, so any partitioning is exact.
 func NormalizeColumnsParallel(m *Dense, workers int) []float64 {
 	norms := ColumnNormsParallel(m, workers)
 	for j, n := range norms {
@@ -82,12 +83,7 @@ func NormalizeColumnsParallel(m *Dense, workers int) []float64 {
 	}
 	par.Run(workers, par.NumBlocks(m.Rows), func(b int) {
 		lo, hi := par.Block(b, m.Rows)
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j := range row {
-				row[j] /= norms[j]
-			}
-		}
+		m.scaleRows(lo, hi, norms)
 	})
 	return norms
 }

@@ -15,8 +15,11 @@ type Config struct {
 	// WindowSize bounds how many queued events one delta window merges.
 	// Default 1024.
 	WindowSize int
-	// MaxWait bounds how long Drain waits for the FIRST event of a window
-	// before declaring a quiet interval. Default 50ms.
+	// MaxWait is each window's deadline: a window closes when it holds
+	// WindowSize events or MaxWait after the drain began, whichever is
+	// first (an empty one is a quiet interval). It bounds how long an
+	// event waits for its window to fill; a run whose windows must not
+	// depend on timing sets it above any stall of its source. Default 50ms.
 	MaxWait time.Duration
 	// PollInterval is how long the feeder sleeps when the source has
 	// nothing new (a tailed file that has not grown). Default 10ms.

@@ -64,10 +64,11 @@ func TestPipelineFeedsServingHotReload(t *testing.T) {
 	v0 := s.Model().Version
 
 	// Stream the remaining events through the full pipeline: exactly three
-	// 500-event windows, each published.
+	// 500-event windows, each published, whatever the feeder's pace — the
+	// window deadline is far beyond any scheduling stall.
 	p, err := NewPipeline(src, u, pub, Config{
 		WindowSize:     500,
-		MaxWait:        5 * time.Millisecond,
+		MaxWait:        5 * time.Second,
 		PublishEvery:   1,
 		FullSweepEvery: 2,
 		MaxWindows:     3,

@@ -103,38 +103,48 @@ func (q *Queue) Push(e tensor.Entry, at time.Time) bool {
 	}
 }
 
-// Drain micro-batches one window: it waits up to wait for the first event,
-// then gathers whatever else is already queued, up to max. The second
-// return is false once the queue is closed AND empty — no event will ever
-// arrive again. An empty batch with true just means a quiet interval.
+// Drain gathers one window: events in arrival order until there are max of
+// them or until wait has passed since the call, whichever is first. Buffered
+// events are always taken before the deadline or Close is looked at, so what
+// a window holds depends only on which events had arrived by its deadline,
+// never on how the producer's pushes interleaved with the drain: a producer
+// that keeps up with max events per wait gets the same windows — full ones,
+// then the remainder — at any speed. An empty window with true is a quiet
+// interval.
+//
+// The second return is false once the queue is closed AND empty. Shutdown
+// contract: when the producer calls Close after its last Push (as the
+// pipeline's feeder does), every accepted event is handed out by some Drain
+// before one reports false. A Close from the consumer's side abandons what
+// is still buffered, and a Push racing it may be accepted and never drained.
 func (q *Queue) Drain(max int, wait time.Duration) ([]Event, bool) {
 	if max <= 0 {
 		max = 1
 	}
+	deadline := time.NewTimer(wait)
+	defer deadline.Stop()
 	var out []Event
-	select {
-	case ev := <-q.ch:
-		out = append(out, ev)
-	case <-q.closed:
-		// Closed: hand out whatever is still buffered, then report done.
-		for len(out) < max {
+	for len(out) < max {
+		select {
+		case ev := <-q.ch:
+			out = append(out, ev)
+			continue
+		default:
+		}
+		select {
+		case ev := <-q.ch:
+			out = append(out, ev)
+		case <-deadline.C:
+			return out, true
+		case <-q.closed:
+			// Nothing is pushed after the producer's Close, so an empty
+			// buffer now stays empty.
 			select {
 			case ev := <-q.ch:
 				out = append(out, ev)
 			default:
 				return out, len(out) > 0
 			}
-		}
-		return out, true
-	case <-time.After(wait):
-		return nil, true
-	}
-	for len(out) < max {
-		select {
-		case ev := <-q.ch:
-			out = append(out, ev)
-		default:
-			return out, true
 		}
 	}
 	return out, true

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -97,5 +98,72 @@ func TestQueueDrainQuietInterval(t *testing.T) {
 	}
 	if time.Since(start) < 10*time.Millisecond {
 		t.Fatal("quiet drain returned before its wait elapsed")
+	}
+}
+
+// The same events pushed at three feeder speeds, through a buffer smaller
+// than a window so every window needs the feeder and the drain to
+// interleave, come out as the same windows: full ones in arrival order, then
+// the remainder. And the shutdown contract: the feeder closes after its last
+// push, and every accepted event is drained before Drain reports done.
+func TestDrainWindowsIndependentOfFeederSpeed(t *testing.T) {
+	const total, window = 1000, 64
+	feeders := map[string]func(i int){
+		"flat out": func(int) {},
+		"yielding": func(int) { runtime.Gosched() },
+		"bursty": func(i int) {
+			if i%100 == 99 {
+				// Paces the feeder only; the drain deadline below is
+				// three orders of magnitude away, so this cannot flake.
+				time.Sleep(2 * time.Millisecond)
+			}
+		},
+	}
+	for name, pace := range feeders {
+		q := NewQueue(QueueConfig{Depth: 16, Policy: Block})
+		go func() {
+			defer q.Close()
+			for i := 0; i < total; i++ {
+				if !q.Push(entryAt(i), time.Time{}) {
+					t.Errorf("%s: push %d rejected", name, i)
+				}
+				pace(i)
+			}
+		}()
+		next := 0
+		for {
+			evs, more := q.Drain(window, 10*time.Second)
+			if want := min(window, total-next); len(evs) != want {
+				t.Fatalf("%s: window at event %d holds %d events, want %d", name, next, len(evs), want)
+			}
+			for _, ev := range evs {
+				if int(ev.Entry.Idx[0]) != next {
+					t.Fatalf("%s: event %d arrived where %d was due", name, ev.Entry.Idx[0], next)
+				}
+				next++
+			}
+			if !more {
+				break
+			}
+		}
+		if st := q.Stats(); next != total || st.Accepted != total || st.Depth != 0 {
+			t.Fatalf("%s: drained %d of %d events, stats %+v", name, next, total, st)
+		}
+	}
+}
+
+// A window that cannot fill closes at its deadline with what has arrived.
+func TestDrainReturnsPartialWindowAtDeadline(t *testing.T) {
+	q := NewQueue(QueueConfig{Depth: 8})
+	for i := 0; i < 3; i++ {
+		q.Push(entryAt(i), time.Time{})
+	}
+	start := time.Now()
+	evs, more := q.Drain(8, 10*time.Millisecond)
+	if len(evs) != 3 || !more {
+		t.Fatalf("drain got %d events, more=%v; want 3, true", len(evs), more)
+	}
+	if time.Since(start) < 10*time.Millisecond {
+		t.Fatal("partial window returned before its deadline")
 	}
 }
