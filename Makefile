@@ -7,7 +7,7 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck check-deprecated build test race bench bench-la stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck check-deprecated build test race flake bench bench-la bench-dist stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
 ci: fmt vet staticcheck check-deprecated build test race
 
@@ -41,6 +41,14 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# The packages whose tests start goroutines, sockets or worker pools, twenty
+# times over under the race detector: what passes once by scheduling luck
+# does not pass this. Not part of `make ci` (it takes minutes); run it after
+# touching anything concurrent.
+FLAKE_PKGS := ./internal/par ./internal/cluster ./internal/serve ./internal/stream ./internal/dist ./internal/fleet
+flake:
+	$(GO) test -count=20 -race $(FLAKE_PKGS)
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -49,6 +57,12 @@ bench:
 # they keep compiling and running; for numbers raise -benchtime and pin -cpu.
 bench-la:
 	$(GO) test ./internal/la -run '^$$' -bench . -benchtime 1x
+
+# The dist runtime's microbenchmarks, same deal: session start (ms, MB
+# allocated, resident bytes per nonzero), shard codec (ns/nnz each way) and
+# factor codec (MB/s each way, allocations per frame).
+bench-dist:
+	$(GO) test ./internal/dist -run '^$$' -bench . -benchtime 1x
 
 # End-to-end streaming smoke under the race detector: train a tiny model,
 # stream three windows through ingest -> incremental update -> publish.

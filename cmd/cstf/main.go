@@ -178,6 +178,10 @@ func main() {
 		fmt.Printf("  wire recv:   %.2f MB\n", float64(m.WireBytesRecv)/1e6)
 		fmt.Printf("  shards:      %.2f MB\n", float64(m.WireShardBytes)/1e6)
 		fmt.Printf("  factors:     %.2f MB (%d delta frames)\n", float64(m.WireFactorBytes)/1e6, m.WireDeltaFrames)
+		fmt.Printf("  coordinator phases (s, sum = wall time):\n")
+		for _, p := range m.DistPhases {
+			fmt.Printf("    %-14s %.3f\n", p.Name, p.Seconds)
+		}
 		if m.FactorResyncs > 0 {
 			fmt.Printf("  resyncs:     %d full-factor resends after reassignment\n", m.FactorResyncs)
 		}

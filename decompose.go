@@ -448,6 +448,12 @@ type Metrics struct {
 	WorkerRejoins     int     // disconnected workers re-admitted after redial
 	CorruptFrames     int     // checksum-failed frames the coordinator rejected
 	DistDegraded      bool    // fleet collapsed; run finished coordinator-local
+	// DistPhases splits WallSeconds by what the Dist coordinator was doing,
+	// in order of first occurrence: connect, partition, shard-ship and
+	// factor-init precede the first MTTKRP dispatch; mttkrp-wait, row-solve,
+	// normalize, factor-update, gram-wait, fit-wait and other are totals
+	// over the iterations. They sum to WallSeconds.
+	DistPhases []PhaseSeconds
 
 	// Fault-tolerance counters, nonzero only when Chaos or task-failure
 	// injection was active.
@@ -462,6 +468,12 @@ type Metrics struct {
 	ReReplicatedBytes    float64 // HDFS bytes copied to restore replication
 	RecoverySeconds      float64 // modeled time spent in recovery work
 	CheckpointSeconds    float64 // modeled time spent writing checkpoints
+}
+
+// PhaseSeconds is one named share of a measured wall clock.
+type PhaseSeconds struct {
+	Name    string
+	Seconds float64
 }
 
 // Decomposition is a computed CP model [lambda; A_1 ... A_N].
@@ -691,6 +703,9 @@ func decompose(ctx context.Context, t *Tensor, o Options, rs resumeState) (*Deco
 			WorkerRejoins:     distStats.Rejoins,
 			CorruptFrames:     distStats.CorruptFrames,
 			DistDegraded:      distStats.Degraded,
+		}
+		for _, p := range distStats.Phases.List() {
+			out.Metrics.DistPhases = append(out.Metrics.DistPhases, PhaseSeconds(p))
 		}
 	}
 	if c != nil {
@@ -964,6 +979,12 @@ func DecomposeBestContext(ctx context.Context, t *Tensor, o Options, restarts in
 		total.WorkerRejoins += m.WorkerRejoins
 		total.CorruptFrames += m.CorruptFrames
 		total.DistDegraded = total.DistDegraded || m.DistDegraded
+		for i, p := range m.DistPhases {
+			if i == len(total.DistPhases) {
+				total.DistPhases = append(total.DistPhases, PhaseSeconds{Name: p.Name})
+			}
+			total.DistPhases[i].Seconds += p.Seconds
+		}
 		for phase, s := range m.SecondsByMode {
 			total.SecondsByMode[phase] += s
 		}

@@ -8,9 +8,9 @@ import (
 	"cstf/internal/tensor"
 )
 
-// gatherBlock is how many nonzeros MTTKRPAccumulate copies out of the entry
-// array before it computes on them. At rank 16 every size from 64 to 1024
-// measures within noise of any other (EXPERIMENTS.md), so it is a constant.
+// gatherBlock is how many nonzeros the kernel computes on at a time. At rank
+// 16 every size from 64 to 1024 measures within noise of any other
+// (EXPERIMENTS.md), so it is a constant.
 const gatherBlock = 256
 
 // warmBytes caps the factor and output rows one block reads, so that what the
@@ -19,19 +19,37 @@ const gatherBlock = 256
 // Only ranks above 21 (order 3) or 16 (order 4) get a shorter block from it.
 const warmBytes = 128 << 10
 
-// gathered is one block of nonzeros as columns: output row, value, and the
-// index along each other mode (ascending mode order).
-type gathered struct {
-	rows [gatherBlock]uint32
-	vals [gatherBlock]float64
-	cols [tensor.MaxOrder - 1][gatherBlock]uint32
+// block is one block of nonzeros as columns: output row, value, and the
+// index along each other mode (ascending mode order). The kernel has two
+// feeders that fill one: MTTKRPAccumulate gathers entries into stack
+// buffers, MTTKRPColumns slices columns that are already resident.
+type block struct {
+	rows []uint32
+	vals []float64
+	cols [tensor.MaxOrder - 1][]uint32
 }
 
-// MTTKRPAccumulate is the one per-nonzero COO MTTKRP loop of the repository.
-// It adds the mode-`mode` terms of a sequence of nonzeros to out, whose row
-// 0 is output row rowLo: the nonzeros are entries[perm[0]], entries[perm[1]],
-// ... when perm is non-nil (a slice of tensor.ModeIndex.Perm) and entries
-// itself, in order, when perm is nil (a dist shard, already in Perm order).
+// plan lists the modes other than `mode`, ascending, into others and returns
+// how many there are and the block length for rank-`rank` factors.
+func plan(rank, mode int, factors []*la.Dense, others *[tensor.MaxOrder - 1]int) (nOther, blockLen int) {
+	for m := range factors {
+		if m != mode {
+			others[nOther] = m
+			nOther++
+		}
+	}
+	blockLen = gatherBlock
+	if perNNZ := 8 * rank * (nOther + 1); perNNZ*blockLen > warmBytes {
+		blockLen = max(8, warmBytes/perNNZ)
+	}
+	return nOther, blockLen
+}
+
+// MTTKRPAccumulate is the per-nonzero COO MTTKRP over array-of-entries
+// storage. It adds the mode-`mode` terms of a sequence of nonzeros to out,
+// whose row 0 is output row rowLo: the nonzeros are entries[perm[0]],
+// entries[perm[1]], ... when perm is non-nil (a slice of
+// tensor.ModeIndex.Perm) and entries itself, in order, when perm is nil.
 // factors[mode] is not read and may be nil.
 //
 // Per output value it performs exactly the floating-point operations of the
@@ -44,89 +62,117 @@ func MTTKRPAccumulate(out *la.Dense, rowLo int, entries []tensor.Entry, perm []i
 	if perm != nil {
 		n = len(perm)
 	}
-	var others [tensor.MaxOrder - 1]int
-	nOther := 0
-	for m := range factors {
-		if m != mode {
-			others[nOther] = m
-			nOther++
-		}
-	}
-	block := gatherBlock
-	if perNNZ := 8 * out.Cols * (nOther + 1); perNNZ*block > warmBytes {
-		block = max(8, warmBytes/perNNZ)
-	}
-	var g gathered
-	for lo := 0; lo < n; lo += block {
-		cnt := min(block, n-lo)
+	var (
+		others [tensor.MaxOrder - 1]int
+		rows   [gatherBlock]uint32
+		vals   [gatherBlock]float64
+		cols   [tensor.MaxOrder - 1][gatherBlock]uint32
+		b      block
+	)
+	nOther, blockLen := plan(out.Cols, mode, factors, &others)
+	for lo := 0; lo < n; lo += blockLen {
+		cnt := min(blockLen, n-lo)
 		// Gather: loads only, so the cache misses of a block overlap
 		// instead of each waiting behind the previous nonzero's arithmetic.
-		for j := range g.rows[:cnt] {
+		for j := range rows[:cnt] {
 			p := lo + j
 			if perm != nil {
 				p = int(perm[p])
 			}
 			e := &entries[p]
-			g.rows[j], g.vals[j] = e.Idx[mode], e.Val
-			for k, m := range others[:nOther] {
-				g.cols[k][j] = e.Idx[m]
+			rows[j], vals[j] = e.Idx[mode], e.Val
+			for c, m := range others[:nOther] {
+				cols[c][j] = e.Idx[m]
 			}
 		}
-		// Warm: one load per cache line of every factor row the block will
-		// read, again with nothing between the loads to wait for. KeepAlive
-		// is what stops the compiler from deleting them.
-		var warm uint64
-		for k, m := range others[:nOther] {
-			f := factors[m]
-			for _, i := range g.cols[k][:cnt] {
-				row := f.Row(int(i))
-				for c := 0; c < len(row); c += 8 {
-					warm ^= math.Float64bits(row[c])
-				}
+		b.rows, b.vals = rows[:cnt], vals[:cnt]
+		for c := range others[:nOther] {
+			b.cols[c] = cols[c][:cnt]
+		}
+		accumulateBlock(out, rowLo, factors, others[:nOther], &b)
+	}
+}
+
+// MTTKRPColumns is MTTKRPAccumulate over nonzeros that are already stored as
+// columns (a dist worker's resident shard): rows[i], vals[i] and cols[c][i]
+// are nonzero i's output row, value and index along the c-th mode other than
+// `mode`, ascending. Same blocks, same body, same bits; nothing is copied.
+func MTTKRPColumns(out *la.Dense, rowLo int, rows []uint32, vals []float64, cols [][]uint32, mode int, factors []*la.Dense) {
+	var (
+		others [tensor.MaxOrder - 1]int
+		b      block
+	)
+	nOther, blockLen := plan(out.Cols, mode, factors, &others)
+	for lo := 0; lo < len(rows); lo += blockLen {
+		hi := min(lo+blockLen, len(rows))
+		b.rows, b.vals = rows[lo:hi], vals[lo:hi]
+		for c := range others[:nOther] {
+			b.cols[c] = cols[c][lo:hi]
+		}
+		accumulateBlock(out, rowLo, factors, others[:nOther], &b)
+	}
+}
+
+// accumulateBlock is the one per-block MTTKRP body: warm, then compute.
+func accumulateBlock(out *la.Dense, rowLo int, factors []*la.Dense, others []int, blk *block) {
+	cnt := len(blk.rows)
+	// Warm: one load per cache line of every factor row the block will
+	// read, with nothing between the loads to wait for. KeepAlive is what
+	// stops the compiler from deleting them.
+	var warm uint64
+	for c, m := range others {
+		f := factors[m]
+		for _, i := range blk.cols[c] {
+			row := f.Row(int(i))
+			for x := 0; x < len(row); x += 8 {
+				warm ^= math.Float64bits(row[x])
 			}
 		}
-		runtime.KeepAlive(warm)
-		// Compute, one run of equal output rows at a time: the row slice is
-		// derived once per run and accumulated in place.
-		for j := 0; j < cnt; {
-			r := g.rows[j]
-			acc := out.Row(int(r) - rowLo)
-			switch nOther {
-			case 2:
-				fa, fb := factors[others[0]], factors[others[1]]
-				for ; j < cnt && g.rows[j] == r; j++ {
-					v := g.vals[j]
-					a := fa.Row(int(g.cols[0][j]))[:len(acc)]
-					b := fb.Row(int(g.cols[1][j]))[:len(acc)]
-					for c := range acc {
-						acc[c] += float64(float64(v*a[c]) * b[c])
-					}
+	}
+	runtime.KeepAlive(warm)
+	// Compute, one run of equal output rows at a time: the row slice is
+	// derived once per run and accumulated in place.
+	rows, vals := blk.rows, blk.vals[:cnt]
+	for j := 0; j < cnt; {
+		r := rows[j]
+		acc := out.Row(int(r) - rowLo)
+		switch len(others) {
+		case 2:
+			fa, fb := factors[others[0]], factors[others[1]]
+			ca, cb := blk.cols[0][:cnt], blk.cols[1][:cnt]
+			for ; j < cnt && rows[j] == r; j++ {
+				v := vals[j]
+				a := fa.Row(int(ca[j]))[:len(acc)]
+				b := fb.Row(int(cb[j]))[:len(acc)]
+				for c := range acc {
+					acc[c] += float64(float64(v*a[c]) * b[c])
 				}
-			case 3:
-				fa, fb, fd := factors[others[0]], factors[others[1]], factors[others[2]]
-				for ; j < cnt && g.rows[j] == r; j++ {
-					v := g.vals[j]
-					a := fa.Row(int(g.cols[0][j]))[:len(acc)]
-					b := fb.Row(int(g.cols[1][j]))[:len(acc)]
-					d := fd.Row(int(g.cols[2][j]))[:len(acc)]
-					for c := range acc {
-						acc[c] += float64(float64(float64(v*a[c])*b[c]) * d[c])
-					}
+			}
+		case 3:
+			fa, fb, fd := factors[others[0]], factors[others[1]], factors[others[2]]
+			ca, cb, cd := blk.cols[0][:cnt], blk.cols[1][:cnt], blk.cols[2][:cnt]
+			for ; j < cnt && rows[j] == r; j++ {
+				v := vals[j]
+				a := fa.Row(int(ca[j]))[:len(acc)]
+				b := fb.Row(int(cb[j]))[:len(acc)]
+				d := fd.Row(int(cd[j]))[:len(acc)]
+				for c := range acc {
+					acc[c] += float64(float64(float64(v*a[c])*b[c]) * d[c])
 				}
-			default:
-				var rows [tensor.MaxOrder - 1][]float64
-				for ; j < cnt && g.rows[j] == r; j++ {
-					v := g.vals[j]
-					for k, m := range others[:nOther] {
-						rows[k] = factors[m].Row(int(g.cols[k][j]))[:len(acc)]
+			}
+		default:
+			var frows [tensor.MaxOrder - 1][]float64
+			for ; j < cnt && rows[j] == r; j++ {
+				v := vals[j]
+				for c, m := range others {
+					frows[c] = factors[m].Row(int(blk.cols[c][j]))[:len(acc)]
+				}
+				for c := range acc {
+					x := v
+					for _, f := range frows[:len(others)] {
+						x = float64(x * f[c])
 					}
-					for c := range acc {
-						x := v
-						for _, f := range rows[:nOther] {
-							x = float64(x * f[c])
-						}
-						acc[c] += x
-					}
+					acc[c] += x
 				}
 			}
 		}

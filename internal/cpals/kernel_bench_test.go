@@ -13,7 +13,8 @@ import (
 // mode of the two tensor shapes the repository's benchmark trains on
 // (als3-zipf, als4-tall), and reports nanoseconds per nonzero per mode.
 // "perm" walks the tensor through ModeIndex.Perm as the shared-memory solver
-// does; "linear" scans a copy of the entries already in Perm order, as a
+// does; "linear" scans a copy of the entries already in Perm order;
+// "columns" scans the same nonzeros stored by column (MTTKRPColumns), as a
 // dist worker scans its shard. "sorted" and "shuffled" are the storage order
 // of the entries Perm points into.
 func BenchmarkMTTKRPKernel(b *testing.B) {
@@ -39,6 +40,7 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 			factors := make([]*la.Dense, order)
 			outs := make([]*la.Dense, order)
 			shards := make([][]tensor.Entry, order)
+			columns := make([]entryColumns, order)
 			for n := range factors {
 				factors[n] = InitFactor(3, n, x.Dims[n], s.rank)
 				outs[n] = la.NewDense(x.Dims[n], s.rank)
@@ -47,18 +49,23 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 				for i, p := range mi.Perm {
 					shards[n][i] = x.Entries[p]
 				}
+				columns[n] = columnsOf(shards[n], n, order)
 			}
-			for _, access := range []string{"perm", "linear"} {
+			for _, access := range []string{"perm", "linear", "columns"} {
 				b.Run(s.name+"/"+storage+"/"+access, func(b *testing.B) {
 					var kernel time.Duration
 					for i := 0; i < b.N; i++ {
 						for n := 0; n < order; n++ {
 							outs[n].Zero()
 							start := time.Now()
-							if access == "perm" {
+							switch access {
+							case "perm":
 								MTTKRPAccumulate(outs[n], 0, x.Entries, x.ModeIndex(n).Perm, n, factors)
-							} else {
+							case "linear":
 								MTTKRPAccumulate(outs[n], 0, shards[n], nil, n, factors)
+							default:
+								c := &columns[n]
+								MTTKRPColumns(outs[n], 0, c.rows, c.vals, c.cols, n, factors)
 							}
 							kernel += time.Since(start)
 						}

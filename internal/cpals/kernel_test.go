@@ -69,6 +69,11 @@ func kernelTestTensor(order int, sorted bool) *tensor.COO {
 	return x
 }
 
+// rowsView is rows [lo, hi) of a copy of m.
+func rowsView(m *la.Dense, lo, hi int) *la.Dense {
+	return &la.Dense{Rows: hi - lo, Cols: m.Cols, Data: append([]float64(nil), m.Data[lo*m.Cols:hi*m.Cols]...)}
+}
+
 // shuffleEntries puts the nonzeros in a random storage order.
 func shuffleEntries(x *tensor.COO, src *rng.SplitMix64) {
 	for i := len(x.Entries) - 1; i > 0; i-- {
@@ -78,10 +83,45 @@ func shuffleEntries(x *tensor.COO, src *rng.SplitMix64) {
 	x.InvalidateIndex()
 }
 
+// entryColumns is a sequence of nonzeros stored by column, the layout
+// MTTKRPColumns scans (a dist worker's resident shard).
+type entryColumns struct {
+	rows []uint32
+	vals []float64
+	cols [][]uint32
+}
+
+// columnsOf transposes entries into columns for an output along `mode`.
+func columnsOf(entries []tensor.Entry, mode, order int) entryColumns {
+	c := entryColumns{cols: make([][]uint32, order-1)}
+	for _, e := range entries {
+		c.rows = append(c.rows, e.Idx[mode])
+		c.vals = append(c.vals, e.Val)
+		k := 0
+		for m := 0; m < order; m++ {
+			if m != mode {
+				c.cols[k] = append(c.cols[k], e.Idx[m])
+				k++
+			}
+		}
+	}
+	return c
+}
+
+// slice is nonzeros [lo, hi) of c.
+func (c entryColumns) slice(lo, hi int) entryColumns {
+	s := entryColumns{rows: c.rows[lo:hi], vals: c.vals[lo:hi], cols: make([][]uint32, len(c.cols))}
+	for k := range c.cols {
+		s.cols[k] = c.cols[k][lo:hi]
+	}
+	return s
+}
+
 // The fused kernel must reproduce the entry-order oracle bit for bit, for
-// every schedule the repository runs it under: worker ranges over the mode
-// index, a shard scanned linearly at a row offset, one row at a time, and a
-// row run cut between two calls.
+// every schedule the repository runs it under and through both feeders of
+// its block body: worker ranges over the mode index, a shard at a row offset
+// scanned linearly as entries and as columns, one row at a time, and a row
+// run cut between two calls — inside a block and exactly at a block boundary.
 func TestKernelBitwiseEqualsOracle(t *testing.T) {
 	for order := 2; order <= 5; order++ {
 		for _, sorted := range []bool{true, false} {
@@ -122,17 +162,33 @@ func TestKernelBitwiseEqualsOracle(t *testing.T) {
 						}
 						got := la.NewDense(r.RowHi-r.RowLo, rank)
 						MTTKRPAccumulate(got, r.RowLo, shard, nil, mode, factors)
+						c := columnsOf(shard, mode, order)
+						fromCols := rowsView(start, r.RowLo, r.RowHi) // non-zero on entry
+						MTTKRPColumns(fromCols, r.RowLo, c.rows, c.vals, c.cols, mode, factors)
 						for i := r.RowLo; i < r.RowHi; i++ {
 							if la.VecMaxAbsDiff(got.Row(i-r.RowLo), want.Row(i)) != 0 {
 								t.Fatalf("%s: shard rows [%d,%d) differ at row %d", label, r.RowLo, r.RowHi, i)
+							}
+							if la.VecMaxAbsDiff(fromCols.Row(i-r.RowLo), wantFrom.Row(i)) != 0 {
+								t.Fatalf("%s: column shard rows [%d,%d) differ at row %d", label, r.RowLo, r.RowHi, i)
 							}
 						}
 					}
 					// A cut inside row 3's run (it holds more than 100 nonzeros
 					// along every mode), the two parts run one after the other
 					// — what a range boundary inside a row would amount to.
-					for _, cut := range []int{int(mi.RowPtr[3]) + 1, int(mi.RowPtr[3]) + 100} {
-						if cut >= int(mi.RowPtr[4]) {
+					// The second and third cuts fall where one call's blocks end
+					// (row 3's run then resumes at a block start) and one short
+					// of it (the resumed run is the block's last nonzero).
+					all := make([]tensor.Entry, len(mi.Perm))
+					for i, p := range mi.Perm {
+						all[i] = x.Entries[p]
+					}
+					cols := columnsOf(all, mode, order)
+					_, blockLen := plan(rank, mode, factors, new([tensor.MaxOrder - 1]int))
+					atBlock := (int(mi.RowPtr[3])/blockLen + 1) * blockLen
+					for _, cut := range []int{int(mi.RowPtr[3]) + 1, atBlock, atBlock - 1, int(mi.RowPtr[3]) + 100} {
+						if cut <= int(mi.RowPtr[3]) || cut >= int(mi.RowPtr[4]) {
 							t.Fatalf("%s: cut %d is not inside row 3", label, cut)
 						}
 						got := la.NewDense(x.Dims[mode], rank)
@@ -140,6 +196,13 @@ func TestKernelBitwiseEqualsOracle(t *testing.T) {
 						MTTKRPAccumulate(got, 0, x.Entries, mi.Perm[cut:], mode, factors)
 						if d := la.MaxAbsDiff(got, want); d != 0 {
 							t.Fatalf("%s: cut at %d differs by %g", label, cut, d)
+						}
+						got.Zero()
+						for _, c := range []entryColumns{cols.slice(0, cut), cols.slice(cut, len(all))} {
+							MTTKRPColumns(got, 0, c.rows, c.vals, c.cols, mode, factors)
+						}
+						if d := la.MaxAbsDiff(got, want); d != 0 {
+							t.Fatalf("%s: columns cut at %d differ by %g", label, cut, d)
 						}
 					}
 					// One row per call, as the stream updater runs it.

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"cstf/internal/la"
 	"cstf/internal/tensor"
@@ -14,7 +16,9 @@ import (
 // Compact binary wire codec. Framing is a 9-byte header — type byte,
 // big-endian uint32 payload length, big-endian CRC32-C over the type byte
 // and payload — followed by the payload. Payload encodings are fixed-width
-// big-endian; float64s travel as IEEE-754 bits. Every decoder is total:
+// big-endian; float64s travel as IEEE-754 bits. Every encoder computes its
+// payload size first and writes each byte once, into a buffer that never
+// grows; float64 runs are converted as one slab. Every decoder is total:
 // malformed input of any kind returns a *DecodeError, never a panic, and
 // element counts are validated against the remaining payload BEFORE
 // allocation so a corrupt length prefix cannot force a huge allocation.
@@ -98,24 +102,35 @@ func appendU32(b []byte, v uint32) []byte {
 func appendU64(b []byte, v uint64) []byte {
 	return binary.BigEndian.AppendUint64(b, v)
 }
-func appendF64(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+
+// appendF64s appends a float64 slab: one capacity check (a no-op when the
+// caller sized b), then a conversion loop with nothing else in it.
+func appendF64s(b []byte, vs []float64) []byte {
+	n := len(b)
+	b = slices.Grow(b, 8*len(vs))[:n+8*len(vs)]
+	dst := b[n:]
+	for _, v := range vs {
+		binary.BigEndian.PutUint64(dst, math.Float64bits(v))
+		dst = dst[8:]
+	}
+	return b
 }
 
-// appendUvarint encodes a varint (the only variable-width element in the
-// protocol; shard payloads are index-heavy and dominated by small values).
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
+// denseSize and optDenseSize are the encoded sizes of appendDense and
+// appendOptDense.
+func denseSize(m *la.Dense) int { return 8 + 8*len(m.Data) }
+func optDenseSize(m *la.Dense) int {
+	if m == nil {
+		return 1
+	}
+	return 1 + denseSize(m)
 }
 
 // appendDense encodes rows, cols, then the row-major data.
 func appendDense(b []byte, m *la.Dense) []byte {
 	b = appendU32(b, uint32(m.Rows))
 	b = appendU32(b, uint32(m.Cols))
-	for _, v := range m.Data {
-		b = appendF64(b, v)
-	}
-	return b
+	return appendF64s(b, m.Data)
 }
 
 // appendOptDense encodes a presence byte then the matrix when non-nil.
@@ -126,6 +141,11 @@ func appendOptDense(b []byte, m *la.Dense) []byte {
 	b = appendU8(b, 1)
 	return appendDense(b, m)
 }
+
+// uvarintLen is the encoded size of v as a varint, the only variable-width
+// element in the protocol (shard payloads are index-heavy and dominated by
+// small values).
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // --- sticky-error decoder ---
 
@@ -188,7 +208,18 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+// f64s fills dst from the next 8*len(dst) bytes behind one bounds check.
+func (d *dec) f64s(dst []float64) {
+	if !d.need(8 * len(dst)) {
+		return
+	}
+	src := d.b[d.off:]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src))
+		src = src[8:]
+	}
+	d.off += 8 * len(dst)
+}
 
 // uvarint decodes one varint, bounding it to maxFrame so downstream int
 // conversions cannot overflow.
@@ -238,9 +269,7 @@ func (d *dec) dense() *la.Dense {
 		return nil
 	}
 	m := la.NewDense(int(rows), int(cols))
-	for i := range m.Data {
-		m.Data[i] = d.f64()
-	}
+	d.f64s(m.Data)
 	return m
 }
 
@@ -271,7 +300,7 @@ func (d *dec) done() error {
 
 // EncodeHello serializes a handshake.
 func EncodeHello(h *Hello) []byte {
-	b := appendU16(nil, h.Version)
+	b := appendU16(make([]byte, 0, 10+4*len(h.Dims)), h.Version)
 	b = appendU8(b, h.Flags)
 	b = appendU8(b, uint8(h.Order))
 	b = appendU16(b, uint16(h.Rank))
@@ -318,7 +347,11 @@ func DecodeHello(b []byte) (*Hello, error) {
 	return h, nil
 }
 
-// EncodeShard serializes a nonzero shard in the row-grouped varint format:
+// EncodeShard serializes a materialised shard: the one shard encoder with
+// no permutation, no dims and no touched-row bookkeeping.
+func EncodeShard(s *Shard) []byte { return encodeShard(s, nil, nil, nil) }
+
+// encodeShard serializes a nonzero shard in the row-grouped varint format:
 // header, then one group per distinct output row — varint row delta, varint
 // entry count, then per entry the OTHER modes' indices as varints plus the
 // float64 value. Grouping drops the 4-byte mode index every entry repeats,
@@ -327,47 +360,85 @@ func DecodeHello(b []byte) (*Hello, error) {
 // entry order — ascending row, original storage order within a row — is
 // exactly the stable ModeIndex Perm order the kernels require.
 //
-// Entries must already be in that order (buildShard guarantees it); a
-// violation is an internal invariant failure, not a wire condition.
-func EncodeShard(s *Shard) []byte {
-	b := appendU8(nil, uint8(s.Mode))
-	b = appendU8(b, uint8(s.Order))
-	b = appendU32(b, uint32(s.RowLo))
-	b = appendU32(b, uint32(s.RowHi))
-	b = appendU32(b, uint32(len(s.Entries)))
+// The nonzeros are s.Entries[perm[0]], s.Entries[perm[1]], ... when perm is
+// non-nil (a slice of the mode's ModeIndex.Perm over the coordinator's whole
+// tensor — nothing is copied out first) and s.Entries in order otherwise;
+// either way they must ascend by row within [RowLo, RowHi), and a violation
+// is an internal invariant failure, not a wire condition. The frame is
+// written once into a buffer sized from dims — every index along mode m is
+// below dims[m], which building the mode indexes has already relied on — or
+// from the widest uint32 varint when dims is nil. When touched is non-nil,
+// the same pass sets touched[m] bit i for every index i it writes along a
+// mode m other than the shard's: the factor rows this shard's MTTKRP reads.
+func encodeShard(s *Shard, perm []int32, dims []int, touched []bitset) []byte {
+	entries, mode := s.Entries, s.Mode
+	n := len(entries)
+	if perm != nil {
+		n = len(perm)
+	}
+	at := func(i int) *tensor.Entry {
+		if perm != nil {
+			i = int(perm[i])
+		}
+		return &entries[i]
+	}
+	var others [tensor.MaxOrder - 1]int
+	nOther, perNNZ := 0, 8
+	for m := 0; m < s.Order; m++ {
+		if m == mode {
+			continue
+		}
+		others[nOther] = m
+		nOther++
+		if dims != nil {
+			perNNZ += uvarintLen(uint64(dims[m] - 1))
+		} else {
+			perNNZ += binary.MaxVarintLen32
+		}
+	}
+	groups := max(0, min(n, s.RowHi-s.RowLo))
+	b := make([]byte, 14+n*perNNZ+groups*(uvarintLen(uint64(s.RowHi-s.RowLo))+uvarintLen(uint64(n))))
+	b[0], b[1] = uint8(mode), uint8(s.Order)
+	binary.BigEndian.PutUint32(b[2:], uint32(s.RowLo))
+	binary.BigEndian.PutUint32(b[6:], uint32(s.RowHi))
+	binary.BigEndian.PutUint32(b[10:], uint32(n))
+	off := 14
 	prevRow := s.RowLo - 1 // first group's delta is row-RowLo+1 .. keeps deltas >= 1
-	for i := 0; i < len(s.Entries); {
-		row := int(s.Entries[i].Idx[s.Mode])
+	for i := 0; i < n; {
+		row := int(at(i).Idx[mode])
 		if row <= prevRow || row >= s.RowHi {
 			panic(fmt.Sprintf("dist: shard entries not in ascending row order (row %d after %d)", row, prevRow))
 		}
-		j := i
-		for j < len(s.Entries) && int(s.Entries[j].Idx[s.Mode]) == row {
+		j := i + 1
+		for j < n && int(at(j).Idx[mode]) == row {
 			j++
 		}
-		b = appendUvarint(b, uint64(row-prevRow))
-		b = appendUvarint(b, uint64(j-i))
+		off += binary.PutUvarint(b[off:], uint64(row-prevRow))
+		off += binary.PutUvarint(b[off:], uint64(j-i))
 		for ; i < j; i++ {
-			e := &s.Entries[i]
-			for m := 0; m < s.Order; m++ {
-				if m == s.Mode {
-					continue
+			e := at(i)
+			for _, m := range others[:nOther] {
+				x := e.Idx[m]
+				off += binary.PutUvarint(b[off:], uint64(x))
+				if touched != nil {
+					touched[m].set(int(x))
 				}
-				b = appendUvarint(b, uint64(e.Idx[m]))
 			}
-			b = appendF64(b, e.Val)
+			binary.BigEndian.PutUint64(b[off:], math.Float64bits(e.Val))
+			off += 8
 		}
 		prevRow = row
 	}
-	return b
+	return b[:off]
 }
 
-// DecodeShard parses a nonzero shard, validating the entry count against
-// the payload length, row deltas against [RowLo, RowHi), and group counts
-// against the declared total.
-func DecodeShard(b []byte) (*Shard, error) {
+// DecodeShard parses a nonzero shard into columns, validating the entry
+// count against the payload length (before anything is allocated), row
+// deltas against [RowLo, RowHi), and group counts against the declared
+// total. The largest index along each mode is recorded in the same pass.
+func DecodeShard(b []byte) (*ShardColumns, error) {
 	d := &dec{b: b}
-	s := &Shard{
+	s := &ShardColumns{
 		Mode:  int(d.u8()),
 		Order: int(d.u8()),
 		RowLo: int(d.u32()),
@@ -385,43 +456,67 @@ func DecodeShard(b []byte) (*Shard, error) {
 	// Tightest guaranteed wire width per entry: one varint byte per other
 	// mode plus the 8-byte value.
 	nnz := d.count(d.u32(), s.Order-1+8, "shard entry")
-	s.Entries = make([]tensor.Entry, 0, nnz)
+	if d.err != nil {
+		return nil, d.err
+	}
+	s.Rows, s.Vals = make([]uint32, nnz), make([]float64, nnz)
+	s.Cols = make([][]uint32, s.Order-1)
+	var maxIdx [tensor.MaxOrder - 1]uint32
+	for c := range s.Cols {
+		s.Cols[c] = make([]uint32, nnz)
+	}
 	row := s.RowLo - 1
-	for len(s.Entries) < nnz && d.err == nil {
+	for i := 0; i < nnz && d.err == nil; {
 		row += int(d.uvarint())
 		if d.err == nil && (row < s.RowLo || row >= s.RowHi) {
 			d.fail(fmt.Sprintf("shard row %d outside [%d,%d)", row, s.RowLo, s.RowHi))
 			break
 		}
 		cnt := int(d.uvarint())
-		if d.err == nil && (cnt < 1 || cnt > nnz-len(s.Entries)) {
+		if d.err == nil && (cnt < 1 || cnt > nnz-i) {
 			d.fail(fmt.Sprintf("shard row group count %d out of range", cnt))
 			break
 		}
-		for i := 0; i < cnt && d.err == nil; i++ {
-			var e tensor.Entry
-			for m := 0; m < s.Order; m++ {
-				if m == s.Mode {
-					e.Idx[m] = uint32(row)
-					continue
+		// The per-nonzero reads skip the sticky decoder; a read that fails
+		// is repeated through it at the same offset, which words the error.
+		off := d.off
+		for end := i + cnt; i < end; i++ {
+			for c, col := range s.Cols {
+				x, n := binary.Uvarint(b[off:])
+				if n <= 0 || x > maxFrame {
+					d.off = off
+					d.uvarint()
+					return nil, d.err
 				}
-				e.Idx[m] = uint32(d.uvarint())
+				off += n
+				col[i] = uint32(x)
+				maxIdx[c] = max(maxIdx[c], uint32(x))
 			}
-			e.Val = d.f64()
-			if d.err == nil {
-				s.Entries = append(s.Entries, e)
+			if len(b)-off < 8 {
+				d.off = off
+				d.u64()
+				return nil, d.err
 			}
+			s.Rows[i], s.Vals[i] = uint32(row), math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
+			off += 8
 		}
+		d.off = off
 	}
 	if err := d.done(); err != nil {
 		return nil, err
+	}
+	if nnz > 0 {
+		s.MaxIdx[s.Mode] = s.Rows[nnz-1] // rows ascend
+	}
+	for c, m := range s.others() {
+		s.MaxIdx[m] = maxIdx[c]
 	}
 	return s, nil
 }
 
 // EncodeFactor serializes a factor broadcast.
 func EncodeFactor(f *Factor) []byte {
-	b := appendU8(nil, uint8(f.Mode))
+	b := appendU8(make([]byte, 0, 1+denseSize(f.M)), uint8(f.Mode))
 	return appendDense(b, f.M)
 }
 
@@ -439,16 +534,13 @@ func DecodeFactor(b []byte) (*Factor, error) {
 // EncodeFactorDelta serializes a changed-rows factor update: mode, column
 // count, row count, the strictly ascending row indices, then the row data.
 func EncodeFactorDelta(f *FactorDelta) []byte {
-	b := appendU8(nil, uint8(f.Mode))
+	b := appendU8(make([]byte, 0, 7+4*len(f.Indices)+8*len(f.Rows)), uint8(f.Mode))
 	b = appendU16(b, uint16(f.Cols))
 	b = appendU32(b, uint32(len(f.Indices)))
 	for _, idx := range f.Indices {
 		b = appendU32(b, uint32(idx))
 	}
-	for _, v := range f.Rows {
-		b = appendF64(b, v)
-	}
-	return b
+	return appendF64s(b, f.Rows)
 }
 
 // DecodeFactorDelta parses a changed-rows factor update, validating the
@@ -475,9 +567,7 @@ func DecodeFactorDelta(b []byte) (*FactorDelta, error) {
 	}
 	if d.err == nil {
 		f.Rows = make([]float64, n*f.Cols)
-		for i := range f.Rows {
-			f.Rows[i] = d.f64()
-		}
+		d.f64s(f.Rows)
 	}
 	if err := d.done(); err != nil {
 		return nil, err
@@ -487,7 +577,8 @@ func DecodeFactorDelta(b []byte) (*FactorDelta, error) {
 
 // EncodeTask serializes a task descriptor.
 func EncodeTask(t *Task) []byte {
-	b := appendU64(nil, t.ID)
+	size := 30 + optDenseSize(t.Pinv) + 8*len(t.Lambda) + optDenseSize(t.MRows)
+	b := appendU64(make([]byte, 0, size), t.ID)
 	b = appendU8(b, uint8(t.Kind))
 	b = appendU8(b, uint8(t.Mode))
 	b = appendU32(b, uint32(t.RowLo))
@@ -496,9 +587,7 @@ func EncodeTask(t *Task) []byte {
 	b = appendU32(b, uint32(t.BlockHi))
 	b = appendOptDense(b, t.Pinv)
 	b = appendU32(b, uint32(len(t.Lambda)))
-	for _, v := range t.Lambda {
-		b = appendF64(b, v)
-	}
+	b = appendF64s(b, t.Lambda)
 	return appendOptDense(b, t.MRows)
 }
 
@@ -524,9 +613,7 @@ func DecodeTask(b []byte) (*Task, error) {
 	n := d.count(d.u32(), 8, "lambda")
 	if n > 0 {
 		t.Lambda = make([]float64, n)
-		for i := range t.Lambda {
-			t.Lambda[i] = d.f64()
-		}
+		d.f64s(t.Lambda)
 	}
 	t.MRows = d.optDense()
 	if err := d.done(); err != nil {
@@ -537,7 +624,11 @@ func DecodeTask(b []byte) (*Task, error) {
 
 // EncodeResult serializes a task result.
 func EncodeResult(r *Result) []byte {
-	b := appendU64(nil, r.ID)
+	size := 25 + optDenseSize(r.Rows) + 8*len(r.Partials)
+	for _, g := range r.Grams {
+		size += denseSize(g)
+	}
+	b := appendU64(make([]byte, 0, size), r.ID)
 	b = appendU8(b, uint8(r.Kind))
 	b = appendU32(b, uint32(r.RowLo))
 	b = appendU32(b, uint32(r.BlockLo))
@@ -547,10 +638,7 @@ func EncodeResult(r *Result) []byte {
 		b = appendDense(b, g)
 	}
 	b = appendU32(b, uint32(len(r.Partials)))
-	for _, v := range r.Partials {
-		b = appendF64(b, v)
-	}
-	return b
+	return appendF64s(b, r.Partials)
 }
 
 // DecodeResult parses a task result.
@@ -576,9 +664,7 @@ func DecodeResult(b []byte) (*Result, error) {
 	np := d.count(d.u32(), 8, "fit partial")
 	if np > 0 {
 		r.Partials = make([]float64, np)
-		for i := range r.Partials {
-			r.Partials[i] = d.f64()
-		}
+		d.f64s(r.Partials)
 	}
 	if err := d.done(); err != nil {
 		return nil, err
@@ -601,7 +687,7 @@ func DecodeSeq(b []byte) (uint64, error) {
 
 // EncodeErr serializes a worker task failure.
 func EncodeErr(e *RemoteError) []byte {
-	b := appendU64(nil, e.TaskID)
+	b := appendU64(make([]byte, 0, 12+len(e.Msg)), e.TaskID)
 	b = appendU32(b, uint32(len(e.Msg)))
 	return append(b, e.Msg...)
 }

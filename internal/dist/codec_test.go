@@ -3,11 +3,15 @@ package dist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"cstf/internal/cpals"
 	"cstf/internal/la"
+	"cstf/internal/rals"
+	"cstf/internal/rng"
 	"cstf/internal/tensor"
 )
 
@@ -42,8 +46,13 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 
 	sh := testShard()
-	if got, err := DecodeShard(EncodeShard(sh)); err != nil || !reflect.DeepEqual(got, sh) {
+	got, err := DecodeShard(EncodeShard(sh))
+	if err != nil || got.Mode != sh.Mode || got.Order != sh.Order || got.RowLo != sh.RowLo || got.RowHi != sh.RowHi ||
+		!reflect.DeepEqual(got.Entries(), sh.Entries) {
 		t.Fatalf("shard round trip: got %+v, err %v", got, err)
+	}
+	if got.MaxIdx != [tensor.MaxOrder]uint32{18, 8, 6} {
+		t.Fatalf("shard round trip: max indices %v", got.MaxIdx)
 	}
 
 	f := &Factor{Mode: 2, M: denseOf(4, 3, 1)}
@@ -215,8 +224,297 @@ func TestFrameChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// decodeShardAoS is the array-of-entries shard decoder DecodeShard replaced,
+// kept here — and only here — as the reference the column decoder is held to.
+func decodeShardAoS(b []byte) (*Shard, error) {
+	d := &dec{b: b}
+	s := &Shard{
+		Mode:  int(d.u8()),
+		Order: int(d.u8()),
+		RowLo: int(d.u32()),
+		RowHi: int(d.u32()),
+	}
+	if d.err == nil && (s.Order < 1 || s.Order > tensor.MaxOrder) {
+		d.fail(fmt.Sprintf("order %d out of range [1,%d]", s.Order, tensor.MaxOrder))
+	}
+	if d.err == nil && s.Mode >= s.Order {
+		d.fail(fmt.Sprintf("mode %d out of range for order %d", s.Mode, s.Order))
+	}
+	if d.err == nil && s.RowHi < s.RowLo {
+		d.fail(fmt.Sprintf("row range [%d,%d) inverted", s.RowLo, s.RowHi))
+	}
+	nnz := d.count(d.u32(), s.Order-1+8, "shard entry")
+	s.Entries = make([]tensor.Entry, 0, nnz)
+	row := s.RowLo - 1
+	for len(s.Entries) < nnz && d.err == nil {
+		row += int(d.uvarint())
+		if d.err == nil && (row < s.RowLo || row >= s.RowHi) {
+			d.fail(fmt.Sprintf("shard row %d outside [%d,%d)", row, s.RowLo, s.RowHi))
+			break
+		}
+		cnt := int(d.uvarint())
+		if d.err == nil && (cnt < 1 || cnt > nnz-len(s.Entries)) {
+			d.fail(fmt.Sprintf("shard row group count %d out of range", cnt))
+			break
+		}
+		for i := 0; i < cnt && d.err == nil; i++ {
+			var e tensor.Entry
+			for m := 0; m < s.Order; m++ {
+				if m == s.Mode {
+					e.Idx[m] = uint32(row)
+					continue
+				}
+				e.Idx[m] = uint32(d.uvarint())
+			}
+			e.Val = math.Float64frombits(d.u64())
+			if d.err == nil {
+				s.Entries = append(s.Entries, e)
+			}
+		}
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// diffShardDecoders holds DecodeShard to the reference decoder on one input:
+// same accept/reject, the same *DecodeError (text and offset), the same
+// nonzeros in the same order, and recorded max indices equal to a scan.
+func diffShardDecoders(t *testing.T, b []byte) {
+	t.Helper()
+	want, werr := decodeShardAoS(b)
+	got, gerr := DecodeShard(b)
+	if werr != nil || gerr != nil {
+		var de *DecodeError
+		if werr == nil || gerr == nil || !errors.As(gerr, &de) || gerr.Error() != werr.Error() {
+			t.Fatalf("decoders disagree on %x: columns %v, reference %v", b, gerr, werr)
+		}
+		return
+	}
+	if got.Mode != want.Mode || got.Order != want.Order || got.RowLo != want.RowLo || got.RowHi != want.RowHi {
+		t.Fatalf("header %+v, reference %+v", got, want)
+	}
+	if len(got.Cols) != want.Order-1 || !reflect.DeepEqual(got.Entries(), want.Entries) {
+		t.Fatalf("nonzeros differ on %x:\n%v\nreference\n%v", b, got.Entries(), want.Entries)
+	}
+	var scan [tensor.MaxOrder]uint32
+	for _, e := range want.Entries {
+		for n, x := range e.Idx[:want.Order] {
+			scan[n] = max(scan[n], x)
+		}
+	}
+	if got.MaxIdx != scan {
+		t.Fatalf("recorded max indices %v, a scan finds %v", got.MaxIdx, scan)
+	}
+}
+
+// shardTensor generates an order-`order` tensor for the shard tests: dims
+// sit on varint width boundaries, every mode has an empty leading row run,
+// one row of mode 0 holds more nonzeros than a kernel block, and every
+// mode's last index occurs (with all of them at once in one nonzero).
+func shardTensor(order int, seed uint64) *tensor.COO {
+	dims := []int{130, 129, 16385, 128, 5}[:order]
+	x := tensor.New(dims...)
+	src := rng.New(seed)
+	for i := 0; i < 1200; i++ {
+		var e tensor.Entry
+		for m, d := range dims {
+			e.Idx[m] = uint32(3 + src.Intn(d-3))
+			if src.Intn(8) == 0 {
+				e.Idx[m] = uint32(d - 1)
+			}
+		}
+		if i%3 == 0 {
+			e.Idx[0] = 7
+		}
+		e.Val = src.NormFloat64()
+		x.Entries = append(x.Entries, e)
+	}
+	var last tensor.Entry
+	for m, d := range dims {
+		last.Idx[m] = uint32(d - 1)
+	}
+	last.Val = 1
+	x.Entries = append(x.Entries, last)
+	return x
+}
+
+// materialise copies a range's nonzeros out in Perm order, as buildShard did.
+func materialise(x *tensor.COO, mode int, rg tensor.NNZRange) *Shard {
+	sh := &Shard{Mode: mode, Order: x.Order(), RowLo: rg.RowLo, RowHi: rg.RowHi, Entries: []tensor.Entry{}}
+	for _, p := range x.ModeIndex(mode).Perm[rg.Lo:rg.Hi] {
+		sh.Entries = append(sh.Entries, x.Entries[p])
+	}
+	return sh
+}
+
+// checkShardFrame holds the in-place encode of one range to EncodeShard of
+// the materialised shard byte for byte, and the frame to both decoders.
+func checkShardFrame(t *testing.T, label string, x *tensor.COO, mode int, rg tensor.NNZRange) {
+	t.Helper()
+	sh := materialise(x, mode, rg)
+	frame := shardFrame(x, mode, rg, nil)
+	if !bytes.Equal(frame, EncodeShard(sh)) {
+		t.Fatalf("%s mode %d rows [%d,%d): in-place frame differs from the materialised shard's", label, mode, rg.RowLo, rg.RowHi)
+	}
+	if back, err := decodeShardAoS(frame); err != nil || !reflect.DeepEqual(back, sh) {
+		t.Fatalf("%s mode %d rows [%d,%d): reference decode %+v, err %v", label, mode, rg.RowLo, rg.RowHi, back, err)
+	}
+	diffShardDecoders(t, frame)
+}
+
+// The one shard encoder, fed (entries, perm) over the whole tensor, must
+// write the bytes it writes for the materialised shard, on every shape of
+// range the runtime cuts and on per-epoch sampled tensors under frozen
+// ranges; and its buffer, sized from Dims, must hold shards whose indices
+// sit at Dims[m]-1 — exactly, for a single row.
+func TestEncodeInPlaceEqualsMaterialised(t *testing.T) {
+	for order := 2; order <= 5; order++ {
+		x := shardTensor(order, uint64(order))
+		label := fmt.Sprintf("order %d", order)
+		for mode := 0; mode < order; mode++ {
+			mi := x.ModeIndex(mode)
+			rows := x.Dims[mode]
+			for _, parts := range []int{1, 2, 4} {
+				for _, rg := range mi.Ranges(parts) {
+					checkShardFrame(t, label, x, mode, rg)
+				}
+			}
+			// Rows 0..2 are empty along every mode; then every single row,
+			// among them mode 0's row 7 (longer than a kernel block) and
+			// the last row.
+			checkShardFrame(t, label+" empty", x, mode, tensor.NNZRange{RowLo: 0, RowHi: 3})
+			for r := 0; r < rows; r++ {
+				rg := tensor.NNZRange{RowLo: r, RowHi: r + 1, Lo: int(mi.RowPtr[r]), Hi: int(mi.RowPtr[r+1])}
+				checkShardFrame(t, label+" single row", x, mode, rg)
+			}
+		}
+		if n := x.ModeIndex(0).RowPtr[8] - x.ModeIndex(0).RowPtr[7]; n <= 256 {
+			t.Fatalf("%s: row 7 of mode 0 holds %d nonzeros, want more than a kernel block", label, n)
+		}
+		// One row whose nonzeros all sit at the last index of every other
+		// mode fills the buffer to the byte.
+		corner := tensor.New(x.Dims...)
+		for i := 0; i < 300; i++ {
+			e := x.Entries[len(x.Entries)-1]
+			e.Val = float64(i)
+			corner.Entries = append(corner.Entries, e)
+		}
+		rg := tensor.NNZRange{RowLo: x.Dims[0] - 1, RowHi: x.Dims[0], Lo: 0, Hi: 300}
+		checkShardFrame(t, label+" corner", corner, 0, rg)
+		if frame := shardFrame(corner, 0, rg, nil); len(frame) != cap(frame) {
+			t.Fatalf("%s: corner frame is %d bytes in a %d-byte buffer; the bound from Dims should be exact", label, len(frame), cap(frame))
+		}
+	}
+
+	// rals: each epoch's sampled tensors, cut along the full tensor's frozen
+	// row ranges, as ralsKernel.ship cuts them.
+	x := plantedTensor()
+	rec := &epochRecorder{}
+	o := ralsOpts()
+	o.Kernel = rec
+	if _, err := rals.Solve(x, o); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.sampled) < 2 {
+		t.Fatalf("want several epochs of sampled tensors, got %d", len(rec.sampled))
+	}
+	for i, sm := range rec.sampled {
+		mode := rec.modes[i]
+		smi := sm.ModeIndex(mode)
+		for _, rg := range x.ModeIndex(mode).Ranges(3) {
+			srg := tensor.NNZRange{RowLo: rg.RowLo, RowHi: rg.RowHi, Lo: int(smi.RowPtr[rg.RowLo]), Hi: int(smi.RowPtr[rg.RowHi])}
+			checkShardFrame(t, fmt.Sprintf("rals sample %d", i), sm, mode, srg)
+		}
+	}
+}
+
+// epochRecorder is a rals.Kernel that computes locally and keeps every
+// sampled tensor it is handed.
+type epochRecorder struct {
+	cur     []*tensor.COO
+	sampled []*tensor.COO
+	modes   []int
+}
+
+func (r *epochRecorder) Epoch(_ int, sampled []*tensor.COO) error {
+	r.cur = sampled
+	for m, sm := range sampled {
+		if sm != nil {
+			r.sampled, r.modes = append(r.sampled, sm), append(r.modes, m)
+		}
+	}
+	return nil
+}
+
+func (r *epochRecorder) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error {
+	cpals.MTTKRPWorkers(r.cur[mode], mode, factors, 1, out, nil)
+	return nil
+}
+
+func (r *epochRecorder) FactorUpdated(int, *la.Dense) {}
+
+// The column decoder against the reference on arbitrary bytes: valid frames
+// of every order, then each of them mutated — bytes overwritten, the entry
+// count and row bounds rewritten, truncated, extended — and plain noise.
+func TestDecodeShardMatchesReference(t *testing.T) {
+	src := rng.New(11)
+	var frames [][]byte
+	for order := 1; order <= 5; order++ {
+		if order == 1 {
+			frames = append(frames, EncodeShard(&Shard{Mode: 0, Order: 1, RowLo: 2, RowHi: 9,
+				Entries: []tensor.Entry{{Idx: [tensor.MaxOrder]uint32{2}, Val: 1}, {Idx: [tensor.MaxOrder]uint32{8}, Val: -2}}}))
+			continue
+		}
+		x := shardTensor(order, uint64(100+order))
+		for mode := 0; mode < order; mode++ {
+			for _, rg := range x.ModeIndex(mode).Ranges(8) {
+				frames = append(frames, shardFrame(x, mode, rg, nil))
+			}
+		}
+	}
+	frames = append(frames, EncodeShard(testShard()), EncodeShard(&Shard{Mode: 1, Order: 2, RowLo: 5, RowHi: 5}))
+	for _, f := range frames {
+		diffShardDecoders(t, f)
+		for trial := 0; trial < 60; trial++ {
+			b := append([]byte(nil), f...)
+			switch src.Intn(6) {
+			case 0: // overwrite a few bytes anywhere
+				for k := 0; k <= src.Intn(3); k++ {
+					b[src.Intn(len(b))] = byte(src.Uint64())
+				}
+			case 1: // a byte of the header: mode, order, row bounds, count
+				b[src.Intn(14)] = byte(src.Uint64())
+			case 2: // nudge the declared count
+				b[13] += byte(1 + src.Intn(3))
+			case 3:
+				b = b[:src.Intn(len(b)+1)]
+			case 4:
+				b = append(b, byte(src.Uint64()))
+			case 5: // flip a continuation bit: a varint swallows its neighbour
+				if len(b) > 14 {
+					b[14+src.Intn(len(b)-14)] ^= 0x80
+				}
+			}
+			diffShardDecoders(t, b)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		b := make([]byte, src.Intn(64))
+		for i := range b {
+			b[i] = byte(src.Uint64())
+		}
+		if len(b) > 2 && trial%2 == 0 {
+			b[0], b[1] = byte(src.Intn(3)), byte(1+src.Intn(3)) // a plausible mode and order
+		}
+		diffShardDecoders(t, b)
+	}
+}
+
 // FuzzDecode drives every payload decoder with arbitrary bytes; the only
-// acceptable failure mode is a returned error.
+// acceptable failure mode is a returned error. Shard bytes go through the
+// column decoder and the reference decoder, which must agree.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint8(MsgHello), EncodeHello(&Hello{Version: 1, Order: 3, Rank: 4, Dims: []int{5, 6, 7}, Worker: 1, Workers: 2}))
 	f.Add(uint8(MsgShard), EncodeShard(testShard()))
@@ -233,7 +531,7 @@ func FuzzDecode(f *testing.F) {
 		case MsgHello, MsgHelloAck:
 			DecodeHello(b)
 		case MsgShard:
-			DecodeShard(b)
+			diffShardDecoders(t, b)
 		case MsgFactor:
 			DecodeFactor(b)
 		case MsgFactorDelta:

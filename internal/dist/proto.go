@@ -159,12 +159,71 @@ type Hello struct {
 
 // Shard is one worker's share of a mode's nonzeros: exactly the entries
 // whose Idx[Mode] falls in [RowLo, RowHi), in the stable ModeIndex Perm
-// order. Only the first Order indices of each entry are on the wire.
+// order. Only the first Order indices of each entry are on the wire. It is
+// the encoder's input; what a frame decodes to is a ShardColumns.
 type Shard struct {
 	Mode         int
 	Order        int
 	RowLo, RowHi int
 	Entries      []tensor.Entry
+}
+
+// ShardColumns is a shard as a worker keeps and scans it: one column per
+// field instead of one 40-byte tensor.Entry per nonzero, 12 + 4*(Order-1)
+// bytes each (20 at order 3). Nonzero i is Vals[i] at row Rows[i] of Mode
+// and Cols[c][i] along the c-th other mode, ascending; Rows never descends.
+// MaxIdx[m] is the largest index along mode m, recorded once while
+// decoding: a task compares it with the factor shapes it is about to index,
+// so the per-nonzero kernels run over trusted columns with no bounds test
+// of their own.
+type ShardColumns struct {
+	Mode         int
+	Order        int
+	RowLo, RowHi int
+	Rows         []uint32
+	Vals         []float64
+	Cols         [][]uint32
+	MaxIdx       [tensor.MaxOrder]uint32
+}
+
+// others lists the modes Cols holds, in column order.
+func (s *ShardColumns) others() []int {
+	modes := make([]int, 0, s.Order)
+	for m := 0; m < s.Order; m++ {
+		if m != s.Mode {
+			modes = append(modes, m)
+		}
+	}
+	return modes
+}
+
+// Entries materialises the shard as tensor entries, in shard order.
+func (s *ShardColumns) Entries() []tensor.Entry {
+	out := make([]tensor.Entry, len(s.Rows))
+	others := s.others()
+	for i := range out {
+		out[i].Idx[s.Mode], out[i].Val = s.Rows[i], s.Vals[i]
+		for c, m := range others {
+			out[i].Idx[m] = s.Cols[c][i]
+		}
+	}
+	return out
+}
+
+// checkIndices reports the first mode other than the shard's along which it
+// indexes past rows(n), the row count of the matrix the kernel will read for
+// mode n.
+func (s *ShardColumns) checkIndices(kernel string, rows func(n int) int) error {
+	if len(s.Rows) == 0 {
+		return nil
+	}
+	for _, n := range s.others() {
+		if int(s.MaxIdx[n]) >= rows(n) {
+			return fmt.Errorf("%s mode %d: entry index %d out of range for factor %d (%d rows)",
+				kernel, s.Mode, s.MaxIdx[n], n, rows(n))
+		}
+	}
+	return nil
 }
 
 // Factor is a full factor-matrix broadcast for one mode.

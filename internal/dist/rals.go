@@ -57,10 +57,12 @@ func SolveSampled(t *tensor.COO, o rals.Options, cfg Config) (*cpals.Result, Sta
 	for m := 0; m < order; m++ {
 		k.ranges[m] = t.ModeIndex(m).Ranges(W)
 	}
+	s.lap(&s.stats.Phases.Partition)
 	s.TrackFactors(k.cur) // rejoining workers resync from the live factors
 	o.Kernel = k
 
-	res, err := rals.Solve(t, o)
+	res, err := rals.Solve(t, o) // shards, factors and stages interleave per epoch
+	s.lap(&s.stats.Phases.Other)
 	st := s.Stats()
 	st.Degraded = st.Degraded || k.degraded
 	st.WallSeconds = time.Since(start).Seconds()
@@ -129,18 +131,10 @@ func (k *ralsKernel) Epoch(epoch int, sampled []*tensor.COO) error {
 func (k *ralsKernel) ship(r *remote, mode int, rg tensor.NNZRange) error {
 	sm := k.sampled[mode]
 	smi := sm.ModeIndex(mode)
-	sh := &Shard{
-		Mode:  mode,
-		Order: sm.Order(),
-		RowLo: rg.RowLo,
-		RowHi: rg.RowHi,
-	}
-	lo, hi := smi.RowPtr[rg.RowLo], smi.RowPtr[rg.RowHi]
-	sh.Entries = make([]tensor.Entry, 0, hi-lo)
-	for p := lo; p < hi; p++ {
-		sh.Entries = append(sh.Entries, sm.Entries[smi.Perm[p]])
-	}
-	if err := k.s.sendShardReplace(r, sh); err != nil {
+	// The frozen row range, over the sampled tensor's own mode index.
+	srg := tensor.NNZRange{RowLo: rg.RowLo, RowHi: rg.RowHi, Lo: int(smi.RowPtr[rg.RowLo]), Hi: int(smi.RowPtr[rg.RowHi])}
+	key := shardKey{mode, rg.RowLo, rg.RowHi}
+	if err := k.s.sendShard(r, key, shardFrame(sm, mode, srg, nil)); err != nil {
 		return err
 	}
 	m, ok := k.shipped[r]
@@ -148,7 +142,7 @@ func (k *ralsKernel) ship(r *remote, mode int, rg tensor.NNZRange) error {
 		m = map[shardKey]int{}
 		k.shipped[r] = m
 	}
-	m[shardKey{mode, rg.RowLo, rg.RowHi}] = 1 + k.epoch
+	m[key] = 1 + k.epoch
 	return nil
 }
 

@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"fmt"
 	"net"
+	"os"
+	"syscall"
 	"testing"
 	"time"
 
@@ -104,18 +107,35 @@ func TestLateListenerJoins(t *testing.T) {
 	go w0.Serve(ln0)
 	defer w0.Close()
 
-	// Worker 1's address is reserved but its listener starts late.
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
+	// Worker 1's port is held from here on by a socket that is bound but
+	// not yet listening: dials to it are refused, and no other process can
+	// take the port before the listener starts.
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr1 := ln1.Addr().String()
-	ln1.Close()
+	held := os.NewFile(uintptr(fd), "late-listener")
+	defer held.Close()
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr1 := fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
 	w1 := NewWorker()
 	defer w1.Close()
 	go func() {
+		// The one real wait: the first dial must be refused before there is
+		// a listener. 300 ms spans two attempts of the default schedule
+		// (0, ~100, ~300 ms) and leaves its remaining ~1.2 s as slack.
 		time.Sleep(300 * time.Millisecond)
-		ln, err := net.Listen("tcp", addr1)
+		if err := syscall.Listen(fd, syscall.SOMAXCONN); err != nil {
+			t.Errorf("late listener: %v", err)
+			return
+		}
+		ln, err := net.FileListener(held)
 		if err != nil {
 			t.Errorf("late listener: %v", err)
 			return

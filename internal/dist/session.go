@@ -136,6 +136,43 @@ type Stats struct {
 	DeltaFrames int   // FactorDelta frames sent
 	DeltaRows   int64 // factor rows carried by those frames
 	Resyncs     int   // full-factor resyncs forced by task reassignment
+
+	// Phases splits WallSeconds by what the solver goroutine was doing.
+	Phases Phases
+}
+
+// Phases are coordinator wall-clock seconds, lapped at the seams of the
+// solver loop: every moment from the start of the call to its return is in
+// exactly one of them, so they sum to WallSeconds. The first four precede
+// the first MTTKRP dispatch; the rest are totals over the iterations.
+type Phases struct {
+	Connect      float64 // dial and handshake every worker
+	Partition    float64 // mode indexes and row ranges
+	ShardShip    float64 // shard encode + enqueue, touched-row plan
+	FactorInit   float64 // factor init, initial grams, full broadcasts, ||X||
+	MTTKRPWait   float64 // MTTKRP dispatch and wait
+	RowSolve     float64 // pinv, then the row-solve round trip
+	Normalize    float64 // column normalization on the coordinator
+	FactorUpdate float64 // diff, delta encode and enqueue per worker
+	GramWait     float64 // gram dispatch and (pipelined) wait, reduce
+	FitWait      float64 // fit dispatch and wait
+	Other        float64 // snapshots, callbacks, checkpoints, degraded solve
+}
+
+// PhaseSeconds is one named phase total.
+type PhaseSeconds struct {
+	Name    string
+	Seconds float64
+}
+
+// List returns the phases in the order they first occur.
+func (p Phases) List() []PhaseSeconds {
+	return []PhaseSeconds{
+		{"connect", p.Connect}, {"partition", p.Partition}, {"shard-ship", p.ShardShip},
+		{"factor-init", p.FactorInit}, {"mttkrp-wait", p.MTTKRPWait}, {"row-solve", p.RowSolve},
+		{"normalize", p.Normalize}, {"factor-update", p.FactorUpdate}, {"gram-wait", p.GramWait},
+		{"fit-wait", p.FitWait}, {"other", p.Other},
+	}
 }
 
 // bitset is a fixed-size row set (touched-row bookkeeping).
@@ -219,7 +256,7 @@ type Session struct {
 	corruptRecvd atomic.Int64
 
 	// frozen[k][m] is worker k's pristine touched-row set for factor m,
-	// deep-copied at InitComms before any death merges widen the live
+	// deep-copied in shipShards before any death merges widen the live
 	// copies; a rejoining worker is re-admitted with a fresh clone of it.
 	frozen [][]bitset
 	// curFactors[m] is the live factor matrix for mode m (set by the
@@ -231,10 +268,19 @@ type Session struct {
 	inflight []*stage
 	fatal    error
 	stats    Stats
+	lapAt    time.Time // end of the last lapped phase (solver goroutine only)
 
 	// snap is the last iteration-boundary state snapshot, the seed for
 	// graceful degradation to a coordinator-local solve.
 	snap *snapshot
+}
+
+// lap adds the time since the previous lap (or the session's creation) to
+// one phase total.
+func (s *Session) lap(phase *float64) {
+	now := time.Now()
+	*phase += now.Sub(s.lapAt).Seconds()
+	s.lapAt = now
 }
 
 // minWorkers resolves the configured live-worker floor: default 1, -1 when
@@ -312,6 +358,7 @@ func NewSession(t *tensor.COO, rank int, cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("dist: %d kill hooks for %d workers", len(cfg.Kills), len(cfg.Addrs))
 	}
 	s := &Session{
+		lapAt:   time.Now(),
 		cfg:     cfg,
 		t:       t,
 		rank:    rank,
@@ -334,6 +381,7 @@ func NewSession(t *tensor.COO, rank int, cfg Config) (*Session, error) {
 		go s.writeLoop(r)
 		go s.heartbeat(r)
 	}
+	s.lap(&s.stats.Phases.Connect)
 	return s, nil
 }
 
@@ -685,39 +733,50 @@ func (s *Session) Close() {
 
 // --- communication plan ---
 
-// InitComms freezes the session's communication plan from the per-mode
-// shard partition: for every worker and mode, the set of factor rows its
-// resident work reads — rows referenced by its shards of the OTHER modes
-// (MTTKRP inputs) plus the rows of its gram/fit block chunk. Subsequent
-// FactorUpdate calls ship only touched rows that changed. No-op when
-// delta broadcasting is disabled.
-func (s *Session) InitComms(ranges [][]tensor.NNZRange) {
-	if s.cfg.NoDelta {
-		return
-	}
+// shipShards is session start's one pass over the nonzeros. Per worker, on
+// the pool, range k of every mode is encoded straight from the mode index
+// into its frame and queued for slot k — and, unless delta broadcasting is
+// off, the same pass freezes the communication plan: for every worker and
+// mode, the set of factor rows its resident work reads, which is the rows
+// its shards of the OTHER modes reference (set as the encoder writes them)
+// plus the rows of its gram/fit block chunk. Subsequent FactorUpdate calls
+// ship only touched rows that changed. A failed send marks the worker dead;
+// the MTTKRP prep hook re-ships wherever the task lands.
+func (s *Session) shipShards(ranges [][]tensor.NNZRange) {
 	order := s.t.Order()
 	W := len(s.remotes)
-	for _, r := range s.remotes {
-		r.touched = make([]bitset, order)
-		for m := range r.touched {
-			r.touched[m] = newBitset(s.t.Dims[m])
+	if !s.cfg.NoDelta {
+		for _, r := range s.remotes {
+			r.touched = make([]bitset, order)
+			for m := range r.touched {
+				r.touched[m] = newBitset(s.t.Dims[m])
+			}
+			r.prev = make([]*la.Dense, order)
 		}
-		r.prev = make([]*la.Dense, order)
 	}
-	for mm := 0; mm < order; mm++ {
-		mi := s.t.ModeIndex(mm)
-		for k := range ranges[mm] {
-			rg := ranges[mm][k]
-			r := s.remotes[k]
-			for p := rg.Lo; p < rg.Hi; p++ {
-				e := &s.t.Entries[mi.Perm[p]]
-				for m := 0; m < order; m++ {
-					if m != mm {
-						r.touched[m].set(int(e.Idx[m]))
-					}
-				}
+	// queued[k][m] is the payload size of the mode-m shard queued for slot
+	// k; the solver-goroutine bookkeeping is settled from it after the join.
+	queued := make([][]int, W)
+	par.Run(0, W, func(k int) {
+		r := s.remotes[k]
+		queued[k] = make([]int, order)
+		for m := 0; m < order && k < len(ranges[m]); m++ {
+			payload := shardFrame(s.t, m, ranges[m][k], r.touched)
+			if s.enqueue(r, MsgShard, payload) == nil {
+				queued[k][m] = len(payload)
 			}
 		}
+	})
+	for k, r := range s.remotes {
+		for m, n := range queued[k] {
+			if n > 0 {
+				s.stats.ShardBytes += int64(n)
+				r.hasShard[shardKey{m, ranges[m][k].RowLo, ranges[m][k].RowHi}] = true
+			}
+		}
+	}
+	if s.cfg.NoDelta {
+		return
 	}
 	for m := 0; m < order; m++ {
 		nb := par.NumBlocks(s.t.Dims[m])
@@ -1214,49 +1273,24 @@ func (s *Session) handleResult(m resMsg) {
 	}
 }
 
-// buildShard materializes one (mode, range) shard from the coordinator's
-// resident tensor, entries in the stable ModeIndex Perm order.
-func (s *Session) buildShard(mode int, rg tensor.NNZRange) *Shard {
-	mi := s.t.ModeIndex(mode)
-	sh := &Shard{
-		Mode:    mode,
-		Order:   s.t.Order(),
-		RowLo:   rg.RowLo,
-		RowHi:   rg.RowHi,
-		Entries: make([]tensor.Entry, 0, rg.Hi-rg.Lo),
-	}
-	for p := rg.Lo; p < rg.Hi; p++ {
-		sh.Entries = append(sh.Entries, s.t.Entries[mi.Perm[p]])
-	}
-	return sh
+// shardFrame encodes the mode-`mode` shard of t's rows [rg.RowLo, rg.RowHi),
+// which the mode index holds at positions [rg.Lo, rg.Hi), from t's entries
+// in place (see encodeShard for touched).
+func shardFrame(t *tensor.COO, mode int, rg tensor.NNZRange, touched []bitset) []byte {
+	src := &Shard{Mode: mode, Order: t.Order(), RowLo: rg.RowLo, RowHi: rg.RowHi, Entries: t.Entries}
+	return encodeShard(src, t.ModeIndex(mode).Perm[rg.Lo:rg.Hi], t.Dims, touched)
 }
 
-// sendShard ships a shard to one worker, tracking residency for re-sends.
-func (s *Session) sendShard(r *remote, sh *Shard) error {
-	key := shardKey{sh.Mode, sh.RowLo, sh.RowHi}
-	if r.hasShard[key] {
-		return nil
-	}
-	payload := EncodeShard(sh)
+// sendShard queues an encoded shard for one worker, where it replaces
+// whatever is resident under the same (mode, row range) key, and tracks
+// residency for re-sends. The rals kernel's per-epoch sampled shards change
+// contents under a stable key; it tracks which generation each connection
+// holds itself.
+func (s *Session) sendShard(r *remote, key shardKey, payload []byte) error {
 	if err := s.enqueue(r, MsgShard, payload); err != nil {
 		return err
 	}
 	s.stats.ShardBytes += int64(len(payload))
 	r.hasShard[key] = true
-	return nil
-}
-
-// sendShardReplace ships a shard unconditionally, replacing whatever the
-// worker holds under the same (mode, row range) key. The rals kernel uses
-// it for per-epoch sampled shards, whose contents change under a stable
-// key; callers that need epoch awareness track which generation each
-// connection holds themselves.
-func (s *Session) sendShardReplace(r *remote, sh *Shard) error {
-	payload := EncodeShard(sh)
-	if err := s.enqueue(r, MsgShard, payload); err != nil {
-		return err
-	}
-	s.stats.ShardBytes += int64(len(payload))
-	r.hasShard[shardKey{sh.Mode, sh.RowLo, sh.RowHi}] = true
 	return nil
 }

@@ -60,6 +60,7 @@ func Solve(t *tensor.COO, opts cpals.Options, cfg Config) (*cpals.Result, Stats,
 		lo.CSFKernel = s.cfg.UseCSF
 		res, err = cpals.Solve(t, lo)
 	}
+	s.lap(&s.stats.Phases.Other)
 
 	st := s.Stats()
 	st.WallSeconds = time.Since(start).Seconds()
@@ -103,6 +104,7 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 	rank := opts.Rank
 	w := opts.Workers() // coordinator-local kernels (init, pinv, normalize)
 	W := len(s.remotes) // worker slots; partition frozen at session start
+	ph := &s.stats.Phases
 
 	// Partition every mode once. The cut points depend only on (tensor, W),
 	// so re-runs — and reassignments within a run — see identical tasks.
@@ -110,23 +112,13 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 	for m := 0; m < order; m++ {
 		ranges[m] = t.ModeIndex(m).Ranges(W)
 	}
+	s.lap(&ph.Partition)
 
-	// Freeze the communication plan: which factor rows each worker's
-	// resident work reads, hence what each delta broadcast must carry.
-	s.InitComms(ranges)
-
-	// Ship each worker its shards: range k of every mode lives on slot k.
-	// A failed send marks the worker dead; the MTTKRP prep hook re-ships
-	// from the coordinator's resident tensor wherever the task lands.
-	for m := 0; m < order; m++ {
-		for k, rg := range ranges[m] {
-			r := s.remotes[k]
-			if !r.alive.Load() {
-				continue
-			}
-			s.sendShard(r, s.buildShard(m, rg))
-		}
-	}
+	// Ship each worker its shards — range k of every mode lives on slot k —
+	// and freeze the communication plan in the same pass: which factor rows
+	// each worker's resident work reads, hence what a delta must carry.
+	s.shipShards(ranges)
+	s.lap(&ph.ShardShip)
 
 	// Deterministic initialization + initial grams, exactly as the serial
 	// solver computes them (elementwise init; block-ordered gram sums).
@@ -151,6 +143,7 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 	res.Fits = append(res.Fits, opts.InitFits...)
 	lambda := la.VecClone(opts.InitLambda)
 	var lastM *la.Dense
+	s.lap(&ph.FactorInit)
 
 	// The in-flight gram reduce, when pipelining is on.
 	var pendingGram *gramRun
@@ -165,6 +158,7 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 		}
 		grams[pendingMode] = g
 		pendingGram = nil
+		s.lap(&ph.GramWait)
 		return nil
 	}
 
@@ -191,8 +185,10 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 				return nil, &NoWorkersError{Stage: s.stageSeq, Live: live, Floor: floor}
 			}
 		}
+		s.lap(&ph.Other)
 		for n := 0; n < order; n++ {
 			mtt := s.beginMTTKRP(n, ranges[n], rank, factors)
+			s.lap(&ph.MTTKRPWait)
 			if err := awaitPending(); err != nil {
 				return nil, err
 			}
@@ -200,12 +196,16 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			s.lap(&ph.MTTKRPWait)
 			pinv := la.Pinv(cpals.HadamardOfGramsExcept(grams, n))
 			if err := s.rowSolveStage(n, ranges[n], pinv, m, computedBy, factors[n]); err != nil {
 				return nil, err
 			}
+			s.lap(&ph.RowSolve)
 			lambda = la.NormalizeColumnsParallel(factors[n], w)
+			s.lap(&ph.Normalize)
 			s.FactorUpdate(n, factors[n])
+			s.lap(&ph.FactorUpdate)
 			pg := s.beginGram(n, factors[n], rank, W, w)
 			if s.cfg.NoPipeline {
 				if grams[n], err = s.awaitGram(pg); err != nil {
@@ -214,10 +214,12 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 			} else {
 				pendingGram, pendingMode = pg, n
 			}
+			s.lap(&ph.GramWait)
 			lastM = m
 		}
 		res.Iters = it + 1
 		fr := s.beginFit(order-1, lastM, lambda, W, w, factors)
+		s.lap(&ph.FitWait)
 		if err := awaitPending(); err != nil {
 			return nil, err
 		}
@@ -225,6 +227,7 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.lap(&ph.FitWait)
 		fit := cpals.FitFromInner(normX, inner, lambda, grams)
 		res.Fits = append(res.Fits, fit)
 		if opts.OnIteration != nil && opts.OnIteration(it, fit) {
@@ -286,11 +289,12 @@ func (s *Session) beginMTTKRP(n int, rgs []tensor.NNZRange, rank int, factors []
 						}
 					}
 				}
-				if r.hasShard[shardKey{n, rg.RowLo, rg.RowHi}] {
+				key := shardKey{n, rg.RowLo, rg.RowHi}
+				if r.hasShard[key] {
 					return nil
 				}
 				s.stats.ShardResends++
-				return s.sendShard(r, s.buildShard(n, rg))
+				return s.sendShard(r, key, shardFrame(s.t, n, rg, nil))
 			},
 			onResult: func(res *Result) error {
 				if res.Rows == nil || res.Rows.Rows != rg.RowHi-rg.RowLo || res.Rows.Cols != rank {

@@ -122,44 +122,6 @@ type shardKey struct {
 	rowLo, rowHi int
 }
 
-// residentShard is a shard plus what the worker checked about it once, on
-// arrival: the largest index its entries carry along each mode. A task
-// compares those with the factor shapes it is about to index, so the
-// per-nonzero kernels run over trusted entries with no bounds test of
-// their own.
-type residentShard struct {
-	*Shard
-	maxIdx [tensor.MaxOrder]uint32
-}
-
-func newResidentShard(sh *Shard) *residentShard {
-	rs := &residentShard{Shard: sh}
-	for i := range sh.Entries {
-		for n, x := range sh.Entries[i].Idx[:sh.Order] {
-			if x > rs.maxIdx[n] {
-				rs.maxIdx[n] = x
-			}
-		}
-	}
-	return rs
-}
-
-// checkIndices reports the first mode other than `mode` along which the
-// shard indexes past rows(n), the row count of the matrix the kernel will
-// read for mode n.
-func (rs *residentShard) checkIndices(kernel string, mode, order int, rows func(n int) int) error {
-	if len(rs.Entries) == 0 {
-		return nil
-	}
-	for n := 0; n < order; n++ {
-		if n != mode && int(rs.maxIdx[n]) >= rows(n) {
-			return fmt.Errorf("%s mode %d: entry index %d out of range for factor %d (%d rows)",
-				kernel, mode, rs.maxIdx[n], n, rows(n))
-		}
-	}
-	return nil
-}
-
 // gramKey identifies one cached partial gram: (mode, global block index).
 type gramKey struct {
 	mode, block int
@@ -174,7 +136,8 @@ type gramKey struct {
 type wsession struct {
 	mu      sync.Mutex
 	hello   *Hello
-	shards  map[shardKey]*residentShard
+	running bool // a task is executing against a snapshot of factors
+	shards  map[shardKey]*ShardColumns
 	factors []*la.Dense
 	mrows   map[shardKey]*la.Dense // MTTKRP outputs kept for the RowSolve that follows
 
@@ -207,7 +170,7 @@ func (w *Worker) handle(c net.Conn) {
 	}
 
 	s := &wsession{
-		shards:    map[shardKey]*residentShard{},
+		shards:    map[shardKey]*ShardColumns{},
 		mrows:     map[shardKey]*la.Dense{},
 		gramCache: map[gramKey]*la.Dense{},
 		csfs:      map[shardKey]*tensor.CSF{},
@@ -274,9 +237,8 @@ func (w *Worker) handle(c net.Conn) {
 			// Replacing a resident shard (per-epoch sampled shards reuse
 			// their key) invalidates any CSF tree built from the old one.
 			key := shardKey{sh.Mode, sh.RowLo, sh.RowHi}
-			rs := newResidentShard(sh)
 			s.mu.Lock()
-			s.shards[key] = rs
+			s.shards[key] = sh
 			delete(s.csfs, key)
 			s.mu.Unlock()
 		case MsgFactor:
@@ -328,11 +290,13 @@ func (w *Worker) handle(c net.Conn) {
 	}
 }
 
-// applyDelta patches the changed rows of one factor copy-on-write: the
-// resident matrix is cloned, the rows land in the clone, and the pointer
-// swaps under the lock. A task that snapshotted the old matrix keeps
-// reading unchanged state — the coordinator guarantees any task that must
-// see the new rows is sent after the delta on the same ordered connection.
+// applyDelta patches the changed rows of one factor — in place when no task
+// is executing (the usual case: the coordinator sends a mode's delta after
+// that mode's row-solve came back), otherwise copy-on-write: the resident
+// matrix is cloned, the rows land in the clone, and the pointer swaps under
+// the lock, so a task that snapshotted the old matrix keeps reading
+// unchanged state — the coordinator guarantees any task that must see the
+// new rows is sent after the delta on the same ordered connection.
 // A delta for a factor never broadcast is a protocol error: deltas are
 // only valid against state this worker was actually sent.
 func (s *wsession) applyDelta(fd *FactorDelta) error {
@@ -352,7 +316,10 @@ func (s *wsession) applyDelta(fd *FactorDelta) error {
 	if n > 0 && fd.Indices[n-1] >= f.Rows {
 		return fmt.Errorf("factor delta mode %d: row %d out of %d", fd.Mode, fd.Indices[n-1], f.Rows)
 	}
-	nf := f.Clone()
+	nf := f
+	if s.running {
+		nf = f.Clone()
+	}
 	for i, idx := range fd.Indices {
 		copy(nf.Row(idx), fd.Rows[i*fd.Cols:(i+1)*fd.Cols])
 		delete(s.gramCache, gramKey{fd.Mode, idx / par.BlockSize})
@@ -369,6 +336,9 @@ func (s *wsession) execGuarded(t *Task) (res *Result, err error) {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("task panic: %v", r)
 		}
+		s.mu.Lock()
+		s.running = false
+		s.mu.Unlock()
 	}()
 	return s.exec(t)
 }
@@ -380,6 +350,7 @@ func (s *wsession) snapshot() (*Hello, []*la.Dense) {
 	defer s.mu.Unlock()
 	factors := make([]*la.Dense, len(s.factors))
 	copy(factors, s.factors)
+	s.running = true
 	return s.hello, factors
 }
 
@@ -403,10 +374,10 @@ func (s *wsession) exec(t *Task) (*Result, error) {
 }
 
 // execMTTKRP computes output rows [RowLo, RowHi) of the mode-t.Mode MTTKRP
-// from the resident shard. The shard's entries are in the stable ModeIndex
-// Perm order, and each output row is accumulated entry by entry in that
-// order — the identical floating-point sequence the shared-memory
-// MTTKRPWorkers kernel performs for those rows.
+// from the resident shard. The shard's nonzeros are in the stable ModeIndex
+// Perm order, and each output row is accumulated nonzero by nonzero in that
+// order by the block body the shared-memory MTTKRPWorkers kernel runs — the
+// identical floating-point sequence for those rows.
 func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Result, error) {
 	key := shardKey{t.Mode, t.RowLo, t.RowHi}
 	s.mu.Lock()
@@ -416,6 +387,9 @@ func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Resu
 		return nil, fmt.Errorf("no resident shard for mode %d rows [%d,%d)", t.Mode, t.RowLo, t.RowHi)
 	}
 	order := hello.Order
+	if sh.Order != order {
+		return nil, fmt.Errorf("mttkrp mode %d: order-%d shard in an order-%d session", t.Mode, sh.Order, order)
+	}
 	for n := 0; n < order; n++ {
 		if n == t.Mode {
 			continue
@@ -427,11 +401,11 @@ func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Resu
 	if hello.Flags&HelloUseCSF != 0 {
 		return s.execMTTKRPCSF(t, hello, factors, sh)
 	}
-	if err := sh.checkIndices("mttkrp", t.Mode, order, func(n int) int { return factors[n].Rows }); err != nil {
+	if err := sh.checkIndices("mttkrp", func(n int) int { return factors[n].Rows }); err != nil {
 		return nil, err
 	}
 	out := la.NewDense(t.RowHi-t.RowLo, hello.Rank)
-	cpals.MTTKRPAccumulate(out, t.RowLo, sh.Entries, nil, t.Mode, factors)
+	cpals.MTTKRPColumns(out, t.RowLo, sh.Rows, sh.Vals, sh.Cols, t.Mode, factors)
 	s.mu.Lock()
 	s.mrows[key] = out
 	s.mu.Unlock()
@@ -446,7 +420,7 @@ func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Resu
 // rows are bitwise identical to the corresponding rows of a full-tensor
 // CSF MTTKRP — the dist CSF path reproduces the single-process CSF solver
 // exactly, though not the COO reference (the factored arithmetic differs).
-func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh *residentShard) (*Result, error) {
+func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh *ShardColumns) (*Result, error) {
 	if t.Mode >= len(hello.Dims) || t.RowHi > hello.Dims[t.Mode] || t.RowLo < 0 {
 		return nil, fmt.Errorf("csf mttkrp mode %d: rows [%d,%d) out of dims", t.Mode, t.RowLo, t.RowHi)
 	}
@@ -457,11 +431,13 @@ func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh 
 	if csf == nil {
 		// The tree is built over hello.Dims, so that is what the shard's
 		// indices are held to before it is cached.
-		if err := sh.checkIndices("csf mttkrp", t.Mode, hello.Order, func(n int) int { return hello.Dims[n] }); err != nil {
+		if err := sh.checkIndices("csf mttkrp", func(n int) int { return hello.Dims[n] }); err != nil {
 			return nil, err
 		}
+		// The tree is what this kernel walks; the entries it is sorted from
+		// live only until NewCSF returns.
 		tc := tensor.New(hello.Dims...)
-		tc.Entries = sh.Entries
+		tc.Entries = sh.Entries()
 		mo := make([]int, 0, hello.Order)
 		mo = append(mo, t.Mode)
 		for m := 0; m < hello.Order; m++ {
