@@ -5,11 +5,11 @@ GO ?= go
 # Packages that carry concurrency (worker pools, shared caches, simulated
 # cluster, the serving executor, the streaming pipeline) or fault-recovery
 # paths: these also run under the race detector in `make ci`.
-RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
+RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck check-deprecated build test race flake bench bench-la bench-dist stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
-ci: fmt vet staticcheck check-deprecated build test race
+ci: fmt vet staticcheck build test race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -143,14 +143,3 @@ recsys-smoke:
 		-rank 3 -iters 6 -tol 0 -ntf-inner 2 \
 		-checkpoint "$$tmp/m.ckpt" -resume && \
 	$(GO) test -race -run TestRecsysBenchSmall ./internal/experiments
-
-# The flat DistAddrs/DistLocalWorkers/DistWorkerBin fields are deprecated
-# aliases for Options.Dist; they may appear only in decompose.go (the alias
-# mapping) and its test. Fails on any new use.
-check-deprecated:
-	@out=$$(grep -rn --include='*.go' \
-		--exclude='decompose.go' --exclude='decompose_test.go' \
-		-e 'DistAddrs' -e 'DistLocalWorkers' -e 'DistWorkerBin' .); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated flat dist fields used outside decompose.go (use Options.Dist):"; \
-		echo "$$out"; exit 1; fi

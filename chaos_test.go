@@ -29,7 +29,7 @@ func TestChaosDeterministicAcrossRunsAndParallelism(t *testing.T) {
 	x := apiTestTensor()
 	opt := cstf.Options{
 		Algorithm: cstf.COO, Rank: 2, MaxIters: 2, NoConvergenceCheck: true,
-		Seed: 3, Chaos: testChaos(),
+		Seed: 3, Faults: cstf.FaultOptions{Chaos: testChaos()},
 	}
 	opt.Parallelism = 1
 	base, err := cstf.Decompose(x, opt)
@@ -234,7 +234,7 @@ func TestDecomposeResumeValidates(t *testing.T) {
 func TestChaosRequiresDistributed(t *testing.T) {
 	x := apiTestTensor()
 	_, err := cstf.Decompose(x, cstf.Options{
-		Algorithm: cstf.Serial, Rank: 2, MaxIters: 2, Chaos: testChaos(),
+		Algorithm: cstf.Serial, Rank: 2, MaxIters: 2, Faults: cstf.FaultOptions{Chaos: testChaos()},
 	})
 	if err == nil {
 		t.Fatal("serial + chaos did not fail")

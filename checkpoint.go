@@ -17,32 +17,6 @@ import (
 // written atomically, so a crash mid-write never leaves a truncated
 // checkpoint behind.
 
-// checkpointFrom snapshots live solver state (which the checkpoint hook only
-// borrows) into an owned record. workers records the distributed fleet size
-// that produced the snapshot (0 for serial/simulated runs) — informational
-// only, since resume is bitwise-independent of the fleet size.
-func checkpointFrom(alg Algorithm, rank, workers int, seed uint64, iter int, dims []int, lambda []float64, factors []*la.Dense, fits []float64) *ckpt.File {
-	cp := &ckpt.File{
-		Algorithm: string(alg),
-		Rank:      rank,
-		Seed:      seed,
-		Iter:      iter,
-		Dims:      append([]int(nil), dims...),
-		Lambda:    la.VecClone(lambda),
-		Fits:      append([]float64(nil), fits...),
-		Workers:   workers,
-	}
-	for _, f := range factors {
-		cp.Factors = append(cp.Factors, la.VecClone(f.Data))
-	}
-	return cp
-}
-
-// writeCheckpoint atomically replaces path with the encoded record.
-func writeCheckpoint(path string, cp *ckpt.File) error {
-	return ckpt.Write(path, cp)
-}
-
 // LoadFactors reads the trained model stored in a checkpoint file — lambda,
 // the factor matrices, and the fit history — without needing the original
 // tensor. The file is validated (rank, dims, factor sizes must be
@@ -82,10 +56,7 @@ func DecomposeResume(t *Tensor, path string, o Options) (*Decomposition, error) 
 // solve. With CheckpointEvery/CheckpointPath still set, the resumed run
 // keeps checkpointing (typically over the same file).
 func DecomposeResumeContext(ctx context.Context, t *Tensor, path string, o Options) (*Decomposition, error) {
-	o, err := o.normalize()
-	if err != nil {
-		return nil, err
-	}
+	o = o.withDefaults()
 	cp, err := ckpt.Read(path)
 	if err != nil {
 		return nil, err
@@ -108,41 +79,5 @@ func DecomposeResumeContext(ctx context.Context, t *Tensor, path string, o Optio
 	if err := cp.Validate(path); err != nil {
 		return nil, fmt.Errorf("cstf: malformed checkpoint %s: %w", path, err)
 	}
-	rs := resumeState{
-		startIter: cp.Iter,
-		lambda:    cp.Lambda,
-		fits:      cp.Fits,
-	}
-	for n, data := range cp.Factors {
-		rs.factors = append(rs.factors, la.NewDenseFrom(dims[n], cp.Rank, data))
-	}
-	if o.Algorithm == RALS {
-		// A bitwise rals resume needs the sampler state: the unnormalized
-		// factors (kept rows live at solved-row scale) and the exact
-		// sampling schedule, so the resumed run redraws what the original
-		// would have. Checkpoints without it (older writers, other
-		// algorithms renamed on disk) cannot resume as rals.
-		if cp.RALS == nil {
-			return nil, fmt.Errorf("cstf: checkpoint %s has no rals sampler state", path)
-		}
-		rs.ralsResample = cp.RALS.ResampleEvery
-		rs.ralsCounts = append([]int(nil), cp.RALS.SampleCounts...)
-		for n, data := range cp.RALS.Unnorm {
-			rs.unnorm = append(rs.unnorm, la.NewDenseFrom(dims[n], cp.Rank, data))
-		}
-	}
-	if o.Algorithm == NCP {
-		// A resumed ncp run restores the saturation bitmaps and the inner
-		// pass count, so it skips exactly the elements the original run was
-		// skipping. Checkpoints without the state (older writers, other
-		// algorithms renamed on disk) cannot resume as ncp.
-		if cp.NTF == nil {
-			return nil, fmt.Errorf("cstf: checkpoint %s has no ntf saturation state", path)
-		}
-		rs.ntfInner = cp.NTF.InnerIters
-		for _, s := range cp.NTF.Saturated {
-			rs.ntfSaturated = append(rs.ntfSaturated, append([]byte(nil), s...))
-		}
-	}
-	return decompose(ctx, t, o, rs)
+	return decompose(ctx, t, o, cp)
 }

@@ -97,7 +97,7 @@ func main() {
 
 func simulateOne(algo string, x *tensor.COO, rank, nodes, parts int, p cluster.Profile) (int, float64, float64) {
 	c := cluster.New(nodes, p)
-	run := func(step func(n int)) (int, float64, float64) {
+	run := func(step func(n int) error) (int, float64, float64) {
 		for n := 0; n < x.Order(); n++ {
 			step(n)
 		}

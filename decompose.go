@@ -131,6 +131,14 @@ type DistOptions struct {
 	MinWorkers int
 }
 
+// size is the fleet a run gets: the listed workers, else the local ones.
+func (d DistOptions) size() int {
+	if len(d.Addrs) > 0 {
+		return len(d.Addrs)
+	}
+	return d.LocalWorkers
+}
+
 // RALSOptions groups the knobs of the randomized-ALS tier (the RALS
 // algorithm). The zero value samples 10% of the nonzeros per mode update
 // (SampleFraction 0.1), redraws every iteration, and reports an exact fit
@@ -265,33 +273,6 @@ type Options struct {
 
 	// Faults configures fault injection and checkpointing.
 	Faults FaultOptions
-
-	// Chaos is the pre-grouping spelling of Faults.Chaos.
-	//
-	// Deprecated: set Faults.Chaos. Setting both is an error.
-	Chaos *ChaosSpec
-
-	// CheckpointEvery and CheckpointPath are the pre-grouping spellings of
-	// Faults.CheckpointEvery and Faults.CheckpointPath.
-	//
-	// Deprecated: set the Faults fields. Setting both forms is an error.
-	CheckpointEvery int
-	CheckpointPath  string
-
-	// DistAddrs is the pre-grouping spelling of Dist.Addrs.
-	//
-	// Deprecated: set Dist.Addrs. Setting both is an error.
-	DistAddrs []string
-
-	// DistLocalWorkers is the pre-grouping spelling of Dist.LocalWorkers.
-	//
-	// Deprecated: set Dist.LocalWorkers. Setting both is an error.
-	DistLocalWorkers int
-
-	// DistWorkerBin is the pre-grouping spelling of Dist.WorkerBin.
-	//
-	// Deprecated: set Dist.WorkerBin. Setting both is an error.
-	DistWorkerBin string
 }
 
 // ChaosSpec configures deterministic fault injection. Events are scheduled
@@ -324,49 +305,8 @@ type ChaosSpec struct {
 	Speculation float64
 }
 
-// normalize maps the deprecated flat fields onto their grouped homes —
-// rejecting conflicting double-specification — and applies the documented
-// zero-value defaults. Every Decompose entry point goes through it.
-func (o Options) normalize() (Options, error) {
-	if o.Chaos != nil {
-		if o.Faults.Chaos != nil {
-			return o, fmt.Errorf("cstf: both Faults.Chaos and deprecated Chaos are set")
-		}
-		o.Faults.Chaos = o.Chaos
-	}
-	if o.CheckpointEvery != 0 {
-		if o.Faults.CheckpointEvery != 0 {
-			return o, fmt.Errorf("cstf: both Faults.CheckpointEvery and deprecated CheckpointEvery are set")
-		}
-		o.Faults.CheckpointEvery = o.CheckpointEvery
-	}
-	if o.CheckpointPath != "" {
-		if o.Faults.CheckpointPath != "" {
-			return o, fmt.Errorf("cstf: both Faults.CheckpointPath and deprecated CheckpointPath are set")
-		}
-		o.Faults.CheckpointPath = o.CheckpointPath
-	}
-	if len(o.DistAddrs) > 0 {
-		if len(o.Dist.Addrs) > 0 {
-			return o, fmt.Errorf("cstf: both Dist.Addrs and deprecated DistAddrs are set")
-		}
-		o.Dist.Addrs = o.DistAddrs
-	}
-	if o.DistLocalWorkers != 0 {
-		if o.Dist.LocalWorkers != 0 {
-			return o, fmt.Errorf("cstf: both Dist.LocalWorkers and deprecated DistLocalWorkers are set")
-		}
-		o.Dist.LocalWorkers = o.DistLocalWorkers
-	}
-	if o.DistWorkerBin != "" {
-		if o.Dist.WorkerBin != "" {
-			return o, fmt.Errorf("cstf: both Dist.WorkerBin and deprecated DistWorkerBin are set")
-		}
-		o.Dist.WorkerBin = o.DistWorkerBin
-	}
-	return o.withDefaults(), nil
-}
-
+// withDefaults applies the documented zero-value defaults. Every Decompose
+// entry point goes through it.
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
 		o.Algorithm = QCOO
@@ -558,53 +498,30 @@ func Decompose(t *Tensor, o Options) (*Decomposition, error) {
 
 // DecomposeContext runs CP-ALS on t with the selected algorithm, checking
 // ctx for cancellation between ALS iterations: a cancelled context aborts
-// the run and returns ctx's error. All four algorithms honor it.
+// the run and returns ctx's error. Every algorithm honors it.
 func DecomposeContext(ctx context.Context, t *Tensor, o Options) (*Decomposition, error) {
-	no, err := o.normalize()
-	if err != nil {
-		return nil, err
-	}
-	return decompose(ctx, t, no, resumeState{})
+	return decompose(ctx, t, o.withDefaults(), &ckpt.File{})
 }
 
-// resumeState carries a loaded checkpoint into the solver options.
-type resumeState struct {
-	startIter int
-	factors   []*la.Dense
-	lambda    []float64
-	fits      []float64
-
-	// rals-only: the unnormalized factors and the sampling schedule the
-	// checkpointed run used, restored so the resume redraws bitwise.
-	unnorm       []*la.Dense
-	ralsResample int
-	ralsCounts   []int
-
-	// ncp-only: the saturation bitmaps and inner pass count of the
-	// checkpointed run, restored so the resume skips the same elements.
-	ntfSaturated [][]byte
-	ntfInner     int
-}
-
-func decompose(ctx context.Context, t *Tensor, o Options, rs resumeState) (*Decomposition, error) {
+// decompose runs one solve from the checkpoint cp: a validated file on
+// DecomposeResume, the zero File (iteration 0, no state) on a fresh run.
+func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decomposition, error) {
 	opts := cpals.Options{
 		Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed,
 		Parallelism: o.Parallelism, Ctx: ctx, OnIteration: o.OnIteration,
-		StartIter: rs.startIter, InitFactors: rs.factors,
-		InitLambda: rs.lambda, InitFits: rs.fits,
 	}
-	if o.Faults.CheckpointEvery > 0 && o.Faults.CheckpointPath != "" && o.Algorithm != RALS && o.Algorithm != NCP {
-		opts.CheckpointEvery = o.Faults.CheckpointEvery
-		alg, rank, seed, dims := o.Algorithm, o.Rank, o.Seed, t.Dims()
-		ckWorkers := 0
-		if o.Algorithm == Dist {
-			if ckWorkers = len(o.Dist.Addrs); ckWorkers == 0 {
-				ckWorkers = o.Dist.LocalWorkers
-			}
+	opts.Restore(cp)
+	if o.Faults.CheckpointEvery > 0 && o.Faults.CheckpointPath != "" {
+		// Workers records the fleet size behind the snapshot: informational,
+		// since a resume is bitwise on any fleet size or none.
+		alg, workers, path := string(o.Algorithm), 0, o.Faults.CheckpointPath
+		if o.Algorithm == Dist || o.Algorithm == RALS {
+			workers = o.Dist.size()
 		}
-		path := o.Faults.CheckpointPath
-		opts.OnCheckpoint = func(iter int, lambda []float64, factors []*la.Dense, fits []float64) error {
-			return writeCheckpoint(path, checkpointFrom(alg, rank, ckWorkers, seed, iter, dims, lambda, factors, fits))
+		opts.CheckpointEvery = o.Faults.CheckpointEvery
+		opts.OnCheckpoint = func(snap *ckpt.File) error {
+			snap.Algorithm, snap.Workers = alg, workers
+			return ckpt.Write(path, snap)
 		}
 	}
 	if o.Faults.Chaos != nil && (o.Algorithm == Serial || o.Algorithm == RALS || o.Algorithm == NCP) {
@@ -640,9 +557,18 @@ func decompose(ctx context.Context, t *Tensor, o Options, rs resumeState) (*Deco
 	case Dist:
 		res, distStats, err = distSolve(t, o, opts)
 	case RALS:
-		res, distStats, err = ralsSolve(ctx, t, o, rs)
+		res, distStats, err = ralsSolve(t, o, rals.Options{
+			Options:          opts,
+			SampleCount:      o.RALS.SampleCount,
+			SampleFraction:   o.RALS.SampleFraction,
+			ModeSampleCounts: o.RALS.ModeSampleCounts,
+			ResampleEvery:    o.RALS.ResampleEvery,
+			FinalFitOnly:     o.RALS.FinalFitOnly,
+			ExactFinishIters: o.RALS.ExactFinishIters,
+			InitState:        cp.RALS,
+		})
 	case NCP:
-		res, err = ncpSolve(ctx, t, o, rs)
+		res, err = ntf.Solve(t.coo, ntf.Options{Options: opts, InnerIters: o.NTF.InnerIters, InitState: cp.NTF})
 	case COO:
 		c = newCluster()
 		rctx := rdd.NewContext(c, o.Nodes*profile.CoresPerNode)
@@ -745,8 +671,8 @@ func decompose(ctx context.Context, t *Tensor, o Options, rs resumeState) (*Deco
 // network degradation) are ignored.
 func distSolve(t *Tensor, o Options, opts cpals.Options) (*cpals.Result, *dist.Stats, error) {
 	cfg := dist.Config{Addrs: o.Dist.Addrs}
-	workers := len(o.Dist.Addrs)
-	if workers == 0 {
+	workers := o.Dist.size()
+	if len(o.Dist.Addrs) == 0 {
 		if o.Dist.LocalWorkers <= 0 {
 			return nil, nil, fmt.Errorf("cstf: the dist algorithm needs Dist.Addrs or Dist.LocalWorkers")
 		}
@@ -756,7 +682,6 @@ func distSolve(t *Tensor, o Options, opts cpals.Options) (*cpals.Result, *dist.S
 		}
 		defer lc.Close()
 		cfg = lc.Config()
-		workers = o.Dist.LocalWorkers
 	}
 	cfg.NoDelta = o.Dist.DisableDeltaBroadcast
 	cfg.NoPipeline = o.Dist.DisablePipeline
@@ -785,96 +710,26 @@ func distSolve(t *Tensor, o Options, opts cpals.Options) (*cpals.Result, *dist.S
 // a fleet. The distributed composition changes WHERE the sketched MTTKRPs
 // run, not what they compute, so results are bitwise identical to the
 // serial rals solve for every worker count.
-func ralsSolve(ctx context.Context, t *Tensor, o Options, rs resumeState) (*cpals.Result, *dist.Stats, error) {
-	ro := rals.Options{
-		Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed,
-		Parallelism: o.Parallelism, Ctx: ctx, OnIteration: o.OnIteration,
-		SampleCount:      o.RALS.SampleCount,
-		SampleFraction:   o.RALS.SampleFraction,
-		ModeSampleCounts: o.RALS.ModeSampleCounts,
-		ResampleEvery:    o.RALS.ResampleEvery,
-		FinalFitOnly:     o.RALS.FinalFitOnly,
-		ExactFinishIters: o.RALS.ExactFinishIters,
-		StartIter:        rs.startIter, InitFactors: rs.factors,
-		InitLambda: rs.lambda, InitFits: rs.fits, InitUnnorm: rs.unnorm,
+func ralsSolve(t *Tensor, o Options, ro rals.Options) (*cpals.Result, *dist.Stats, error) {
+	if o.Dist.size() == 0 {
+		res, err := rals.Solve(t.coo, ro)
+		return res, nil, err
 	}
-	if rs.ralsResample > 0 {
-		// Resume: the checkpointed schedule wins over the options so the
-		// redraws stay bitwise, whatever budget spelling the caller passed.
-		ro.ResampleEvery = rs.ralsResample
-		ro.SampleCount, ro.SampleFraction = 0, 0
-		ro.ModeSampleCounts = rs.ralsCounts
-	}
-	workers := len(o.Dist.Addrs)
-	if workers == 0 {
-		workers = o.Dist.LocalWorkers
-	}
-	if o.Faults.CheckpointEvery > 0 && o.Faults.CheckpointPath != "" {
-		ro.CheckpointEvery = o.Faults.CheckpointEvery
-		rank, seed, dims, path := o.Rank, o.Seed, t.Dims(), o.Faults.CheckpointPath
-		ckWorkers := workers
-		ro.OnCheckpoint = func(iter int, lambda []float64, factors []*la.Dense, fits []float64, st *rals.State) error {
-			cp := checkpointFrom(RALS, rank, ckWorkers, seed, iter, dims, lambda, factors, fits)
-			cp.RALS = &ckpt.RALSState{
-				ResampleEvery: st.ResampleEvery,
-				SampleCounts:  append([]int(nil), st.SampleCounts...),
-			}
-			for _, u := range st.Unnorm {
-				cp.RALS.Unnorm = append(cp.RALS.Unnorm, la.VecClone(u.Data))
-			}
-			return writeCheckpoint(path, cp)
-		}
-	}
-	if workers > 0 {
-		cfg := dist.Config{Addrs: o.Dist.Addrs}
-		if len(o.Dist.Addrs) == 0 {
-			lc, err := dist.LaunchLocal(o.Dist.LocalWorkers, o.Dist.WorkerBin)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer lc.Close()
-			cfg = lc.Config()
-		}
-		cfg.MinWorkers = o.Dist.MinWorkers
-		res, stats, err := dist.SolveSampled(t.coo, ro, cfg)
+	cfg := dist.Config{Addrs: o.Dist.Addrs}
+	if len(o.Dist.Addrs) == 0 {
+		lc, err := dist.LaunchLocal(o.Dist.LocalWorkers, o.Dist.WorkerBin)
 		if err != nil {
 			return nil, nil, err
 		}
-		return res, &stats, nil
+		defer lc.Close()
+		cfg = lc.Config()
 	}
-	res, err := rals.Solve(t.coo, ro)
-	return res, nil, err
-}
-
-// ncpSolve runs the nonnegative-CP tier: a shared-memory solve (the CD row
-// problems fan out over Options.Parallelism with bitwise-invariant results)
-// with the saturation bitmaps checkpointed alongside the factors.
-func ncpSolve(ctx context.Context, t *Tensor, o Options, rs resumeState) (*cpals.Result, error) {
-	no := ntf.Options{
-		Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed,
-		Parallelism: o.Parallelism, Ctx: ctx, OnIteration: o.OnIteration,
-		InnerIters: o.NTF.InnerIters,
-		StartIter:  rs.startIter, InitFactors: rs.factors,
-		InitLambda: rs.lambda, InitFits: rs.fits, InitSaturated: rs.ntfSaturated,
+	cfg.MinWorkers = o.Dist.MinWorkers
+	res, stats, err := dist.SolveSampled(t.coo, ro, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	if rs.ntfInner > 0 {
-		// Resume: the checkpointed inner pass count wins over the options so
-		// the resumed trajectory matches the uninterrupted run.
-		no.InnerIters = rs.ntfInner
-	}
-	if o.Faults.CheckpointEvery > 0 && o.Faults.CheckpointPath != "" {
-		no.CheckpointEvery = o.Faults.CheckpointEvery
-		rank, seed, dims, path := o.Rank, o.Seed, t.Dims(), o.Faults.CheckpointPath
-		no.OnCheckpoint = func(iter int, lambda []float64, factors []*la.Dense, fits []float64, st *ntf.State) error {
-			cp := checkpointFrom(NCP, rank, 0, seed, iter, dims, lambda, factors, fits)
-			cp.NTF = &ckpt.NTFState{InnerIters: st.InnerIters}
-			for _, s := range st.Saturated {
-				cp.NTF.Saturated = append(cp.NTF.Saturated, append([]byte(nil), s...))
-			}
-			return writeCheckpoint(path, cp)
-		}
-	}
-	return ntf.Solve(t.coo, no)
+	return res, &stats, nil
 }
 
 // tearFile truncates a file to half its size — the torn tail a crash
@@ -928,10 +783,7 @@ func DecomposeBestContext(ctx context.Context, t *Tensor, o Options, restarts in
 	if restarts <= 0 {
 		return nil, fmt.Errorf("cstf: restarts must be positive, got %d", restarts)
 	}
-	o, err := o.normalize()
-	if err != nil {
-		return nil, err
-	}
+	o = o.withDefaults()
 	decs := make([]*Decomposition, restarts)
 	errs := make([]error, restarts)
 	par.Run(o.Parallelism, restarts, func(r int) {

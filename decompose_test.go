@@ -27,56 +27,6 @@ func TestNoConvergenceCheckRunsAllIters(t *testing.T) {
 	}
 }
 
-// The deprecated flat fields must keep working as aliases of the grouped
-// options, and specifying both forms of the same knob must be rejected.
-func TestDeprecatedDistFieldAliases(t *testing.T) {
-	x := apiTestTensor()
-	base := cstf.Options{Algorithm: cstf.Dist, Rank: 3, MaxIters: 2, NoConvergenceCheck: true, Seed: 4}
-
-	grouped := base
-	grouped.Dist.LocalWorkers = 2
-	want, err := cstf.Decompose(x, grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	flat := base
-	flat.DistLocalWorkers = 2
-	got, err := cstf.Decompose(x, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Fit() != got.Fit() || want.Iters != got.Iters {
-		t.Fatalf("deprecated alias diverged: fit %v/%v iters %d/%d", want.Fit(), got.Fit(), want.Iters, got.Iters)
-	}
-
-	both := base
-	both.Dist.LocalWorkers = 2
-	both.DistLocalWorkers = 2
-	if _, err := cstf.Decompose(x, both); err == nil {
-		t.Fatal("conflicting Dist.LocalWorkers + DistLocalWorkers accepted")
-	}
-
-	conflicts := []cstf.Options{
-		{Algorithm: cstf.Serial, Chaos: &cstf.ChaosSpec{NodeCrashes: 1},
-			Faults: cstf.FaultOptions{Chaos: &cstf.ChaosSpec{NodeCrashes: 1}}},
-		{Algorithm: cstf.Serial, CheckpointEvery: 1,
-			Faults: cstf.FaultOptions{CheckpointEvery: 1}},
-		{Algorithm: cstf.Serial, CheckpointPath: "a",
-			Faults: cstf.FaultOptions{CheckpointPath: "b"}},
-		{Algorithm: cstf.Dist, DistAddrs: []string{"x"},
-			Dist: cstf.DistOptions{Addrs: []string{"x"}}},
-		{Algorithm: cstf.Dist, DistWorkerBin: "a",
-			Dist: cstf.DistOptions{WorkerBin: "b", LocalWorkers: 1}},
-	}
-	for i, o := range conflicts {
-		o.Rank, o.MaxIters = 2, 1
-		if _, err := cstf.Decompose(x, o); err == nil {
-			t.Fatalf("conflict case %d accepted", i)
-		}
-	}
-}
-
 // Factors out of the public API must be bitwise identical for every
 // Parallelism setting.
 func TestDecomposeParallelismDeterministic(t *testing.T) {

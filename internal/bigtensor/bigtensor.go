@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cluster"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
@@ -284,8 +285,9 @@ func (s *Solver) MTTKRP(mode int) *mapreduce.File[frow] {
 
 // Step updates the factor of one mode: MTTKRP, pseudo-inverse application
 // (map-only job), gram recomputation (one job), and driver-side
-// normalization bookkeeping.
-func (s *Solver) Step(mode int) {
+// normalization bookkeeping. It reports the cluster's sticky failure, if
+// any.
+func (s *Solver) Step(mode int) error {
 	env := s.env
 	rank := s.rank
 	m := s.MTTKRP(mode)
@@ -354,6 +356,23 @@ func (s *Solver) Step(mode int) {
 	s.scales[mode] = norms
 	s.grams[mode] = g
 	s.lambda = norms
+	return env.Err()
+}
+
+// Fit reports fit 0 for every iteration: BigTensor has no cheap in-band
+// fit, so progress callbacks still count and stop iterations, and Solve
+// replaces the history with one driver-side fit at the end.
+func (s *Solver) Fit() (float64, bool, error) { return 0, true, nil }
+
+// Lambda returns the current column weights.
+func (s *Solver) Lambda() []float64 { return s.lambda }
+
+// Checkpoint charges the modeled checkpoint write; the file carries no
+// fits, since the iterations recorded none.
+func (s *Solver) Checkpoint(cp *ckpt.File) bool {
+	s.env.C.ChargeCheckpointWrite(cpals.CheckpointBytes(s.dims, s.rank))
+	cp.Fits = nil
+	return true
 }
 
 // Factors collects the normalized factor matrices to the driver.
@@ -374,8 +393,8 @@ func (s *Solver) Factors() []*la.Dense {
 
 // Solve runs BIGtensor CP-ALS for a fixed number of iterations (the paper
 // runs 20 and reports the per-iteration average; BIGtensor has no cheap
-// in-band fit computation, so fits are evaluated once at the end on the
-// driver).
+// in-band fit computation, so opts.Tol is ignored and the fit is evaluated
+// once at the end on the driver).
 func Solve(env *mapreduce.Env, t *tensor.COO, opts cpals.Options) (*cpals.Result, error) {
 	if err := opts.Validate(t); err != nil {
 		return nil, err
@@ -393,47 +412,13 @@ func Solve(env *mapreduce.Env, t *tensor.COO, opts cpals.Options) (*cpals.Result
 	if err := env.Err(); err != nil {
 		return nil, err
 	}
-	iters := opts.StartIter
-	for it := opts.StartIter; it < opts.MaxIters; it++ {
-		if err := opts.Interrupted(); err != nil {
-			return nil, err
-		}
-		for n := 0; n < 3; n++ {
-			s.Step(n)
-			if err := env.Err(); err != nil {
-				return nil, err
-			}
-		}
-		iters = it + 1
-		// BIGtensor has no cheap in-band fit; report 0 so progress
-		// callbacks can still count and stop iterations.
-		if opts.OnIteration != nil && opts.OnIteration(it, 0) {
-			break
-		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && (it+1)%opts.CheckpointEvery == 0 {
-			env.C.ChargeCheckpointWrite(checkpointBytes(s.dims, s.rank))
-			if err := opts.OnCheckpoint(it+1, s.lambda, s.Factors(), nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res := &cpals.Result{
-		Lambda:  s.lambda,
-		Factors: s.Factors(),
-		Iters:   iters,
+	opts.Tol = 0
+	res, err := cpals.Run(s, s.dims, opts)
+	if err != nil {
+		return nil, err
 	}
 	res.Fits = []float64{driverFit(t, res)}
 	return res, nil
-}
-
-// checkpointBytes is the serialized size of one factor-set checkpoint (all
-// factor matrices plus lambda, 8 bytes per element).
-func checkpointBytes(dims []int, rank int) float64 {
-	var bytes float64
-	for _, d := range dims {
-		bytes += float64(d) * float64(rank) * 8
-	}
-	return bytes + float64(rank)*8
 }
 
 // driverFit evaluates the model fit with a driver-side pass over the
@@ -443,21 +428,12 @@ func driverFit(t *tensor.COO, res *cpals.Result) float64 {
 	for n, f := range res.Factors {
 		grams[n] = f.Gram()
 	}
-	modelSq := cpals.ModelNormSq(res.Lambda, grams)
 	var inner float64
 	for i := range t.Entries {
 		e := &t.Entries[i]
 		inner += e.Val * res.ReconstructAt(int(e.Idx[0]), int(e.Idx[1]), int(e.Idx[2]))
 	}
-	normX := t.Norm()
-	residSq := normX*normX + modelSq - 2*inner
-	if residSq < 0 {
-		residSq = 0
-	}
-	if normX == 0 {
-		return 0
-	}
-	return 1 - math.Sqrt(residSq)/normX
+	return cpals.FitFromInner(t.Norm(), inner, res.Lambda, grams)
 }
 
 // JobsPerIteration returns the number of Hadoop jobs one CP-ALS iteration

@@ -12,8 +12,10 @@
 // the current format ("CSTFCKP1") carries a CRC32-C of the payload, so
 // damage that slips past the rename discipline (torn sectors, bit rot,
 // truncation by a failing disk) is detected at read time as a typed
-// *CorruptError instead of being decoded into silently wrong factors.
-// Checksum-less files written by earlier versions still read.
+// *CorruptError instead of being decoded into silently wrong factors. A
+// file without the header — including the checksum-less format of earlier
+// versions — is corrupt too; serve.Reload answers that by falling back to a
+// retained version.
 package ckpt
 
 import (
@@ -44,7 +46,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // wire contract — gob matches fields by name, so renaming any of them would
 // break decoding of previously written checkpoints. (Adding fields is safe:
 // gob ignores names the decoder does not know and zeroes names the encoder
-// did not send, which is how checksum-less-era files keep reading.)
+// did not send.) The solvers produce it through cpals.Options.OnCheckpoint
+// and read it back through cpals.Options.Restore and their own state
+// fields (rals and ntf Options.InitState).
 type File struct {
 	Algorithm string
 	Rank      int
@@ -64,9 +68,8 @@ type File struct {
 	Workers int
 
 	// RALS carries the randomized-ALS sampler state for algorithm "rals"
-	// checkpoints; nil for every other algorithm (and for rals files
-	// written by versions before the field existed, which cannot resume
-	// bitwise and are rejected by the resume path).
+	// checkpoints; nil for every other algorithm (a rals resume without it
+	// is rejected by the rals solver).
 	RALS *RALSState
 
 	// NTF carries the nonnegative-CP solver state for algorithm "ncp"
@@ -150,38 +153,54 @@ func (f *File) Validate(path string) error {
 			return fail("factor %d has %d values, want %d*%d", n, len(data), f.Dims[n], f.Rank)
 		}
 	}
-	if st := f.RALS; st != nil {
-		if st.ResampleEvery <= 0 {
-			return fail("rals resample cadence %d", st.ResampleEvery)
-		}
-		if len(st.SampleCounts) != len(f.Dims) {
-			return fail("%d rals sample counts for %d modes", len(st.SampleCounts), len(f.Dims))
-		}
-		for m, s := range st.SampleCounts {
-			if s <= 0 {
-				return fail("rals mode %d sample count %d", m, s)
-			}
-		}
-		if len(st.Unnorm) != len(f.Dims) {
-			return fail("%d rals unnormalized factors for %d modes", len(st.Unnorm), len(f.Dims))
-		}
-		for n, data := range st.Unnorm {
-			if len(data) != f.Dims[n]*f.Rank {
-				return fail("rals unnormalized factor %d has %d values, want %d*%d", n, len(data), f.Dims[n], f.Rank)
-			}
+	if f.RALS != nil {
+		if err := f.RALS.Validate(f.Dims, f.Rank); err != nil {
+			return fail("%v", err)
 		}
 	}
-	if st := f.NTF; st != nil {
-		if st.InnerIters <= 0 {
-			return fail("ntf inner pass count %d", st.InnerIters)
+	if f.NTF != nil {
+		if err := f.NTF.Validate(f.Dims, f.Rank); err != nil {
+			return fail("%v", err)
 		}
-		if len(st.Saturated) != len(f.Dims) {
-			return fail("%d ntf saturation bitmaps for %d modes", len(st.Saturated), len(f.Dims))
+	}
+	return nil
+}
+
+// Validate checks the state against the model shape it belongs to.
+func (st *RALSState) Validate(dims []int, rank int) error {
+	if st.ResampleEvery <= 0 {
+		return fmt.Errorf("rals resample cadence %d", st.ResampleEvery)
+	}
+	if len(st.SampleCounts) != len(dims) {
+		return fmt.Errorf("%d rals sample counts for %d modes", len(st.SampleCounts), len(dims))
+	}
+	for m, s := range st.SampleCounts {
+		if s <= 0 {
+			return fmt.Errorf("rals mode %d sample count %d", m, s)
 		}
-		for n, s := range st.Saturated {
-			if len(s) != f.Dims[n]*f.Rank {
-				return fail("ntf saturation bitmap %d has %d flags, want %d*%d", n, len(s), f.Dims[n], f.Rank)
-			}
+	}
+	if len(st.Unnorm) != len(dims) {
+		return fmt.Errorf("%d rals unnormalized factors for %d modes", len(st.Unnorm), len(dims))
+	}
+	for n, data := range st.Unnorm {
+		if len(data) != dims[n]*rank {
+			return fmt.Errorf("rals unnormalized factor %d has %d values, want %d*%d", n, len(data), dims[n], rank)
+		}
+	}
+	return nil
+}
+
+// Validate checks the state against the model shape it belongs to.
+func (st *NTFState) Validate(dims []int, rank int) error {
+	if st.InnerIters <= 0 {
+		return fmt.Errorf("ntf inner pass count %d", st.InnerIters)
+	}
+	if len(st.Saturated) != len(dims) {
+		return fmt.Errorf("%d ntf saturation bitmaps for %d modes", len(st.Saturated), len(dims))
+	}
+	for n, s := range st.Saturated {
+		if len(s) != dims[n]*rank {
+			return fmt.Errorf("ntf saturation bitmap %d has %d flags, want %d*%d", n, len(s), dims[n], rank)
 		}
 	}
 	return nil
@@ -245,31 +264,26 @@ func syncDir(dir string) error {
 }
 
 // Read decodes the record at path without validating it. Damaged bytes —
-// truncated header, checksum mismatch, undecodable gob — come back as a
-// typed *CorruptError. Checksum-less files from earlier versions are
-// detected by their missing magic and decoded as plain gob.
+// a missing magic (which includes the checksum-less files of versions
+// before the header existed), truncated header, checksum mismatch,
+// undecodable gob — come back as a typed *CorruptError.
 func Read(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	if len(data) >= len(magic) && string(data[:len(magic)]) == magic {
-		if len(data) < headerLen {
-			return nil, &CorruptError{Path: path, Reason: "truncated header"}
-		}
-		want := binary.LittleEndian.Uint32(data[len(magic):headerLen])
-		payload := data[headerLen:]
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return nil, &CorruptError{Path: path,
-				Reason: fmt.Sprintf("checksum %08x != %08x over %d payload bytes", got, want, len(payload))}
-		}
-		return decodeGob(path, payload)
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("no %s magic", magic)}
 	}
-	// Legacy checksum-less format: the whole file is the gob payload.
-	return decodeGob(path, data)
-}
-
-func decodeGob(path string, payload []byte) (*File, error) {
+	if len(data) < headerLen {
+		return nil, &CorruptError{Path: path, Reason: "truncated header"}
+	}
+	want := binary.LittleEndian.Uint32(data[len(magic):headerLen])
+	payload := data[headerLen:]
+	if got := crc32.Checksum(payload, castagnoli); got != want {
+		return nil, &CorruptError{Path: path,
+			Reason: fmt.Sprintf("checksum %08x != %08x over %d payload bytes", got, want, len(payload))}
+	}
 	f := &File{}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(f); err != nil {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("gob: %v", err)}

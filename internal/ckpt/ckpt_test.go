@@ -153,10 +153,10 @@ func TestTornWriteDetected(t *testing.T) {
 	}
 }
 
-// TestLegacyChecksumlessFileReads writes a raw gob stream — the format of
-// checkpoints produced before the checksum header existed — and expects
-// Read to fall back to plain decoding, with Workers zeroed.
-func TestLegacyChecksumlessFileReads(t *testing.T) {
+// TestChecksumlessFileIsCorrupt writes a raw gob stream — the format of
+// checkpoints produced before the checksum header existed — and expects a
+// typed *CorruptError, the error serve.Reload falls back on.
+func TestChecksumlessFileIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.ckpt")
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(sample()); err != nil {
@@ -165,12 +165,10 @@ func TestLegacyChecksumlessFileReads(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
-	}
-	if got.Rank != 2 || got.Iter != 3 || got.Workers != 0 {
-		t.Fatalf("legacy decode wrong: %+v", got)
+	_, err := Load(path)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("checksum-less file: want *CorruptError, got %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"cstf/internal/cpals"
 	"cstf/internal/la"
@@ -127,63 +126,9 @@ func NewQCOOStateFromFactors(ctx *rdd.Context, t *tensor.COO, rank int, factors 
 	return s
 }
 
-// alsState is the step API both Spark-engine solvers expose to the shared
-// driver loop.
-type alsState interface {
-	Step(n int)
-	Fit() float64
-	Factors() []*la.Dense
-	Lambda() []float64
-}
-
-// CheckpointBytes is the serialized size of one factor-set checkpoint: every
-// factor matrix plus the lambda vector, 8 bytes per element.
-func CheckpointBytes(dims []int, rank int) float64 {
-	var bytes float64
-	for _, d := range dims {
-		bytes += float64(d) * float64(rank) * 8
-	}
-	return bytes + float64(rank)*8
-}
-
-// runALS drives either Spark-engine solver through the ALS iterations with
-// the full resilience surface: resume from StartIter, per-iteration abort on
-// sticky cluster failures, checkpoint hooks with modeled HDFS write cost,
-// and convergence on the last two fits (which spans a resume boundary when
-// InitFits carries the pre-crash history).
-func runALS(ctx *rdd.Context, s alsState, dims []int, order, rank int, opts cpals.Options) (*cpals.Result, error) {
-	if err := ctx.Cluster.Err(); err != nil {
-		return nil, err
-	}
-	res := &cpals.Result{Iters: opts.StartIter}
-	res.Fits = append(res.Fits, opts.InitFits...)
-	for it := opts.StartIter; it < opts.MaxIters; it++ {
-		if err := opts.Interrupted(); err != nil {
-			return nil, err
-		}
-		for n := 0; n < order; n++ {
-			s.Step(n)
-			if err := ctx.Cluster.Err(); err != nil {
-				return nil, err
-			}
-		}
-		res.Iters = it + 1
-		fit := s.Fit()
-		res.Fits = append(res.Fits, fit)
-		if opts.OnIteration != nil && opts.OnIteration(it, fit) {
-			break
-		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && (it+1)%opts.CheckpointEvery == 0 {
-			ctx.Cluster.ChargeCheckpointWrite(CheckpointBytes(dims, rank))
-			if err := opts.OnCheckpoint(it+1, s.Lambda(), s.Factors(), res.Fits); err != nil {
-				return nil, err
-			}
-		}
-		if nf := len(res.Fits); opts.Tol > 0 && nf > 1 && math.Abs(res.Fits[nf-1]-res.Fits[nf-2]) < opts.Tol {
-			break
-		}
-	}
-	res.Lambda = s.Lambda()
-	res.Factors = s.Factors()
-	return res, nil
+// chargeCheckpoint is the Tier.Checkpoint of both Spark-engine states: the
+// modeled HDFS write, charged before the factors are collected.
+func chargeCheckpoint(ctx *rdd.Context, dims []int, rank int) bool {
+	ctx.Cluster.ChargeCheckpointWrite(cpals.CheckpointBytes(dims, rank))
+	return true
 }

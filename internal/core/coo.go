@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
 	"cstf/internal/rdd"
@@ -133,11 +133,11 @@ func NewCOOStateWithStorage(ctx *rdd.Context, t *tensor.COO, rank int, seed uint
 	return s
 }
 
-// Step performs the mode-n MTTKRP and factor update. COO recomputes the
-// gram of every fixed factor for each update — the "extra reduce
-// operations" QCOO's once-per-iteration gram reuse eliminates
-// (Section 4.2).
-func (s *COOState) Step(n int) {
+// Step performs the mode-n MTTKRP and factor update and reports the
+// cluster's sticky failure, if any. COO recomputes the gram of every fixed
+// factor for each update — the "extra reduce operations" QCOO's
+// once-per-iteration gram reuse eliminates (Section 4.2).
+func (s *COOState) Step(n int) error {
 	c := s.ctx.Cluster
 	order, rank := s.order, s.rank
 
@@ -159,13 +159,17 @@ func (s *COOState) Step(n int) {
 	s.factors[n] = newF
 	s.lambda = norms
 	s.lastM = m
+	return c.Err()
 }
 
 // Fit returns the model fit using the most recent MTTKRP result.
-func (s *COOState) Fit() float64 {
+func (s *COOState) Fit() (float64, bool, error) {
 	s.ctx.Cluster.SetPhase(PhaseOther)
-	return fitOf(s.normX, s.lastM, s.factors, s.lambda, s.rank)
+	return fitOf(s.normX, s.lastM, s.factors, s.lambda, s.rank), true, nil
 }
+
+// Checkpoint charges the modeled checkpoint write.
+func (s *COOState) Checkpoint(*ckpt.File) bool { return chargeCheckpoint(s.ctx, s.dims, s.rank) }
 
 // Factors collects the current factor matrices to the driver.
 func (s *COOState) Factors() []*la.Dense {
@@ -194,7 +198,10 @@ func SolveCOO(ctx *rdd.Context, t *tensor.COO, opts cpals.Options) (*cpals.Resul
 	} else {
 		s = NewCOOState(ctx, t, opts.Rank, opts.Seed)
 	}
-	return runALS(ctx, s, s.dims, s.order, s.rank, opts)
+	if err := ctx.Cluster.Err(); err != nil {
+		return nil, err
+	}
+	return cpals.Run(s, s.dims, opts)
 }
 
 // fitOf evaluates the CP fit at the end of an iteration from the last
@@ -207,13 +214,5 @@ func fitOf(normX float64, lastM *rdd.Dataset[Row], factors []*FactorRDD, lambda 
 	for n := 0; n < order; n++ {
 		grams[n] = gramOf(factors[n], rank)
 	}
-	modelSq := cpals.ModelNormSq(lambda, grams)
-	residSq := normX*normX + modelSq - 2*inner
-	if residSq < 0 {
-		residSq = 0
-	}
-	if normX == 0 {
-		return 0
-	}
-	return 1 - math.Sqrt(residSq)/normX
+	return cpals.FitFromInner(normX, inner, lambda, grams)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
 	"cstf/internal/rdd"
@@ -98,8 +99,9 @@ func NewQCOOState(ctx *rdd.Context, t *tensor.COO, rank int, seed uint64) *QCOOS
 // RDD (one wide shuffle), rotate each record's queue while re-keying to the
 // target mode, reduce the queue to the per-nonzero contribution, and
 // reduceByKey (the second shuffle) into the MTTKRP result; then dequeue/
-// enqueue the gram queue, apply the pseudo-inverse and normalize.
-func (s *QCOOState) Step(n int) {
+// enqueue the gram queue, apply the pseudo-inverse and normalize. It
+// reports the cluster's sticky failure, if any.
+func (s *QCOOState) Step(n int) error {
 	c := s.ctx.Cluster
 	order, rank := s.order, s.rank
 	joinMode := (n - 1 + order) % order
@@ -170,13 +172,17 @@ func (s *QCOOState) Step(n int) {
 	s.factors[n] = newF
 	s.lambda = norms
 	s.lastM = m
+	return c.Err()
 }
 
 // Fit returns the model fit using the most recent MTTKRP result.
-func (s *QCOOState) Fit() float64 {
+func (s *QCOOState) Fit() (float64, bool, error) {
 	s.ctx.Cluster.SetPhase(PhaseOther)
-	return fitOf(s.normX, s.lastM, s.factors, s.lambda, s.rank)
+	return fitOf(s.normX, s.lastM, s.factors, s.lambda, s.rank), true, nil
 }
+
+// Checkpoint charges the modeled checkpoint write.
+func (s *QCOOState) Checkpoint(*ckpt.File) bool { return chargeCheckpoint(s.ctx, s.dims, s.rank) }
 
 // Factors collects the current factor matrices to the driver.
 func (s *QCOOState) Factors() []*la.Dense {
@@ -203,5 +209,8 @@ func SolveQCOO(ctx *rdd.Context, t *tensor.COO, opts cpals.Options) (*cpals.Resu
 	} else {
 		s = NewQCOOState(ctx, t, opts.Rank, opts.Seed)
 	}
-	return runALS(ctx, s, s.dims, s.order, s.rank, opts)
+	if err := ctx.Cluster.Err(); err != nil {
+		return nil, err
+	}
+	return cpals.Run(s, s.dims, opts)
 }

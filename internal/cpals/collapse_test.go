@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/la"
 	"cstf/internal/tensor"
 )
@@ -37,7 +38,10 @@ func TestCollapseLeavesNoSubnormals(t *testing.T) {
 	}
 	var zerosFirst, zerosLast int
 	opts.CheckpointEvery = 1
-	opts.OnCheckpoint = func(it int, lambda []float64, factors []*la.Dense, fits []float64) error {
+	opts.OnCheckpoint = func(cp *ckpt.File) error {
+		var model Options
+		model.Restore(cp)
+		it, lambda, factors := cp.Iter, model.InitLambda, model.InitFactors
 		for r, v := range lambda {
 			if a := math.Abs(v); a != 0 && a < minNormal {
 				t.Errorf("iteration %d: lambda[%d] = %g is subnormal", it, r, v)
@@ -89,21 +93,13 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 // resume at iteration 3 (mid-collapse) against the uninterrupted run.
 func TestCollapseBitwiseContracts(t *testing.T) {
 	x, opts := collapsingTensor()
-	var (
-		savedLambda  []float64
-		savedFactors []*la.Dense
-		savedFits    []float64
-	)
+	var saved *ckpt.File
 	full := opts
 	full.Parallelism = 1
 	full.CheckpointEvery = 3
-	full.OnCheckpoint = func(it int, lambda []float64, factors []*la.Dense, fits []float64) error {
-		if it == 3 {
-			savedLambda = la.VecClone(lambda)
-			savedFits = la.VecClone(fits)
-			for _, f := range factors {
-				savedFactors = append(savedFactors, f.Clone())
-			}
+	full.OnCheckpoint = func(cp *ckpt.File) error {
+		if cp.Iter == 3 {
+			saved = cp
 		}
 		return nil
 	}
@@ -121,8 +117,7 @@ func TestCollapseBitwiseContracts(t *testing.T) {
 	requireSameResult(t, "Parallelism 4 vs 1", want, got)
 
 	resumed := opts
-	resumed.StartIter = 3
-	resumed.InitFactors, resumed.InitLambda, resumed.InitFits = savedFactors, savedLambda, savedFits
+	resumed.Restore(saved)
 	got, err = Solve(x, resumed)
 	if err != nil {
 		t.Fatal(err)

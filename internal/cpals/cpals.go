@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/la"
 	"cstf/internal/par"
 	"cstf/internal/rng"
@@ -108,7 +109,9 @@ func (r *Result) ReconstructAt(idx ...int) float64 {
 	return s
 }
 
-// Options configures a CP-ALS run.
+// Options configures a CP-ALS run. It is the one declaration of the options
+// every solver tier shares: rals.Options and ntf.Options embed it and add
+// only their own fields, and Run reads it for every tier.
 type Options struct {
 	Rank     int     // R, the decomposition rank
 	MaxIters int     // maximum ALS iterations
@@ -129,16 +132,16 @@ type Options struct {
 	// so results match the COO kernel only to floating-point tolerance —
 	// but remain bitwise identical across Parallelism values, and are the
 	// bitwise reference for distributed runs with the CSF kernel enabled.
-	// The tensor must be duplicate-free (tensor.NewCSF enforces it).
+	// The tensor must be duplicate-free (tensor.NewCSF enforces it). Only
+	// Solve reads it.
 	CSFKernel bool
 
 	// Ctx, when non-nil, is checked between ALS iterations; a cancelled
-	// context aborts the solve with the context's error. Every solver in
-	// this repository (serial, COO, QCOO, BigTensor) honors it.
+	// context aborts the solve with the context's error.
 	Ctx context.Context
 
-	// OnIteration, when non-nil, is invoked after each completed ALS
-	// iteration with the iteration number (0-based) and the fit; a true
+	// OnIteration, when non-nil, is invoked after each iteration that
+	// records a fit, with the iteration number (0-based) and the fit; a true
 	// return stops the solve early, keeping the factors computed so far.
 	// Solvers without per-iteration fits (BigTensor) report fit 0.
 	OnIteration func(iter int, fit float64) (stop bool)
@@ -162,15 +165,16 @@ type Options struct {
 	InitFits []float64
 
 	// CheckpointEvery, when positive alongside OnCheckpoint, invokes the
-	// checkpoint hook after every CheckpointEvery-th completed iteration.
+	// checkpoint hook after every CheckpointEvery-th completed iteration
+	// (a tier may skip one it cannot resume from, see Tier.Checkpoint).
 	CheckpointEvery int
 
-	// OnCheckpoint receives the live solver state after iteration iter-1
-	// completed (iter is the count of completed iterations, i.e. the
-	// StartIter a resumed run should use). The factors and lambda alias the
-	// solver's working storage: the hook must copy what it keeps. A non-nil
-	// error aborts the solve.
-	OnCheckpoint func(iter int, lambda []float64, factors []*la.Dense, fits []float64) error
+	// OnCheckpoint receives an owned snapshot of the solver after cp.Iter
+	// completed iterations: Rank, Seed, Iter, Dims, Lambda, Fits, Factors,
+	// and the tier's own state (ckpt.File.RALS, .NTF). Algorithm and Workers
+	// are left for the hook to fill. Restore turns the file back into
+	// options that resume the solve. A non-nil error aborts the solve.
+	OnCheckpoint func(cp *ckpt.File) error
 }
 
 // Validate normalizes and checks the options against a tensor.
@@ -254,18 +258,15 @@ func FitFrom(normX float64, lastM, lastFactor *la.Dense, lambda []float64, grams
 			inner += mrow[r] * arow[r] * lambda[r]
 		}
 	}
-	return fitFromInner(normX, inner, lambda, grams)
+	return FitFromInner(normX, inner, lambda, grams)
 }
 
-// FitFromInner finishes the fit computation once <X, X_hat> is known. The
-// distributed runtime computes the inner product as a block-ordered
-// reduction over the wire and calls this, matching FitFromWorkers bitwise.
+// FitFromInner finishes the fit computation once <X, X_hat> is known. Every
+// fit in the repository ends here, whichever pass computed the inner
+// product: the last MTTKRP (FitFrom, FitFromWorkers), a block-ordered
+// reduction over the wire (dist), a join (core) or a pass over the nonzeros
+// (rals, bigtensor, stream).
 func FitFromInner(normX, inner float64, lambda []float64, grams []*la.Dense) float64 {
-	return fitFromInner(normX, inner, lambda, grams)
-}
-
-// fitFromInner finishes the fit computation once <X, X_hat> is known.
-func fitFromInner(normX, inner float64, lambda []float64, grams []*la.Dense) float64 {
 	modelSq := ModelNormSq(lambda, grams)
 	residSq := normX*normX + modelSq - 2*inner
 	if residSq < 0 {
@@ -306,79 +307,67 @@ func Solve(t *tensor.COO, opts Options) (*Result, error) {
 	if err := opts.Validate(t); err != nil {
 		return nil, err
 	}
-	order := t.Order()
-	rank := opts.Rank
 	w := opts.Workers()
-
-	factors := make([]*la.Dense, order)
-	grams := make([]*la.Dense, order)
-	for n := 0; n < order; n++ {
+	s := &serial{t: t, w: w, normX: t.Norm(), lambda: la.VecClone(opts.InitLambda), ws: &Workspace{}}
+	for n := 0; n < t.Order(); n++ {
 		if opts.InitFactors != nil {
-			factors[n] = opts.InitFactors[n].Clone()
+			s.factors = append(s.factors, opts.InitFactors[n].Clone())
 		} else {
-			factors[n] = initFactorWorkers(opts.Seed, n, t.Dims[n], rank, w)
+			s.factors = append(s.factors, initFactorWorkers(opts.Seed, n, t.Dims[n], opts.Rank, w))
 		}
-		grams[n] = la.GramParallel(factors[n], w)
+		s.grams = append(s.grams, la.GramParallel(s.factors[n], w))
 	}
-
-	normX := t.Norm()
-	res := &Result{Factors: factors, Iters: opts.StartIter}
-	res.Fits = append(res.Fits, opts.InitFits...)
-	lambda := la.VecClone(opts.InitLambda)
-	var lastM *la.Dense
-	ws := &Workspace{}
-	var csfs []*tensor.CSF
 	if opts.CSFKernel {
-		csfs = BuildCSFs(t)
+		s.csfs = BuildCSFs(t)
 	}
-
-	for it := opts.StartIter; it < opts.MaxIters; it++ {
-		if err := opts.Interrupted(); err != nil {
-			return nil, err
-		}
-		for n := 0; n < order; n++ {
-			var m *la.Dense
-			if csfs != nil {
-				m = MTTKRPCSFWorkers(csfs[n], factors, w)
-			} else {
-				m = MTTKRPWorkers(t, n, factors, w, ws.Out(n, t.Dims[n], rank, w), ws)
-			}
-			v := HadamardOfGramsExcept(grams, n)
-			pinv := la.Pinv(v)
-			// A_n = M * pinv(V), row by row.
-			a := factors[n]
-			la.RowBlocksApply(w, a.Rows, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					la.VecMatInto(a.Row(i), m.Row(i), pinv)
-				}
-			})
-			lambda = la.NormalizeColumnsParallel(a, w)
-			grams[n] = la.GramParallel(a, w)
-			lastM = m
-		}
-		res.Iters = it + 1
-		fit := FitFromWorkers(normX, lastM, factors[order-1], lambda, grams, w)
-		res.Fits = append(res.Fits, fit)
-		if opts.OnIteration != nil && opts.OnIteration(it, fit) {
-			break
-		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && (it+1)%opts.CheckpointEvery == 0 {
-			if err := opts.OnCheckpoint(it+1, lambda, factors, res.Fits); err != nil {
-				return nil, err
-			}
-		}
-		if nf := len(res.Fits); opts.Tol > 0 && nf > 1 {
-			if math.Abs(res.Fits[nf-1]-res.Fits[nf-2]) < opts.Tol {
-				break
-			}
-		}
-	}
-	// The MTTKRP outputs of the final iteration alias the workspace; the
-	// last one feeds the fit above and factor updates have already
-	// consumed the rest, so nothing in Result retains ws.
-	res.Lambda = lambda
-	return res, nil
+	return Run(s, t.Dims, opts)
 }
+
+// serial is Solve's tier: every stage on the shared-memory worker pool.
+type serial struct {
+	t      *tensor.COO
+	w      int
+	normX  float64
+	lambda []float64
+	// factors are normalized; grams[n] is factors[n]'s gram.
+	factors, grams []*la.Dense
+	// lastM is the last mode's MTTKRP result, which the fit reads. The
+	// MTTKRP outputs alias ws; factor updates consume all but the last,
+	// so nothing in the Result retains ws.
+	lastM *la.Dense
+	ws    *Workspace
+	csfs  []*tensor.CSF // per-mode CSF trees when Options.CSFKernel is set
+}
+
+func (s *serial) Step(n int) error {
+	a := s.factors[n]
+	var m *la.Dense
+	if s.csfs != nil {
+		m = MTTKRPCSFWorkers(s.csfs[n], s.factors, s.w)
+	} else {
+		m = MTTKRPWorkers(s.t, n, s.factors, s.w, s.ws.Out(n, a.Rows, a.Cols, s.w), s.ws)
+	}
+	pinv := la.Pinv(HadamardOfGramsExcept(s.grams, n))
+	// A_n = M * pinv(V), row by row.
+	la.RowBlocksApply(s.w, a.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			la.VecMatInto(a.Row(i), m.Row(i), pinv)
+		}
+	})
+	s.lambda = la.NormalizeColumnsParallel(a, s.w)
+	s.grams[n] = la.GramParallel(a, s.w)
+	s.lastM = m
+	return nil
+}
+
+func (s *serial) Fit() (float64, bool, error) {
+	last := len(s.factors) - 1
+	return FitFromWorkers(s.normX, s.lastM, s.factors[last], s.lambda, s.grams, s.w), true, nil
+}
+
+func (s *serial) Lambda() []float64          { return s.lambda }
+func (s *serial) Factors() []*la.Dense       { return s.factors }
+func (s *serial) Checkpoint(*ckpt.File) bool { return true }
 
 // initFactorWorkers fills the deterministic initial factor matrix on the
 // worker pool; FactorInitValue is elementwise, so any row partitioning

@@ -139,5 +139,5 @@ func FitFromWorkers(normX float64, lastM, lastFactor *la.Dense, lambda []float64
 		}
 		return s
 	})
-	return fitFromInner(normX, inner, lambda, grams)
+	return FitFromInner(normX, inner, lambda, grams)
 }

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"cstf/internal/chaos"
+	"cstf/internal/cpals"
 	"cstf/internal/rals"
 )
 
 func ralsOpts() rals.Options {
 	return rals.Options{
-		Rank: 4, MaxIters: 6, Seed: 7, Parallelism: 3,
+		Options:        cpals.Options{Rank: 4, MaxIters: 6, Seed: 7, Parallelism: 3},
 		SampleFraction: 0.3, ResampleEvery: 2,
 	}
 }

@@ -3,10 +3,10 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"cstf/internal/chaos"
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
 	"cstf/internal/par"
@@ -89,83 +89,121 @@ func blockChunk(k, nb, parts int) (lo, hi int) {
 	return k * nb / parts, (k + 1) * nb / parts
 }
 
-// The coordinator loop. Stages are BEGUN in the exact sequence the
-// pre-pipelined runtime used — per mode: MTTKRP, row solve, gram; fit
-// last — so chaos-plan stage numbers mean the same thing. What overlaps
-// is the waiting: mode n's partial-gram reduce is awaited only after mode
-// n+1's MTTKRP has been begun (and the iteration's fit is begun before
-// the last gram is awaited), so the gram round trips hide behind the most
-// expensive stage instead of adding to it. Results are applied in fixed
-// block order after each await, so completion order never touches the
-// arithmetic and the bitwise guarantee is preserved.
+// solve runs the coordinator's tier under cpals.Run. Stages are BEGUN in
+// the exact sequence the pre-pipelined runtime used — per mode: MTTKRP, row
+// solve, gram; fit last — so chaos-plan stage numbers mean the same thing.
+// What overlaps is the waiting: mode n's partial-gram reduce is awaited
+// only after mode n+1's MTTKRP has been begun (and the iteration's fit is
+// begun before the last gram is awaited), so the gram round trips hide
+// behind the most expensive stage instead of adding to it. Results are
+// applied in fixed block order after each await, so completion order never
+// touches the arithmetic and the bitwise guarantee is preserved.
 func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 	t := s.t
 	order := t.Order()
-	rank := opts.Rank
-	w := opts.Workers() // coordinator-local kernels (init, pinv, normalize)
-	W := len(s.remotes) // worker slots; partition frozen at session start
 	ph := &s.stats.Phases
+	a := &coordinator{
+		s:           s,
+		w:           opts.Workers(),
+		W:           len(s.remotes),
+		rank:        opts.Rank,
+		ranges:      make([][]tensor.NNZRange, order),
+		pendingMode: -1,
+		it:          opts.StartIter,
+	}
 
 	// Partition every mode once. The cut points depend only on (tensor, W),
 	// so re-runs — and reassignments within a run — see identical tasks.
-	ranges := make([][]tensor.NNZRange, order)
 	for m := 0; m < order; m++ {
-		ranges[m] = t.ModeIndex(m).Ranges(W)
+		a.ranges[m] = t.ModeIndex(m).Ranges(a.W)
 	}
 	s.lap(&ph.Partition)
 
 	// Ship each worker its shards — range k of every mode lives on slot k —
 	// and freeze the communication plan in the same pass: which factor rows
 	// each worker's resident work reads, hence what a delta must carry.
-	s.shipShards(ranges)
+	s.shipShards(a.ranges)
 	s.lap(&ph.ShardShip)
 
 	// Deterministic initialization + initial grams, exactly as the serial
 	// solver computes them (elementwise init; block-ordered gram sums).
 	// The first FactorUpdate per mode is always a full broadcast — it also
 	// seeds the per-worker last-sent snapshots deltas diff against.
-	factors := make([]*la.Dense, order)
-	grams := make([]*la.Dense, order)
 	for n := 0; n < order; n++ {
 		if opts.InitFactors != nil {
-			factors[n] = opts.InitFactors[n].Clone()
+			a.factors = append(a.factors, opts.InitFactors[n].Clone())
 		} else {
-			factors[n] = cpals.InitFactor(opts.Seed, n, t.Dims[n], rank)
+			a.factors = append(a.factors, cpals.InitFactor(opts.Seed, n, t.Dims[n], opts.Rank))
 		}
-		grams[n] = la.GramParallel(factors[n], w)
-		s.FactorUpdate(n, factors[n])
+		a.grams = append(a.grams, la.GramParallel(a.factors[n], a.w))
+		s.FactorUpdate(n, a.factors[n])
 	}
 	// Rejoining workers are brought current from these live matrices.
-	s.TrackFactors(factors)
-
-	normX := t.Norm()
-	res := &cpals.Result{Factors: factors, Iters: opts.StartIter}
-	res.Fits = append(res.Fits, opts.InitFits...)
-	lambda := la.VecClone(opts.InitLambda)
-	var lastM *la.Dense
+	s.TrackFactors(a.factors)
+	a.normX = t.Norm()
+	a.lambda = la.VecClone(opts.InitLambda)
+	a.fits = append(a.fits, opts.InitFits...)
 	s.lap(&ph.FactorInit)
 
-	// The in-flight gram reduce, when pipelining is on.
-	var pendingGram *gramRun
-	pendingMode := -1
-	awaitPending := func() error {
-		if pendingGram == nil {
+	// A scheduled TornWrite fires right after the checkpoint hook: it
+	// damages the file just written, simulating a crash mid-write that a
+	// later resume must detect.
+	if hook := opts.OnCheckpoint; hook != nil && s.cfg.OnTornWrite != nil && s.cfg.Plan != nil {
+		opts.OnCheckpoint = func(cp *ckpt.File) error {
+			if err := hook(cp); err != nil {
+				return err
+			}
+			if len(s.cfg.Plan.TakeEvents(s.stageSeq, chaos.TornWrite)) > 0 {
+				s.logf("dist: chaos tears the checkpoint written at iteration %d", cp.Iter)
+				s.cfg.OnTornWrite(cp.Iter)
+			}
 			return nil
 		}
-		g, err := s.awaitGram(pendingGram)
-		if err != nil {
-			return err
-		}
-		grams[pendingMode] = g
-		pendingGram = nil
-		s.lap(&ph.GramWait)
+	}
+	return cpals.Run(a, t.Dims, opts)
+}
+
+// coordinator is the dist tier: the coordinator's half of every stage, the
+// fleet computing the other half.
+type coordinator struct {
+	s       *Session
+	w       int // coordinator-local parallelism (init, pinv, normalize)
+	W       int // worker slots; partition frozen at session start
+	rank    int
+	ranges  [][]tensor.NNZRange
+	normX   float64
+	lambda  []float64
+	factors []*la.Dense
+	grams   []*la.Dense
+	lastM   *la.Dense
+
+	// The in-flight gram reduce, when pipelining is on.
+	pendingGram *gramRun
+	pendingMode int
+
+	// The iteration in progress and the fits recorded before it: what an
+	// iteration-boundary snapshot needs beyond the model.
+	it   int
+	fits []float64
+}
+
+func (a *coordinator) awaitPending() error {
+	if a.pendingGram == nil {
 		return nil
 	}
+	g, err := a.s.awaitGram(a.pendingGram)
+	if err != nil {
+		return err
+	}
+	a.grams[a.pendingMode] = g
+	a.pendingGram = nil
+	a.s.lap(&a.s.stats.Phases.GramWait)
+	return nil
+}
 
-	for it := opts.StartIter; it < opts.MaxIters; it++ {
-		if err := opts.Interrupted(); err != nil {
-			return nil, err
-		}
+func (a *coordinator) Step(n int) error {
+	s, ph := a.s, &a.s.stats.Phases
+	if n == 0 {
 		// Iteration-boundary snapshot: factors at iteration start fully
 		// determine the rest of the solve, so fleet collapse anywhere in
 		// this iteration degrades to a local solve from here — bitwise
@@ -173,88 +211,73 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 		// the configured live-worker floor is enforced.
 		if floor := s.minWorkers(); floor >= 0 {
 			s.snap = &snapshot{
-				iter:    it,
-				lambda:  la.VecClone(lambda),
-				fits:    append([]float64(nil), res.Fits...),
-				factors: make([]*la.Dense, order),
+				iter:    a.it,
+				lambda:  la.VecClone(a.lambda),
+				fits:    append([]float64(nil), a.fits...),
+				factors: make([]*la.Dense, len(a.factors)),
 			}
-			for n := range factors {
-				s.snap.factors[n] = factors[n].Clone()
+			for m := range a.factors {
+				s.snap.factors[m] = a.factors[m].Clone()
 			}
 			if live := s.Alive(); live < floor {
-				return nil, &NoWorkersError{Stage: s.stageSeq, Live: live, Floor: floor}
+				return &NoWorkersError{Stage: s.stageSeq, Live: live, Floor: floor}
 			}
 		}
 		s.lap(&ph.Other)
-		for n := 0; n < order; n++ {
-			mtt := s.beginMTTKRP(n, ranges[n], rank, factors)
-			s.lap(&ph.MTTKRPWait)
-			if err := awaitPending(); err != nil {
-				return nil, err
-			}
-			m, computedBy, err := s.awaitMTTKRP(mtt)
-			if err != nil {
-				return nil, err
-			}
-			s.lap(&ph.MTTKRPWait)
-			pinv := la.Pinv(cpals.HadamardOfGramsExcept(grams, n))
-			if err := s.rowSolveStage(n, ranges[n], pinv, m, computedBy, factors[n]); err != nil {
-				return nil, err
-			}
-			s.lap(&ph.RowSolve)
-			lambda = la.NormalizeColumnsParallel(factors[n], w)
-			s.lap(&ph.Normalize)
-			s.FactorUpdate(n, factors[n])
-			s.lap(&ph.FactorUpdate)
-			pg := s.beginGram(n, factors[n], rank, W, w)
-			if s.cfg.NoPipeline {
-				if grams[n], err = s.awaitGram(pg); err != nil {
-					return nil, err
-				}
-			} else {
-				pendingGram, pendingMode = pg, n
-			}
-			s.lap(&ph.GramWait)
-			lastM = m
-		}
-		res.Iters = it + 1
-		fr := s.beginFit(order-1, lastM, lambda, W, w, factors)
-		s.lap(&ph.FitWait)
-		if err := awaitPending(); err != nil {
-			return nil, err
-		}
-		inner, err := s.awaitFit(fr)
-		if err != nil {
-			return nil, err
-		}
-		s.lap(&ph.FitWait)
-		fit := cpals.FitFromInner(normX, inner, lambda, grams)
-		res.Fits = append(res.Fits, fit)
-		if opts.OnIteration != nil && opts.OnIteration(it, fit) {
-			break
-		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && (it+1)%opts.CheckpointEvery == 0 {
-			if err := opts.OnCheckpoint(it+1, lambda, factors, res.Fits); err != nil {
-				return nil, err
-			}
-			// A scheduled TornWrite fires right after the checkpoint
-			// callback: the hook damages the file just written, simulating
-			// a crash mid-write that a later resume must detect.
-			if s.cfg.OnTornWrite != nil && s.cfg.Plan != nil &&
-				len(s.cfg.Plan.TakeEvents(s.stageSeq, chaos.TornWrite)) > 0 {
-				s.logf("dist: chaos tears the checkpoint written at iteration %d", it+1)
-				s.cfg.OnTornWrite(it + 1)
-			}
-		}
-		if nf := len(res.Fits); opts.Tol > 0 && nf > 1 {
-			if math.Abs(res.Fits[nf-1]-res.Fits[nf-2]) < opts.Tol {
-				break
-			}
-		}
 	}
-	res.Lambda = lambda
-	return res, nil
+	mtt := s.beginMTTKRP(n, a.ranges[n], a.rank, a.factors)
+	s.lap(&ph.MTTKRPWait)
+	if err := a.awaitPending(); err != nil {
+		return err
+	}
+	m, computedBy, err := s.awaitMTTKRP(mtt)
+	if err != nil {
+		return err
+	}
+	s.lap(&ph.MTTKRPWait)
+	pinv := la.Pinv(cpals.HadamardOfGramsExcept(a.grams, n))
+	if err := s.rowSolveStage(n, a.ranges[n], pinv, m, computedBy, a.factors[n]); err != nil {
+		return err
+	}
+	s.lap(&ph.RowSolve)
+	a.lambda = la.NormalizeColumnsParallel(a.factors[n], a.w)
+	s.lap(&ph.Normalize)
+	s.FactorUpdate(n, a.factors[n])
+	s.lap(&ph.FactorUpdate)
+	pg := s.beginGram(n, a.factors[n], a.rank, a.W, a.w)
+	if s.cfg.NoPipeline {
+		if a.grams[n], err = s.awaitGram(pg); err != nil {
+			return err
+		}
+	} else {
+		a.pendingGram, a.pendingMode = pg, n
+	}
+	s.lap(&ph.GramWait)
+	a.lastM = m
+	return nil
 }
+
+func (a *coordinator) Fit() (float64, bool, error) {
+	s, ph := a.s, &a.s.stats.Phases
+	fr := s.beginFit(len(a.factors)-1, a.lastM, a.lambda, a.W, a.w, a.factors)
+	s.lap(&ph.FitWait)
+	if err := a.awaitPending(); err != nil {
+		return 0, false, err
+	}
+	inner, err := s.awaitFit(fr)
+	if err != nil {
+		return 0, false, err
+	}
+	s.lap(&ph.FitWait)
+	fit := cpals.FitFromInner(a.normX, inner, a.lambda, a.grams)
+	a.it++
+	a.fits = append(a.fits, fit)
+	return fit, true, nil
+}
+
+func (a *coordinator) Lambda() []float64          { return a.lambda }
+func (a *coordinator) Factors() []*la.Dense       { return a.factors }
+func (a *coordinator) Checkpoint(*ckpt.File) bool { return true }
 
 // mttkrpRun is an in-flight MTTKRP stage.
 type mttkrpRun struct {

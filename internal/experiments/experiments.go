@@ -84,8 +84,10 @@ func statsFrom(d *cluster.Metrics) IterStats {
 	}
 }
 
-// stepper abstracts the three solvers' per-mode update loop.
-type stepper interface{ Step(n int) }
+// stepper abstracts the three solvers' per-mode update loop. Step's error
+// is a cluster's sticky failure, which these fault-free clusters never
+// record.
+type stepper interface{ Step(n int) error }
 
 // measureIterations runs `iters` full CP-ALS iterations and returns the
 // per-iteration metric deltas. Iteration 0 includes any one-time setup

@@ -14,7 +14,6 @@ import (
 	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/dist"
-	"cstf/internal/la"
 	"cstf/internal/tensor"
 )
 
@@ -273,7 +272,7 @@ func killResumeRun(x *tensor.COO, opts cpals.Options, cfg FaultsBenchConfig, dir
 
 	headOpts := opts
 	headOpts.CheckpointEvery = 1
-	headOpts.OnCheckpoint = checkpointHook(path, opts, x.Dims, cfg)
+	headOpts.OnCheckpoint = checkpointHook(path, cfg)
 
 	lc, err := dist.StartInProcess(cfg.Workers)
 	if err != nil {
@@ -313,12 +312,7 @@ func killResumeRun(x *tensor.COO, opts cpals.Options, cfg FaultsBenchConfig, dir
 	}
 
 	tailOpts := opts
-	tailOpts.StartIter = cp.Iter
-	tailOpts.InitLambda = cp.Lambda
-	tailOpts.InitFits = cp.Fits
-	for n, data := range cp.Factors {
-		tailOpts.InitFactors = append(tailOpts.InitFactors, la.NewDenseFrom(x.Dims[n], cp.Rank, data))
-	}
+	tailOpts.Restore(cp)
 
 	lc, err = dist.StartInProcess(cfg.Workers)
 	if err != nil {
@@ -335,28 +329,16 @@ func killResumeRun(x *tensor.COO, opts cpals.Options, cfg FaultsBenchConfig, dir
 // checkpointHook writes every checkpoint durably, retains the previous
 // generation beside it (ckpt version files), and simulates the coordinator
 // dying immediately after the KillAfter-th write.
-func checkpointHook(path string, opts cpals.Options, dims []int, cfg FaultsBenchConfig) func(int, []float64, []*la.Dense, []float64) error {
-	return func(iter int, lambda []float64, factors []*la.Dense, fits []float64) error {
-		cp := &ckpt.File{
-			Algorithm: "dist",
-			Rank:      opts.Rank,
-			Seed:      opts.Seed,
-			Iter:      iter,
-			Dims:      append([]int(nil), dims...),
-			Lambda:    append([]float64(nil), lambda...),
-			Fits:      append([]float64(nil), fits...),
-			Workers:   cfg.Workers,
-		}
-		for _, f := range factors {
-			cp.Factors = append(cp.Factors, append([]float64(nil), f.Data...))
-		}
+func checkpointHook(path string, cfg FaultsBenchConfig) func(*ckpt.File) error {
+	return func(cp *ckpt.File) error {
+		cp.Algorithm, cp.Workers = "dist", cfg.Workers
 		if err := ckpt.Write(path, cp); err != nil {
 			return err
 		}
-		if err := ckpt.Write(ckpt.VersionPath(path, iter), cp); err != nil {
+		if err := ckpt.Write(ckpt.VersionPath(path, cp.Iter), cp); err != nil {
 			return err
 		}
-		if iter >= cfg.KillAfter {
+		if cp.Iter >= cfg.KillAfter {
 			return errSimKill
 		}
 		return nil

@@ -148,9 +148,7 @@ func RALSBenchWith(p Params, cfg RALSBenchConfig) (*RALSReport, error) {
 
 	ralsOpts := func(frac float64) rals.Options {
 		return rals.Options{
-			Rank:             rank,
-			MaxIters:         cfg.Iters,
-			Seed:             p.Seed,
+			Options:          cpals.Options{Rank: rank, MaxIters: cfg.Iters, Seed: p.Seed},
 			SampleFraction:   frac,
 			ResampleEvery:    cfg.Resample,
 			ExactFinishIters: cfg.Polish,

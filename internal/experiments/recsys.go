@@ -195,7 +195,7 @@ func RecsysBenchWith(p Params, cfg RecsysBenchConfig) (*RecsysReport, error) {
 		TrainIters: cfg.TrainIters, K: cfg.K, Replicas: cfg.Replicas,
 	}
 
-	ncpOpts := ntf.Options{Rank: r, MaxIters: cfg.TrainIters, Seed: p.Seed}
+	ncpOpts := ntf.Options{Options: cpals.Options{Rank: r, MaxIters: cfg.TrainIters, Seed: p.Seed}}
 	benchSettle()
 	start := time.Now()
 	ncpRes, err := ntf.Solve(base, ncpOpts)

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"cstf/internal/chaos"
+	"cstf/internal/ckpt"
 	"cstf/internal/cluster"
 	"cstf/internal/core"
 	"cstf/internal/cpals"
-	"cstf/internal/la"
 )
 
 // The paper motivates Spark/Hadoop precisely because they are
@@ -198,7 +198,7 @@ func CheckpointSweep(p Params) ([]CheckpointRow, error) {
 		if every > 0 {
 			// The hook only exists to trigger the modeled write; the sweep
 			// discards the snapshot itself.
-			opts.OnCheckpoint = func(int, []float64, []*la.Dense, []float64) error { return nil }
+			opts.OnCheckpoint = func(*ckpt.File) error { return nil }
 		}
 		if _, err := core.SolveCOO(ctx, x, opts); err != nil {
 			return nil, err

@@ -88,6 +88,19 @@ func NormalizeColumnsParallel(m *Dense, workers int) []float64 {
 	return norms
 }
 
+// ScaleColumnsParallel multiplies column j of m by s[j] — lambda absorbed
+// back into a normalized factor. Elementwise, so any partitioning is exact.
+func ScaleColumnsParallel(m *Dense, s []float64, workers int) {
+	par.ForBlocks(workers, m.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := m.Data[i*m.Cols : (i+1)*m.Cols]
+			for j := range row {
+				row[j] *= s[j]
+			}
+		}
+	})
+}
+
 // RowBlocksApply runs fn over the row blocks of an n-row matrix on the
 // worker pool. fn must only touch rows in its [lo, hi) block; under that
 // contract the result is independent of the worker count.

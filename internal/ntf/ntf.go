@@ -27,13 +27,11 @@
 package ntf
 
 import (
-	"context"
 	"fmt"
-	"math"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
-	"cstf/internal/par"
 	"cstf/internal/tensor"
 )
 
@@ -43,72 +41,35 @@ import (
 // gradient sign flipped); later passes skip saturated elements entirely.
 const DefaultInnerIters = 3
 
-// State is the solver state beyond (lambda, factors) that a checkpoint
-// carries: the per-mode saturation bitmaps (row-major rows x rank, 1 =
-// pinned at the zero bound with a non-descending gradient at last check).
-// Saturated elements always hold value zero, so the bitmaps restore the
-// skip set — and with it the resumed run's exact work profile — without
-// affecting the factors themselves.
-type State struct {
-	InnerIters int      // resolved inner CD pass count
-	Saturated  [][]byte // per mode: rows*rank saturation flags
-}
-
-// Options configures a nonnegative CP solve. Rank/MaxIters/Tol/Seed/
-// Parallelism/Ctx/OnIteration/StartIter/Init*/Checkpoint* mean exactly what
-// they mean in cpals.Options.
+// Options configures a nonnegative CP solve. The embedded cpals.Options
+// mean what they mean for cpals.Solve (CSFKernel aside, which is not read);
+// fits are exact and monotone non-decreasing, so Tol compares two true fits.
 type Options struct {
-	Rank     int
-	MaxIters int
-	// Tol stops the run when consecutive fits improve by less than Tol.
-	// 0 disables. Fits are exact and monotone non-decreasing.
-	Tol         float64
-	Seed        uint64
-	Parallelism int
+	cpals.Options
 
 	// InnerIters is the number of coordinate-descent passes per row problem
 	// each mode update runs (<= 0 selects DefaultInnerIters). A row whose
 	// pass changes nothing stops early.
 	InnerIters int
 
-	Ctx         context.Context
-	OnIteration func(iter int, fit float64) (stop bool)
-
-	// StartIter/InitFactors/InitLambda/InitFits resume or warm-start the
-	// solve, as in cpals. InitSaturated, when set, bitwise-restores the
-	// saturation bitmaps from a checkpoint's State; when nil the first
-	// sweep's re-check pass rebuilds them.
-	StartIter     int
-	InitFactors   []*la.Dense
-	InitLambda    []float64
-	InitFits      []float64
-	InitSaturated [][]byte
-
-	// CheckpointEvery/OnCheckpoint checkpoint the run as in cpals, with the
-	// saturation State alongside.
-	CheckpointEvery int
-	OnCheckpoint    func(iter int, lambda []float64, factors []*la.Dense, fits []float64, st *State) error
-}
-
-// Workers resolves the effective worker count.
-func (o *Options) Workers() int { return par.Workers(o.Parallelism) }
-
-// Interrupted reports the context's error if Ctx is set and cancelled.
-func (o *Options) Interrupted() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	select {
-	case <-o.Ctx.Done():
-		return o.Ctx.Err()
-	default:
-		return nil
-	}
+	// InitState resumes from a checkpoint's NTF state (what this solver
+	// writes to ckpt.File.NTF): the per-mode saturation bitmaps (row-major
+	// rows x rank, 1 = pinned at the zero bound with a non-descending
+	// gradient at last check) and the inner pass count, which takes the
+	// place of InnerIters. Saturated elements always hold value zero, so the
+	// bitmaps restore the skip set — and with it the resumed run's exact
+	// work profile — without affecting the factors themselves. A resume
+	// (StartIter > 0) requires it; a warm start without it rebuilds the
+	// bitmaps in the first sweep's re-check pass.
+	InitState *ckpt.NTFState
 }
 
 // Inner resolves the effective inner CD pass count.
 func (o *Options) Inner() int {
-	if o.InnerIters <= 0 {
+	switch {
+	case o.InitState != nil:
+		return o.InitState.InnerIters
+	case o.InnerIters <= 0:
 		return DefaultInnerIters
 	}
 	return o.InnerIters
@@ -116,49 +77,21 @@ func (o *Options) Inner() int {
 
 // Validate checks the options against a tensor.
 func (o *Options) Validate(t *tensor.COO) error {
-	if o.Rank <= 0 {
-		return fmt.Errorf("ntf: rank must be positive, got %d", o.Rank)
-	}
-	if o.MaxIters <= 0 {
-		return fmt.Errorf("ntf: MaxIters must be positive, got %d", o.MaxIters)
-	}
-	if t.NNZ() == 0 {
-		return fmt.Errorf("ntf: tensor has no nonzeros")
+	if err := o.Options.Validate(t); err != nil {
+		return err
 	}
 	if o.InnerIters < 0 {
 		return fmt.Errorf("ntf: InnerIters must be non-negative, got %d", o.InnerIters)
 	}
-	if o.StartIter < 0 {
-		return fmt.Errorf("ntf: StartIter must be non-negative, got %d", o.StartIter)
-	}
-	if o.StartIter > 0 && o.InitFactors == nil {
-		return fmt.Errorf("ntf: StartIter %d requires InitFactors", o.StartIter)
-	}
-	if o.InitFactors != nil {
-		if len(o.InitFactors) != t.Order() {
-			return fmt.Errorf("ntf: %d InitFactors for an order-%d tensor", len(o.InitFactors), t.Order())
-		}
-		for n, f := range o.InitFactors {
-			if f == nil || f.Rows != t.Dims[n] || f.Cols != o.Rank {
-				return fmt.Errorf("ntf: InitFactors[%d] must be %dx%d", n, t.Dims[n], o.Rank)
-			}
-		}
-		if len(o.InitLambda) != o.Rank {
-			return fmt.Errorf("ntf: InitLambda length %d != rank %d", len(o.InitLambda), o.Rank)
-		}
-	}
-	if o.InitSaturated != nil {
+	if st := o.InitState; st != nil {
 		if o.InitFactors == nil {
-			return fmt.Errorf("ntf: InitSaturated requires InitFactors")
+			return fmt.Errorf("ntf: InitState requires InitFactors")
 		}
-		if len(o.InitSaturated) != t.Order() {
-			return fmt.Errorf("ntf: %d InitSaturated bitmaps for an order-%d tensor", len(o.InitSaturated), t.Order())
+		if err := st.Validate(t.Dims, o.Rank); err != nil {
+			return fmt.Errorf("ntf: InitState: %w", err)
 		}
-		for n, s := range o.InitSaturated {
-			if len(s) != t.Dims[n]*o.Rank {
-				return fmt.Errorf("ntf: InitSaturated[%d] length %d != %d", n, len(s), t.Dims[n]*o.Rank)
-			}
-		}
+	} else if o.StartIter > 0 {
+		return fmt.Errorf("ntf: resuming at iteration %d needs the checkpoint's saturation state (InitState)", o.StartIter)
 	}
 	return nil
 }
@@ -171,91 +104,85 @@ func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
 	if err := o.Validate(t); err != nil {
 		return nil, err
 	}
-	order := t.Order()
-	rank := o.Rank
 	w := o.Workers()
-	inner := o.Inner()
-
+	s := &solver{
+		t:      t,
+		w:      w,
+		inner:  o.Inner(),
+		normX:  t.Norm(),
+		lambda: la.VecClone(o.InitLambda),
+		ws:     &cpals.Workspace{},
+	}
 	// The seeded init is uniform in [0.1, 1.1) — already nonnegative — so
 	// ncp and cpals start from the identical point and their rankings are
 	// directly comparable. Warm starts are clipped at zero: a resumed ncp
 	// run never reintroduces negatives, and a foreign (e.g. cpals-trained)
 	// warm start is projected onto the feasible set.
-	factors := make([]*la.Dense, order)
-	grams := make([]*la.Dense, order)
-	sat := make([][]byte, order)
-	for n := 0; n < order; n++ {
+	for n := 0; n < t.Order(); n++ {
+		var f *la.Dense
 		if o.InitFactors != nil {
-			f := o.InitFactors[n].Clone()
+			f = o.InitFactors[n].Clone()
 			clipNonneg(f, w)
-			factors[n] = f
 		} else {
-			factors[n] = cpals.InitFactor(o.Seed, n, t.Dims[n], rank)
+			f = cpals.InitFactor(o.Seed, n, t.Dims[n], o.Rank)
 		}
-		grams[n] = la.GramParallel(factors[n], w)
-		if o.InitSaturated != nil {
-			sat[n] = append([]byte(nil), o.InitSaturated[n]...)
+		s.factors = append(s.factors, f)
+		s.grams = append(s.grams, la.GramParallel(f, w))
+		if o.InitState != nil {
+			s.sat = append(s.sat, append([]byte(nil), o.InitState.Saturated[n]...))
 		} else {
-			sat[n] = make([]byte, t.Dims[n]*rank)
+			s.sat = append(s.sat, make([]byte, t.Dims[n]*o.Rank))
 		}
 	}
+	return cpals.Run(s, t.Dims, o.Options)
+}
 
-	normX := t.Norm()
-	res := &cpals.Result{Factors: factors, Iters: o.StartIter}
-	res.Fits = append(res.Fits, o.InitFits...)
-	lambda := la.VecClone(o.InitLambda)
-	var lastM *la.Dense
-	ws := &cpals.Workspace{}
+// solver is Solve's tier.
+type solver struct {
+	t              *tensor.COO
+	w, inner       int
+	normX          float64
+	lambda         []float64
+	factors, grams []*la.Dense
+	sat            [][]byte // per-mode saturation bitmaps, rows x rank
+	lastM          *la.Dense
+	ws             *cpals.Workspace
+}
 
-	checkpoint := func(it int) error {
-		if o.CheckpointEvery <= 0 || o.OnCheckpoint == nil || (it+1)%o.CheckpointEvery != 0 {
-			return nil
-		}
-		st := &State{InnerIters: inner, Saturated: make([][]byte, order)}
-		for n := range sat {
-			st.Saturated[n] = append([]byte(nil), sat[n]...)
-		}
-		return o.OnCheckpoint(it+1, lambda, factors, res.Fits, st)
+func (s *solver) Step(n int) error {
+	u := s.factors[n]
+	m := cpals.MTTKRPWorkers(s.t, n, s.factors, s.w, s.ws.Out(n, u.Rows, u.Cols, s.w), s.ws)
+	v := cpals.HadamardOfGramsExcept(s.grams, n)
+	// Re-absorb lambda into the mode being solved: with the other factors
+	// fixed, u = A_n * diag(lambda) reproduces the current model exactly,
+	// so coordinate descent warm-starts from it and the objective can only
+	// go down. An empty lambda (first sweep, fresh start) is an implicit
+	// all-ones.
+	if len(s.lambda) == u.Cols {
+		la.ScaleColumnsParallel(u, s.lambda, s.w)
 	}
+	cdSweep(u, m, v, s.sat[n], s.inner, s.w)
+	s.lambda = la.NormalizeColumnsParallel(u, s.w)
+	s.grams[n] = la.GramParallel(u, s.w)
+	s.lastM = m
+	return nil
+}
 
-	for it := o.StartIter; it < o.MaxIters; it++ {
-		if err := o.Interrupted(); err != nil {
-			return nil, err
-		}
-		for n := 0; n < order; n++ {
-			m := cpals.MTTKRPWorkers(t, n, factors, w, ws.Out(n, t.Dims[n], rank, w), ws)
-			v := cpals.HadamardOfGramsExcept(grams, n)
-			u := factors[n]
-			// Re-absorb lambda into the mode being solved: with the other
-			// factors fixed, u = A_n * diag(lambda) reproduces the current
-			// model exactly, so coordinate descent warm-starts from it and
-			// the objective can only go down. A nil lambda (first sweep,
-			// fresh start) is an implicit all-ones.
-			if len(lambda) == rank {
-				scaleColumns(u, lambda, w)
-			}
-			cdSweep(u, m, v, sat[n], inner, w)
-			lambda = la.NormalizeColumnsParallel(u, w)
-			grams[n] = la.GramParallel(u, w)
-			lastM = m
-		}
-		res.Iters = it + 1
-		fit := cpals.FitFromWorkers(normX, lastM, factors[order-1], lambda, grams, w)
-		res.Fits = append(res.Fits, fit)
-		if o.OnIteration != nil && o.OnIteration(it, fit) {
-			break
-		}
-		if err := checkpoint(it); err != nil {
-			return nil, err
-		}
-		if nf := len(res.Fits); o.Tol > 0 && nf > 1 {
-			if math.Abs(res.Fits[nf-1]-res.Fits[nf-2]) < o.Tol {
-				break
-			}
-		}
+func (s *solver) Fit() (float64, bool, error) {
+	last := len(s.factors) - 1
+	return cpals.FitFromWorkers(s.normX, s.lastM, s.factors[last], s.lambda, s.grams, s.w), true, nil
+}
+
+func (s *solver) Lambda() []float64    { return s.lambda }
+func (s *solver) Factors() []*la.Dense { return s.factors }
+
+// Checkpoint adds the saturation bitmaps and the inner pass count.
+func (s *solver) Checkpoint(cp *ckpt.File) bool {
+	cp.NTF = &ckpt.NTFState{InnerIters: s.inner}
+	for _, b := range s.sat {
+		cp.NTF.Saturated = append(cp.NTF.Saturated, append([]byte(nil), b...))
 	}
-	res.Lambda = lambda
-	return res, nil
+	return true
 }
 
 // cdSweep runs the coordinate-descent row solves for one mode: inner passes
@@ -309,7 +236,7 @@ func cdSweep(u, m, v *la.Dense, sat []byte, inner, workers int) {
 // SaturatedFrac reports the fraction of factor elements currently pinned at
 // the zero bound — the coordinates whose inner-loop updates the solver
 // skips, and a direct sparsity readout of the learned factors.
-func SaturatedFrac(st *State) float64 {
+func SaturatedFrac(st *ckpt.NTFState) float64 {
 	total, on := 0, 0
 	for _, s := range st.Saturated {
 		total += len(s)
@@ -334,18 +261,6 @@ func clipNonneg(m *la.Dense, workers int) {
 				if row[r] < 0 {
 					row[r] = 0
 				}
-			}
-		}
-	})
-}
-
-// scaleColumns multiplies column r of m by s[r].
-func scaleColumns(m *la.Dense, s []float64, workers int) {
-	la.RowBlocksApply(workers, m.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			for r := range row {
-				row[r] *= s[r]
 			}
 		}
 	})

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
-	"cstf/internal/la"
 	"cstf/internal/tensor"
 )
 
@@ -16,7 +16,7 @@ func testTensor() *tensor.COO {
 }
 
 func solveOpts() Options {
-	return Options{Rank: 3, MaxIters: 8, Seed: 11, Parallelism: 1}
+	return Options{Options: cpals.Options{Rank: 3, MaxIters: 8, Seed: 11, Parallelism: 1}}
 }
 
 // Every factor element and every lambda must come out nonnegative.
@@ -112,39 +112,29 @@ func TestResumeBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var savedIter int
-	var savedLambda []float64
-	var savedFits []float64
-	var savedFactors []*la.Dense
-	var savedState *State
-
+	var saved *ckpt.File
 	head := full
 	head.MaxIters = 4
 	head.CheckpointEvery = 4
-	head.OnCheckpoint = func(iter int, lambda []float64, factors []*la.Dense, fits []float64, st *State) error {
-		savedIter = iter
-		savedLambda = append([]float64(nil), lambda...)
-		savedFits = append([]float64(nil), fits...)
-		savedFactors = nil
-		for _, f := range factors {
-			savedFactors = append(savedFactors, f.Clone())
-		}
-		savedState = st
+	head.OnCheckpoint = func(cp *ckpt.File) error {
+		saved = cp
 		return nil
 	}
 	if _, err := Solve(x, head); err != nil {
 		t.Fatal(err)
+	}
+	var savedIter int
+	var savedState *ckpt.NTFState
+	if saved != nil {
+		savedIter, savedState = saved.Iter, saved.NTF
 	}
 	if savedIter != 4 || savedState == nil {
 		t.Fatalf("checkpoint did not fire at iteration 4 (iter=%d)", savedIter)
 	}
 
 	tail := full
-	tail.StartIter = savedIter
-	tail.InitFactors = savedFactors
-	tail.InitLambda = savedLambda
-	tail.InitFits = savedFits
-	tail.InitSaturated = savedState.Saturated
+	tail.Restore(saved)
+	tail.InitState = savedState
 	got, err := Solve(x, tail)
 	if err != nil {
 		t.Fatal(err)

@@ -20,10 +20,10 @@
 package rals
 
 import (
-	"context"
 	"fmt"
 	"math"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
 	"cstf/internal/par"
@@ -40,17 +40,6 @@ const samplingTag = 0x5A37157
 // weight at defensiveMix*mean, bounding the worst-case importance scale at
 // nnz/(defensiveMix*budget) without biasing the estimator.
 const defensiveMix = 0.1
-
-// State is the solver state beyond (lambda, factors) that a checkpoint must
-// carry for a bitwise resume: the UNNORMALIZED factor matrices (rows kept
-// across epochs live at solved-row scale; rebuilding them as A*diag(lambda)
-// would reintroduce rounding) plus the resolved sampling schedule, so the
-// resumed run redraws exactly the samples the uninterrupted run would have.
-type State struct {
-	ResampleEvery int         // epoch length in iterations
-	SampleCounts  []int       // resolved per-mode sample budgets
-	Unnorm        []*la.Dense // unnormalized factors, one per mode
-}
 
 // Kernel abstracts where sampled MTTKRPs run. A nil Kernel computes them
 // locally; internal/dist plugs in a fleet-backed implementation that ships
@@ -71,17 +60,15 @@ type Kernel interface {
 	FactorUpdated(mode int, m *la.Dense)
 }
 
-// Options configures a randomized ALS run. The Rank/MaxIters/Tol/Seed/
-// Parallelism/Ctx/OnIteration/StartIter/Init*/Checkpoint* fields mean
-// exactly what they mean in cpals.Options.
+// Options configures a randomized ALS run. The embedded cpals.Options mean
+// what they mean for cpals.Solve (CSFKernel aside, which is not read), with
+// two readings of their own: Tol compares consecutive EXACT fit
+// evaluations (one per epoch), and a checkpoint fires only at an iteration
+// that is a multiple of both CheckpointEvery and ResampleEvery, so every
+// checkpoint is an epoch boundary a resume can redraw from. StartIter must
+// be such a boundary.
 type Options struct {
-	Rank     int
-	MaxIters int
-	// Tol stops the run when consecutive EXACT fit evaluations (one per
-	// epoch) improve by less than Tol. 0 disables.
-	Tol         float64
-	Seed        uint64
-	Parallelism int
+	cpals.Options
 
 	// SampleCount is the per-mode sample budget: how many weighted draws
 	// (with replacement) each mode update's MTTKRP uses. SampleFraction
@@ -111,47 +98,20 @@ type Options struct {
 	// per-iteration cost. 0 disables (pure sampled run).
 	ExactFinishIters int
 
-	Ctx         context.Context
-	OnIteration func(iter int, fit float64) (stop bool)
-
-	// StartIter/InitFactors/InitLambda/InitFits resume or warm-start the
-	// solve, as in cpals. StartIter must be a multiple of ResampleEvery
-	// (checkpoints only fire at epoch boundaries). InitUnnorm, when set,
-	// bitwise-restores the unnormalized factors from a checkpoint's
-	// State; when nil with InitFactors set (a warm start, e.g. the
-	// streaming updater), the unnormalized factors are seeded as
-	// A*diag(lambda) — the ALS fixed-point identity.
-	StartIter   int
-	InitFactors []*la.Dense
-	InitLambda  []float64
-	InitFits    []float64
-	InitUnnorm  []*la.Dense
-
-	// CheckpointEvery/OnCheckpoint checkpoint the run as in cpals, with
-	// the sampler State alongside. Checkpoints fire only at iterations
-	// that are multiples of both CheckpointEvery and ResampleEvery, so
-	// every checkpoint is an epoch boundary a resume can redraw from.
-	CheckpointEvery int
-	OnCheckpoint    func(iter int, lambda []float64, factors []*la.Dense, fits []float64, st *State) error
+	// InitState resumes the sampler from a checkpoint's RALS state (what
+	// this solver writes to ckpt.File.RALS): the UNNORMALIZED factors,
+	// restored bitwise — rows kept across epochs live at solved-row scale,
+	// and rebuilding them as A*diag(lambda) would reintroduce rounding — and
+	// the resolved sampling schedule, which takes the place of
+	// ResampleEvery and the budget fields so the resumed run redraws
+	// exactly what the uninterrupted run drew. A resume (StartIter > 0)
+	// requires it. Without it, InitFactors is a warm start (the streaming
+	// updater's): the unnormalized factors are seeded as A*diag(lambda),
+	// the ALS fixed-point identity.
+	InitState *ckpt.RALSState
 
 	// Kernel, when non-nil, computes the sampled MTTKRPs (see Kernel).
 	Kernel Kernel
-}
-
-// Workers resolves the effective worker count.
-func (o *Options) Workers() int { return par.Workers(o.Parallelism) }
-
-// Interrupted reports the context's error if Ctx is set and cancelled.
-func (o *Options) Interrupted() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	select {
-	case <-o.Ctx.Done():
-		return o.Ctx.Err()
-	default:
-		return nil
-	}
 }
 
 // Budgets resolves the per-mode sample counts against a tensor.
@@ -188,62 +148,40 @@ func (o *Options) Budgets(t *tensor.COO) ([]int, error) {
 	return budgets, nil
 }
 
+// schedule resolves the epoch length and the per-mode sample budgets: the
+// checkpointed ones on a resume, the options' otherwise.
+func (o *Options) schedule(t *tensor.COO) (epochLen int, budgets []int, err error) {
+	if st := o.InitState; st != nil {
+		return st.ResampleEvery, append([]int(nil), st.SampleCounts...), nil
+	}
+	budgets, err = o.Budgets(t)
+	return max(o.ResampleEvery, 1), budgets, err
+}
+
 // Validate checks the options against a tensor.
 func (o *Options) Validate(t *tensor.COO) error {
-	if o.Rank <= 0 {
-		return fmt.Errorf("rals: rank must be positive, got %d", o.Rank)
-	}
-	if o.MaxIters <= 0 {
-		return fmt.Errorf("rals: MaxIters must be positive, got %d", o.MaxIters)
-	}
-	if t.NNZ() == 0 {
-		return fmt.Errorf("rals: tensor has no nonzeros")
-	}
-	if _, err := o.Budgets(t); err != nil {
+	if err := o.Options.Validate(t); err != nil {
 		return err
-	}
-	e := o.ResampleEvery
-	if e <= 0 {
-		e = 1
 	}
 	if o.ExactFinishIters < 0 {
 		return fmt.Errorf("rals: ExactFinishIters must be non-negative, got %d", o.ExactFinishIters)
 	}
-	if o.StartIter < 0 {
-		return fmt.Errorf("rals: StartIter must be non-negative, got %d", o.StartIter)
+	if st := o.InitState; st != nil {
+		if o.InitFactors == nil {
+			return fmt.Errorf("rals: InitState requires InitFactors")
+		}
+		if err := st.Validate(t.Dims, o.Rank); err != nil {
+			return fmt.Errorf("rals: InitState: %w", err)
+		}
+	} else if o.StartIter > 0 {
+		return fmt.Errorf("rals: resuming at iteration %d needs the checkpoint's sampler state (InitState)", o.StartIter)
+	}
+	e, _, err := o.schedule(t)
+	if err != nil {
+		return err
 	}
 	if o.StartIter%e != 0 {
 		return fmt.Errorf("rals: StartIter %d is not an epoch boundary (ResampleEvery %d)", o.StartIter, e)
-	}
-	if o.StartIter > 0 && o.InitFactors == nil {
-		return fmt.Errorf("rals: StartIter %d requires InitFactors", o.StartIter)
-	}
-	checkFactors := func(name string, fs []*la.Dense) error {
-		if len(fs) != t.Order() {
-			return fmt.Errorf("rals: %d %s for an order-%d tensor", len(fs), name, t.Order())
-		}
-		for n, f := range fs {
-			if f == nil || f.Rows != t.Dims[n] || f.Cols != o.Rank {
-				return fmt.Errorf("rals: %s[%d] must be %dx%d", name, n, t.Dims[n], o.Rank)
-			}
-		}
-		return nil
-	}
-	if o.InitFactors != nil {
-		if err := checkFactors("InitFactors", o.InitFactors); err != nil {
-			return err
-		}
-		if len(o.InitLambda) != o.Rank {
-			return fmt.Errorf("rals: InitLambda length %d != rank %d", len(o.InitLambda), o.Rank)
-		}
-	}
-	if o.InitUnnorm != nil {
-		if o.InitFactors == nil {
-			return fmt.Errorf("rals: InitUnnorm requires InitFactors")
-		}
-		if err := checkFactors("InitUnnorm", o.InitUnnorm); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -255,24 +193,31 @@ func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
 	if err := o.Validate(t); err != nil {
 		return nil, err
 	}
-	order := t.Order()
-	rank := o.Rank
-	w := o.Workers()
-	nnz := t.NNZ()
-	epochLen := o.ResampleEvery
-	if epochLen <= 0 {
-		epochLen = 1
-	}
-	budgets, err := o.Budgets(t)
+	epochLen, budgets, err := o.schedule(t)
 	if err != nil {
 		return nil, err
 	}
-	allFull := true
-	for m, s := range budgets {
-		if s < nnz {
-			allFull = false
+	w := o.Workers()
+	s := &solver{
+		t:           t,
+		o:           o,
+		w:           w,
+		nnz:         t.NNZ(),
+		epochLen:    epochLen,
+		budgets:     budgets,
+		allFull:     true,
+		finishStart: max(o.MaxIters-o.ExactFinishIters, o.StartIter),
+		normX:       t.Norm(),
+		lambda:      la.VecClone(o.InitLambda),
+		ws:          &cpals.Workspace{},
+		sampled:     make([]*tensor.COO, t.Order()),
+		it:          o.StartIter,
+	}
+	for m, b := range budgets {
+		if b < s.nnz {
+			s.allFull = false
 		} else {
-			budgets[m] = nnz // cap: the exact kernel ignores the excess
+			budgets[m] = s.nnz // cap: the exact kernel ignores the excess
 		}
 	}
 
@@ -282,182 +227,161 @@ func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
 	// normalized kept rows with freshly solved rows would collapse them
 	// after renormalization. With a full budget every row is solved every
 	// update and the split is invisible: the solve is bitwise cpals.Solve.
-	factors := make([]*la.Dense, order)
-	unnorm := make([]*la.Dense, order)
-	grams := make([]*la.Dense, order)
-	for n := 0; n < order; n++ {
+	for n := 0; n < t.Order(); n++ {
+		var a, u *la.Dense
 		switch {
-		case o.InitUnnorm != nil:
-			factors[n] = o.InitFactors[n].Clone()
-			unnorm[n] = o.InitUnnorm[n].Clone()
+		case o.InitState != nil:
+			a = o.InitFactors[n].Clone()
+			u = la.NewDenseFrom(t.Dims[n], o.Rank, la.VecClone(o.InitState.Unnorm[n]))
 		case o.InitFactors != nil:
-			factors[n] = o.InitFactors[n].Clone()
-			u := o.InitFactors[n].Clone()
-			scaleColumns(u, o.InitLambda, w)
-			unnorm[n] = u
+			a = o.InitFactors[n].Clone()
+			u = a.Clone()
+			la.ScaleColumnsParallel(u, o.InitLambda, w)
 		default:
-			factors[n] = cpals.InitFactor(o.Seed, n, t.Dims[n], rank)
-			unnorm[n] = factors[n].Clone()
+			a = cpals.InitFactor(o.Seed, n, t.Dims[n], o.Rank)
+			u = a.Clone()
 		}
-		grams[n] = la.GramParallel(factors[n], w)
+		s.factors = append(s.factors, a)
+		s.unnorm = append(s.unnorm, u)
+		s.grams = append(s.grams, la.GramParallel(a, w))
 		if o.Kernel != nil {
-			o.Kernel.FactorUpdated(n, factors[n])
+			o.Kernel.FactorUpdated(n, a)
 		}
 	}
-
-	normX := t.Norm()
-	res := &cpals.Result{Factors: factors, Iters: o.StartIter}
-	res.Fits = append(res.Fits, o.InitFits...)
-	lambda := la.VecClone(o.InitLambda)
-	var lastM *la.Dense
-	ws := &cpals.Workspace{}
-	smp := newSampler(t, o.Seed, budgets, w)
-	sampled := make([]*tensor.COO, order)
-
-	checkpoint := func(it int) error {
-		if o.CheckpointEvery <= 0 || o.OnCheckpoint == nil {
-			return nil
-		}
-		if (it+1)%o.CheckpointEvery != 0 || (it+1)%epochLen != 0 {
-			return nil
-		}
-		st := &State{
-			ResampleEvery: epochLen,
-			SampleCounts:  append([]int(nil), budgets...),
-			Unnorm:        make([]*la.Dense, order),
-		}
-		for n := range unnorm {
-			st.Unnorm[n] = unnorm[n].Clone()
-		}
-		return o.OnCheckpoint(it+1, lambda, factors, res.Fits, st)
-	}
-
-	// Iterations >= finishStart are the exact polish phase: every mode runs
-	// the exact kernel over the full tensor, no sampling.
-	finishStart := o.MaxIters - o.ExactFinishIters
-	if finishStart < o.StartIter {
-		finishStart = o.StartIter
-	}
-
-	for it := o.StartIter; it < o.MaxIters; it++ {
-		if err := o.Interrupted(); err != nil {
-			return nil, err
-		}
-		exactPhase := it >= finishStart
-		if it%epochLen == 0 && !allFull && !exactPhase {
-			// Epoch boundary: recompute leverage scores from the current
-			// factors and redraw every sampled mode's nonzeros.
-			epoch := it / epochLen
-			smp.refreshScores(factors, grams)
-			for m := 0; m < order; m++ {
-				if budgets[m] < nnz {
-					sampled[m] = smp.draw(epoch, m)
-				}
-			}
-			if o.Kernel != nil {
-				if err := o.Kernel.Epoch(epoch, sampled); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for n := 0; n < order; n++ {
-			full := budgets[n] >= nnz || exactPhase
-			var m *la.Dense
-			if full {
-				m = cpals.MTTKRPWorkers(t, n, factors, w, ws.Out(n, t.Dims[n], rank, w), ws)
-			} else {
-				m = ws.Out(n, t.Dims[n], rank, w)
-				if o.Kernel != nil {
-					if err := o.Kernel.MTTKRP(n, factors, m); err != nil {
-						return nil, err
-					}
-				} else {
-					cpals.MTTKRPWorkers(sampled[n], n, factors, w, m, ws)
-				}
-			}
-			pinv := la.Pinv(cpals.HadamardOfGramsExcept(grams, n))
-			u := unnorm[n]
-			if full {
-				la.RowBlocksApply(w, u.Rows, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						la.VecMatInto(u.Row(i), m.Row(i), pinv)
-					}
-				})
-			} else {
-				// Solve only the rows the sample touched; keep the rest at
-				// their previous unnormalized value; pin structurally empty
-				// rows to zero (what the exact solver computes for them).
-				smi := sampled[n].ModeIndex(n)
-				fmi := t.ModeIndex(n)
-				la.RowBlocksApply(w, u.Rows, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						switch {
-						case smi.RowPtr[i+1] > smi.RowPtr[i]:
-							la.VecMatInto(u.Row(i), m.Row(i), pinv)
-						case fmi.RowPtr[i+1] == fmi.RowPtr[i]:
-							row := u.Row(i)
-							for r := range row {
-								row[r] = 0
-							}
-						}
-					}
-				})
-			}
-			a := u.Clone()
-			lambda = la.NormalizeColumnsParallel(a, w)
-			factors[n] = a
-			grams[n] = la.GramParallel(a, w)
-			if o.Kernel != nil {
-				o.Kernel.FactorUpdated(n, a)
-			}
-			lastM = m
-		}
-		res.Iters = it + 1
-
-		epochEnd := (it+1)%epochLen == 0
-		last := it == o.MaxIters-1
-		if (epochEnd && !o.FinalFitOnly) || last {
-			var fit float64
-			if allFull || exactPhase {
-				// Bitwise-cpals path: the SPLATT fit identity over the last
-				// mode's exact MTTKRP, no extra tensor pass.
-				fit = cpals.FitFromWorkers(normX, lastM, factors[order-1], lambda, grams, w)
-			} else {
-				inner := innerProductWorkers(t, lambda, factors, w)
-				fit = cpals.FitFromInner(normX, inner, lambda, grams)
-			}
-			res.Fits = append(res.Fits, fit)
-			if o.OnIteration != nil && o.OnIteration(it, fit) {
-				break
-			}
-			if err := checkpoint(it); err != nil {
-				return nil, err
-			}
-			if nf := len(res.Fits); o.Tol > 0 && nf > 1 {
-				if math.Abs(res.Fits[nf-1]-res.Fits[nf-2]) < o.Tol {
-					break
-				}
-			}
-			continue
-		}
-		if err := checkpoint(it); err != nil {
-			return nil, err
-		}
-	}
-	res.Lambda = lambda
-	return res, nil
+	s.smp = newSampler(t, o.Seed, budgets, w)
+	return cpals.Run(s, t.Dims, o.Options)
 }
 
-// scaleColumns multiplies column r of m by s[r].
-func scaleColumns(m *la.Dense, s []float64, workers int) {
-	la.RowBlocksApply(workers, m.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			for r := range row {
-				row[r] *= s[r]
+// solver is Solve's tier.
+type solver struct {
+	t        *tensor.COO
+	o        Options
+	w, nnz   int
+	epochLen int
+	budgets  []int // resolved per-mode budgets, capped at nnz
+	allFull  bool  // every budget covers the tensor: bitwise cpals.Solve
+	// Iterations >= finishStart are the exact polish phase: every mode runs
+	// the exact kernel over the full tensor, no sampling.
+	finishStart int
+
+	normX                  float64
+	lambda                 []float64
+	factors, unnorm, grams []*la.Dense
+	lastM                  *la.Dense
+	ws                     *cpals.Workspace
+	smp                    *sampler
+	sampled                []*tensor.COO // the current epoch's draws, per mode
+	it                     int           // the iteration in progress; Fit ends it
+	exact                  bool          // iteration it is in the polish phase
+}
+
+func (s *solver) Step(n int) error {
+	t, w := s.t, s.w
+	if n == 0 {
+		s.exact = s.it >= s.finishStart
+		if s.it%s.epochLen == 0 && !s.allFull && !s.exact {
+			// Epoch boundary: recompute leverage scores from the current
+			// factors and redraw every sampled mode's nonzeros.
+			epoch := s.it / s.epochLen
+			s.smp.refreshScores(s.factors, s.grams)
+			for m := range s.sampled {
+				if s.budgets[m] < s.nnz {
+					s.sampled[m] = s.smp.draw(epoch, m)
+				}
+			}
+			if s.o.Kernel != nil {
+				if err := s.o.Kernel.Epoch(epoch, s.sampled); err != nil {
+					return err
+				}
 			}
 		}
-	})
+	}
+	full := s.budgets[n] >= s.nnz || s.exact
+	rank := s.o.Rank
+	var m *la.Dense
+	if full {
+		m = cpals.MTTKRPWorkers(t, n, s.factors, w, s.ws.Out(n, t.Dims[n], rank, w), s.ws)
+	} else {
+		m = s.ws.Out(n, t.Dims[n], rank, w)
+		if s.o.Kernel != nil {
+			if err := s.o.Kernel.MTTKRP(n, s.factors, m); err != nil {
+				return err
+			}
+		} else {
+			cpals.MTTKRPWorkers(s.sampled[n], n, s.factors, w, m, s.ws)
+		}
+	}
+	pinv := la.Pinv(cpals.HadamardOfGramsExcept(s.grams, n))
+	u := s.unnorm[n]
+	if full {
+		la.RowBlocksApply(w, u.Rows, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				la.VecMatInto(u.Row(i), m.Row(i), pinv)
+			}
+		})
+	} else {
+		// Solve only the rows the sample touched; keep the rest at
+		// their previous unnormalized value; pin structurally empty
+		// rows to zero (what the exact solver computes for them).
+		smi := s.sampled[n].ModeIndex(n)
+		fmi := t.ModeIndex(n)
+		la.RowBlocksApply(w, u.Rows, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				switch {
+				case smi.RowPtr[i+1] > smi.RowPtr[i]:
+					la.VecMatInto(u.Row(i), m.Row(i), pinv)
+				case fmi.RowPtr[i+1] == fmi.RowPtr[i]:
+					row := u.Row(i)
+					for r := range row {
+						row[r] = 0
+					}
+				}
+			}
+		})
+	}
+	a := u.Clone()
+	s.lambda = la.NormalizeColumnsParallel(a, w)
+	s.factors[n] = a
+	s.grams[n] = la.GramParallel(a, w)
+	if s.o.Kernel != nil {
+		s.o.Kernel.FactorUpdated(n, a)
+	}
+	s.lastM = m
+	return nil
+}
+
+// Fit evaluates the exact fit at epoch ends (unless FinalFitOnly) and after
+// the last iteration; other iterations record none.
+func (s *solver) Fit() (float64, bool, error) {
+	it := s.it
+	s.it++
+	if ((it+1)%s.epochLen != 0 || s.o.FinalFitOnly) && it != s.o.MaxIters-1 {
+		return 0, false, nil
+	}
+	last := len(s.factors) - 1
+	if s.allFull || s.exact {
+		// Bitwise-cpals path: the SPLATT fit identity over the last
+		// mode's exact MTTKRP, no extra tensor pass.
+		return cpals.FitFromWorkers(s.normX, s.lastM, s.factors[last], s.lambda, s.grams, s.w), true, nil
+	}
+	inner := innerProductWorkers(s.t, s.lambda, s.factors, s.w)
+	return cpals.FitFromInner(s.normX, inner, s.lambda, s.grams), true, nil
+}
+
+func (s *solver) Lambda() []float64    { return s.lambda }
+func (s *solver) Factors() []*la.Dense { return s.factors }
+
+// Checkpoint adds the sampler state at epoch boundaries and declines
+// every other iteration.
+func (s *solver) Checkpoint(cp *ckpt.File) bool {
+	if cp.Iter%s.epochLen != 0 {
+		return false
+	}
+	cp.RALS = &ckpt.RALSState{ResampleEvery: s.epochLen, SampleCounts: append([]int(nil), s.budgets...)}
+	for _, u := range s.unnorm {
+		cp.RALS.Unnorm = append(cp.RALS.Unnorm, la.VecClone(u.Data))
+	}
+	return true
 }
 
 // innerProductWorkers computes <X, X_hat> by a pass over the nonzeros,

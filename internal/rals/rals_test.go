@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
 	"cstf/internal/tensor"
@@ -52,7 +53,7 @@ func TestFullBudgetBitwiseExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Solve(tt, Options{Rank: 4, MaxIters: 8, Seed: 3, SampleCount: tt.NNZ()})
+	got, err := Solve(tt, Options{Options: cpals.Options{Rank: 4, MaxIters: 8, Seed: 3}, SampleCount: tt.NNZ()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFullBudgetBitwiseExact(t *testing.T) {
 // across Parallelism values.
 func TestFixedSeedBitwise(t *testing.T) {
 	tt := testTensor()
-	o := Options{Rank: 4, MaxIters: 10, Seed: 11, SampleFraction: 0.25, ResampleEvery: 2}
+	o := Options{Options: cpals.Options{Rank: 4, MaxIters: 10, Seed: 11}, SampleFraction: 0.25, ResampleEvery: 2}
 	a, err := Solve(tt, o)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestSampledFitTracksExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Solve(tt, Options{Rank: 4, MaxIters: 15, Seed: 5, SampleFraction: 0.5})
+	got, err := Solve(tt, Options{Options: cpals.Options{Rank: 4, MaxIters: 15, Seed: 5}, SampleFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,42 +116,29 @@ func TestSampledFitTracksExact(t *testing.T) {
 // sampling make the redraws identical.
 func TestResumeBitwise(t *testing.T) {
 	tt := testTensor()
-	base := Options{Rank: 4, MaxIters: 12, Seed: 9, SampleFraction: 0.3, ResampleEvery: 2}
+	base := Options{Options: cpals.Options{Rank: 4, MaxIters: 12, Seed: 9}, SampleFraction: 0.3, ResampleEvery: 2}
 
-	var saved *State
-	var savedIter int
-	var savedLambda []float64
-	var savedFactors []*la.Dense
-	var savedFits []float64
+	var saved *ckpt.File
 	ck := base
 	ck.CheckpointEvery = 6
-	ck.OnCheckpoint = func(iter int, lambda []float64, factors []*la.Dense, fits []float64, st *State) error {
-		if iter != 6 {
+	ck.OnCheckpoint = func(cp *ckpt.File) error {
+		if cp.Iter != 6 {
 			return nil
 		}
-		savedIter = iter
-		savedLambda = la.VecClone(lambda)
-		savedFits = append([]float64(nil), fits...)
-		for _, f := range factors {
-			savedFactors = append(savedFactors, f.Clone())
-		}
-		saved = st
+		saved = cp
 		return nil
 	}
 	full, err := Solve(tt, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if saved == nil || savedIter != 6 {
+	if saved == nil || saved.Iter != 6 {
 		t.Fatalf("checkpoint at iteration 6 never fired")
 	}
 
 	resumed := base
-	resumed.StartIter = savedIter
-	resumed.InitFactors = savedFactors
-	resumed.InitLambda = savedLambda
-	resumed.InitFits = savedFits
-	resumed.InitUnnorm = saved.Unnorm
+	resumed.Restore(saved)
+	resumed.InitState = saved.RALS
 	got, err := Solve(tt, resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +149,7 @@ func TestResumeBitwise(t *testing.T) {
 // FinalFitOnly computes exactly one exact fit, at the end.
 func TestFinalFitOnly(t *testing.T) {
 	tt := testTensor()
-	got, err := Solve(tt, Options{Rank: 4, MaxIters: 6, Seed: 2, SampleFraction: 0.25, FinalFitOnly: true})
+	got, err := Solve(tt, Options{Options: cpals.Options{Rank: 4, MaxIters: 6, Seed: 2}, SampleFraction: 0.25, FinalFitOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +169,7 @@ func TestExactFinishAllItersBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Solve(tt, Options{Rank: 4, MaxIters: 8, Seed: 3, SampleFraction: 0.1, ExactFinishIters: 8})
+	got, err := Solve(tt, Options{Options: cpals.Options{Rank: 4, MaxIters: 8, Seed: 3}, SampleFraction: 0.1, ExactFinishIters: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +185,7 @@ func TestExactFinishPolish(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := Solve(tt, Options{
-		Rank: 4, MaxIters: 12, Seed: 5, SampleFraction: 0.25, ResampleEvery: 2,
+		Options: cpals.Options{Rank: 4, MaxIters: 12, Seed: 5}, SampleFraction: 0.25, ResampleEvery: 2,
 		FinalFitOnly: true, ExactFinishIters: 4,
 	})
 	if err != nil {
@@ -217,13 +205,13 @@ func TestValidate(t *testing.T) {
 		name string
 		o    Options
 	}{
-		{"no budget", Options{Rank: 4, MaxIters: 5}},
-		{"both budgets", Options{Rank: 4, MaxIters: 5, SampleCount: 10, SampleFraction: 0.1}},
-		{"off-epoch resume", Options{Rank: 4, MaxIters: 5, SampleCount: 100, ResampleEvery: 2, StartIter: 3,
+		{"no budget", Options{Options: cpals.Options{Rank: 4, MaxIters: 5}}},
+		{"both budgets", Options{Options: cpals.Options{Rank: 4, MaxIters: 5}, SampleCount: 10, SampleFraction: 0.1}},
+		{"off-epoch resume", Options{Options: cpals.Options{Rank: 4, MaxIters: 5, StartIter: 3,
 			InitFactors: []*la.Dense{la.NewDense(60, 4), la.NewDense(50, 4), la.NewDense(40, 4)},
-			InitLambda:  make([]float64, 4)}},
-		{"bad mode counts", Options{Rank: 4, MaxIters: 5, ModeSampleCounts: []int{1, 2}}},
-		{"negative polish", Options{Rank: 4, MaxIters: 5, SampleCount: 100, ExactFinishIters: -1}},
+			InitLambda:  make([]float64, 4)}, SampleCount: 100, ResampleEvery: 2}},
+		{"bad mode counts", Options{Options: cpals.Options{Rank: 4, MaxIters: 5}, ModeSampleCounts: []int{1, 2}}},
+		{"negative polish", Options{Options: cpals.Options{Rank: 4, MaxIters: 5}, SampleCount: 100, ExactFinishIters: -1}},
 	}
 	for _, c := range cases {
 		if _, err := Solve(tt, c.o); err == nil {
@@ -232,7 +220,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// A warm start (InitFactors without InitUnnorm, the streaming updater's
+// A warm start (InitFactors without InitState, the streaming updater's
 // entry point) seeds the unnormalized factors as A*diag(lambda) and runs.
 func TestWarmStart(t *testing.T) {
 	tt := testTensor()
@@ -241,8 +229,8 @@ func TestWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := Solve(tt, Options{
-		Rank: 4, MaxIters: 3, Seed: 5, SampleFraction: 0.4,
-		InitFactors: exact.Factors, InitLambda: exact.Lambda,
+		Options:        cpals.Options{Rank: 4, MaxIters: 3, Seed: 5, InitFactors: exact.Factors, InitLambda: exact.Lambda},
+		SampleFraction: 0.4,
 	})
 	if err != nil {
 		t.Fatal(err)

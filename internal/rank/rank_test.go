@@ -98,7 +98,7 @@ func TestPlantedModelBeatsPopularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ntf.Solve(train, ntf.Options{Rank: 3, MaxIters: 15, Seed: 21, Parallelism: 0})
+	res, err := ntf.Solve(train, ntf.Options{Options: cpals.Options{Rank: 3, MaxIters: 15, Seed: 21, Parallelism: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

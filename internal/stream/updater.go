@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -225,15 +224,7 @@ func (u *Updater) restrictedSweep(touched [][]int) {
 	w := u.workers
 
 	// Absorb lambda into the last mode: scale column c by lambda_c.
-	last := u.factors[order-1]
-	la.RowBlocksApply(w, last.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := last.Row(i)
-			for c := range row {
-				row[c] *= u.lambda[c]
-			}
-		}
-	})
+	la.ScaleColumnsParallel(u.factors[order-1], u.lambda, w)
 
 	grams := make([]*la.Dense, order)
 	for n := 0; n < order; n++ {
@@ -310,17 +301,19 @@ func (u *Updater) FullSweep(iters int) (float64, error) {
 		// (seed, epoch, mode), and every sweep restarts at epoch 0, so an
 		// unmixed seed would replay one sweep's sample pattern forever.
 		res, err := rals.Solve(u.t, rals.Options{
-			Rank:             u.rank,
-			MaxIters:         iters,
-			Seed:             u.seed ^ (uint64(u.sweeps) * 0x9E3779B97F4A7C15),
-			Parallelism:      u.workers,
+			Options: cpals.Options{
+				Rank:        u.rank,
+				MaxIters:    iters,
+				Seed:        u.seed ^ (uint64(u.sweeps) * 0x9E3779B97F4A7C15),
+				Parallelism: u.workers,
+				InitFactors: u.factors,
+				InitLambda:  u.lambda,
+			},
 			SampleFraction:   frac,
 			SampleCount:      count,
 			ResampleEvery:    s.ResampleEvery,
 			ExactFinishIters: s.ExactFinishIters,
 			FinalFitOnly:     true,
-			InitFactors:      u.factors,
-			InitLambda:       u.lambda,
 		})
 		if err != nil {
 			return 0, fmt.Errorf("stream: sampled sweep: %w", err)
@@ -373,10 +366,5 @@ func (u *Updater) Fit() float64 {
 	for n := 0; n < order; n++ {
 		grams[n] = la.GramParallel(u.factors[n], u.workers)
 	}
-	modelSq := cpals.ModelNormSq(u.lambda, grams)
-	residSq := normX*normX + modelSq - 2*inner
-	if residSq < 0 {
-		residSq = 0
-	}
-	return 1 - math.Sqrt(residSq)/normX
+	return cpals.FitFromInner(normX, inner, u.lambda, grams)
 }

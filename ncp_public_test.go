@@ -114,7 +114,7 @@ func TestNCPResumeRejectsForeignCheckpoint(t *testing.T) {
 // solver it is a contradiction and must error, like Serial and RALS.
 func TestNCPChaosRejected(t *testing.T) {
 	_, err := cstf.Decompose(apiTestTensor(), cstf.Options{
-		Algorithm: cstf.NCP, Rank: 2, MaxIters: 2, Chaos: testChaos(),
+		Algorithm: cstf.NCP, Rank: 2, MaxIters: 2, Faults: cstf.FaultOptions{Chaos: testChaos()},
 	})
 	if err == nil {
 		t.Fatal("ncp + chaos did not fail")

@@ -127,7 +127,7 @@ func TestAlgorithmRegistry(t *testing.T) {
 // it is a contradiction and must error, like Serial.
 func TestRALSChaosRejected(t *testing.T) {
 	_, err := cstf.Decompose(apiTestTensor(), cstf.Options{
-		Algorithm: cstf.RALS, Rank: 2, MaxIters: 2, Chaos: testChaos(),
+		Algorithm: cstf.RALS, Rank: 2, MaxIters: 2, Faults: cstf.FaultOptions{Chaos: testChaos()},
 	})
 	if err == nil {
 		t.Fatal("rals + chaos did not fail")
