@@ -7,7 +7,7 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist bench-tensor stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
 ci: fmt vet staticcheck build test race
 
@@ -63,6 +63,13 @@ bench-la:
 # factor codec (MB/s each way, allocations per frame).
 bench-dist:
 	$(GO) test ./internal/dist -run '^$$' -bench . -benchtime 1x
+
+# The set-up microbenchmarks, same deal: GenZipf, DedupSum alone (ns/nnz)
+# and GenRecsys at the benchmark workloads' shapes. BenchmarkPaperSetup —
+# delicious3d at a tenth of full scale, about a gigabyte — runs only when
+# named: go test ./internal/tensor -run '^$$' -bench PaperSetup -benchtime 1x
+bench-tensor:
+	$(GO) test ./internal/tensor -run '^$$' -bench . -benchtime 1x
 
 # End-to-end streaming smoke under the race detector: train a tiny model,
 # stream three windows through ingest -> incremental update -> publish.

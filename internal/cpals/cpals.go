@@ -319,6 +319,8 @@ func Solve(t *tensor.COO, opts Options) (*Result, error) {
 	}
 	if opts.CSFKernel {
 		s.csfs = BuildCSFs(t)
+	} else {
+		t.ModeIndexes(w)
 	}
 	return Run(s, t.Dims, opts)
 }

@@ -114,8 +114,8 @@ func (s *Session) solve(opts cpals.Options) (*cpals.Result, error) {
 
 	// Partition every mode once. The cut points depend only on (tensor, W),
 	// so re-runs — and reassignments within a run — see identical tasks.
-	for m := 0; m < order; m++ {
-		a.ranges[m] = t.ModeIndex(m).Ranges(a.W)
+	for m, mi := range t.ModeIndexes(a.w) {
+		a.ranges[m] = mi.Ranges(a.W)
 	}
 	s.lap(&ph.Partition)
 

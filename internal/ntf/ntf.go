@@ -134,6 +134,7 @@ func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
 			s.sat = append(s.sat, make([]byte, t.Dims[n]*o.Rank))
 		}
 	}
+	t.ModeIndexes(w)
 	return cpals.Run(s, t.Dims, o.Options)
 }
 

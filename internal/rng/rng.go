@@ -22,6 +22,11 @@ func (s *SplitMix64) Uint64() uint64 {
 	return mix(s.state)
 }
 
+// Skip advances the stream past n draws in O(1): the state moves by a fixed
+// increment per draw, so a generator can start a chunk of a stream exactly
+// where a serial loop would be after n draws.
+func (s *SplitMix64) Skip(n uint64) { s.state += n * 0x9e3779b97f4a7c15 }
+
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

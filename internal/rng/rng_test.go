@@ -26,6 +26,29 @@ func TestSplitMix64Deterministic(t *testing.T) {
 	}
 }
 
+func TestSkipEqualsDraws(t *testing.T) {
+	f := func(seed uint64, n uint16) bool {
+		a, b := New(seed), New(seed)
+		for i := 0; i < int(n); i++ {
+			a.Uint64()
+		}
+		b.Skip(uint64(n))
+		return a.Uint64() == b.Uint64() && a.Uint64() == b.Uint64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	// Skip composes, and skipping zero draws is the identity.
+	a, b := New(9), New(9)
+	a.Skip(0)
+	a.Skip(1 << 40)
+	a.Skip(3)
+	b.Skip(1<<40 + 3)
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Skip(x) then Skip(y) differs from Skip(x+y)")
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := New(7)
 	var sum float64

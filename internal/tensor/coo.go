@@ -7,7 +7,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -29,7 +28,7 @@ type COO struct {
 	Dims    []int // size of each mode; len(Dims) is the order
 	Entries []Entry
 
-	mu      sync.Mutex   // guards modeIdx
+	mu      sync.Mutex   // guards modeIdx; indexes are built outside it
 	modeIdx []*ModeIndex // lazily built per-mode sort/segment indexes
 }
 
@@ -106,12 +105,9 @@ func Less(order int, a, b *Entry) bool {
 	return false
 }
 
-// Sort orders the entries lexicographically by index.
+// Sort orders the entries lexicographically by index (see sort.go).
 func (t *COO) Sort() {
-	ord := t.Order()
-	sort.Slice(t.Entries, func(i, j int) bool {
-		return Less(ord, &t.Entries[i], &t.Entries[j])
-	})
+	sortEntries(t.Entries, t.Order())
 	t.InvalidateIndex()
 }
 

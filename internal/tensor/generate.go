@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"cstf/internal/par"
 	"cstf/internal/rng"
 )
 
@@ -9,23 +10,46 @@ import (
 // with the same order, mode-size ratios, and fiber-occupancy skew at a
 // configurable scale (see internal/workload for the Table 5 configs).
 
+// drawChunk is how many entries one task of a chunked generator draws. It
+// is a constant of the stream layout, never of the worker count.
+const drawChunk = 1 << 16
+
+// drawEntries fills n entries on the worker pool with draw, which must
+// consume exactly `draws` values of src per entry. Chunk c then starts from
+// rng.New(seed) skipped by c·drawChunk·draws values — the point one serial
+// loop over the stream would have reached — so the entries are the serial
+// loop's for any worker count.
+func drawEntries(seed uint64, n, draws int, draw func(src *rng.SplitMix64, e *Entry)) []Entry {
+	es := make([]Entry, n)
+	par.Run(0, (n+drawChunk-1)/drawChunk, func(c int) {
+		lo := c * drawChunk
+		src := rng.New(seed)
+		src.Skip(uint64(lo) * uint64(draws))
+		for i := lo; i < min(lo+drawChunk, n); i++ {
+			draw(src, &es[i])
+		}
+	})
+	return es
+}
+
 // GenUniform generates approximately nnz uniform-random nonzeros (duplicate
 // coordinates are merged, so the exact count can be slightly lower). Values
 // are uniform in [0, 1). This models the paper's synt3d dataset.
 func GenUniform(seed uint64, nnz int, dims ...int) *COO {
 	t := New(dims...)
-	src := rng.New(seed)
-	t.Entries = make([]Entry, 0, nnz)
-	for len(t.Entries) < nnz {
-		var e Entry
+	t.Entries = uniformEntries(seed, nnz, dims)
+	t.DedupSum()
+	return t
+}
+
+// uniformEntries draws GenUniform's nonzeros before duplicates are merged.
+func uniformEntries(seed uint64, nnz int, dims []int) []Entry {
+	return drawEntries(seed, nnz, len(dims)+1, func(src *rng.SplitMix64, e *Entry) {
 		for m, d := range dims {
 			e.Idx[m] = uint32(src.Intn(d))
 		}
 		e.Val = src.Float64()
-		t.Entries = append(t.Entries, e)
-	}
-	t.DedupSum()
-	return t
+	})
 }
 
 // GenZipf generates approximately nnz nonzeros whose per-mode indices
@@ -35,24 +59,25 @@ func GenUniform(seed uint64, nnz int, dims ...int) *COO {
 // kind of heavy-tailed fiber occupancy.
 func GenZipf(seed uint64, nnz int, theta float64, dims ...int) *COO {
 	t := New(dims...)
-	src := rng.New(seed)
+	t.Entries = zipfEntries(seed, nnz, theta, dims)
+	t.DedupSum()
+	return t
+}
+
+// zipfEntries draws GenZipf's nonzeros before duplicates are merged.
+func zipfEntries(seed uint64, nnz int, theta float64, dims []int) []Entry {
 	zipfs := make([]*rng.Zipf, len(dims))
 	for m, d := range dims {
 		zipfs[m] = rng.NewZipf(d, theta)
 	}
-	t.Entries = make([]Entry, 0, nnz)
-	for len(t.Entries) < nnz {
-		var e Entry
+	return drawEntries(seed, nnz, len(dims)+1, func(src *rng.SplitMix64, e *Entry) {
 		for m, d := range dims {
 			raw := zipfs[m].Next(src)
 			// Pseudo-random permutation of [0, d) so hot indices are spread out.
 			e.Idx[m] = uint32(rng.Hash64(seed, uint64(m), uint64(raw)) % uint64(d))
 		}
 		e.Val = src.Float64()
-		t.Entries = append(t.Entries, e)
-	}
-	t.DedupSum()
-	return t
+	})
 }
 
 // GenLowRankDense generates a tensor holding a rank-r CP model at EVERY
@@ -67,7 +92,7 @@ func GenLowRankDense(seed uint64, r int, noise float64, dims ...int) *COO {
 	factorVal := func(m, i, col int) float64 {
 		return 0.1 + rng.UniformAt(seed, uint64(m), uint64(i), uint64(col))
 	}
-	idx := make([]int, order)
+	var e Entry
 	var emit func(m int)
 	emit = func(m int) {
 		if m == order {
@@ -75,18 +100,19 @@ func GenLowRankDense(seed uint64, r int, noise float64, dims ...int) *COO {
 			for col := 0; col < r; col++ {
 				p := 1.0
 				for n := 0; n < order; n++ {
-					p *= factorVal(n, idx[n], col)
+					p *= factorVal(n, int(e.Idx[n]), col)
 				}
 				v += p
 			}
 			if noise > 0 {
 				v += noise * src.NormFloat64()
 			}
-			t.Append(v, idx...)
+			e.Val = v
+			t.Entries = append(t.Entries, e)
 			return
 		}
 		for i := 0; i < dims[m]; i++ {
-			idx[m] = i
+			e.Idx[m] = uint32(i)
 			emit(m + 1)
 		}
 	}
@@ -176,30 +202,36 @@ func GenRecsys(seed uint64, nnz, users, items, contexts, groups int, noise float
 	t := New(users, items, contexts)
 	src := rng.New(seed)
 
-	userGroup := func(u int) int { return int(rng.Hash64(seed, 0xEC1, uint64(u)) % uint64(groups)) }
-	itemGroup := func(i int) int { return int(rng.Hash64(seed, 0xEC2, uint64(i)) % uint64(groups)) }
-	// Planted loadings: ~1.1 on the own group's component, ~0.1 off-group.
-	userVal := func(u, g int) float64 {
+	groupOf := func(tag uint64, rows int) []int {
+		gs := make([]int, rows)
+		for r := range gs {
+			gs[r] = int(rng.Hash64(seed, tag, uint64(r)) % uint64(groups))
+		}
+		return gs
+	}
+	userGroup, itemGroup := groupOf(0xEC1, users), groupOf(0xEC2, items)
+	// Planted loadings, one row of `groups` per user / item / context: ~1.1
+	// on the own group's component, ~0.1 off-group.
+	userVal := loadings(users, groups, func(u, g int) float64 {
 		v := 0.05 + 0.1*rng.UniformAt(seed, 0xEC3, uint64(u), uint64(g))
-		if userGroup(u) == g {
+		if userGroup[u] == g {
 			v += 1
 		}
 		return v
-	}
-	itemVal := func(i, g int) float64 {
+	})
+	itemVal := loadings(items, groups, func(i, g int) float64 {
 		v := 0.05 + 0.1*rng.UniformAt(seed, 0xEC4, uint64(i), uint64(g))
-		if itemGroup(i) == g {
+		if itemGroup[i] == g {
 			v += 1
 		}
 		return v
-	}
-	ctxVal := func(c, g int) float64 {
+	})
+	ctxVal := loadings(contexts, groups, func(c, g int) float64 {
 		return 0.5 + 0.5*rng.UniformAt(seed, 0xEC5, uint64(c), uint64(g))
-	}
+	})
 
 	byGroup := make([][]int, groups)
-	for i := 0; i < items; i++ {
-		g := itemGroup(i)
+	for i, g := range itemGroup {
 		byGroup[g] = append(byGroup[g], i)
 	}
 
@@ -208,24 +240,38 @@ func GenRecsys(seed uint64, nnz, users, items, contexts, groups int, noise float
 		u := src.Intn(users)
 		c := src.Intn(contexts)
 		var i int
-		if in := byGroup[userGroup(u)]; len(in) > 0 && src.Float64() < 0.8 {
+		if in := byGroup[userGroup[u]]; len(in) > 0 && src.Float64() < 0.8 {
 			i = in[src.Intn(len(in))]
 		} else {
 			i = src.Intn(items)
 		}
+		uv, iv, cv := userVal[u*groups:(u+1)*groups], itemVal[i*groups:(i+1)*groups], ctxVal[c*groups:(c+1)*groups]
 		var v float64
-		for g := 0; g < groups; g++ {
-			v += userVal(u, g) * itemVal(i, g) * ctxVal(c, g)
+		for g := range uv {
+			v += uv[g] * iv[g] * cv[g]
 		}
 		if noise > 0 {
 			if n := noise * src.NormFloat64(); n > 0 {
 				v += n
 			}
 		}
-		t.Append(v, u, i, c)
+		t.Entries = append(t.Entries, Entry{Idx: [MaxOrder]uint32{uint32(u), uint32(i), uint32(c)}, Val: v})
 	}
 	t.DedupSum()
 	return t
+}
+
+// loadings tabulates f at every (row, g), row-major, on the worker pool.
+func loadings(rows, groups int, f func(row, g int) float64) []float64 {
+	out := make([]float64, rows*groups)
+	par.ForBlocks(0, rows, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			for g := 0; g < groups; g++ {
+				out[r*groups+g] = f(r, g)
+			}
+		}
+	})
+	return out
 }
 
 // GenLowRank generates a tensor that is a rank-r CP model sampled at

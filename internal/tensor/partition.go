@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"cstf/internal/par"
+)
 
 // ModeIndex is the one-time sort/segment index that lets MTTKRP along one
 // mode fan out across worker goroutines with zero write conflicts: Perm
@@ -22,9 +26,6 @@ type ModeIndex struct {
 // buildModeIndex counting-sorts the entry positions by Idx[mode]. Counting
 // sort is stable and O(nnz + dims[mode]).
 func buildModeIndex(t *COO, mode int) *ModeIndex {
-	if mode < 0 || mode >= t.Order() {
-		panic(fmt.Sprintf("tensor: mode %d out of range for order %d", mode, t.Order()))
-	}
 	rows := t.Dims[mode]
 	idx := &ModeIndex{
 		Mode:   mode,
@@ -98,19 +99,49 @@ func (x *ModeIndex) Ranges(parts int) []NNZRange {
 // mode. The cache is safe for concurrent readers — e.g. restart goroutines
 // sharing a tensor — and is invalidated by Append, Sort, and DedupSum.
 // Callers that mutate the exported Entries slice directly must call
-// InvalidateIndex themselves.
+// InvalidateIndex themselves. The index is built outside the lock, so
+// different modes build concurrently (see ModeIndexes).
 func (t *COO) ModeIndex(mode int) *ModeIndex {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.modeIdx == nil || len(t.modeIdx) != t.Order() {
-		t.modeIdx = make([]*ModeIndex, t.Order())
+	if mode < 0 || mode >= t.Order() {
+		panic(fmt.Sprintf("tensor: mode %d out of range for order %d", mode, t.Order()))
 	}
-	if mi := t.modeIdx[mode]; mi != nil && len(mi.Perm) == len(t.Entries) {
+	t.mu.Lock()
+	mi := t.cachedIndex(mode)
+	t.mu.Unlock()
+	if mi != nil {
 		return mi
 	}
-	mi := buildModeIndex(t, mode)
+	mi = buildModeIndex(t, mode)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if old := t.cachedIndex(mode); old != nil {
+		return old // a concurrent build of this mode finished first; both are the same index
+	}
+	if len(t.modeIdx) != t.Order() {
+		t.modeIdx = make([]*ModeIndex, t.Order())
+	}
 	t.modeIdx[mode] = mi
 	return mi
+}
+
+// cachedIndex returns the cached index of mode, or nil. t.mu must be held.
+func (t *COO) cachedIndex(mode int) *ModeIndex {
+	if mode < len(t.modeIdx) {
+		if mi := t.modeIdx[mode]; mi != nil && len(mi.Perm) == len(t.Entries) {
+			return mi
+		}
+	}
+	return nil
+}
+
+// ModeIndexes returns every mode's index, building the missing ones
+// concurrently, one mode per task on up to `workers` goroutines. Solvers
+// call it once before their first iteration so that no mode's first MTTKRP
+// waits for its index.
+func (t *COO) ModeIndexes(workers int) []*ModeIndex {
+	out := make([]*ModeIndex, t.Order())
+	par.Run(workers, len(out), func(m int) { out[m] = t.ModeIndex(m) })
+	return out
 }
 
 // InvalidateIndex drops all cached mode indexes. Mutating methods call it

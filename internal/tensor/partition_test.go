@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -110,6 +111,32 @@ func TestModeIndexConcurrentBuild(t *testing.T) {
 	for i := 1; i < 8; i++ {
 		if got := <-done; got != first {
 			t.Fatal("concurrent builds returned different indexes")
+		}
+	}
+}
+
+func TestModeIndexesConcurrentAndCached(t *testing.T) {
+	x := GenZipf(3, 20_000, 0.8, 300, 200, 100, 50)
+	all := make(chan []*ModeIndex, 4)
+	for i := 0; i < 4; i++ {
+		go func() { all <- x.ModeIndexes(4) }()
+	}
+	first := <-all
+	for i := 1; i < 4; i++ {
+		got := <-all
+		for m := range got {
+			if got[m] != first[m] {
+				t.Fatalf("mode %d: concurrent ModeIndexes returned different indexes", m)
+			}
+		}
+	}
+	for m, mi := range first {
+		want := buildModeIndex(x, m)
+		if mi.Mode != m || !slices.Equal(mi.Perm, want.Perm) || !slices.Equal(mi.RowPtr, want.RowPtr) {
+			t.Fatalf("mode %d: index differs from a serial build", m)
+		}
+		if x.ModeIndex(m) != mi {
+			t.Fatalf("mode %d: ModeIndexes did not fill the cache", m)
 		}
 	}
 }
