@@ -7,7 +7,7 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist bench-tensor stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist bench-tensor smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
 ci: fmt vet staticcheck build test race
 
@@ -79,35 +79,39 @@ stream-smoke:
 		-dims 60,50,40 -nnz 2000 -rank 2 -train-iters 2 \
 		-windows 3 -window 200 -full-sweep-every 2 -grow-every 150
 
+# The preamble the dist, rals and recsys smoke cases share: a temp dir
+# removed on exit, a race-built cstf-worker that -dist-local forks (exported
+# as CSTF_WORKER_BIN) and a tensorgen tensor "$tmp/t.tns" generated with
+# SMOKE_TENSOR. A case's recipe is @$(SMOKE) followed by its own commands.
+SMOKE_TENSOR = -dims 80,60,40 -nnz 5000 -rank 3
+SMOKE = tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -race -o "$$tmp/cstf-worker" ./cmd/cstf-worker && \
+	export CSTF_WORKER_BIN="$$tmp/cstf-worker" && \
+	$(GO) run ./cmd/tensorgen -out "$$tmp/t.tns" $(SMOKE_TENSOR) &&
+
+# Every end-to-end smoke case, one after another (CI runs them as one step).
+smoke: stream-smoke fleet-smoke dist-smoke dist-chaos-smoke rals-smoke recsys-smoke
+
 # End-to-end distributed smoke under the race detector: fork three real
 # cstf-worker processes and run a small decomposition over TCP — once with
 # the communication plan on (delta broadcasts + pipelined reduce, the
 # default) and once with both disabled, so the A/B paths both stay green.
 dist-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -race -o "$$tmp/cstf-worker" ./cmd/cstf-worker && \
-	$(GO) run ./cmd/tensorgen -out "$$tmp/t.tns" -dims 80,60,40 -nnz 5000 -rank 3 && \
-	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
-		-in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 && \
-	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
-		-in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 \
+	@$(SMOKE) \
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 && \
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 \
 		-dist-no-delta -dist-no-pipeline
 
 # End-to-end fault-recovery smoke under the race detector: forked workers
 # survive an injected partition plus a corrupted frame mid-solve, then a
 # checkpointed run is interrupted and resumed from its checkpoint file.
 dist-chaos-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -race -o "$$tmp/cstf-worker" ./cmd/cstf-worker && \
-	$(GO) run ./cmd/tensorgen -out "$$tmp/t.tns" -dims 80,60,40 -nnz 5000 -rank 3 && \
-	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
-		-in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 4 -tol 0 \
+	@$(SMOKE) \
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 4 -tol 0 \
 		-chaos "partitions=1,corrupt=1,horizon=8,seed=3" && \
-	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
-		-in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 2 -tol 0 \
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 2 -tol 0 \
 		-checkpoint "$$tmp/cp.ckpt" -checkpoint-every 1 && \
-	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
-		-in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 4 -tol 0 \
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 4 -tol 0 \
 		-checkpoint "$$tmp/cp.ckpt" -resume
 
 # End-to-end fleet smoke under the race detector: a router over two
@@ -120,13 +124,10 @@ fleet-smoke:
 # with an exact polish on a generated tensor, serially and over two forked
 # workers, then the degenerate full-budget case (bitwise-exact CP-ALS).
 rals-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -race -o "$$tmp/cstf-worker" ./cmd/cstf-worker && \
-	$(GO) run ./cmd/tensorgen -out "$$tmp/t.tns" -dims 80,60,40 -nnz 5000 -rank 3 && \
+	@$(SMOKE) \
 	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -algo rals \
 		-rank 3 -iters 6 -tol 0 -rals-frac 0.3 -rals-resample 2 -rals-polish 2 && \
-	CSTF_WORKER_BIN="$$tmp/cstf-worker" $(GO) run -race ./cmd/cstf \
-		-in "$$tmp/t.tns" -algo rals -dist-local 2 \
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -algo rals -dist-local 2 \
 		-rank 3 -iters 6 -tol 0 -rals-frac 0.3 -rals-resample 2 -rals-polish 2 && \
 	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -algo rals \
 		-rank 3 -iters 4 -tol 0 -rals-count 5000
@@ -139,10 +140,9 @@ rals-smoke:
 # publishes each version, hot-reloads every replica of a sharded serving
 # fleet over real HTTP, and checks fleet TopK-with-exclude bitwise against
 # a single-node scan.
+recsys-smoke: SMOKE_TENSOR = -recsys -users 120 -items 80 -contexts 4 -groups 3 -nnz 6000 -seed 13
 recsys-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/tensorgen -recsys -out "$$tmp/t.tns" \
-		-users 120 -items 80 -contexts 4 -groups 3 -nnz 6000 -seed 13 && \
+	@$(SMOKE) \
 	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -algo ncp \
 		-rank 3 -iters 3 -tol 0 -ntf-inner 2 \
 		-checkpoint "$$tmp/m.ckpt" -checkpoint-every 1 && \

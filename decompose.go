@@ -670,53 +670,50 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 // Fault kinds with no physical analogue here (stragglers, disk failures,
 // network degradation) are ignored.
 func distSolve(t *Tensor, o Options, opts cpals.Options) (*cpals.Result, *dist.Stats, error) {
-	cfg := dist.Config{Addrs: o.Dist.Addrs}
-	workers := o.Dist.size()
-	if len(o.Dist.Addrs) == 0 {
-		if o.Dist.LocalWorkers <= 0 {
-			return nil, nil, fmt.Errorf("cstf: the dist algorithm needs Dist.Addrs or Dist.LocalWorkers")
+	return onFleet(o, func(cfg dist.Config) (*cpals.Result, dist.Stats, error) {
+		cfg.NoDelta = o.Dist.DisableDeltaBroadcast
+		cfg.NoPipeline = o.Dist.DisablePipeline
+		cfg.UseCSF = o.Dist.CSFKernel
+		if o.Faults.Chaos != nil {
+			cfg.Plan = chaosPlan(o.Faults.Chaos, o.Dist.size())
+			if o.Faults.Chaos.TornWrites > 0 && o.Faults.CheckpointPath != "" {
+				// A TornWrite event damages the just-written checkpoint file
+				// in place — the on-disk state a crash mid-write would leave.
+				// The ckpt checksum must surface it as a CorruptError on
+				// resume, never as silently wrong factors.
+				path := o.Faults.CheckpointPath
+				cfg.OnTornWrite = func(int) { tearFile(path) }
+			}
 		}
-		lc, err := dist.LaunchLocal(o.Dist.LocalWorkers, o.Dist.WorkerBin)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer lc.Close()
-		cfg = lc.Config()
-	}
-	cfg.NoDelta = o.Dist.DisableDeltaBroadcast
-	cfg.NoPipeline = o.Dist.DisablePipeline
-	cfg.UseCSF = o.Dist.CSFKernel
-	cfg.MinWorkers = o.Dist.MinWorkers
-	if o.Faults.Chaos != nil {
-		cfg.Plan = chaosPlan(o.Faults.Chaos, workers)
-		if o.Faults.Chaos.TornWrites > 0 && o.Faults.CheckpointPath != "" {
-			// A TornWrite event damages the just-written checkpoint file
-			// in place — the on-disk state a crash mid-write would leave.
-			// The ckpt checksum must surface it as a CorruptError on
-			// resume, never as silently wrong factors.
-			path := o.Faults.CheckpointPath
-			cfg.OnTornWrite = func(int) { tearFile(path) }
-		}
-	}
-	res, stats, err := dist.Solve(t.coo, opts, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &stats, nil
+		return dist.Solve(t.coo, opts, cfg)
+	})
 }
 
 // ralsSolve runs the randomized-ALS tier: serially by default, or with the
-// sampled MTTKRPs distributed over the real runtime when Options.Dist names
-// a fleet. The distributed composition changes WHERE the sketched MTTKRPs
-// run, not what they compute, so results are bitwise identical to the
-// serial rals solve for every worker count.
+// MTTKRPs distributed over the real runtime when Options.Dist names a
+// fleet. The distributed composition changes WHERE the MTTKRPs run, not
+// what they compute, so results are bitwise identical to the serial rals
+// solve for every worker count.
 func ralsSolve(t *Tensor, o Options, ro rals.Options) (*cpals.Result, *dist.Stats, error) {
 	if o.Dist.size() == 0 {
 		res, err := rals.Solve(t.coo, ro)
 		return res, nil, err
 	}
+	return onFleet(o, func(cfg dist.Config) (*cpals.Result, dist.Stats, error) {
+		return dist.SolveSampled(t.coo, ro, cfg)
+	})
+}
+
+// onFleet runs solve against the workers Options.Dist names: Dist.Addrs, or
+// locally launched ones (forked cstf-worker processes when a binary is
+// available, in-process loopback workers otherwise), closed when solve
+// returns.
+func onFleet(o Options, solve func(dist.Config) (*cpals.Result, dist.Stats, error)) (*cpals.Result, *dist.Stats, error) {
 	cfg := dist.Config{Addrs: o.Dist.Addrs}
 	if len(o.Dist.Addrs) == 0 {
+		if o.Dist.LocalWorkers <= 0 {
+			return nil, nil, fmt.Errorf("cstf: the %s algorithm needs Dist.Addrs or Dist.LocalWorkers", o.Algorithm)
+		}
 		lc, err := dist.LaunchLocal(o.Dist.LocalWorkers, o.Dist.WorkerBin)
 		if err != nil {
 			return nil, nil, err
@@ -725,7 +722,7 @@ func ralsSolve(t *Tensor, o Options, ro rals.Options) (*cpals.Result, *dist.Stat
 		cfg = lc.Config()
 	}
 	cfg.MinWorkers = o.Dist.MinWorkers
-	res, stats, err := dist.SolveSampled(t.coo, ro, cfg)
+	res, stats, err := solve(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

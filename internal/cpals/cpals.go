@@ -132,8 +132,8 @@ type Options struct {
 	// so results match the COO kernel only to floating-point tolerance —
 	// but remain bitwise identical across Parallelism values, and are the
 	// bitwise reference for distributed runs with the CSF kernel enabled.
-	// The tensor must be duplicate-free (tensor.NewCSF enforces it). Only
-	// Solve reads it.
+	// The tensor must be duplicate-free (tensor.NewCSF enforces it). Serial
+	// and ncp read it; rals, whose samples have no trees, does not.
 	CSFKernel bool
 
 	// Ctx, when non-nil, is checked between ALS iterations; a cancelled
@@ -300,76 +300,17 @@ func HadamardOfGramsExcept(grams []*la.Dense, mode int) *la.Dense {
 // Solve runs shared-memory CP-ALS (Algorithm 1 generalized to N-order
 // tensors). It is the correctness reference for the distributed solvers and
 // is exact CP-ALS: MTTKRP, pseudo-inverse of the gram Hadamard, column
-// normalization, gram refresh, convergence on fit. Every numeric stage fans
-// out over opts.Parallelism worker goroutines with deterministic blocked
-// reductions, so the factors are bitwise identical for every worker count.
+// normalization, gram refresh, convergence on fit — the least-squares Rule
+// over the COO or CSF Source, updating every factor in place. Every numeric
+// stage fans out over opts.Parallelism worker goroutines with deterministic
+// blocked reductions, so the factors are bitwise identical for every worker
+// count.
 func Solve(t *tensor.COO, opts Options) (*Result, error) {
 	if err := opts.Validate(t); err != nil {
 		return nil, err
 	}
-	w := opts.Workers()
-	s := &serial{t: t, w: w, normX: t.Norm(), lambda: la.VecClone(opts.InitLambda), ws: &Workspace{}}
-	for n := 0; n < t.Order(); n++ {
-		if opts.InitFactors != nil {
-			s.factors = append(s.factors, opts.InitFactors[n].Clone())
-		} else {
-			s.factors = append(s.factors, initFactorWorkers(opts.Seed, n, t.Dims[n], opts.Rank, w))
-		}
-		s.grams = append(s.grams, la.GramParallel(s.factors[n], w))
-	}
-	if opts.CSFKernel {
-		s.csfs = BuildCSFs(t)
-	} else {
-		t.ModeIndexes(w)
-	}
-	return Run(s, t.Dims, opts)
+	return SolveWith(t, opts, Update{})
 }
-
-// serial is Solve's tier: every stage on the shared-memory worker pool.
-type serial struct {
-	t      *tensor.COO
-	w      int
-	normX  float64
-	lambda []float64
-	// factors are normalized; grams[n] is factors[n]'s gram.
-	factors, grams []*la.Dense
-	// lastM is the last mode's MTTKRP result, which the fit reads. The
-	// MTTKRP outputs alias ws; factor updates consume all but the last,
-	// so nothing in the Result retains ws.
-	lastM *la.Dense
-	ws    *Workspace
-	csfs  []*tensor.CSF // per-mode CSF trees when Options.CSFKernel is set
-}
-
-func (s *serial) Step(n int) error {
-	a := s.factors[n]
-	var m *la.Dense
-	if s.csfs != nil {
-		m = MTTKRPCSFWorkers(s.csfs[n], s.factors, s.w)
-	} else {
-		m = MTTKRPWorkers(s.t, n, s.factors, s.w, s.ws.Out(n, a.Rows, a.Cols, s.w), s.ws)
-	}
-	pinv := la.Pinv(HadamardOfGramsExcept(s.grams, n))
-	// A_n = M * pinv(V), row by row.
-	la.RowBlocksApply(s.w, a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			la.VecMatInto(a.Row(i), m.Row(i), pinv)
-		}
-	})
-	s.lambda = la.NormalizeColumnsParallel(a, s.w)
-	s.grams[n] = la.GramParallel(a, s.w)
-	s.lastM = m
-	return nil
-}
-
-func (s *serial) Fit() (float64, bool, error) {
-	last := len(s.factors) - 1
-	return FitFromWorkers(s.normX, s.lastM, s.factors[last], s.lambda, s.grams, s.w), true, nil
-}
-
-func (s *serial) Lambda() []float64          { return s.lambda }
-func (s *serial) Factors() []*la.Dense       { return s.factors }
-func (s *serial) Checkpoint(*ckpt.File) bool { return true }
 
 // initFactorWorkers fills the deterministic initial factor matrix on the
 // worker pool; FactorInitValue is elementwise, so any row partitioning

@@ -73,16 +73,22 @@ func MTTKRPWorkers(t *tensor.COO, mode int, factors []*la.Dense, workers int, ou
 // so chunks write disjoint output rows; per-root arithmetic is unchanged,
 // so the result is bitwise identical to MTTKRPCSF for every worker count.
 func MTTKRPCSFWorkers(csf *tensor.CSF, factors []*la.Dense, workers int) *la.Dense {
+	out := la.NewDense(csf.Dims[csf.ModeOrder[0]], factors[0].Cols)
+	mttkrpCSFInto(csf, factors, workers, out)
+	return out
+}
+
+// mttkrpCSFInto is MTTKRPCSFWorkers adding into out (root-mode rows x rank,
+// zeroed for a plain MTTKRP).
+func mttkrpCSFInto(csf *tensor.CSF, factors []*la.Dense, workers int, out *la.Dense) {
 	order := len(csf.ModeOrder)
 	if len(factors) != order {
 		panic("cpals: factor count != tensor order")
 	}
 	rank := factors[0].Cols
-	rootMode := csf.ModeOrder[0]
-	out := la.NewDense(csf.Dims[rootMode], rank)
 	nroots := len(csf.Idx[0])
 	if csf.NNZ() == 0 || nroots == 0 {
-		return out
+		return
 	}
 	workers = par.Workers(workers)
 	if workers > nroots {
@@ -122,7 +128,6 @@ func MTTKRPCSFWorkers(csf *tensor.CSF, factors []*la.Dense, workers int) *la.Den
 			}
 		}
 	})
-	return out
 }
 
 // FitFromWorkers is FitFrom with the <X, X_hat> inner product computed as a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cstf/internal/cpals"
@@ -409,9 +410,9 @@ func TestEncodeInPlaceEqualsMaterialised(t *testing.T) {
 	}
 
 	// rals: each epoch's sampled tensors, cut along the full tensor's frozen
-	// row ranges, as ralsKernel.ship cuts them.
+	// row ranges, as remoteSource.ship cuts them.
 	x := plantedTensor()
-	rec := &epochRecorder{}
+	rec := &sampleRecorder{full: x}
 	o := ralsOpts()
 	o.Kernel = rec
 	if _, err := rals.Solve(x, o); err != nil {
@@ -430,30 +431,23 @@ func TestEncodeInPlaceEqualsMaterialised(t *testing.T) {
 	}
 }
 
-// epochRecorder is a rals.Kernel that computes locally and keeps every
-// sampled tensor it is handed.
-type epochRecorder struct {
-	cur     []*tensor.COO
+// sampleRecorder is a cpals.Source that computes locally and keeps every
+// distinct sampled tensor it is handed.
+type sampleRecorder struct {
+	full    *tensor.COO
 	sampled []*tensor.COO
 	modes   []int
 }
 
-func (r *epochRecorder) Epoch(_ int, sampled []*tensor.COO) error {
-	r.cur = sampled
-	for m, sm := range sampled {
-		if sm != nil {
-			r.sampled, r.modes = append(r.sampled, sm), append(r.modes, m)
-		}
+func (r *sampleRecorder) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, out *la.Dense) error {
+	if x != r.full && !slices.Contains(r.sampled, x) {
+		r.sampled, r.modes = append(r.sampled, x), append(r.modes, mode)
 	}
+	cpals.MTTKRPWorkers(x, mode, factors, 1, out, nil)
 	return nil
 }
 
-func (r *epochRecorder) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error {
-	cpals.MTTKRPWorkers(r.cur[mode], mode, factors, 1, out, nil)
-	return nil
-}
-
-func (r *epochRecorder) FactorUpdated(int, *la.Dense) {}
+func (r *sampleRecorder) FactorUpdated(int, *la.Dense) {}
 
 // The column decoder against the reference on arbitrary bytes: valid frames
 // of every order, then each of them mutated — bytes overwritten, the entry

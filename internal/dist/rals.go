@@ -10,14 +10,15 @@ import (
 	"cstf/internal/tensor"
 )
 
-// SolveSampled runs randomized ALS (internal/rals) with the sampled MTTKRPs
+// SolveSampled runs randomized ALS (internal/rals) with its MTTKRPs
 // executed on remote workers. The solver itself — leverage scoring, sample
 // draws, row solves, normalization, grams, exact fits — runs on the
-// coordinator via rals.Solve; only the per-epoch sampled tensors are shipped
-// out, cut into row-aligned shards along the FULL tensor's frozen mode
-// partitions (stable across epochs, so a shard key always means the same
-// row range). Because the sampled MTTKRP accumulates each output row in the
-// sampled tensor's stable mode-index order regardless of how entries are
+// coordinator via rals.Solve; its Source is the fleet, which receives each
+// tensor it is handed (an epoch's sample, or the full tensor in the polish)
+// cut into row-aligned shards along the FULL tensor's frozen mode
+// partitions (stable across tensors, so a shard key always means the same
+// row range). Because the COO MTTKRP accumulates each output row in the
+// contracted tensor's stable mode-index order regardless of how entries are
 // partitioned, the result is bitwise identical to the serial rals solve for
 // every worker count and every task placement.
 //
@@ -28,10 +29,9 @@ import (
 // kernel is the one that matches rals.Solve's local kernel bitwise.
 //
 // Fleet collapse degrades like dist.Solve: on a stage with no live workers
-// (MinWorkers >= 0) the kernel switches to coordinator-local sampled
-// MTTKRPs, which are bitwise identical to the distributed ones, so the run
-// completes with the same factors it would have produced on a healthy
-// fleet.
+// (MinWorkers >= 0) the source switches to coordinator-local MTTKRPs, which
+// are bitwise identical to the distributed ones, so the run completes with
+// the same factors it would have produced on a healthy fleet.
 func SolveSampled(t *tensor.COO, o rals.Options, cfg Config) (*cpals.Result, Stats, error) {
 	start := time.Now()
 	if err := o.Validate(t); err != nil {
@@ -46,42 +46,44 @@ func SolveSampled(t *tensor.COO, o rals.Options, cfg Config) (*cpals.Result, Sta
 	defer s.Close()
 
 	order := t.Order()
-	W := len(s.remotes)
-	k := &ralsKernel{
+	src := &remoteSource{
 		s:       s,
 		ranges:  make([][]tensor.NNZRange, order),
 		cur:     make([]*la.Dense, order),
+		x:       make([]*tensor.COO, order),
+		gen:     make([]int, order),
 		shipped: map[*remote]map[shardKey]int{},
 		w:       o.Workers(),
 	}
 	for m := 0; m < order; m++ {
-		k.ranges[m] = t.ModeIndex(m).Ranges(W)
+		src.ranges[m] = t.ModeIndex(m).Ranges(len(s.remotes))
 	}
 	s.lap(&s.stats.Phases.Partition)
-	s.TrackFactors(k.cur) // rejoining workers resync from the live factors
-	o.Kernel = k
+	s.TrackFactors(src.cur) // rejoining workers resync from the live factors
+	o.Kernel = src
 
-	res, err := rals.Solve(t, o) // shards, factors and stages interleave per epoch
+	res, err := rals.Solve(t, o) // shards, factors and stages interleave
 	s.lap(&s.stats.Phases.Other)
 	st := s.Stats()
-	st.Degraded = st.Degraded || k.degraded
+	st.Degraded = st.Degraded || src.degraded
 	st.WallSeconds = time.Since(start).Seconds()
 	return res, st, err
 }
 
-// ralsKernel is the rals.Kernel that distributes sampled MTTKRPs over a
-// Session. All methods run on the solver goroutine.
-type ralsKernel struct {
+// remoteSource is the cpals.Source that runs MTTKRPs on a Session's
+// workers. All methods run on the solver goroutine.
+type remoteSource struct {
 	s      *Session
 	ranges [][]tensor.NNZRange // frozen full-tensor row partitions per mode
 	cur    []*la.Dense         // live factors, for rejoin resync
 
-	epoch   int
-	sampled []*tensor.COO
-
-	// shipped[r][key] is 1+epoch of the sampled shard worker connection r
-	// holds under key (worker side replaces by key). Keyed by connection,
-	// not slot: a rejoined worker is a fresh *remote holding nothing.
+	// x[m] is the tensor whose mode-m shards the workers hold; gen[m] counts
+	// the tensors it has been, from 1.
+	x   []*tensor.COO
+	gen []int
+	// shipped[r][key] is the gen of the shard worker connection r holds
+	// under key (worker side replaces by key). Keyed by connection, not
+	// slot: a rejoined worker is a fresh *remote holding nothing.
 	shipped map[*remote]map[shardKey]int
 
 	degraded bool
@@ -90,51 +92,22 @@ type ralsKernel struct {
 
 // FactorUpdated broadcasts the updated factor to the fleet (full matrix —
 // NoDelta is forced) and records it for rejoin resyncs.
-func (k *ralsKernel) FactorUpdated(mode int, m *la.Dense) {
+func (k *remoteSource) FactorUpdated(mode int, m *la.Dense) {
 	k.cur[mode] = m
 	if !k.degraded {
 		k.s.FactorUpdate(mode, m)
 	}
 }
 
-// Epoch installs a new epoch's sampled tensors and ships each sampled
-// mode's shards to their home slots. Empty shards are neither shipped nor
-// later tasked; a failed send is left for the MTTKRP prep hook to retry
-// wherever the task lands.
-func (k *ralsKernel) Epoch(epoch int, sampled []*tensor.COO) error {
-	k.epoch = epoch
-	k.sampled = sampled
-	if k.degraded {
-		return nil
-	}
-	for m, sm := range sampled {
-		if sm == nil {
-			continue
-		}
-		smi := sm.ModeIndex(m)
-		for slot, rg := range k.ranges[m] {
-			if smi.RowPtr[rg.RowLo] == smi.RowPtr[rg.RowHi] {
-				continue
-			}
-			r := k.s.remotes[slot]
-			if !r.alive.Load() {
-				continue
-			}
-			k.ship(r, m, rg)
-		}
-	}
-	return nil
-}
-
-// ship (re)sends the current epoch's sampled shard for (mode, rg) to one
-// worker connection, replacing whatever that key held there before.
-func (k *ralsKernel) ship(r *remote, mode int, rg tensor.NNZRange) error {
-	sm := k.sampled[mode]
-	smi := sm.ModeIndex(mode)
-	// The frozen row range, over the sampled tensor's own mode index.
-	srg := tensor.NNZRange{RowLo: rg.RowLo, RowHi: rg.RowHi, Lo: int(smi.RowPtr[rg.RowLo]), Hi: int(smi.RowPtr[rg.RowHi])}
+// ship (re)sends x[mode]'s shard for rg to one worker connection, replacing
+// whatever that key held there before.
+func (k *remoteSource) ship(r *remote, mode int, rg tensor.NNZRange) error {
+	x := k.x[mode]
+	xmi := x.ModeIndex(mode)
+	// The frozen row range, over x's own mode index.
+	srg := tensor.NNZRange{RowLo: rg.RowLo, RowHi: rg.RowHi, Lo: int(xmi.RowPtr[rg.RowLo]), Hi: int(xmi.RowPtr[rg.RowHi])}
 	key := shardKey{mode, rg.RowLo, rg.RowHi}
-	if err := k.s.sendShard(r, key, shardFrame(sm, mode, srg, nil)); err != nil {
+	if err := k.s.sendShard(r, key, shardFrame(x, mode, srg, nil)); err != nil {
 		return err
 	}
 	m, ok := k.shipped[r]
@@ -142,26 +115,37 @@ func (k *ralsKernel) ship(r *remote, mode int, rg tensor.NNZRange) error {
 		m = map[shardKey]int{}
 		k.shipped[r] = m
 	}
-	m[key] = 1 + k.epoch
+	m[key] = k.gen[mode]
 	return nil
 }
 
-// MTTKRP computes the sampled mode MTTKRP into out (zeroed by the caller)
-// as a TaskPartialMTTKRP stage over the non-empty shards. Output row ranges
-// are disjoint, so assembly is pure placement. A NoWorkersError degrades
-// the kernel to coordinator-local sampled MTTKRPs for the rest of the run.
-func (k *ralsKernel) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error {
-	sm := k.sampled[mode]
+// MTTKRP computes the mode MTTKRP of x into out (zeroed by the caller) as
+// a TaskPartialMTTKRP stage over the non-empty shards. A tensor the source
+// has not seen for this mode is first shipped to the shards' home slots;
+// empty shards are neither shipped nor tasked, and a failed send is left
+// for the prep hook to retry wherever the task lands. Output row ranges are
+// disjoint, so assembly is pure placement. A NoWorkersError degrades the
+// source to coordinator-local MTTKRPs for the rest of the run.
+func (k *remoteSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, out *la.Dense) error {
 	if k.degraded {
-		cpals.MTTKRPWorkers(sm, mode, factors, k.w, out, nil)
+		cpals.MTTKRPWorkers(x, mode, factors, k.w, out, nil)
 		return nil
 	}
 	rank := out.Cols
-	smi := sm.ModeIndex(mode)
+	xmi := x.ModeIndex(mode)
+	if x != k.x[mode] {
+		k.x[mode] = x
+		k.gen[mode]++
+		for slot, rg := range k.ranges[mode] {
+			if r := k.s.remotes[slot]; r.alive.Load() && xmi.RowPtr[rg.RowLo] < xmi.RowPtr[rg.RowHi] {
+				k.ship(r, mode, rg)
+			}
+		}
+	}
 	var tasks []*stageTask
 	for slot, rg := range k.ranges[mode] {
 		rg, slot := rg, slot
-		if smi.RowPtr[rg.RowLo] == smi.RowPtr[rg.RowHi] {
+		if xmi.RowPtr[rg.RowLo] == xmi.RowPtr[rg.RowHi] {
 			continue
 		}
 		key := shardKey{mode, rg.RowLo, rg.RowHi}
@@ -169,7 +153,7 @@ func (k *ralsKernel) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error 
 			task: &Task{Kind: TaskPartialMTTKRP, Mode: mode, RowLo: rg.RowLo, RowHi: rg.RowHi},
 			home: slot,
 			prep: func(r *remote, _ *Task) error {
-				if k.shipped[r][key] == 1+k.epoch {
+				if k.shipped[r][key] == k.gen[mode] {
 					return nil
 				}
 				k.s.stats.ShardResends++
@@ -177,7 +161,7 @@ func (k *ralsKernel) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error 
 			},
 			onResult: func(res *Result) error {
 				if res.Rows == nil || res.Rows.Rows != rg.RowHi-rg.RowLo || res.Rows.Cols != rank {
-					return errors.New("dist: sampled mttkrp: malformed result")
+					return errors.New("dist: remote mttkrp: malformed result")
 				}
 				copy(out.Data[rg.RowLo*rank:rg.RowHi*rank], res.Rows.Data)
 				return nil
@@ -187,7 +171,7 @@ func (k *ralsKernel) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error 
 	err := k.s.runStage(tasks)
 	var nw *NoWorkersError
 	if errors.As(err, &nw) && k.s.cfg.MinWorkers >= 0 {
-		k.s.logf("dist: %v; rals degrading to coordinator-local sampled MTTKRPs", err)
+		k.s.logf("dist: %v; rals degrading to coordinator-local MTTKRPs", err)
 		k.degraded = true
 		// Partial stage results may have landed in out: zero it and
 		// recompute locally — bitwise identical, the kernel is
@@ -198,7 +182,7 @@ func (k *ralsKernel) MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error 
 				d[i] = 0
 			}
 		})
-		cpals.MTTKRPWorkers(sm, mode, factors, k.w, out, nil)
+		cpals.MTTKRPWorkers(x, mode, factors, k.w, out, nil)
 		return nil
 	}
 	return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -19,11 +20,15 @@ func testParams() Params {
 	return p
 }
 
+// fig2Rows runs the deterministic Fig2(testParams()) sweep once per test
+// binary; both Fig2 tests assert their claims against the shared rows.
+var fig2Rows = sync.OnceValues(func() ([]Fig2Row, error) { return Fig2(testParams()) })
+
 func TestFig2ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	rows, err := Fig2(testParams())
+	rows, err := fig2Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestFig2PerDatasetCOOBands(t *testing.T) {
 		"nell1":       {2.6, 4.7},
 		"synt3d":      {2.2, 5.8},
 	}
-	rows, err := Fig2(testParams())
+	rows, err := fig2Rows()
 	if err != nil {
 		t.Fatal(err)
 	}

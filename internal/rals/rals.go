@@ -8,8 +8,8 @@
 //
 // Determinism contract: for a fixed seed, the factors are bitwise identical
 // across runs, across Parallelism values, and across distributed worker
-// counts (internal/dist runs this same solver, distributing only the
-// sampled MTTKRP over row-aligned shards). Sample draws are pure functions
+// counts (internal/dist runs this same solver with its MTTKRPs on workers,
+// over row-aligned shards). Sample draws are pure functions
 // of (seed, epoch, mode, draw index) via rng.UniformAt against a weight
 // table computed from the epoch-start factors, so a resumed run redraws
 // exactly what the uninterrupted run drew.
@@ -26,7 +26,6 @@ import (
 	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
-	"cstf/internal/par"
 	"cstf/internal/rng"
 	"cstf/internal/tensor"
 )
@@ -40,25 +39,6 @@ const samplingTag = 0x5A37157
 // weight at defensiveMix*mean, bounding the worst-case importance scale at
 // nnz/(defensiveMix*budget) without biasing the estimator.
 const defensiveMix = 0.1
-
-// Kernel abstracts where sampled MTTKRPs run. A nil Kernel computes them
-// locally; internal/dist plugs in a fleet-backed implementation that ships
-// each epoch's drawn nonzeros to workers as row-aligned shards. Everything
-// else — sampling, row solves, normalization, grams, exact fits — runs on
-// the caller, so a Kernel only has to reproduce the MTTKRP bits (which are
-// partition-independent: per output row, entries accumulate in the sampled
-// tensor's stable mode-index order).
-type Kernel interface {
-	// Epoch announces a new epoch's sampled tensors, indexed by mode (nil
-	// for modes whose budget covers the full tensor).
-	Epoch(epoch int, sampled []*tensor.COO) error
-	// MTTKRP computes the sampled mode-n MTTKRP into out (dims[n] x rank,
-	// zeroed by the caller) using the current factors.
-	MTTKRP(mode int, factors []*la.Dense, out *la.Dense) error
-	// FactorUpdated announces factor `mode` changed (after the initial
-	// materialization and after every mode update).
-	FactorUpdated(mode int, m *la.Dense)
-}
 
 // Options configures a randomized ALS run. The embedded cpals.Options mean
 // what they mean for cpals.Solve (CSFKernel aside, which is not read), with
@@ -110,8 +90,12 @@ type Options struct {
 	// the ALS fixed-point identity.
 	InitState *ckpt.RALSState
 
-	// Kernel, when non-nil, computes the sampled MTTKRPs (see Kernel).
-	Kernel Kernel
+	// Kernel, when non-nil, is the Source every MTTKRP runs on — sampled or
+	// exact — in place of the shared-memory COO kernel; internal/dist plugs
+	// in its workers. Only the MTTKRP bits have to match, and they are
+	// partition-independent: per output row, entries accumulate in the
+	// contracted tensor's stable mode-index order.
+	Kernel cpals.Source
 }
 
 // Budgets resolves the per-mode sample counts against a tensor.
@@ -186,194 +170,135 @@ func (o *Options) Validate(t *tensor.COO) error {
 	return nil
 }
 
-// Solve runs randomized CP-ALS. The returned result has the same shape and
-// semantics as cpals.Solve's: normalized factors, lambda, and per-epoch
-// EXACT fits (per-iteration when ResampleEvery is 1).
+// Solve runs randomized CP-ALS: the shared cpals mode update with the
+// least-squares rule, its MTTKRPs reshaped by the leverage-score sampler.
+// The returned result has the same shape and semantics as cpals.Solve's:
+// normalized factors, lambda, and per-epoch EXACT fits (per-iteration when
+// ResampleEvery is 1).
 func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
 	if err := o.Validate(t); err != nil {
 		return nil, err
 	}
-	epochLen, budgets, err := o.schedule(t)
-	if err != nil {
-		return nil, err
+	s := newSampler(t, o)
+	src := o.Kernel
+	if src == nil {
+		src = cpals.COOSource{Workers: s.w}
 	}
-	w := o.Workers()
-	s := &solver{
-		t:           t,
-		o:           o,
-		w:           w,
-		nnz:         t.NNZ(),
-		epochLen:    epochLen,
-		budgets:     budgets,
-		allFull:     true,
-		finishStart: max(o.MaxIters-o.ExactFinishIters, o.StartIter),
-		normX:       t.Norm(),
-		lambda:      la.VecClone(o.InitLambda),
-		ws:          &cpals.Workspace{},
-		sampled:     make([]*tensor.COO, t.Order()),
-		it:          o.StartIter,
-	}
-	for m, b := range budgets {
-		if b < s.nnz {
-			s.allFull = false
-		} else {
-			budgets[m] = s.nnz // cap: the exact kernel ignores the excess
-		}
-	}
-
-	// Factors: A[n] is the normalized factor (what MTTKRP, grams, and the
-	// fit read), U[n] the unnormalized one (what row solves write). Rows a
-	// sampled update skips keep their previous unnormalized value — mixing
-	// normalized kept rows with freshly solved rows would collapse them
-	// after renormalization. With a full budget every row is solved every
-	// update and the split is invisible: the solve is bitwise cpals.Solve.
-	for n := 0; n < t.Order(); n++ {
-		var a, u *la.Dense
-		switch {
-		case o.InitState != nil:
-			a = o.InitFactors[n].Clone()
-			u = la.NewDenseFrom(t.Dims[n], o.Rank, la.VecClone(o.InitState.Unnorm[n]))
-		case o.InitFactors != nil:
-			a = o.InitFactors[n].Clone()
-			u = a.Clone()
-			la.ScaleColumnsParallel(u, o.InitLambda, w)
-		default:
-			a = cpals.InitFactor(o.Seed, n, t.Dims[n], o.Rank)
-			u = a.Clone()
-		}
-		s.factors = append(s.factors, a)
-		s.unnorm = append(s.unnorm, u)
-		s.grams = append(s.grams, la.GramParallel(a, w))
-		if o.Kernel != nil {
-			o.Kernel.FactorUpdated(n, a)
-		}
-	}
-	s.smp = newSampler(t, o.Seed, budgets, w)
-	return cpals.Run(s, t.Dims, o.Options)
+	return cpals.SolveWith(t, o.Options, cpals.Update{Source: src, Sampler: s})
 }
 
-// solver is Solve's tier.
-type solver struct {
+// sampler is rals' cpals.Sampler: the epoch cadence, the per-epoch,
+// per-mode weighted nonzero samples, the solved-row set and the
+// unnormalized factors. All randomness flows through rng.UniformAt keyed by
+// (seed, samplingTag, epoch, mode, draw), so draws are pure functions of
+// the solver state — nothing here depends on worker count or timing.
+type sampler struct {
 	t        *tensor.COO
 	o        Options
 	w, nnz   int
 	epochLen int
 	budgets  []int // resolved per-mode budgets, capped at nnz
 	allFull  bool  // every budget covers the tensor: bitwise cpals.Solve
-	// Iterations >= finishStart are the exact polish phase: every mode runs
-	// the exact kernel over the full tensor, no sampling.
+	// Iterations >= finishStart are the exact polish phase: every mode
+	// contracts the full tensor, no sampling.
 	finishStart int
 
-	normX                  float64
-	lambda                 []float64
-	factors, unnorm, grams []*la.Dense
-	lastM                  *la.Dense
-	ws                     *cpals.Workspace
-	smp                    *sampler
-	sampled                []*tensor.COO // the current epoch's draws, per mode
-	it                     int           // the iteration in progress; Fit ends it
-	exact                  bool          // iteration it is in the polish phase
+	// unnorm[n] is the unnormalized factor the row solves write; factor n is
+	// its normalized copy. Rows a sampled update skips keep their previous
+	// unnormalized value — mixing normalized kept rows with freshly solved
+	// rows would collapse them after renormalization. With a full budget
+	// every row is solved every update and the split is invisible: the solve
+	// is bitwise cpals.Solve. Unless InitState restores it, unnorm[n] starts
+	// at mode n's first update as the factor then current — times
+	// diag(InitLambda) on a warm start, the ALS fixed-point identity.
+	unnorm  []*la.Dense
+	sampled []*tensor.COO // the current epoch's draws, per mode
+	it      int           // the iteration in progress; Fit ends it
+	exact   bool          // iteration it is in the polish phase
+
+	scores [][]float64 // per mode: leverage score of each row
+	weight []float64   // scratch: per-entry sampling weight
+	counts []int32     // scratch: per-entry draw multiplicity
 }
 
-func (s *solver) Step(n int) error {
-	t, w := s.t, s.w
+// newSampler resolves the schedule of options Validate accepted.
+func newSampler(t *tensor.COO, o Options) *sampler {
+	epochLen, budgets, _ := o.schedule(t)
+	s := &sampler{t: t, o: o, w: o.Workers(), nnz: t.NNZ(), epochLen: epochLen, budgets: budgets, allFull: true,
+		finishStart: max(o.MaxIters-o.ExactFinishIters, o.StartIter), it: o.StartIter,
+		unnorm: make([]*la.Dense, t.Order()), sampled: make([]*tensor.COO, t.Order()), scores: make([][]float64, t.Order()),
+		weight: make([]float64, len(t.Entries)), counts: make([]int32, len(t.Entries))}
+	for m, b := range budgets {
+		if b < s.nnz {
+			s.allFull = false
+		} else {
+			budgets[m] = s.nnz // cap: the exact kernel ignores the excess
+		}
+		s.scores[m] = make([]float64, t.Dims[m])
+	}
+	if st := o.InitState; st != nil {
+		for n, u := range st.Unnorm {
+			s.unnorm[n] = la.NewDenseFrom(t.Dims[n], o.Rank, la.VecClone(u))
+		}
+	}
+	return s
+}
+
+// Mode redraws every sampled mode at an epoch boundary, then hands mode n's
+// update its sample (or, for a full budget or in the polish phase, the full
+// tensor) and its unnormalized factor, whose structurally empty rows it
+// pins to zero (what the exact solver computes for them).
+func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dense) {
 	if n == 0 {
 		s.exact = s.it >= s.finishStart
 		if s.it%s.epochLen == 0 && !s.allFull && !s.exact {
 			// Epoch boundary: recompute leverage scores from the current
 			// factors and redraw every sampled mode's nonzeros.
 			epoch := s.it / s.epochLen
-			s.smp.refreshScores(s.factors, s.grams)
+			s.refreshScores(factors, grams)
 			for m := range s.sampled {
 				if s.budgets[m] < s.nnz {
-					s.sampled[m] = s.smp.draw(epoch, m)
-				}
-			}
-			if s.o.Kernel != nil {
-				if err := s.o.Kernel.Epoch(epoch, s.sampled); err != nil {
-					return err
+					s.sampled[m] = s.draw(epoch, m)
 				}
 			}
 		}
 	}
-	full := s.budgets[n] >= s.nnz || s.exact
-	rank := s.o.Rank
-	var m *la.Dense
-	if full {
-		m = cpals.MTTKRPWorkers(t, n, s.factors, w, s.ws.Out(n, t.Dims[n], rank, w), s.ws)
-	} else {
-		m = s.ws.Out(n, t.Dims[n], rank, w)
-		if s.o.Kernel != nil {
-			if err := s.o.Kernel.MTTKRP(n, s.factors, m); err != nil {
-				return err
-			}
-		} else {
-			cpals.MTTKRPWorkers(s.sampled[n], n, s.factors, w, m, s.ws)
-		}
-	}
-	pinv := la.Pinv(cpals.HadamardOfGramsExcept(s.grams, n))
 	u := s.unnorm[n]
-	if full {
-		la.RowBlocksApply(w, u.Rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				la.VecMatInto(u.Row(i), m.Row(i), pinv)
-			}
-		})
-	} else {
-		// Solve only the rows the sample touched; keep the rest at
-		// their previous unnormalized value; pin structurally empty
-		// rows to zero (what the exact solver computes for them).
-		smi := s.sampled[n].ModeIndex(n)
-		fmi := t.ModeIndex(n)
-		la.RowBlocksApply(w, u.Rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				switch {
-				case smi.RowPtr[i+1] > smi.RowPtr[i]:
-					la.VecMatInto(u.Row(i), m.Row(i), pinv)
-				case fmi.RowPtr[i+1] == fmi.RowPtr[i]:
-					row := u.Row(i)
-					for r := range row {
-						row[r] = 0
-					}
+	if u == nil {
+		u = factors[n].Clone()
+		if s.o.InitFactors != nil {
+			la.ScaleColumnsParallel(u, s.o.InitLambda, s.w)
+		}
+		s.unnorm[n] = u
+	}
+	if s.budgets[n] >= s.nnz || s.exact {
+		return s.t, u
+	}
+	fmi := s.t.ModeIndex(n)
+	la.RowBlocksApply(s.w, u.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if fmi.RowPtr[i+1] == fmi.RowPtr[i] {
+				row := u.Row(i)
+				for r := range row {
+					row[r] = 0
 				}
 			}
-		})
-	}
-	a := u.Clone()
-	s.lambda = la.NormalizeColumnsParallel(a, w)
-	s.factors[n] = a
-	s.grams[n] = la.GramParallel(a, w)
-	if s.o.Kernel != nil {
-		s.o.Kernel.FactorUpdated(n, a)
-	}
-	s.lastM = m
-	return nil
+		}
+	})
+	return s.sampled[n], u
 }
 
-// Fit evaluates the exact fit at epoch ends (unless FinalFitOnly) and after
+// Fit records the exact fit at epoch ends (unless FinalFitOnly) and after
 // the last iteration; other iterations record none.
-func (s *solver) Fit() (float64, bool, error) {
+func (s *sampler) Fit() bool {
 	it := s.it
 	s.it++
-	if ((it+1)%s.epochLen != 0 || s.o.FinalFitOnly) && it != s.o.MaxIters-1 {
-		return 0, false, nil
-	}
-	last := len(s.factors) - 1
-	if s.allFull || s.exact {
-		// Bitwise-cpals path: the SPLATT fit identity over the last
-		// mode's exact MTTKRP, no extra tensor pass.
-		return cpals.FitFromWorkers(s.normX, s.lastM, s.factors[last], s.lambda, s.grams, s.w), true, nil
-	}
-	inner := innerProductWorkers(s.t, s.lambda, s.factors, s.w)
-	return cpals.FitFromInner(s.normX, inner, s.lambda, s.grams), true, nil
+	return ((it+1)%s.epochLen == 0 && !s.o.FinalFitOnly) || it == s.o.MaxIters-1
 }
-
-func (s *solver) Lambda() []float64    { return s.lambda }
-func (s *solver) Factors() []*la.Dense { return s.factors }
 
 // Checkpoint adds the sampler state at epoch boundaries and declines
 // every other iteration.
-func (s *solver) Checkpoint(cp *ckpt.File) bool {
+func (s *sampler) Checkpoint(cp *ckpt.File) bool {
 	if cp.Iter%s.epochLen != 0 {
 		return false
 	}
@@ -384,57 +309,6 @@ func (s *solver) Checkpoint(cp *ckpt.File) bool {
 	return true
 }
 
-// innerProductWorkers computes <X, X_hat> by a pass over the nonzeros,
-// reduced in fixed par.SumBlocks block order (bitwise independent of the
-// worker count).
-func innerProductWorkers(t *tensor.COO, lambda []float64, factors []*la.Dense, workers int) float64 {
-	rank := len(lambda)
-	order := t.Order()
-	return par.SumBlocks(workers, len(t.Entries), func(lo, hi int) float64 {
-		tmp := make([]float64, rank)
-		var sum float64
-		for p := lo; p < hi; p++ {
-			e := &t.Entries[p]
-			copy(tmp, lambda)
-			for n := 0; n < order; n++ {
-				la.VecMulInto(tmp, factors[n].Row(int(e.Idx[n])))
-			}
-			var v float64
-			for r := range tmp {
-				v += tmp[r]
-			}
-			sum += v * e.Val
-		}
-		return sum
-	})
-}
-
-// sampler draws the per-epoch, per-mode weighted nonzero samples. All
-// randomness flows through rng.UniformAt keyed by (seed, samplingTag,
-// epoch, mode, draw), so draws are pure functions of the solver state —
-// nothing here depends on worker count or timing.
-type sampler struct {
-	t       *tensor.COO
-	seed    uint64
-	budgets []int
-	workers int
-
-	scores [][]float64 // per mode: leverage score of each row
-	weight []float64   // scratch: per-entry sampling weight
-	counts []int32     // scratch: per-entry draw multiplicity
-}
-
-func newSampler(t *tensor.COO, seed uint64, budgets []int, workers int) *sampler {
-	s := &sampler{t: t, seed: seed, budgets: budgets, workers: workers}
-	s.scores = make([][]float64, t.Order())
-	for m := range s.scores {
-		s.scores[m] = make([]float64, t.Dims[m])
-	}
-	s.weight = make([]float64, len(t.Entries))
-	s.counts = make([]int32, len(t.Entries))
-	return s
-}
-
 // refreshScores recomputes every mode's per-row leverage score estimates
 // from the current factors: lev_m(i) = a_i^T pinv(G_m) a_i, clamped at 0
 // (the exact leverage scores of A_m's row space, up to pinv conditioning).
@@ -443,7 +317,7 @@ func (s *sampler) refreshScores(factors, grams []*la.Dense) {
 		p := la.Pinv(grams[m])
 		a := factors[m]
 		sc := s.scores[m]
-		la.RowBlocksApply(s.workers, a.Rows, func(lo, hi int) {
+		la.RowBlocksApply(s.w, a.Rows, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				row := a.Row(i)
 				var q float64
@@ -474,7 +348,7 @@ func (s *sampler) draw(epoch, mode int) *tensor.COO {
 	t := s.t
 	order := t.Order()
 	n := len(t.Entries)
-	la.RowBlocksApply(s.workers, n, func(lo, hi int) {
+	la.RowBlocksApply(s.w, n, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			e := &t.Entries[p]
 			w := 1.0
@@ -520,7 +394,7 @@ func (s *sampler) draw(epoch, mode int) *tensor.COO {
 	// lower estimator variance than independent multinomial draws, still
 	// unbiased, and still a pure function of (seed, epoch, mode).
 	budget := s.budgets[mode]
-	u := rng.UniformAt(s.seed, samplingTag, uint64(epoch), uint64(mode))
+	u := rng.UniformAt(s.o.Seed, samplingTag, uint64(epoch), uint64(mode))
 	step := total / float64(budget)
 	distinct := 0
 	pos := u * step
