@@ -7,7 +7,7 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist bench-tensor smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist bench-tensor bench-serve smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
 ci: fmt vet staticcheck build test race
 
@@ -70,6 +70,13 @@ bench-dist:
 # named: go test ./internal/tensor -run '^$$' -bench PaperSetup -benchtime 1x
 bench-tensor:
 	$(GO) test ./internal/tensor -run '^$$' -bench . -benchtime 1x
+
+# The serving microbenchmarks, same deal: the ranked-query scan kernel
+# against its row-at-a-time reference at the query-mode shapes of als3-zipf
+# and als4-tall (ns/row, allocations per query), and the naive and batched
+# TopK pair.
+bench-serve:
+	$(GO) test ./internal/serve -run '^$$' -bench . -benchtime 1x
 
 # End-to-end streaming smoke under the race detector: train a tiny model,
 # stream three windows through ingest -> incremental update -> publish.

@@ -40,8 +40,7 @@ func main() {
 	model := flag.String("model", "", "checkpoint file holding the trained model (required)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	watch := flag.Duration("watch", 500*time.Millisecond, "poll interval for hot reload of -model (0 disables)")
-	maxBatch := flag.Int("max-batch", 0, "max ranked queries coalesced into one scan (0 = default 32)")
-	maxWait := flag.Duration("max-wait", 0, "max time to hold a request while a batch forms (0 = default 100µs)")
+	maxBatch := flag.Int("max-batch", 0, "max queued ranked queries coalesced into one scan (0 = default 32)")
 	queue := flag.Int("queue", 0, "request queue depth before shedding (0 = default 1024)")
 	cache := flag.Int("cache", 0, "LRU result cache entries (0 = default 4096, negative disables)")
 	workers := flag.Int("workers", 0, "goroutines per batched scan (0 = all cores)")
@@ -59,7 +58,6 @@ func main() {
 	}
 	s, err := serve.New(m, serve.Config{
 		MaxBatch:         *maxBatch,
-		MaxWait:          *maxWait,
 		QueueDepth:       *queue,
 		CacheSize:        *cache,
 		Workers:          *workers,

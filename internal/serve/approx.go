@@ -118,7 +118,7 @@ func (m *Model) TopKGivenApproxExclude(mode, given, row, k, budget int, exclude 
 		return nil, errNonPositiveK(k)
 	}
 	ex := normalizeExclude(exclude)
-	q := m.queryVec(mode, given, row)
+	q := m.queryVec(make([]float64, m.Rank), mode, given, row)
 	if m.approx == nil {
 		return topKOne(m.factors[mode], q, k, nil, -1, ex, 0, m.Dims[mode]), nil
 	}

@@ -140,7 +140,7 @@ func TestApproxRecallAtLeast95(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := m.queryVec(0, 1, row)
+		q := m.queryVec(make([]float64, m.Rank), 0, 1, row)
 		got, n := approxTopK(m.factors[0], q, k, nil, m.approx[0], DefaultApproxCandidates)
 		recall += recallAt(want, got)
 		scanned += n

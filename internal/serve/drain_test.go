@@ -13,14 +13,15 @@ import (
 // fleet's zero-drop rolling reload.
 func TestDrainRejectsNewFinishesInflight(t *testing.T) {
 	m := randModel(t, 3, 3, 400, 50, 30)
-	s, err := New(m, Config{MaxWait: 5 * time.Millisecond, MaxBatch: 64})
+	s, err := newServer(m, Config{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Launch queries that will sit in the executor's MaxWait window, then
-	// drain while they are in flight.
+	// Launch queries that sit in the queue of an executor that has not
+	// started yet, then drain while they are in flight: the executor
+	// starts only once the drain has begun.
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -31,10 +32,17 @@ func TestDrainRejectsNewFinishesInflight(t *testing.T) {
 			_, errs[i] = s.TopK(context.Background(), 0, 1, i, 5)
 		}(i)
 	}
-	// Give the clients a moment to be accepted before draining.
-	for s.Stats().Inflight == 0 {
+	// Wait until every client has been accepted before draining.
+	for len(s.reqs) < n {
 		time.Sleep(100 * time.Microsecond)
 	}
+	go func() {
+		for !s.Draining() {
+			time.Sleep(100 * time.Microsecond)
+		}
+		s.done.Add(1)
+		go s.dispatch()
+	}()
 	s.Drain()
 
 	if !s.Draining() {

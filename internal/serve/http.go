@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // HTTP JSON surface. Every endpoint answers GET with query parameters and
@@ -72,8 +76,13 @@ type Query struct {
 	Exclude []int `json:"exclude,omitempty"`
 }
 
+// queryParams are the URL parameters ParseQuery reads, in checking order.
+var queryParams = [...]string{"index", "mode", "given", "row", "k", "lo", "hi", "exclude"}
+
 // ParseQuery decodes a query endpoint request: JSON body if present,
-// otherwise URL query parameters.
+// otherwise URL query parameters, checked in one fixed order — index,
+// mode, given, row, k, lo, hi, exclude — so a request with several
+// invalid ones always reports the first of them in that order.
 func ParseQuery(r *http.Request) (*Query, error) {
 	b := &Query{}
 	if r.Body != nil && r.ContentLength != 0 {
@@ -83,28 +92,57 @@ func ParseQuery(r *http.Request) (*Query, error) {
 		}
 		return b, nil
 	}
-	q := r.URL.Query()
-	for name, dst := range map[string]*[]int{"index": &b.Index, "exclude": &b.Exclude} {
-		if v := q.Get(name); v != "" {
-			for _, part := range strings.Split(v, ",") {
-				i, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					return nil, fmt.Errorf("invalid %s %q", name, part)
-				}
-				*dst = append(*dst, i)
+	v := urlParams(r.URL.RawQuery)
+	if err := parseIntList(queryParams[0], v[0], &b.Index); err != nil {
+		return nil, err
+	}
+	for i, dst := range [...]**int{&b.Mode, &b.Given, &b.Row, &b.K, &b.Lo, &b.Hi} {
+		if s := v[i+1]; s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil {
+				return nil, fmt.Errorf("invalid %s %q", queryParams[i+1], s)
 			}
+			*dst = &n
 		}
 	}
-	for name, dst := range map[string]**int{"mode": &b.Mode, "given": &b.Given, "row": &b.Row, "k": &b.K, "lo": &b.Lo, "hi": &b.Hi} {
-		if v := q.Get(name); v != "" {
-			i, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, fmt.Errorf("invalid %s %q", name, v)
-			}
-			*dst = &i
-		}
+	if err := parseIntList(queryParams[7], v[7], &b.Exclude); err != nil {
+		return nil, err
 	}
 	return b, nil
+}
+
+// urlParams returns what url.Values.Get would for each of queryParams in a
+// raw URL query, without building the map.
+func urlParams(raw string) (v [len(queryParams)]string) {
+	var seen [len(queryParams)]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		key, val, _ := strings.Cut(pair, "=")
+		key, err1 := url.QueryUnescape(key)
+		val, err2 := url.QueryUnescape(val)
+		if strings.Contains(pair, ";") || err1 != nil || err2 != nil {
+			continue
+		}
+		if i := slices.Index(queryParams[:], key); i >= 0 && !seen[i] {
+			v[i], seen[i] = val, true
+		}
+	}
+	return v
+}
+
+// parseIntList appends the comma-separated integers of s to dst.
+func parseIntList(name, s string, dst *[]int) error {
+	for s != "" {
+		var part string
+		part, s, _ = strings.Cut(s, ",")
+		i, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return fmt.Errorf("invalid %s %q", name, part)
+		}
+		*dst = append(*dst, i)
+	}
+	return nil
 }
 
 // Range returns the candidate row range of a ranked query: [lo, hi) when
@@ -138,6 +176,23 @@ func handlePredict(s *Server, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// rankedResponse is the body of a /topk or /similar answer, its fields in
+// sorted key order: the bytes the map it replaced encoded to.
+type rankedResponse struct {
+	K            int      `json:"k"`
+	Mode         int      `json:"mode"`
+	ModelVersion uint64   `json:"model_version"`
+	Results      []Scored `json:"results"`
+	Row          int      `json:"row"`
+}
+
+// topKResponse adds the conditioning row's predicted-slice mass (from the
+// precomputed cross-mode gram), which lets clients judge score scale.
+type topKResponse struct {
+	rankedResponse
+	SliceNorm float64 `json:"slice_norm"`
+}
+
 func handleRanked(s *Server, w http.ResponseWriter, r *http.Request, kind reqKind) {
 	b, err := ParseQuery(r)
 	if err != nil {
@@ -152,52 +207,35 @@ func handleRanked(s *Server, w http.ResponseWriter, r *http.Request, kind reqKin
 	if b.K != nil {
 		k = *b.K
 	}
+	given := -1
+	if b.Given != nil {
+		given = *b.Given
+	}
 	lo, hi := b.Range()
 	var scored []Scored
+	var m *Model // the snapshot that answered: it labels the response
 	switch kind {
 	case kindTopK:
-		given := -1
-		if b.Given != nil {
-			given = *b.Given
-		}
-		scored, err = s.TopKRangeExclude(r.Context(), *b.Mode, given, *b.Row, k, lo, hi, b.Exclude)
+		scored, m, err = s.topK(r.Context(), *b.Mode, given, *b.Row, k, lo, hi, b.Exclude)
 	case kindSimilar:
-		scored, err = s.SimilarRange(r.Context(), *b.Mode, *b.Row, k, lo, hi)
+		scored, m, err = s.similar(r.Context(), *b.Mode, *b.Row, k, lo, hi)
 	}
 	if err != nil {
 		WriteQueryError(w, err)
 		return
 	}
-	resp := map[string]any{
-		"mode":          *b.Mode,
-		"row":           *b.Row,
-		"k":             k,
-		"results":       scored,
-		"model_version": s.Model().Version,
-	}
+	resp := &topKResponse{rankedResponse: rankedResponse{K: k, Mode: *b.Mode, ModelVersion: m.Version, Results: scored, Row: *b.Row}}
 	if kind == kindTopK {
-		// The predicted-slice mass of the conditioning row, from the
-		// precomputed cross-mode gram: lets clients judge score scale.
-		if sn, err := sliceNormForResponse(s, b); err == nil {
-			resp["slice_norm"] = sn
+		if given == -1 {
+			given = DefaultGiven(*b.Mode)
+		}
+		if sn, err := m.SliceNorm(given, *b.Row); err == nil {
+			resp.SliceNorm = sn
+			WriteJSON(w, http.StatusOK, resp)
+			return
 		}
 	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-func sliceNormForResponse(s *Server, b *Query) (float64, error) {
-	m := s.Model()
-	given := -1
-	if b.Given != nil {
-		given = *b.Given
-	}
-	if given == -1 {
-		if err := m.checkMode(*b.Mode); err != nil {
-			return 0, err
-		}
-		given = m.defaultGiven(*b.Mode)
-	}
-	return m.SliceNorm(given, *b.Row)
+	WriteJSON(w, http.StatusOK, &resp.rankedResponse)
 }
 
 func handleHealth(s *Server, w http.ResponseWriter, _ *http.Request) {
@@ -260,11 +298,27 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// WriteJSON writes v as indented JSON with the given status code.
+// jsonBuf is a pooled response buffer with its indenting encoder.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// WriteJSON writes v as indented JSON with the given status code. A value
+// that does not encode gets an empty body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	defer jsonBufs.Put(b)
+	b.Reset()
+	b.enc.Encode(v) //nolint:errcheck // the status is sent either way
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // response already committed
+	w.Write(b.Bytes()) //nolint:errcheck // nothing to do if the client went away
 }

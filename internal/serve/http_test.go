@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -142,4 +143,97 @@ func TestHTTPTopKExclude(t *testing.T) {
 	}
 
 	getJSON(t, ts.URL+"/topk?mode=1&row=3&k=5&exclude=1,x", http.StatusBadRequest)
+}
+
+// A reload that lands between a ranked query's execution and its response
+// must not relabel the answer: model_version and slice_norm come from the
+// snapshot that computed the results. The query is taken off the queue by
+// hand, the model is swapped, and only then does an executor answer it
+// with the snapshot it had taken before the swap.
+func TestRankedResponseNamesAnsweringModel(t *testing.T) {
+	m1 := randModel(t, 42, 3, 400, 300, 200)
+	m2 := randModel(t, 43, 3, 400, 300, 200)
+	s, err := newServer(m1, Config{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewHandler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/topk?mode=1&row=3&k=4", nil))
+	}()
+	r := <-s.reqs
+	s.Swap(m2)
+	e := newExecutor(s)
+	defer e.stop()
+	e.exec(m1, []*request{r})
+	<-done
+
+	var out struct {
+		ModelVersion uint64   `json:"model_version"`
+		SliceNorm    float64  `json:"slice_norm"`
+		Results      []Scored `json:"results"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("%v: %s", err, rec.Body.Bytes())
+	}
+	if out.ModelVersion != m1.Version || m1.Version == m2.Version {
+		t.Fatalf("model_version %d, want %d (the answering model; serving %d)", out.ModelVersion, m1.Version, m2.Version)
+	}
+	if want, _ := m1.SliceNorm(0, 3); out.SliceNorm != want {
+		t.Fatalf("slice_norm %v, want the answering model's %v", out.SliceNorm, want)
+	}
+	want, _ := m1.TopK(1, 3, 4)
+	requireSameScored(t, want, out.Results, "results")
+}
+
+// ParseQuery checks URL parameters in one fixed order, so a request with
+// several invalid ones reports the same one every time: the first in the
+// order index, mode, given, row, k, lo, hi, exclude.
+func TestParseQueryReportsFirstInvalidInFixedOrder(t *testing.T) {
+	r := httptest.NewRequest(http.MethodGet, "/topk?mode=a&row=b&k=c", nil)
+	for i := 0; i < 100; i++ {
+		if _, err := ParseQuery(r); err == nil || err.Error() != `invalid mode "a"` {
+			t.Fatalf("call %d: error %v, want invalid mode", i, err)
+		}
+	}
+	// Every parameter invalid, listed in reverse: dropping them one by one
+	// from the front of the order walks the reported error down the list.
+	for first := range queryParams {
+		var parts []string
+		for i := len(queryParams) - 1; i >= first; i-- {
+			parts = append(parts, queryParams[i]+"=x")
+		}
+		r := httptest.NewRequest(http.MethodGet, "/topk?"+strings.Join(parts, "&"), nil)
+		want := fmt.Sprintf("invalid %s %q", queryParams[first], "x")
+		if _, err := ParseQuery(r); err == nil || err.Error() != want {
+			t.Fatalf("%v: error %v, want %s", parts, err, want)
+		}
+	}
+}
+
+// urlParams reads a raw query the way url.Values.Get does: unescaping,
+// first occurrence wins, pairs with a semicolon or a bad escape skipped.
+func TestURLParamsMatchesURLValues(t *testing.T) {
+	for _, raw := range []string{
+		"mode=1&row=2&k=3",
+		"mode=%31&row=+2&k=3%20",
+		"mode=1;x=2&row=3",
+		"mode=&mode=4&row=5",
+		"mode=%zz&mode=5",
+		"a=1&&mode=2&mo%64e=9",
+		"mode&row=1=2",
+		"index=1,2,3&exclude=4%2C5",
+		"",
+	} {
+		vals, _ := url.ParseQuery(raw)
+		got := urlParams(raw)
+		for i, name := range queryParams {
+			if want := vals.Get(name); got[i] != want {
+				t.Errorf("%q: %s = %q, want %q", raw, name, got[i], want)
+			}
+		}
+	}
 }

@@ -246,7 +246,7 @@ func TestTopKBatchMatchesNaive(t *testing.T) {
 	var ks []int
 	g := rng.New(11)
 	for i := 0; i < 9; i++ {
-		qs = append(qs, m.queryVec(0, 1, g.Intn(10)))
+		qs = append(qs, m.queryVec(make([]float64, m.Rank), 0, 1, g.Intn(10)))
 		ks = append(ks, 1+g.Intn(20))
 	}
 	for _, workers := range []int{1, 4} {

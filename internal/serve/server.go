@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,13 +31,9 @@ var (
 
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
-	// MaxBatch bounds how many ranked queries one executor pass coalesces
-	// into a single blocked scan. Default 32.
+	// MaxBatch bounds how many already-queued ranked queries one executor
+	// pass coalesces into a single blocked scan. Default 32.
 	MaxBatch int
-	// MaxWait bounds how long the executor holds the FIRST request of a
-	// batch while waiting for more to coalesce. Default 100µs — far below
-	// perceivable latency, far above the cost of a scan.
-	MaxWait time.Duration
 	// QueueDepth bounds the request queue; a full queue sheds with
 	// ErrOverloaded. Default 1024.
 	QueueDepth int
@@ -67,9 +64,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 100 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -130,8 +124,10 @@ const (
 	kindSimilar
 )
 
+// result answers one request, with the model snapshot that computed it.
 type result struct {
 	scored []Scored
+	model  *Model
 	err    error
 }
 
@@ -206,7 +202,7 @@ func New(m *Model, cfg Config) (*Server, error) {
 
 // newServer builds the server without starting the executor goroutine.
 // Tests use it directly to exercise queue behaviour (shedding) without
-// racing the dispatcher.
+// racing the dispatcher, or to queue requests before it starts.
 func newServer(m *Model, cfg Config) (*Server, error) {
 	if m == nil {
 		return nil, fmt.Errorf("serve: nil model")
@@ -445,20 +441,25 @@ func (s *Server) TopKRange(ctx context.Context, mode, given, row, k, lo, hi int)
 // normalized (sorted, deduplicated) before caching and execution, so the
 // cached result is a pure function of the set's contents.
 func (s *Server) TopKRangeExclude(ctx context.Context, mode, given, row, k, lo, hi int, exclude []int) ([]Scored, error) {
-	m := s.model.Load()
+	res, _, err := s.topK(ctx, mode, given, row, k, lo, hi, exclude)
+	return res, err
+}
+
+// topK is TopKRangeExclude that also returns the snapshot that answered.
+func (s *Server) topK(ctx context.Context, mode, given, row, k, lo, hi int, exclude []int) ([]Scored, *Model, error) {
 	if given == -1 {
-		if err := m.checkMode(mode); err != nil {
+		if err := s.model.Load().checkMode(mode); err != nil {
 			s.badReqs.Add(1)
-			return nil, err
+			return nil, nil, err
 		}
-		given = m.defaultGiven(mode)
+		given = DefaultGiven(mode)
 	}
 	ex := normalizeExclude(exclude)
-	res, err := s.submit(ctx, &request{kind: kindTopK, mode: mode, given: given, row: row, k: k, lo: lo, hi: hi, exclude: ex, exkey: excludeKey(ex)})
+	res, m, err := s.submit(ctx, &request{kind: kindTopK, mode: mode, given: given, row: row, k: k, lo: lo, hi: hi, exclude: ex, exkey: excludeKey(ex)})
 	if err == nil {
 		s.topks.Add(1)
 	}
-	return res, err
+	return res, m, err
 }
 
 // Similar returns the k nearest rows of mode to row under cosine
@@ -470,11 +471,17 @@ func (s *Server) Similar(ctx context.Context, mode, row, k int) ([]Scored, error
 // SimilarRange is Similar restricted to candidate rows [lo, hi) of the
 // mode (hi == -1 selects the full mode).
 func (s *Server) SimilarRange(ctx context.Context, mode, row, k, lo, hi int) ([]Scored, error) {
-	res, err := s.submit(ctx, &request{kind: kindSimilar, mode: mode, row: row, k: k, lo: lo, hi: hi})
+	res, _, err := s.similar(ctx, mode, row, k, lo, hi)
+	return res, err
+}
+
+// similar is SimilarRange that also returns the snapshot that answered.
+func (s *Server) similar(ctx context.Context, mode, row, k, lo, hi int) ([]Scored, *Model, error) {
+	res, m, err := s.submit(ctx, &request{kind: kindSimilar, mode: mode, row: row, k: k, lo: lo, hi: hi})
 	if err == nil {
 		s.similars.Add(1)
 	}
-	return res, err
+	return res, m, err
 }
 
 func (r *request) cacheKey(version uint64) cacheKey {
@@ -482,21 +489,25 @@ func (r *request) cacheKey(version uint64) cacheKey {
 }
 
 // submit runs the cache fast path, then enqueues with load shedding and
-// waits for the executor (or the caller's deadline).
-func (s *Server) submit(ctx context.Context, r *request) ([]Scored, error) {
+// waits for the executor (or the caller's deadline). It returns the
+// snapshot that answered: the executor's, or on a hit the one whose
+// version keyed the entry. Requests and their channels are never reused:
+// a request whose caller gave up may still be executed later.
+func (s *Server) submit(ctx context.Context, r *request) ([]Scored, *Model, error) {
 	select {
 	case <-s.closed:
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	default:
 	}
 	if s.draining.Load() {
-		return nil, ErrDraining
+		return nil, nil, ErrDraining
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	if v, ok := s.cache.get(r.cacheKey(s.model.Load().Version)); ok {
+	m := s.model.Load()
+	if v, ok := s.cache.get(r.cacheKey(m.Version)); ok {
 		s.cacheHits.Add(1)
-		return v, nil
+		return v, m, nil
 	}
 	s.cacheMisses.Add(1)
 	if s.cfg.Timeout > 0 {
@@ -510,27 +521,30 @@ func (s *Server) submit(ctx context.Context, r *request) ([]Scored, error) {
 	case s.reqs <- r:
 	default:
 		s.shed.Add(1)
-		return nil, ErrOverloaded
+		return nil, nil, ErrOverloaded
 	}
 	select {
 	case res := <-r.out:
 		if res.err != nil {
 			s.badReqs.Add(1)
 		}
-		return res.scored, res.err
+		return res.scored, res.model, res.err
 	case <-ctx.Done():
 		s.timeouts.Add(1)
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	case <-s.closed:
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 }
 
-// dispatch is the executor loop: take one request, linger MaxWait for more
-// (up to MaxBatch), execute the coalesced batch against one model
-// snapshot, repeat. On Close it fails whatever is still queued.
+// dispatch is the executor loop: take one request and whatever else is
+// already queued (up to MaxBatch) — never waiting for more, as requests
+// queue while a scan runs — execute the batch against one model snapshot,
+// repeat. On Close it fails whatever is still queued.
 func (s *Server) dispatch() {
 	defer s.done.Done()
+	e := newExecutor(s)
+	defer e.stop()
 	batch := make([]*request, 0, s.cfg.MaxBatch)
 	for {
 		var first *request
@@ -541,22 +555,16 @@ func (s *Server) dispatch() {
 			return
 		}
 		batch = append(batch[:0], first)
-		if s.cfg.MaxBatch > 1 {
-			timer := time.NewTimer(s.cfg.MaxWait)
-		gather:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case r := <-s.reqs:
-					batch = append(batch, r)
-				case <-timer.C:
-					break gather
-				case <-s.closed:
-					break gather
-				}
+	gather:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case r := <-s.reqs:
+				batch = append(batch, r)
+			default:
+				break gather
 			}
-			timer.Stop()
 		}
-		s.exec(batch)
+		e.exec(s.model.Load(), batch)
 		select {
 		case <-s.closed:
 			s.drain()
@@ -577,12 +585,68 @@ func (s *Server) drain() {
 	}
 }
 
-// exec validates, groups, and executes one batch against one model
-// snapshot. Requests whose context already expired are skipped (their
-// caller has gone); invalid requests fail individually; the rest are
-// grouped by (kind, mode) so each group shares a single blocked scan.
-func (s *Server) exec(batch []*request) {
-	m := s.model.Load()
+// executor is the dispatcher goroutine's scan state, reused from batch to
+// batch so a query allocates only its answer; its helper goroutines take
+// the place of a par.Run pool, which would be allocated per scan.
+type executor struct {
+	s    *Server
+	scan batchScan
+	qs   []scanQuery
+	vecs []float64 // query vectors, Rank apart
+
+	helpers    int
+	wake, done chan struct{} // per scan: one receive, then one send, per woken helper
+	next       atomic.Int64  // the running scan's next unclaimed block
+	stopped    sync.WaitGroup
+}
+
+// newExecutor starts Workers-1 helper goroutines; stop ends them.
+func newExecutor(s *Server) *executor {
+	e := &executor{s: s, helpers: par.Workers(s.cfg.Workers) - 1, wake: make(chan struct{}), done: make(chan struct{})}
+	e.stopped.Add(e.helpers)
+	for i := 0; i < e.helpers; i++ {
+		go func() {
+			defer e.stopped.Done()
+			for range e.wake {
+				e.work()
+				e.done <- struct{}{}
+			}
+		}()
+	}
+	return e
+}
+
+func (e *executor) stop() {
+	close(e.wake)
+	e.stopped.Wait()
+}
+
+// fanOut runs the scan on the dispatcher goroutine and on as many helpers
+// as there are blocks to share; each claims blocks until none is left.
+func (e *executor) fanOut() {
+	e.next.Store(0)
+	n := min(e.helpers, e.scan.blocks()-1)
+	for i := 0; i < n; i++ {
+		e.wake <- struct{}{}
+	}
+	e.work()
+	for i := 0; i < n; i++ {
+		<-e.done
+	}
+}
+
+func (e *executor) work() {
+	for b := int(e.next.Add(1)) - 1; b < e.scan.blocks(); b = int(e.next.Add(1)) - 1 {
+		e.scan.block(b)
+	}
+}
+
+// exec validates, groups (in place), and executes one batch against the
+// model snapshot m. Requests whose context already expired are skipped
+// (their caller has gone); invalid requests fail individually; each group
+// of the rest by (kind, mode, range) shares a single blocked scan.
+func (e *executor) exec(m *Model, batch []*request) {
+	s := e.s
 	s.batches.Add(1)
 	s.batchedReqs.Add(uint64(len(batch)))
 	for {
@@ -591,13 +655,7 @@ func (s *Server) exec(batch []*request) {
 			break
 		}
 	}
-
-	type groupKey struct {
-		kind   reqKind
-		mode   int
-		lo, hi int
-	}
-	groups := make(map[groupKey][]*request)
+	live := batch[:0] // filtered in place
 	for _, r := range batch {
 		if r.ctx.Err() != nil {
 			continue // caller already timed out; executing would be wasted work
@@ -606,59 +664,60 @@ func (s *Server) exec(batch []*request) {
 			r.out <- result{err: err}
 			continue
 		}
-		gk := groupKey{kind: r.kind, mode: r.mode, lo: r.lo, hi: r.hi}
-		groups[gk] = append(groups[gk], r)
+		live = append(live, r)
 	}
-	for gk, rs := range groups {
-		// Full-mode TopK takes the norm-pruned index when enabled; the
-		// scans are a small prefix of the mode, so they run per request
-		// rather than as one blocked batch scan.
-		if gk.kind == kindTopK && gk.hi == -1 && s.cfg.Approx && m.HasApprox() {
-			for _, r := range rs {
-				res, scanned := approxTopK(m.factors[r.mode], m.queryVec(r.mode, r.given, r.row), r.k, r.exclude, m.approx[r.mode], s.approxBudget())
-				s.approxQueries.Add(1)
-				s.approxScanned.Add(uint64(scanned))
-				s.approxExact.Add(uint64(m.Dims[r.mode]))
-				s.cache.put(r.cacheKey(m.Version), res)
-				r.out <- result{scored: res}
-			}
-			continue
-		}
-		lo, hi := gk.lo, gk.hi
-		if hi == -1 {
-			hi = m.Dims[gk.mode]
-		}
-		qs := make([][]float64, len(rs))
-		ks := make([]int, len(rs))
-		var divisors [][]float64
-		var excl []int
-		var exSets [][]int
-		if gk.kind == kindSimilar {
-			divisors = make([][]float64, len(rs))
-			excl = make([]int, len(rs))
-		}
-		for i, r := range rs {
-			ks[i] = r.k
-			switch gk.kind {
-			case kindTopK:
-				qs[i] = m.queryVec(r.mode, r.given, r.row)
-				if r.exclude != nil {
-					if exSets == nil {
-						exSets = make([][]int, len(rs))
-					}
-					exSets[i] = r.exclude
-				}
-			case kindSimilar:
-				qs[i] = m.similarQueryVec(r.mode, r.row)
-				divisors[i] = m.rowNorms[r.mode]
-				excl[i] = r.row
+	for len(live) > 0 { // move live[0]'s group to the front, answer it
+		n, r0 := 1, live[0]
+		for i := 1; i < len(live); i++ {
+			if r := live[i]; r.kind == r0.kind && r.mode == r0.mode && r.lo == r0.lo && r.hi == r0.hi {
+				live[n], live[i] = r, live[n]
+				n++
 			}
 		}
-		res := topKBatch(m.factors[gk.mode], qs, ks, divisors, excl, exSets, s.cfg.Workers, lo, hi)
-		for i, r := range rs {
-			s.cache.put(r.cacheKey(m.Version), res[i])
-			r.out <- result{scored: res[i]}
+		e.group(m, live[:n])
+		live = live[n:]
+	}
+}
+
+// group answers requests that share kind, mode and candidate range.
+func (e *executor) group(m *Model, rs []*request) {
+	s, r0 := e.s, rs[0]
+	e.vecs = slices.Grow(e.vecs[:0], len(rs)*m.Rank)[:len(rs)*m.Rank]
+	// Full-mode TopK takes the norm-pruned index when enabled; the
+	// scans are a small prefix of the mode, so they run per request
+	// rather than as one blocked batch scan.
+	if r0.kind == kindTopK && r0.hi == -1 && s.cfg.Approx && m.HasApprox() {
+		for _, r := range rs {
+			q := m.queryVec(e.vecs[:m.Rank], r.mode, r.given, r.row)
+			res, scanned := approxTopK(m.factors[r.mode], q, r.k, r.exclude, m.approx[r.mode], s.approxBudget())
+			s.approxQueries.Add(1)
+			s.approxScanned.Add(uint64(scanned))
+			s.approxExact.Add(uint64(m.Dims[r.mode]))
+			s.cache.put(r.cacheKey(m.Version), res)
+			r.out <- result{scored: res, model: m}
 		}
+		return
+	}
+	e.qs = slices.Grow(e.qs[:0], len(rs))[:len(rs)]
+	for i, r := range rs {
+		q := e.vecs[i*m.Rank : (i+1)*m.Rank]
+		switch r.kind {
+		case kindTopK:
+			e.qs[i] = scanQuery{q: m.queryVec(q, r.mode, r.given, r.row), k: r.k, self: -1, ex: r.exclude}
+		case kindSimilar:
+			e.qs[i] = scanQuery{q: m.similarQueryVec(q, r.mode, r.row), k: r.k, divisors: m.rowNorms[r.mode], self: r.row}
+		}
+	}
+	hi := r0.hi
+	if hi == -1 {
+		hi = m.Dims[r0.mode]
+	}
+	e.scan.reset(m.factors[r0.mode], r0.lo, hi, e.qs)
+	e.fanOut()
+	for i, r := range rs {
+		res := e.scan.result(i)
+		s.cache.put(r.cacheKey(m.Version), res)
+		r.out <- result{scored: res, model: m}
 	}
 }
 

@@ -11,12 +11,9 @@ import (
 // zero value selects the documented serve.Config defaults; fields mirror
 // that struct so callers never import internal packages directly.
 type ServeOptions struct {
-	// MaxBatch bounds how many ranked queries one executor pass coalesces
-	// into a single blocked scan (default 32).
+	// MaxBatch bounds how many already-queued ranked queries one executor
+	// pass coalesces into a single blocked scan (default 32).
 	MaxBatch int
-	// MaxWait bounds how long the executor holds the first request of a
-	// batch while waiting for more to coalesce (default 100µs).
-	MaxWait time.Duration
 	// QueueDepth bounds the request queue; a full queue sheds with
 	// serve.ErrOverloaded (default 1024).
 	QueueDepth int
@@ -32,7 +29,6 @@ type ServeOptions struct {
 func (o ServeOptions) config() serve.Config {
 	return serve.Config{
 		MaxBatch:   o.MaxBatch,
-		MaxWait:    o.MaxWait,
 		QueueDepth: o.QueueDepth,
 		CacheSize:  o.CacheSize,
 		Workers:    o.Workers,
