@@ -84,7 +84,7 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 
 	fmt.Fprintf(os.Stderr, "cstf-serve: model %s (rank %d, dims %v, iter %d, %.1f MB) listening on %s\n",
-		*model, m.Rank, m.Dims, m.Iter, float64(m.MemoryBytes())/(1<<20), *addr)
+		*model, m.Components, m.Dims, m.Iter, float64(m.MemoryBytes())/(1<<20), *addr)
 
 	select {
 	case err := <-errCh:

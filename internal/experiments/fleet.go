@@ -273,7 +273,7 @@ func measureRecall(ctx context.Context, rt *fleet.Router, exact *serve.Model, cf
 		if err != nil {
 			return 0, err
 		}
-		got, err := rt.TopK(ctx, mode, given, row, cfg.K)
+		got, err := rt.Rank(ctx, serve.Query{Mode: mode, Given: []serve.Cond{{Mode: given, Row: row}}, K: cfg.K})
 		if err != nil {
 			return 0, fmt.Errorf("experiments: recall query failed: %w", err)
 		}

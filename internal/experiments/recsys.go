@@ -326,11 +326,12 @@ func RecsysBenchWith(p Params, cfg RecsysBenchConfig) (*RecsysReport, error) {
 		for j := 0; j < cfg.FleetProbes; j++ {
 			user := int(rng.Hash64(cfg.GenSeed, 0xF1EE, uint64(w), uint64(j)) % uint64(cfg.Users))
 			excl := seenItemRows(u.Tensor(), 0, 1, user)
-			got, err := rt.TopKExclude(ctx, 1, 0, user, cfg.K, excl)
+			q := serve.Query{Mode: 1, Given: []serve.Cond{{Mode: 0, Row: user}}, K: cfg.K, Exclude: excl}
+			got, err := rt.Rank(ctx, q)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: recsys fleet probe failed: %w", err)
 			}
-			want, err := single.TopKGivenRangeExclude(1, 0, user, cfg.K, 0, cfg.Items, excl)
+			want, err := single.Rank(q)
 			if err != nil {
 				return nil, err
 			}

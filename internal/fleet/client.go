@@ -131,22 +131,18 @@ func (c *client) predict(ctx context.Context, idx []int) (float64, error) {
 	var resp struct {
 		Value float64 `json:"value"`
 	}
-	err := c.do(ctx, http.MethodPost, "/predict", serve.Query{Index: idx}, &resp)
+	err := c.do(ctx, http.MethodPost, "/predict", struct {
+		Index []int `json:"index"`
+	}{idx}, &resp)
 	return resp.Value, err
 }
 
-// ranked issues a TopK (given >= -1) or Similar (given == -2) query over
-// candidate rows [lo, hi); hi == -1 selects the full mode. exclude, when
-// non-empty, rides along as the TopK exclude set — the replica drops those
-// candidate rows inside its scan, which is what keeps a sharded
-// scatter-gather with exclusions bitwise-identical to one full scan.
-func (c *client) ranked(ctx context.Context, path string, mode, given, row, k, lo, hi int, exclude []int) ([]serve.Scored, error) {
-	q := serve.Query{Mode: &mode, Row: &row, K: &k, Exclude: exclude}
-	if path == "/topk" && given != -1 {
-		q.Given = &given
-	}
-	if hi != -1 {
-		q.Lo, q.Hi = &lo, &hi
+// rank posts q, as its own JSON encoding, to the replica's endpoint for
+// its kind.
+func (c *client) rank(ctx context.Context, q serve.Query) ([]serve.Scored, error) {
+	path := "/topk"
+	if q.Kind == serve.Similar {
+		path = "/similar"
 	}
 	var resp struct {
 		Results []serve.Scored `json:"results"`

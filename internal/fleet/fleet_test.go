@@ -36,6 +36,11 @@ func writeCheckpoint(t *testing.T, dir string, seed uint64, rank, iter int, dims
 	return path
 }
 
+// topK is a TopK query with one fixed coordinate: row of mode given.
+func topK(mode, given, row, k int) serve.Query {
+	return serve.Query{Mode: mode, Given: []serve.Cond{{Mode: given, Row: row}}, K: k}
+}
+
 // startFleet boots n replicas off path plus a router over them. The fast
 // probe interval keeps eviction/re-admission tests quick.
 func startFleet(t *testing.T, path string, n int, shard bool) (*LocalFleet, *Router) {
@@ -88,7 +93,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rt.TopK(ctx, mode, given, row, k)
+			got, err := rt.Rank(ctx, topK(mode, given, row, k))
 			if err != nil {
 				t.Fatalf("shard=%v TopK: %v", shard, err)
 			}
@@ -102,11 +107,12 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 			}
 
 			srow := g.Intn(single.Dims[mode])
-			wantS, err := single.Similar(mode, srow, k)
+			similar := serve.Query{Kind: serve.Similar, Mode: mode, Row: srow, K: k}
+			wantS, err := single.Rank(similar)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotS, err := rt.Similar(ctx, mode, srow, k)
+			gotS, err := rt.Rank(ctx, similar)
 			if err != nil {
 				t.Fatalf("shard=%v Similar: %v", shard, err)
 			}
@@ -143,7 +149,7 @@ func TestRouterAffinityIsSticky(t *testing.T) {
 
 	before := rt.Stats()
 	for i := 0; i < 20; i++ {
-		if _, err := rt.TopK(ctx, 0, 1, 7, 5); err != nil {
+		if _, err := rt.Rank(ctx, topK(0, 1, 7, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +166,7 @@ func TestRouterAffinityIsSticky(t *testing.T) {
 
 	g := rng.New(99)
 	for i := 0; i < 300; i++ {
-		if _, err := rt.TopK(ctx, 0, 1, g.Intn(200), 5); err != nil {
+		if _, err := rt.Rank(ctx, topK(0, 1, g.Intn(200), 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +191,7 @@ func TestRouterFailoverAndReadmission(t *testing.T) {
 
 	g := rng.New(5)
 	for i := 0; i < 200; i++ {
-		if _, err := rt.TopK(ctx, 0, 1, g.Intn(250), 5); err != nil {
+		if _, err := rt.Rank(ctx, topK(0, 1, g.Intn(250), 5)); err != nil {
 			t.Fatalf("query %d failed during replica outage: %v", i, err)
 		}
 	}
@@ -243,7 +249,7 @@ func TestShardedFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rt.TopK(ctx, 0, 1, row, k)
+		got, err := rt.Rank(ctx, topK(0, 1, row, k))
 		if err != nil {
 			t.Fatalf("sharded query %d failed during outage: %v", i, err)
 		}
@@ -347,13 +353,15 @@ func TestRouterTopKExcludeMatchesSingleNode(t *testing.T) {
 			for len(ex) < 8 {
 				ex = append(ex, g.Intn(single.Dims[mode]))
 			}
-			want, err := single.TopKGivenRangeExclude(mode, given, row, k, 0, single.Dims[mode], ex)
+			q := topK(mode, given, row, k)
+			q.Exclude = ex
+			want, err := single.Rank(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rt.TopKExclude(ctx, mode, given, row, k, ex)
+			got, err := rt.Rank(ctx, q)
 			if err != nil {
-				t.Fatalf("shard=%v TopKExclude: %v", shard, err)
+				t.Fatalf("shard=%v TopK with exclude: %v", shard, err)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("shard=%v: %d results want %d", shard, len(got), len(want))

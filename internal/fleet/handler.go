@@ -19,58 +19,35 @@ import (
 func NewHandler(rt *Router) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		q, err := serve.ParseQuery(r)
+		idx, err := serve.ParsePredict(r)
 		if err != nil {
 			serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		if len(q.Index) == 0 {
-			serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "predict requires index=i,j,..."})
-			return
-		}
-		v, err := rt.Predict(r.Context(), q.Index...)
+		v, err := rt.Predict(r.Context(), idx...)
 		if err != nil {
 			writeRouteError(w, err)
 			return
 		}
-		serve.WriteJSON(w, http.StatusOK, map[string]any{"value": v, "index": q.Index})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"value": v, "index": idx})
 	})
-	ranked := func(topk bool) http.HandlerFunc {
+	ranked := func(kind serve.Kind) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			q, err := serve.ParseQuery(r)
+			q, err := serve.ParseQuery(r, kind)
 			if err != nil {
 				serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 				return
 			}
-			if q.Mode == nil || q.Row == nil {
-				serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "mode and row are required"})
-				return
-			}
-			k := 10
-			if q.K != nil {
-				k = *q.K
-			}
-			var scored []serve.Scored
-			if topk {
-				given := -1
-				if q.Given != nil {
-					given = *q.Given
-				}
-				scored, err = rt.TopKExclude(r.Context(), *q.Mode, given, *q.Row, k, q.Exclude)
-			} else {
-				scored, err = rt.Similar(r.Context(), *q.Mode, *q.Row, k)
-			}
+			scored, err := rt.Rank(r.Context(), q)
 			if err != nil {
 				writeRouteError(w, err)
 				return
 			}
-			serve.WriteJSON(w, http.StatusOK, map[string]any{
-				"mode": *q.Mode, "row": *q.Row, "k": k, "results": scored,
-			})
+			serve.WriteJSON(w, http.StatusOK, &routedResponse{K: q.K, Mode: q.Mode, Results: scored, Row: q.Anchor().Row})
 		}
 	}
-	mux.HandleFunc("/topk", ranked(true))
-	mux.HandleFunc("/similar", ranked(false))
+	mux.HandleFunc("/topk", ranked(serve.TopK))
+	mux.HandleFunc("/similar", ranked(serve.Similar))
 	health := func(w http.ResponseWriter, r *http.Request) {
 		st := rt.Stats()
 		code := http.StatusOK
@@ -98,6 +75,15 @@ func NewHandler(rt *Router) http.Handler {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "fleet": rt.Stats()})
 	})
 	return mux
+}
+
+// routedResponse is the body of a routed /topk or /similar answer, its
+// fields in sorted key order.
+type routedResponse struct {
+	K       int            `json:"k"`
+	Mode    int            `json:"mode"`
+	Results []serve.Scored `json:"results"`
+	Row     int            `json:"row"`
 }
 
 // writeRouteError maps routing failures onto the shared error surface:

@@ -2,16 +2,16 @@
 // spreads Predict/TopK/Similar queries over N serve replicas. Three routing
 // mechanisms coexist:
 //
-//   - Cache affinity. Every query hashes by its anchor row (the row it
-//     conditions on) onto a consistent-hash ring of replicas, so repeats of
-//     the same query always land on the same replica and its LRU result
-//     cache. The fleet's aggregate cache therefore grows with N — which is
-//     where the QPS scaling comes from on cache-friendly traffic.
+//   - Cache affinity. Every query hashes by its anchor (serve.Query.Anchor,
+//     the row it conditions on) onto a consistent-hash ring of replicas, so
+//     repeats of the same query always land on the same replica and its LRU
+//     result cache. The fleet's aggregate cache therefore grows with N —
+//     which is where the QPS scaling comes from on cache-friendly traffic.
 //   - Sharded scatter-gather. A TopK over a huge mode can instead be split
 //     into contiguous row ranges, one per live replica, answered in
-//     parallel with Server.TopKRange, and merged with serve.MergeTopK —
-//     bitwise-identical to a single-node scan because ranges partition the
-//     mode and the tie-break order is total.
+//     parallel as the same serve.Query with its Lo/Hi set, and merged with
+//     serve.MergeTopK — bitwise-identical to a single-node scan because
+//     ranges partition the mode and the tie-break order is total.
 //   - Health-based failover. A prober drives dist.RetryPolicy backoff
 //     against each replica's /healthz; dead replicas leave the ring (their
 //     keys remap to survivors — ~1/N of the space, see ring_test.go) and

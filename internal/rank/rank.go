@@ -160,7 +160,7 @@ func EvalModel(m *serve.Model, train, held *tensor.COO, userMode, itemMode, k in
 				given = append(given, serve.Cond{Mode: n, Row: int(e.Idx[n])})
 			}
 		}
-		top, err := m.TopKCond(itemMode, given, k, excludeFor(seen[u], target))
+		top, err := m.Rank(serve.Query{Mode: itemMode, Given: given, K: k, Exclude: excludeFor(seen[u], target)})
 		if err != nil {
 			return Metrics{}, err
 		}

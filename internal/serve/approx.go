@@ -19,15 +19,15 @@ import (
 // cutoff usually fires after a small prefix.
 //
 // On top of the exact cutoff sits the approximation: a candidate budget
-// caps the scanned prefix outright. Rows beyond the budget are dropped even
+// (Query.Budget) caps the scanned prefix outright. Rows beyond the budget are dropped even
 // though the bound has not cleared them, which is what makes the result
 // approximate — and what bounds worst-case latency on flat-norm models
 // where the Cauchy–Schwarz cutoff never fires. The property tests in
 // approx_test.go pin recall@K >= 0.95 under the default budget.
 //
-// The fallback path is the existing blocked partial-argsort scan
-// (topKBatch): modes with no built index — and range-restricted shard
-// queries, whose scans are already 1/N of the mode — use it unchanged.
+// The fallback path is the exact scan: a model with no built index
+// answers a budgeted query with it, and range-restricted shard queries,
+// whose scans are already 1/N of the mode, take no budget.
 
 // approxIndex is one mode's norm-ordered candidate list.
 type approxIndex struct {
@@ -78,53 +78,10 @@ func (m *Model) BuildApprox(workers int) {
 // HasApprox reports whether BuildApprox has run on this model.
 func (m *Model) HasApprox() bool { return m.approx != nil }
 
-// DefaultApproxCandidates is the candidate budget used when a caller
-// passes budget <= 0: enough to keep measured recall@K comfortably above
-// 0.95 on trained factors, a small fraction of a large mode's rows.
+// DefaultApproxCandidates is the candidate budget Config.ApproxCandidates
+// defaults to: enough to keep measured recall@K comfortably above 0.95 on
+// trained factors, a small fraction of a large mode's rows.
 const DefaultApproxCandidates = 2048
-
-// TopKApprox is TopK answered from the norm-pruned candidate list. budget
-// caps scanned candidates (<= 0 selects DefaultApproxCandidates); a budget
-// >= the mode's rows degrades gracefully to an exact scan in norm order.
-// Without a built index it falls back to the exact blocked scan.
-func (m *Model) TopKApprox(mode, row, k, budget int) ([]Scored, error) {
-	if err := m.checkMode(mode); err != nil {
-		return nil, err
-	}
-	return m.TopKGivenApprox(mode, m.defaultGiven(mode), row, k, budget)
-}
-
-// TopKGivenApprox is TopKApprox with an explicit conditioning mode.
-func (m *Model) TopKGivenApprox(mode, given, row, k, budget int) ([]Scored, error) {
-	return m.TopKGivenApproxExclude(mode, given, row, k, budget, nil)
-}
-
-// TopKGivenApproxExclude is TopKGivenApprox with an exclude set. Excluded
-// rows are skipped before scoring and do not consume the candidate budget,
-// so a query whose exclude set covers the high-norm prefix still scores a
-// full budget's worth of real candidates — with a large enough budget the
-// result is identical to the exact scan with the same exclude set.
-func (m *Model) TopKGivenApproxExclude(mode, given, row, k, budget int, exclude []int) ([]Scored, error) {
-	if err := m.checkMode(mode); err != nil {
-		return nil, err
-	}
-	if given == mode {
-		return nil, errConditioningEqualsQueried(given)
-	}
-	if err := m.checkRow(given, row); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, errNonPositiveK(k)
-	}
-	ex := normalizeExclude(exclude)
-	q := m.queryVec(make([]float64, m.Rank), mode, given, row)
-	if m.approx == nil {
-		return topKOne(m.factors[mode], q, k, nil, -1, ex, 0, m.Dims[mode]), nil
-	}
-	res, _ := approxTopK(m.factors[mode], q, k, ex, m.approx[mode], budget)
-	return res, nil
-}
 
 // approxTopK scans candidates in descending-norm order with the
 // Cauchy–Schwarz cutoff and the candidate budget. ex, when non-nil, is a
@@ -133,9 +90,6 @@ func (m *Model) TopKGivenApproxExclude(mode, given, row, k, budget int, exclude 
 // number of rows actually scored (the pruning telemetry surfaced in
 // Stats).
 func approxTopK(f *la.Dense, q []float64, k int, ex []int, idx *approxIndex, budget int) ([]Scored, int) {
-	if budget <= 0 {
-		budget = DefaultApproxCandidates
-	}
 	qn := la.VecNorm(q)
 	var h topKHeap
 	c := f.Cols

@@ -67,7 +67,7 @@ func TestDrainRejectsNewFinishesInflight(t *testing.T) {
 	if _, err := s.Predict(context.Background(), 1, 2, 3); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Predict while draining: %v, want ErrDraining", err)
 	}
-	if _, err := s.Similar(context.Background(), 0, 1, 5); !errors.Is(err, ErrDraining) {
+	if _, err := s.Rank(context.Background(), Query{Kind: Similar, Mode: 0, Row: 1, K: 5}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Similar while draining: %v, want ErrDraining", err)
 	}
 

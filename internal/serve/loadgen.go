@@ -22,8 +22,7 @@ import (
 type Querier interface {
 	Dims() []int
 	Predict(ctx context.Context, idx ...int) (float64, error)
-	TopK(ctx context.Context, mode, given, row, k int) ([]Scored, error)
-	Similar(ctx context.Context, mode, row, k int) ([]Scored, error)
+	Rank(ctx context.Context, q Query) ([]Scored, error)
 }
 
 // LoadOptions configures one load-generation run.
@@ -128,10 +127,10 @@ func RunLoad(ctx context.Context, s Querier, o LoadOptions) LoadStats {
 					}
 					_, err = s.Predict(ctx, idx...)
 				case kindDraw < o.Predict+o.Similar:
-					_, err = s.Similar(ctx, mode, row(mode), o.K)
+					_, err = s.Rank(ctx, Query{Kind: Similar, Mode: mode, Row: row(mode), K: o.K})
 				default:
 					given := DefaultGiven(mode)
-					_, err = s.TopK(ctx, mode, given, row(given), o.K)
+					_, err = s.Rank(ctx, Query{Mode: mode, Given: []Cond{{given, row(given)}}, K: o.K})
 				}
 				switch {
 				case err == nil:

@@ -37,7 +37,7 @@ func randModel(t *testing.T, seed uint64, rank int, dims ...int) *Model {
 // reconstruct evaluates the model at one coordinate by definition.
 func reconstruct(m *Model, idx ...int) float64 {
 	var s float64
-	for r := 0; r < m.Rank; r++ {
+	for r := 0; r < m.Components; r++ {
 		p := m.lambda[r]
 		for n, i := range idx {
 			p *= m.factors[n].At(i, r)
@@ -149,28 +149,10 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// The short-form TopK conditions on the lowest other mode.
-func TestTopKDefaultGiven(t *testing.T) {
-	m := randModel(t, 3, 2, 6, 5, 4)
-	a, err := m.TopK(1, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.TopKGiven(1, 0, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("TopK default given differs at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestSimilarMatchesBruteForce(t *testing.T) {
 	m := randModel(t, 5, 3, 20, 10)
 	mode, row, k := 0, 7, 5
-	got, err := m.Similar(mode, row, k)
+	got, err := m.Rank(Query{Kind: Similar, Mode: mode, Row: row, K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +228,7 @@ func TestTopKBatchMatchesNaive(t *testing.T) {
 	var ks []int
 	g := rng.New(11)
 	for i := 0; i < 9; i++ {
-		qs = append(qs, m.queryVec(make([]float64, m.Rank), 0, 1, g.Intn(10)))
+		qs = append(qs, m.queryVec(make([]float64, m.Components), &Query{Mode: 0, Given: []Cond{{1, g.Intn(10)}}}))
 		ks = append(ks, 1+g.Intn(20))
 	}
 	for _, workers := range []int{1, 4} {
@@ -284,7 +266,7 @@ func TestLoadCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rank != 2 || m.Iter != 4 || len(m.Dims) != 2 {
+	if m.Components != 2 || m.Iter != 4 || len(m.Dims) != 2 {
 		t.Fatalf("model identity wrong: %+v", m)
 	}
 	// entry (0,0): 2*1*0.5 + 1*0*0.5 = 1

@@ -94,12 +94,12 @@ func TestScanMatchesRowAtATimeReference(t *testing.T) {
 				ex = normalizeExclude(ex)
 			}
 			row := g.Intn(m.Dims[1])
-			q := m.queryVec(make([]float64, m.Rank), 0, 1, row)
+			q := m.queryVec(make([]float64, m.Components), &Query{Mode: 0, Given: []Cond{{1, row}}})
 			label := fmt.Sprintf("rank %d [%d,%d) k %d", rank, lo, hi, k)
 			requireBitwise(t, topKOne(f, q, k, nil, -1, ex, lo, hi), refTopK(f, q, k, nil, -1, ex, lo, hi), label+" topk")
 
 			self := g.Intn(rows)
-			sq := m.similarQueryVec(make([]float64, m.Rank), 0, self)
+			sq := m.queryVec(make([]float64, m.Components), &Query{Kind: Similar, Mode: 0, Row: self})
 			want := refTopK(f, sq, k, m.rowNorms[0], self, nil, lo, hi)
 			requireBitwise(t, topKOne(f, sq, k, m.rowNorms[0], self, nil, lo, hi), want, label+" similar")
 
