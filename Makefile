@@ -7,7 +7,7 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
 
-.PHONY: ci fmt vet staticcheck build test race flake bench bench-la bench-dist bench-tensor bench-serve smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test race flake fuzz bench bench-la bench-dist bench-tensor bench-serve smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
 ci: fmt vet staticcheck build test race
 
@@ -48,6 +48,14 @@ race:
 FLAKE_PKGS := ./internal/par ./internal/cluster ./internal/serve ./internal/stream ./internal/dist ./internal/fleet
 flake:
 	$(GO) test -count=20 -race $(FLAKE_PKGS)
+
+# Every fuzz target, ten seconds each beyond its seed corpus: the dist frame
+# decoder, the fault-plan parser and the serving query parse. Not part of
+# `make ci`; CI runs it as its own step.
+fuzz:
+	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
+	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem .
