@@ -1,10 +1,6 @@
 package dist
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"math"
 	"testing"
 
 	"cstf/internal/chaos"
@@ -127,45 +123,4 @@ func TestSampledFullBudgetMatchesExactDist(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "full budget 2 workers", want, got)
-}
-
-// TestSampledKillGoldenHash pins the killed-worker sampled run by hash: the
-// same options serially are the "dist options" row of rals'
-// TestSolveGoldenHash, and the run over two workers, one of them killed
-// mid-solve, must land on that hash too.
-func TestSampledKillGoldenHash(t *testing.T) {
-	const want = "731eec5703d5d74c"
-	x := plantedTensor()
-	o := ralsOpts()
-	c, err := StartInProcess(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cfg := c.Config()
-	cfg.Retry = fastRetry()
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
-	got, stats, err := SolveSampled(x, o, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WorkerDeaths == 0 {
-		t.Fatalf("chaos kill never fired: %+v", stats)
-	}
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(vs []float64) {
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-	}
-	put(got.Lambda)
-	for _, f := range got.Factors {
-		put(f.Data)
-	}
-	put(got.Fits)
-	if hash := fmt.Sprintf("%016x", h.Sum64()); hash != want {
-		t.Fatalf("hash %s, want %s", hash, want)
-	}
 }
