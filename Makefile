@@ -109,13 +109,13 @@ smoke: stream-smoke fleet-smoke dist-smoke dist-chaos-smoke rals-smoke recsys-sm
 
 # End-to-end distributed smoke under the race detector: fork three real
 # cstf-worker processes and run a small decomposition over TCP — once with
-# the communication plan on (delta broadcasts + pipelined reduce, the
-# default) and once with both disabled, so the A/B paths both stay green.
+# delta broadcasts on (the default) and once with full broadcasts, so the
+# A/B paths both stay green.
 dist-smoke:
 	@$(SMOKE) \
 	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 && \
 	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 \
-		-dist-no-delta -dist-no-pipeline
+		-dist-no-delta
 
 # End-to-end fault-recovery smoke under the race detector: forked workers
 # survive an injected partition plus a corrupted frame mid-solve, then a

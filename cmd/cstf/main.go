@@ -41,7 +41,6 @@ func main() {
 	distLocal := flag.Int("dist-local", 0, "launch N local workers and run distributed; implies -algo dist")
 	distBin := flag.String("dist-worker-bin", "", "cstf-worker binary for -dist-local (default: $CSTF_WORKER_BIN, next to cstf, or $PATH; in-process fallback)")
 	distNoDelta := flag.Bool("dist-no-delta", false, "ship full factor matrices every mode-iteration instead of delta broadcasts")
-	distNoPipeline := flag.Bool("dist-no-pipeline", false, "make every distributed stage a strict barrier (no gram/MTTKRP overlap)")
 	distCSF := flag.Bool("dist-csf", false, "run worker MTTKRPs with the SPLATT CSF kernel (bitwise-matches the serial CSF solver, not the COO one)")
 	distMinWorkers := flag.Int("dist-min-workers", 0, "live-worker floor before degrading to a coordinator-local solve (0 = 1; negative makes fleet collapse a hard error)")
 	ralsFrac := flag.Float64("rals-frac", 0, "rals: sample this fraction of the nonzeros per mode update (0 with -rals-count unset = 0.1)")
@@ -115,7 +114,6 @@ func main() {
 		o.Dist.LocalWorkers = *distLocal
 		o.Dist.WorkerBin = *distBin
 		o.Dist.DisableDeltaBroadcast = *distNoDelta
-		o.Dist.DisablePipeline = *distNoPipeline
 		o.Dist.CSFKernel = *distCSF
 		o.Dist.MinWorkers = *distMinWorkers
 	}

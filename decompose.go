@@ -109,11 +109,6 @@ type DistOptions struct {
 	// the toggle exists for A/B measurement.
 	DisableDeltaBroadcast bool
 
-	// DisablePipeline turns off the overlap between one mode's partial-gram
-	// reduce and the next mode's MTTKRP, making every stage a strict
-	// barrier. Results are bitwise identical either way.
-	DisablePipeline bool
-
 	// CSFKernel makes workers run their partial MTTKRPs with the SPLATT
 	// CSF fiber-reuse kernel instead of the per-nonzero COO loop. The run
 	// is then bitwise identical to the single-process CSF solver, NOT to
@@ -123,11 +118,10 @@ type DistOptions struct {
 
 	// MinWorkers is the live-worker floor checked at every iteration
 	// boundary. When the fleet drops below it (or a stage finds no live
-	// target at all), the run does not fail: the coordinator degrades to
-	// a local solve from its last iteration-boundary snapshot, bitwise
-	// identical to the distributed result. 0 means a floor of 1; a
-	// negative value disables degradation, making fleet collapse a hard
-	// error as in earlier releases.
+	// target at all), the run does not fail: the coordinator computes the
+	// remaining MTTKRPs itself, bitwise identical to the distributed
+	// result. 0 means a floor of 1; a negative value disables degradation,
+	// making fleet collapse a hard error as in earlier releases.
 	MinWorkers int
 }
 
@@ -280,8 +274,12 @@ type Options struct {
 // clock, so a given spec replays bitwise-identically across runs and host
 // parallelism. Zero-valued fields keep the documented defaults.
 type ChaosSpec struct {
-	Seed          uint64 // fault-schedule seed (independent of Options.Seed)
-	HorizonStages uint64 // stages the events are spread over; default 100
+	Seed uint64 // fault-schedule seed (independent of Options.Seed)
+	// HorizonStages is the number of stages the events are spread over;
+	// default 100. On the Dist algorithm a stage is one MTTKRP round, so an
+	// iteration over an order-N tensor is N stages; the simulated engines
+	// count their own RDD or MapReduce stages.
+	HorizonStages uint64
 
 	NodeCrashes  int // executors lost (cache dropped, recovery charged)
 	DiskFailures int // HDFS block losses (executor survives)
@@ -390,9 +388,11 @@ type Metrics struct {
 	DistDegraded      bool    // fleet collapsed; run finished coordinator-local
 	// DistPhases splits WallSeconds by what the Dist coordinator was doing,
 	// in order of first occurrence: connect, partition, shard-ship and
-	// factor-init precede the first MTTKRP dispatch; mttkrp-wait, row-solve,
-	// normalize, factor-update, gram-wait, fit-wait and other are totals
-	// over the iterations. They sum to WallSeconds.
+	// factor-init precede the first MTTKRP; mttkrp-wait (the remote MTTKRP
+	// stages), factor-update (factor broadcasts), local (the coordinator's
+	// rule, normalize, gram and fit between remote stages) and other (after
+	// the last one) are totals over the iterations. They sum to
+	// WallSeconds.
 	DistPhases []PhaseSeconds
 
 	// Fault-tolerance counters, nonzero only when Chaos or task-failure
@@ -672,7 +672,6 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 func distSolve(t *Tensor, o Options, opts cpals.Options) (*cpals.Result, *dist.Stats, error) {
 	return onFleet(o, func(cfg dist.Config) (*cpals.Result, dist.Stats, error) {
 		cfg.NoDelta = o.Dist.DisableDeltaBroadcast
-		cfg.NoPipeline = o.Dist.DisablePipeline
 		cfg.UseCSF = o.Dist.CSFKernel
 		if o.Faults.Chaos != nil {
 			cfg.Plan = chaosPlan(o.Faults.Chaos, o.Dist.size())

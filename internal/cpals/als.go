@@ -45,6 +45,10 @@ func (s csfSource) MTTKRP(_ *tensor.COO, mode int, factors []*la.Dense, out *la.
 
 func (csfSource) FactorUpdated(int, *la.Dense) {}
 
+// NewCSFSource builds the CSF trees of t for a Source that is only ever
+// handed t.
+func NewCSFSource(t *tensor.COO, workers int) Source { return csfSource{BuildCSFs(t), workers} }
+
 // Sampler turns exact mode updates into sampled ones (internal/rals): it
 // picks the tensor each update contracts, owns the unnormalized matrices the
 // rule writes, and decides the fit cadence and which checkpoints to take.
@@ -63,7 +67,8 @@ type Sampler interface {
 // Update is what distinguishes the tiers that share Algorithm 1's one mode
 // update — M from the Source, the factor rows from M and the Hadamard of the
 // other modes' grams by the Rule, then normalize, refresh the gram and keep
-// M for the fit: Serial (Solve), rals and ntf.
+// M for the fit: Serial (Solve), rals, ntf and dist, whose Source is the
+// workers.
 type Update struct {
 	Source  Source  // nil: the CSF trees with Options.CSFKernel, else the COO kernel
 	Rule    Rule    // the zero Rule is least squares
@@ -82,7 +87,7 @@ func SolveWith(t *tensor.COO, o Options, u Update) (*Result, error) {
 	switch {
 	case s.src != nil:
 	case o.CSFKernel:
-		s.src = csfSource{BuildCSFs(t), w}
+		s.src = NewCSFSource(t, w)
 	default:
 		s.src = COOSource{w}
 	}

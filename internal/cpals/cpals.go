@@ -263,9 +263,8 @@ func FitFrom(normX float64, lastM, lastFactor *la.Dense, lambda []float64, grams
 
 // FitFromInner finishes the fit computation once <X, X_hat> is known. Every
 // fit in the repository ends here, whichever pass computed the inner
-// product: the last MTTKRP (FitFrom, FitFromWorkers), a block-ordered
-// reduction over the wire (dist), a join (core) or a pass over the nonzeros
-// (rals, bigtensor, stream).
+// product: the last MTTKRP (FitFrom, FitFromWorkers), a join (core) or a
+// pass over the nonzeros (rals, bigtensor, stream).
 func FitFromInner(normX, inner float64, lambda []float64, grams []*la.Dense) float64 {
 	modelSq := ModelNormSq(lambda, grams)
 	residSq := normX*normX + modelSq - 2*inner

@@ -8,12 +8,11 @@ import (
 )
 
 // Tier is one solver's computation inside the ALS iteration that Run owns.
-// Every tier in the repository — core's COO and QCOO, bigtensor, dist, and
-// the one shared by Solve, rals and ntf (SolveWith) — runs the same outer
+// Every tier in the repository — core's COO and QCOO, bigtensor, and the
+// one shared by Solve, rals, ntf and dist (SolveWith) — runs the same outer
 // loop; they differ only in how a mode update, the end-of-iteration fit
 // and a checkpoint are computed, and whatever else varies (rals' epochs,
-// dist's snapshot and lap timers, bigtensor's missing in-band fit) is
-// expressed inside those methods.
+// bigtensor's missing in-band fit) is expressed inside those methods.
 type Tier interface {
 	// Step updates the factor of one mode; modes run 0..N-1 within an
 	// iteration. A non-nil error aborts the solve.

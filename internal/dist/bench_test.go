@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cstf/internal/cpals"
-	"cstf/internal/la"
 	"cstf/internal/tensor"
 )
 
@@ -50,10 +49,10 @@ func BenchmarkSessionStart(b *testing.B) {
 		s.shipShards(ranges)
 		// A connection is ordered and a worker decodes a shard before it
 		// reads the next frame, so an answered task means its shards landed.
-		// An empty row-solve needs no factor and no resident rows.
+		// An empty MTTKRP task needs no factor and no shard.
 		barrier := make([]*stageTask, len(s.remotes))
 		for k := range barrier {
-			barrier[k] = &stageTask{home: k, task: &Task{Kind: TaskRowSolve, Pinv: la.NewDense(1, 1), MRows: la.NewDense(0, 1)}}
+			barrier[k] = &stageTask{home: k, task: &Task{Kind: TaskPartialMTTKRP}}
 		}
 		if err := s.runStage(barrier); err != nil {
 			b.Fatal(err)

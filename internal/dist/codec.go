@@ -116,30 +116,14 @@ func appendF64s(b []byte, vs []float64) []byte {
 	return b
 }
 
-// denseSize and optDenseSize are the encoded sizes of appendDense and
-// appendOptDense.
+// denseSize is the encoded size of appendDense.
 func denseSize(m *la.Dense) int { return 8 + 8*len(m.Data) }
-func optDenseSize(m *la.Dense) int {
-	if m == nil {
-		return 1
-	}
-	return 1 + denseSize(m)
-}
 
 // appendDense encodes rows, cols, then the row-major data.
 func appendDense(b []byte, m *la.Dense) []byte {
 	b = appendU32(b, uint32(m.Rows))
 	b = appendU32(b, uint32(m.Cols))
 	return appendF64s(b, m.Data)
-}
-
-// appendOptDense encodes a presence byte then the matrix when non-nil.
-func appendOptDense(b []byte, m *la.Dense) []byte {
-	if m == nil {
-		return appendU8(b, 0)
-	}
-	b = appendU8(b, 1)
-	return appendDense(b, m)
 }
 
 // uvarintLen is the encoded size of v as a varint, the only variable-width
@@ -271,18 +255,6 @@ func (d *dec) dense() *la.Dense {
 	m := la.NewDense(int(rows), int(cols))
 	d.f64s(m.Data)
 	return m
-}
-
-func (d *dec) optDense() *la.Dense {
-	switch d.u8() {
-	case 0:
-		return nil
-	case 1:
-		return d.dense()
-	default:
-		d.fail("invalid presence byte")
-		return nil
-	}
 }
 
 // done enforces that the payload was consumed exactly.
@@ -577,45 +549,30 @@ func DecodeFactorDelta(b []byte) (*FactorDelta, error) {
 
 // EncodeTask serializes a task descriptor.
 func EncodeTask(t *Task) []byte {
-	size := 30 + optDenseSize(t.Pinv) + 8*len(t.Lambda) + optDenseSize(t.MRows)
-	b := appendU64(make([]byte, 0, size), t.ID)
+	b := appendU64(make([]byte, 0, 18), t.ID)
 	b = appendU8(b, uint8(t.Kind))
 	b = appendU8(b, uint8(t.Mode))
 	b = appendU32(b, uint32(t.RowLo))
-	b = appendU32(b, uint32(t.RowHi))
-	b = appendU32(b, uint32(t.BlockLo))
-	b = appendU32(b, uint32(t.BlockHi))
-	b = appendOptDense(b, t.Pinv)
-	b = appendU32(b, uint32(len(t.Lambda)))
-	b = appendF64s(b, t.Lambda)
-	return appendOptDense(b, t.MRows)
+	return appendU32(b, uint32(t.RowHi))
 }
 
-// DecodeTask parses a task descriptor.
+// DecodeTask parses a task descriptor, refusing every kind but
+// TaskPartialMTTKRP.
 func DecodeTask(b []byte) (*Task, error) {
 	d := &dec{b: b}
 	t := &Task{
-		ID:      d.u64(),
-		Kind:    TaskKind(d.u8()),
-		Mode:    int(d.u8()),
-		RowLo:   int(d.u32()),
-		RowHi:   int(d.u32()),
-		BlockLo: int(d.u32()),
-		BlockHi: int(d.u32()),
+		ID:    d.u64(),
+		Kind:  TaskKind(d.u8()),
+		Mode:  int(d.u8()),
+		RowLo: int(d.u32()),
+		RowHi: int(d.u32()),
 	}
-	if d.err == nil && (t.Kind < TaskPartialMTTKRP || t.Kind > TaskFitPartial) {
+	if d.err == nil && t.Kind != TaskPartialMTTKRP {
 		d.fail(fmt.Sprintf("unknown task kind %d", uint8(t.Kind)))
 	}
-	if d.err == nil && (t.RowHi < t.RowLo || t.BlockHi < t.BlockLo) {
+	if d.err == nil && t.RowHi < t.RowLo {
 		d.fail("inverted task range")
 	}
-	t.Pinv = d.optDense()
-	n := d.count(d.u32(), 8, "lambda")
-	if n > 0 {
-		t.Lambda = make([]float64, n)
-		d.f64s(t.Lambda)
-	}
-	t.MRows = d.optDense()
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -624,48 +581,25 @@ func DecodeTask(b []byte) (*Task, error) {
 
 // EncodeResult serializes a task result.
 func EncodeResult(r *Result) []byte {
-	size := 25 + optDenseSize(r.Rows) + 8*len(r.Partials)
-	for _, g := range r.Grams {
-		size += denseSize(g)
-	}
-	b := appendU64(make([]byte, 0, size), r.ID)
+	b := appendU64(make([]byte, 0, 13+denseSize(r.Rows)), r.ID)
 	b = appendU8(b, uint8(r.Kind))
 	b = appendU32(b, uint32(r.RowLo))
-	b = appendU32(b, uint32(r.BlockLo))
-	b = appendOptDense(b, r.Rows)
-	b = appendU32(b, uint32(len(r.Grams)))
-	for _, g := range r.Grams {
-		b = appendDense(b, g)
-	}
-	b = appendU32(b, uint32(len(r.Partials)))
-	return appendF64s(b, r.Partials)
+	return appendDense(b, r.Rows)
 }
 
-// DecodeResult parses a task result.
+// DecodeResult parses a task result, refusing every kind but
+// TaskPartialMTTKRP.
 func DecodeResult(b []byte) (*Result, error) {
 	d := &dec{b: b}
 	r := &Result{
-		ID:      d.u64(),
-		Kind:    TaskKind(d.u8()),
-		RowLo:   int(d.u32()),
-		BlockLo: int(d.u32()),
+		ID:    d.u64(),
+		Kind:  TaskKind(d.u8()),
+		RowLo: int(d.u32()),
 	}
-	if d.err == nil && (r.Kind < TaskPartialMTTKRP || r.Kind > TaskFitPartial) {
+	if d.err == nil && r.Kind != TaskPartialMTTKRP {
 		d.fail(fmt.Sprintf("unknown task kind %d", uint8(r.Kind)))
 	}
-	r.Rows = d.optDense()
-	ng := d.count(d.u32(), 8, "gram block") // 8 bytes is the header floor per matrix
-	if ng > 0 {
-		r.Grams = make([]*la.Dense, 0, ng)
-		for i := 0; i < ng; i++ {
-			r.Grams = append(r.Grams, d.dense())
-		}
-	}
-	np := d.count(d.u32(), 8, "fit partial")
-	if np > 0 {
-		r.Partials = make([]float64, np)
-		d.f64s(r.Partials)
-	}
+	r.Rows = d.dense()
 	if err := d.done(); err != nil {
 		return nil, err
 	}

@@ -68,10 +68,7 @@ func TestCodecRoundTrips(t *testing.T) {
 
 	tasks := []*Task{
 		{ID: 7, Kind: TaskPartialMTTKRP, Mode: 1, RowLo: 3, RowHi: 9},
-		{ID: 8, Kind: TaskGram, Mode: 0, BlockLo: 2, BlockHi: 5},
-		{ID: 9, Kind: TaskRowSolve, Mode: 2, RowLo: 0, RowHi: 4, Pinv: denseOf(3, 3, -1)},
-		{ID: 10, Kind: TaskRowSolve, Mode: 2, RowLo: 0, RowHi: 4, Pinv: denseOf(3, 3, 2), MRows: denseOf(4, 3, 0.5)},
-		{ID: 11, Kind: TaskFitPartial, Mode: 2, BlockLo: 0, BlockHi: 2, Lambda: []float64{1, 2.5, math.Pi}, MRows: denseOf(6, 3, 3)},
+		{ID: 8, Kind: TaskPartialMTTKRP, Mode: 2, RowLo: 4, RowHi: 4},
 	}
 	for _, task := range tasks {
 		got, err := DecodeTask(EncodeTask(task))
@@ -82,8 +79,7 @@ func TestCodecRoundTrips(t *testing.T) {
 
 	results := []*Result{
 		{ID: 7, Kind: TaskPartialMTTKRP, RowLo: 3, Rows: denseOf(6, 5, 0)},
-		{ID: 8, Kind: TaskGram, BlockLo: 2, Grams: []*la.Dense{denseOf(3, 3, 0), denseOf(3, 3, 9)}},
-		{ID: 11, Kind: TaskFitPartial, BlockLo: 0, Partials: []float64{1.5, -2.25}},
+		{ID: 8, Kind: TaskPartialMTTKRP, RowLo: 4, Rows: la.NewDense(0, 5)},
 	}
 	for _, r := range results {
 		got, err := DecodeResult(EncodeResult(r))
@@ -148,17 +144,22 @@ func TestCodecRejectsMalformedInput(t *testing.T) {
 	_, err = DecodeShard(corrupt)
 	wantDecodeError(t, "out-of-range row group", err)
 
-	// Inverted task range and unknown kind.
-	_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: TaskGram, BlockLo: 5, BlockHi: 2}))
+	// Inverted task range, and every kind but PartialMTTKRP — among them
+	// the gram (2), row-solve (3) and fit (4) kinds of earlier versions.
+	_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: TaskPartialMTTKRP, RowLo: 5, RowHi: 2}))
 	wantDecodeError(t, "inverted range", err)
-	_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: TaskKind(200)}))
-	wantDecodeError(t, "unknown kind", err)
+	for _, k := range []TaskKind{0, 2, 3, 4, 200} {
+		_, err = DecodeTask(EncodeTask(&Task{ID: 1, Kind: k}))
+		wantDecodeError(t, fmt.Sprintf("task kind %d", k), err)
+		_, err = DecodeResult(EncodeResult(&Result{ID: 1, Kind: k, Rows: denseOf(1, 2, 0)}))
+		wantDecodeError(t, fmt.Sprintf("result kind %d", k), err)
+	}
 
-	// Bad dense presence byte.
-	raw := EncodeTask(&Task{ID: 1, Kind: TaskGram, BlockLo: 0, BlockHi: 1})
-	raw[26] = 7 // pinv presence byte
-	_, err = DecodeTask(raw)
-	wantDecodeError(t, "presence byte", err)
+	// A result whose rows overrun the payload.
+	raw := EncodeResult(&Result{ID: 1, Kind: TaskPartialMTTKRP, Rows: denseOf(2, 2, 0)})
+	raw[16] = 9 // low byte of the row count
+	_, err = DecodeResult(raw)
+	wantDecodeError(t, "result rows", err)
 
 	// Hello with order beyond MaxOrder (byte 3: version u16, flags u8, order).
 	h := EncodeHello(&Hello{Version: 1, Order: 3, Rank: 2, Dims: []int{2, 2, 2}})
@@ -514,9 +515,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(uint8(MsgShard), EncodeShard(testShard()))
 	f.Add(uint8(MsgFactor), EncodeFactor(&Factor{Mode: 1, M: denseOf(3, 2, 0)}))
 	f.Add(uint8(MsgFactorDelta), EncodeFactorDelta(&FactorDelta{Mode: 0, Cols: 2, Indices: []int{1, 2}, Rows: []float64{1, 2, 3, 4}}))
-	f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 3, Kind: TaskRowSolve, RowLo: 1, RowHi: 4, Pinv: denseOf(2, 2, 1)}))
-	f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 4, Kind: TaskFitPartial, BlockLo: 0, BlockHi: 1, Lambda: []float64{1, 2}, MRows: denseOf(2, 2, 0)}))
-	f.Add(uint8(MsgResult), EncodeResult(&Result{ID: 3, Kind: TaskGram, Grams: []*la.Dense{denseOf(2, 2, 0)}}))
+	f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 3, Kind: TaskPartialMTTKRP, Mode: 1, RowLo: 1, RowHi: 4}))
+	// The kind bytes of the retired gram (2), row-solve (3) and fit (4)
+	// tasks, which must be refused.
+	for k := TaskKind(2); k <= 4; k++ {
+		f.Add(uint8(MsgTask), EncodeTask(&Task{ID: 4, Kind: k, RowLo: 1, RowHi: 4}))
+	}
+	f.Add(uint8(MsgResult), EncodeResult(&Result{ID: 3, Kind: TaskPartialMTTKRP, RowLo: 1, Rows: denseOf(3, 2, 0)}))
 	f.Add(uint8(MsgErr), EncodeErr(&RemoteError{TaskID: 9, Msg: "boom"}))
 	f.Add(uint8(MsgPing), EncodeSeq(77))
 	f.Add(uint8(0), []byte{})
@@ -531,9 +536,13 @@ func FuzzDecode(f *testing.F) {
 		case MsgFactorDelta:
 			DecodeFactorDelta(b)
 		case MsgTask:
-			DecodeTask(b)
+			if task, err := DecodeTask(b); err == nil && task.Kind != TaskPartialMTTKRP {
+				t.Fatalf("task of kind %d accepted", task.Kind)
+			}
 		case MsgResult:
-			DecodeResult(b)
+			if res, err := DecodeResult(b); err == nil && res.Kind != TaskPartialMTTKRP {
+				t.Fatalf("result of kind %d accepted", res.Kind)
+			}
 		case MsgErr:
 			DecodeErr(b)
 		default:

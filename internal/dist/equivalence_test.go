@@ -21,10 +21,10 @@ func sparseOpts() cpals.Options {
 	return cpals.Options{Rank: 4, MaxIters: 4, Seed: 9, Parallelism: 2}
 }
 
-// TestToggleMatrixBitwise runs every combination of the delta-broadcast and
-// pipelining toggles at 4 workers. All four must be bitwise identical to
-// the serial solver; the delta runs must actually send delta frames and
-// strictly less factor traffic than the full-broadcast runs.
+// TestToggleMatrixBitwise runs the delta-broadcast toggle both ways at 4
+// workers. Both runs must be bitwise identical to the serial solver, run
+// one stage per MTTKRP, and the delta run must actually send delta frames
+// and strictly less factor traffic than the full-broadcast run.
 func TestToggleMatrixBitwise(t *testing.T) {
 	x := sparseTensor()
 	opts := sparseOpts()
@@ -34,26 +34,27 @@ func TestToggleMatrixBitwise(t *testing.T) {
 	}
 	var deltaBytes, fullBytes int64
 	for _, cb := range []struct {
-		label           string
-		noDelta, noPipe bool
+		label   string
+		noDelta bool
 	}{
-		{"delta+pipeline", false, false},
-		{"delta only", false, true},
-		{"pipeline only", true, false},
-		{"neither", true, true},
+		{"delta", false},
+		{"full broadcast", true},
 	} {
 		c, err := StartInProcess(4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := c.Config()
-		cfg.NoDelta, cfg.NoPipeline = cb.noDelta, cb.noPipe
+		cfg.NoDelta = cb.noDelta
 		got, stats, err := Solve(x, opts, cfg)
 		c.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", cb.label, err)
 		}
 		sameBits(t, cb.label, want, got)
+		if wantStages := opts.MaxIters * x.Order(); stats.Stages != wantStages {
+			t.Fatalf("%s: %d stages, want %d (one per MTTKRP)", cb.label, stats.Stages, wantStages)
+		}
 		if cb.noDelta {
 			if stats.DeltaFrames != 0 {
 				t.Fatalf("%s: %d delta frames with deltas disabled", cb.label, stats.DeltaFrames)
@@ -122,9 +123,9 @@ func TestChaosReassignmentResyncsFullFactor(t *testing.T) {
 	}
 	defer c.Close()
 	cfg := c.Config()
-	// Stage 4 is iteration 0's second MTTKRP: by then every factor has
-	// been updated at least once, so the substitute is guaranteed stale.
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 4})
+	// Stage 2 is iteration 0's second MTTKRP: by then factor 0 has been
+	// updated, so the substitute is guaranteed stale.
+	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
 	got, stats, err := Solve(x, opts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +143,9 @@ func TestChaosReassignmentResyncsFullFactor(t *testing.T) {
 }
 
 // TestMidFlightKillWithDeltas is the in-flight reassignment path (kill
-// AFTER dispatch) under delta broadcasts + pipelining: tasks already on
-// the dead worker's socket are re-dispatched to a substitute that needs a
-// resync, and the result still matches serial bit for bit.
+// AFTER dispatch) under delta broadcasts: tasks already on the dead
+// worker's socket are re-dispatched to a substitute that needs a resync,
+// and the result still matches serial bit for bit.
 func TestMidFlightKillWithDeltas(t *testing.T) {
 	x := sparseTensor()
 	opts := sparseOpts()
@@ -160,7 +161,7 @@ func TestMidFlightKillWithDeltas(t *testing.T) {
 	cfg := c.Config()
 	var once sync.Once
 	cfg.AfterDispatch = func(stage uint64) {
-		if stage == 5 {
+		if stage == 3 {
 			once.Do(func() { c.Kills[2]() })
 		}
 	}

@@ -1,45 +1,39 @@
 // Package dist is the real distributed runtime: a coordinator/worker
-// system that executes CP-ALS stages across OS processes over TCP. It is
-// the first execution path in this repository that moves actual bytes over
-// actual sockets — everything in internal/cluster remains a cost model.
+// system that executes the MTTKRPs of CP-ALS across OS processes over TCP.
+// It is the first execution path in this repository that moves actual bytes
+// over actual sockets — everything in internal/cluster remains a cost model.
 //
-// There is no closure shipping. The protocol has a fixed task vocabulary —
-// PartialMTTKRP, Gram, RowSolve, FitPartial — mirroring the observation
-// (DFacTo, SpDISTAL) that the distributed MTTKRP decomposes into a small
-// set of shippable stages. The coordinator partitions the tensor once per
-// mode with tensor.ModeIndex row partitioning, ships nonzero shards at
-// session start, ships each updated factor per mode-iteration as a delta
-// of the rows that changed AND that the receiving worker's shards touch
-// (full matrices only at session start and on resync), and reduces partial
-// grams/MTTKRPs in a fixed order, so the factorization is bitwise
-// identical to the single-process cpals.Solve for every worker count and
-// every task placement (including after worker deaths):
-//
-//   - PartialMTTKRP output rows are disjoint between workers (the shards
-//     are cut at output-row boundaries), so "reduction" is assembly and
-//     each row's accumulation order is the shard's stable Perm order —
-//     exactly the per-row sequence of the shared-memory kernel.
-//   - Gram and FitPartial return one partial per par.BlockSize row block;
-//     the coordinator sums partials in global block order, the identical
-//     summation tree la.GramParallel and par.SumBlocks use.
-//   - RowSolve and factor normalization are elementwise / per-row.
+// There is no closure shipping, and one task kind: PartialMTTKRP. The MTTKRP
+// is the only part of ALS that needs the distributed tensor (DFacTo), so the
+// coordinator runs the shared mode update of internal/cpals with the fleet
+// as its MTTKRP source and keeps the rest — row solves, normalization,
+// grams, fits — itself. It partitions the tensor once per mode with
+// tensor.ModeIndex row partitioning, ships nonzero shards at session start,
+// and ships each updated factor per mode-iteration as a delta of the rows
+// that changed AND that the receiving worker's shards read (full matrices
+// only at session start and on resync). PartialMTTKRP output rows are
+// disjoint between workers (the shards are cut at output-row boundaries),
+// so "reduction" is assembly, and each row's accumulation order is the
+// shard's stable Perm order — exactly the per-row sequence of the
+// shared-memory kernel. The factorization is therefore bitwise identical to
+// the single-process cpals.Solve for every worker count and every task
+// placement (including after worker deaths).
 //
 // Failure handling: the coordinator pings every worker; a missed-heartbeat
 // timeout, a checksum-failed frame, or any socket error marks the worker
 // dead, and its outstanding tasks are reassigned to survivors, re-sending
-// the needed shard or MTTKRP rows from the coordinator's resident copy —
-// and a full-factor resync for any factor the substitute holds stale,
-// never a delta against state it was not sent. A dead worker is not gone
-// for good: a background rejoin loop redials its address with exponential
-// backoff + jitter and, when the worker answers the handshake again, it is
-// re-admitted mid-solve — shards re-ship lazily, factors resync in full —
-// and its home tasks route back to it. If the live fleet falls below
-// Config.MinWorkers, the coordinator degrades to a local solve from its
-// last iteration-boundary snapshot, bitwise identical to the distributed
-// result. A chaos.FaultPlan can kill real worker processes, sever
-// connections without killing (NetPartition), and corrupt outbound frames
-// (FrameCorrupt) at stage boundaries, driving the same recovery paths the
-// simulator models.
+// the needed shard from the coordinator's resident copy — and a full-factor
+// resync for any factor the substitute holds stale, never a delta against
+// state it was not sent. A dead worker is not gone for good: a background
+// rejoin loop redials its address with exponential backoff + jitter and,
+// when the worker answers the handshake again, it is re-admitted mid-solve —
+// shards re-ship lazily, factors resync in full — and its home tasks route
+// back to it. If the live fleet falls below Config.MinWorkers, the
+// coordinator computes the remaining MTTKRPs itself, bitwise identical to
+// the distributed result. A chaos.FaultPlan can kill real worker processes,
+// sever connections without killing (NetPartition), and corrupt outbound
+// frames (FrameCorrupt) at stage boundaries, driving the same recovery paths
+// the simulator models.
 package dist
 
 import (
@@ -53,8 +47,10 @@ import (
 // a mismatch aborts the handshake with a typed error. Version 2 added
 // FactorDelta frames, the row-grouped varint shard encoding, and the Hello
 // flags byte. Version 3 widened the frame header with a CRC32-C over the
-// type byte and payload.
-const ProtocolVersion = 3
+// type byte and payload. Version 4 cut the task vocabulary to
+// PartialMTTKRP and dropped the gram, row-solve and fit fields from tasks
+// and results.
+const ProtocolVersion = 4
 
 // MsgType identifies a protocol frame.
 type MsgType uint8
@@ -103,39 +99,19 @@ func (t MsgType) String() string {
 	}
 }
 
-// TaskKind enumerates the fixed task vocabulary.
+// TaskKind enumerates the task vocabulary. The kind byte stays on the wire
+// so a task of another kind is refused, not misread.
 type TaskKind uint8
 
-// The four shippable CP-ALS stages.
-const (
-	// TaskPartialMTTKRP computes the MTTKRP output rows [RowLo, RowHi) of
-	// one mode from the resident shard for that (mode, range).
-	TaskPartialMTTKRP TaskKind = iota + 1
-	// TaskGram computes per-block partial gram matrices A^T A over the
-	// global row blocks [BlockLo, BlockHi) of the resident factor.
-	TaskGram
-	// TaskRowSolve applies the pseudo-inverse of the gram Hadamard to the
-	// MTTKRP rows [RowLo, RowHi): a_i = m_i * Pinv, row by row.
-	TaskRowSolve
-	// TaskFitPartial computes per-block partials of the <X, X_hat> inner
-	// product over the global row blocks [BlockLo, BlockHi) of the last
-	// mode's MTTKRP result.
-	TaskFitPartial
-)
+// TaskPartialMTTKRP computes the MTTKRP output rows [RowLo, RowHi) of one
+// mode from the resident shard for that (mode, range). It is the only kind.
+const TaskPartialMTTKRP TaskKind = 1
 
 func (k TaskKind) String() string {
-	switch k {
-	case TaskPartialMTTKRP:
+	if k == TaskPartialMTTKRP {
 		return "partial-mttkrp"
-	case TaskGram:
-		return "gram"
-	case TaskRowSolve:
-		return "row-solve"
-	case TaskFitPartial:
-		return "fit-partial"
-	default:
-		return fmt.Sprintf("task(%d)", uint8(k))
 	}
+	return fmt.Sprintf("task(%d)", uint8(k))
 }
 
 // Hello flag bits (Hello.Flags).
@@ -245,49 +221,21 @@ type FactorDelta struct {
 	Rows    []float64 // len(Indices)*Cols, row-major
 }
 
-// Task is one task descriptor. Which fields are meaningful depends on
-// Kind; optional payloads (Pinv, Lambda, MRows) are presence-flagged on
-// the wire.
+// Task is one task descriptor: the output rows [RowLo, RowHi) of mode
+// Mode's MTTKRP.
 type Task struct {
-	ID   uint64
-	Kind TaskKind
-	Mode int
-
-	// Row range (PartialMTTKRP, RowSolve).
+	ID           uint64
+	Kind         TaskKind
+	Mode         int
 	RowLo, RowHi int
-
-	// Global par.BlockSize block range (Gram, FitPartial).
-	BlockLo, BlockHi int
-
-	// Pinv is the R x R pseudo-inverse of the gram Hadamard (RowSolve).
-	Pinv *la.Dense
-
-	// Lambda is the column-weight vector (FitPartial).
-	Lambda []float64
-
-	// MRows carries MTTKRP output rows the executing worker does not hold:
-	// always for FitPartial (fit blocks do not align with MTTKRP ranges),
-	// and for RowSolve only when the task was reassigned to a worker other
-	// than the one that produced the rows.
-	MRows *la.Dense
 }
 
 // Result is a completed task's payload.
 type Result struct {
-	ID   uint64
-	Kind TaskKind
-
-	// RowLo echoes the task's row range start (PartialMTTKRP, RowSolve).
-	RowLo int
-	// Rows are the computed output rows (PartialMTTKRP, RowSolve).
-	Rows *la.Dense
-
-	// BlockLo echoes the task's block range start (Gram, FitPartial).
-	BlockLo int
-	// Grams holds one R x R partial per block (Gram).
-	Grams []*la.Dense
-	// Partials holds one scalar partial per block (FitPartial).
-	Partials []float64
+	ID    uint64
+	Kind  TaskKind
+	RowLo int       // echoes the task's row range start
+	Rows  *la.Dense // the computed output rows
 }
 
 // RemoteError is a task failure reported by a worker over the wire (as

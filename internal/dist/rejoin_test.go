@@ -39,7 +39,7 @@ func TestPartitionRejoin(t *testing.T) {
 	defer c.Close()
 	cfg := c.Config()
 	cfg.Retry = fastRetry()
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NetPartition, Node: 1, Stage: 4})
+	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NetPartition, Node: 1, Stage: 2})
 	got, stats, err := Solve(x, opts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestCorruptFrameRecovery(t *testing.T) {
 	defer c.Close()
 	cfg := c.Config()
 	cfg.Retry = fastRetry()
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.FrameCorrupt, Node: 0, Stage: 3})
+	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.FrameCorrupt, Node: 0, Stage: 2})
 	got, stats, err := Solve(x, opts, cfg)
 	if err != nil {
 		t.Fatal(err)

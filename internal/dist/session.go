@@ -35,11 +35,6 @@ type Config struct {
 	// A/B benchmarking; results are bitwise identical either way.
 	NoDelta bool
 
-	// NoPipeline disables overlap between a mode's partial-gram reduce and
-	// the next mode's MTTKRP: every stage becomes a strict barrier. Kept
-	// for A/B benchmarking; results are bitwise identical either way.
-	NoPipeline bool
-
 	// UseCSF makes workers run PartialMTTKRP with the SPLATT CSF kernel on
 	// their shards. The run is then bitwise identical to the single-process
 	// CSF solver (cpals CSFKernel), NOT to the COO reference — the factored
@@ -62,13 +57,13 @@ type Config struct {
 	// pre-v3 behavior). Reassignment to survivors still happens.
 	DisableRejoin bool
 
-	// MinWorkers is the live-worker floor consumed by Solve: when the
-	// live count drops below it (at an iteration boundary, or on a
-	// mid-iteration fleet collapse), the coordinator degrades to a
-	// local solve from its last iteration snapshot — bitwise identical
-	// to the distributed result — instead of failing. 0 means 1
-	// (degrade only when no workers remain); negative disables
-	// degradation entirely, turning fleet collapse into a hard error.
+	// MinWorkers is the live-worker floor of Solve and SolveSampled: when
+	// the live count is below it before an iteration's first MTTKRP, or a
+	// stage finds no live worker at all, the coordinator computes the
+	// remaining MTTKRPs itself — bitwise identical to the distributed
+	// result — instead of failing. 0 means 1 (degrade only when no workers
+	// remain); negative disables degradation entirely, turning fleet
+	// collapse into a hard error.
 	MinWorkers int
 
 	// OnTornWrite, when non-nil, fires right after the iteration
@@ -84,10 +79,13 @@ type Config struct {
 	// declared dead (default 10*HeartbeatEvery).
 	HeartbeatTimeout time.Duration
 
-	// Plan, when non-nil, schedules worker kills against the session's
-	// stage clock: every chaos.NodeCrash event whose stage has arrived
-	// kills the corresponding worker slot before the stage dispatches.
-	// Other event kinds have no physical analogue here and are ignored.
+	// Plan, when non-nil, schedules faults against the session's stage
+	// clock. A stage is one MTTKRP round, so an iteration over an order-N
+	// tensor is N stages and stage 1 is iteration 0's mode-0 MTTKRP. Every
+	// NodeCrash, NetPartition and FrameCorrupt event whose stage has
+	// arrived acts on its worker slot before the stage dispatches; a
+	// TornWrite fires after the next checkpoint (Solve only). Other event
+	// kinds have no physical analogue here and are ignored.
 	Plan *chaos.FaultPlan
 
 	// AfterDispatch, when non-nil, runs after a stage's tasks have been
@@ -121,7 +119,7 @@ type Stats struct {
 	WallSeconds   float64 // real elapsed time of the whole session
 	BytesSent     int64   // bytes written to worker sockets
 	BytesRecv     int64   // bytes read from worker sockets
-	Stages        int     // task fan-out rounds executed
+	Stages        int     // MTTKRP rounds run on the fleet
 	Tasks         int     // tasks dispatched (including reassignments)
 	WorkerDeaths  int     // workers lost (timeout, socket error, or kill)
 	Reassignments int     // tasks re-dispatched after a worker death
@@ -144,19 +142,16 @@ type Stats struct {
 // Phases are coordinator wall-clock seconds, lapped at the seams of the
 // solver loop: every moment from the start of the call to its return is in
 // exactly one of them, so they sum to WallSeconds. The first four precede
-// the first MTTKRP dispatch; the rest are totals over the iterations.
+// the first MTTKRP; the rest are totals over the iterations.
 type Phases struct {
 	Connect      float64 // dial and handshake every worker
 	Partition    float64 // mode indexes and row ranges
-	ShardShip    float64 // shard encode + enqueue, touched-row plan
-	FactorInit   float64 // factor init, initial grams, full broadcasts, ||X||
-	MTTKRPWait   float64 // MTTKRP dispatch and wait
-	RowSolve     float64 // pinv, then the row-solve round trip
-	Normalize    float64 // column normalization on the coordinator
+	ShardShip    float64 // Solve's shard encode + enqueue and touched-row plan
+	FactorInit   float64 // coordinator work before the first MTTKRP: factor init, grams, ||X||
+	MTTKRPWait   float64 // MTTKRP stages: shard shipping, dispatch, wait, assembly
 	FactorUpdate float64 // diff, delta encode and enqueue per worker
-	GramWait     float64 // gram dispatch and (pipelined) wait, reduce
-	FitWait      float64 // fit dispatch and wait
-	Other        float64 // snapshots, callbacks, checkpoints, degraded solve
+	Local        float64 // coordinator work between remote operations: rule, normalize, gram, fit, callbacks
+	Other        float64 // after the last remote operation
 }
 
 // PhaseSeconds is one named phase total.
@@ -169,9 +164,8 @@ type PhaseSeconds struct {
 func (p Phases) List() []PhaseSeconds {
 	return []PhaseSeconds{
 		{"connect", p.Connect}, {"partition", p.Partition}, {"shard-ship", p.ShardShip},
-		{"factor-init", p.FactorInit}, {"mttkrp-wait", p.MTTKRPWait}, {"row-solve", p.RowSolve},
-		{"normalize", p.Normalize}, {"factor-update", p.FactorUpdate}, {"gram-wait", p.GramWait},
-		{"fit-wait", p.FitWait}, {"other", p.Other},
+		{"factor-init", p.FactorInit}, {"mttkrp-wait", p.MTTKRPWait},
+		{"factor-update", p.FactorUpdate}, {"local", p.Local}, {"other", p.Other},
 	}
 }
 
@@ -218,11 +212,12 @@ type remote struct {
 	wdone  chan struct{}
 
 	// Solver-goroutine-only bookkeeping (no locking needed).
-	hasShard map[shardKey]bool
+	// shards[key] is the tensor whose shard this connection holds under key
+	// (the worker replaces by key).
+	shards map[shardKey]*tensor.COO
 	// touched[m] marks the factor-m rows this worker's resident work reads:
-	// rows referenced by its shards of the other modes plus its gram/fit
-	// block chunks. Frozen at session start; a death merges the dead
-	// worker's sets into its substitute's.
+	// rows referenced by its shards of the other modes. Frozen at session
+	// start; a death merges the dead worker's sets into its substitute's.
 	touched []bitset
 	// prev[m] is the factor-m state this worker was last sent (nil until
 	// the initial full broadcast). Deltas are computed against it, so a
@@ -265,14 +260,10 @@ type Session struct {
 
 	stageSeq uint64
 	nextTask uint64
-	inflight []*stage
+	stage    *stage // the stage in flight, nil between stages
 	fatal    error
 	stats    Stats
 	lapAt    time.Time // end of the last lapped phase (solver goroutine only)
-
-	// snap is the last iteration-boundary state snapshot, the seed for
-	// graceful degradation to a coordinator-local solve.
-	snap *snapshot
 }
 
 // lap adds the time since the previous lap (or the session's creation) to
@@ -297,8 +288,8 @@ func (s *Session) minWorkers() int {
 
 // NoWorkersError reports a stage that found no live worker to run on, or
 // a live count below the configured floor at an iteration boundary. The
-// solver treats it as the trigger for graceful degradation (MinWorkers
-// permitting); every other session error remains fatal.
+// remote source treats it as the trigger for graceful degradation
+// (MinWorkers permitting); every other session error remains fatal.
 type NoWorkersError struct {
 	Stage uint64
 	Live  int
@@ -396,16 +387,16 @@ func (s *Session) connect(slot int, addr string) (*remote, error) {
 	}
 	cc := &countingConn{Conn: conn, sent: &s.bytesSent, recv: &s.bytesRecv}
 	r := &remote{
-		slot:     slot,
-		addr:     addr,
-		conn:     cc,
-		cc:       cc,
-		br:       bufio.NewReaderSize(cc, 1<<16),
-		bw:       bufio.NewWriterSize(cc, 1<<16),
-		outbox:   make(chan outFrame, 64),
-		gone:     make(chan struct{}),
-		wdone:    make(chan struct{}),
-		hasShard: map[shardKey]bool{},
+		slot:   slot,
+		addr:   addr,
+		conn:   cc,
+		cc:     cc,
+		br:     bufio.NewReaderSize(cc, 1<<16),
+		bw:     bufio.NewWriterSize(cc, 1<<16),
+		outbox: make(chan outFrame, 64),
+		gone:   make(chan struct{}),
+		wdone:  make(chan struct{}),
+		shards: map[shardKey]*tensor.COO{},
 	}
 	if s.cfg.Kills != nil {
 		r.kill = s.cfg.Kills[slot]
@@ -738,10 +729,10 @@ func (s *Session) Close() {
 // into its frame and queued for slot k — and, unless delta broadcasting is
 // off, the same pass freezes the communication plan: for every worker and
 // mode, the set of factor rows its resident work reads, which is the rows
-// its shards of the OTHER modes reference (set as the encoder writes them)
-// plus the rows of its gram/fit block chunk. Subsequent FactorUpdate calls
-// ship only touched rows that changed. A failed send marks the worker dead;
-// the MTTKRP prep hook re-ships wherever the task lands.
+// its shards of the OTHER modes reference (set as the encoder writes them).
+// Subsequent FactorUpdate calls ship only touched rows that changed. A
+// failed send marks the worker dead; the MTTKRP prep hook re-ships wherever
+// the task lands.
 func (s *Session) shipShards(ranges [][]tensor.NNZRange) {
 	order := s.t.Order()
 	W := len(s.remotes)
@@ -771,28 +762,12 @@ func (s *Session) shipShards(ranges [][]tensor.NNZRange) {
 		for m, n := range queued[k] {
 			if n > 0 {
 				s.stats.ShardBytes += int64(n)
-				r.hasShard[shardKey{m, ranges[m][k].RowLo, ranges[m][k].RowHi}] = true
+				r.shards[shardKey{m, ranges[m][k].RowLo, ranges[m][k].RowHi}] = s.t
 			}
 		}
 	}
 	if s.cfg.NoDelta {
 		return
-	}
-	for m := 0; m < order; m++ {
-		nb := par.NumBlocks(s.t.Dims[m])
-		if !distributeBlocks(nb, W) {
-			continue // gram/fit for this mode run on the coordinator
-		}
-		for k := 0; k < W; k++ {
-			lo, hi := blockChunk(k, nb, W)
-			rlo, rhi := lo*par.BlockSize, hi*par.BlockSize
-			if rhi > s.t.Dims[m] {
-				rhi = s.t.Dims[m]
-			}
-			for i := rlo; i < rhi; i++ {
-				s.remotes[k].touched[m].set(i)
-			}
-		}
 	}
 	// Freeze pristine copies before any death merges widen the live sets:
 	// a rejoining worker is re-admitted with exactly its original plan.
@@ -929,10 +904,9 @@ type stageTask struct {
 	// a flapping worker bounce it forever.
 	attempts int
 	// prep readies a target worker for the task: re-sending a missing
-	// shard, resyncing a stale factor, attaching MTTKRP rows for a
-	// substitute, etc. Called before every (re)dispatch with the chosen
-	// target.
-	prep func(r *remote, t *Task) error
+	// shard, resyncing a stale factor. Called before every (re)dispatch
+	// with the chosen target.
+	prep func(r *remote) error
 	// onResult consumes the (first) result.
 	onResult func(res *Result) error
 
@@ -940,9 +914,8 @@ type stageTask struct {
 	done     bool
 }
 
-// stage is one in-flight fan-out round. Several stages may be in flight at
-// once (pipelining); the event pump routes results to the right one by
-// task ID and reassigns the tasks of dead workers across all of them.
+// stage is the fan-out round in flight; the event pump routes results to
+// it by task ID and reassigns the tasks of dead workers.
 type stage struct {
 	seq       uint64
 	tasks     []*stageTask
@@ -983,16 +956,15 @@ func (s *Session) dispatch(st *stageTask) error {
 				st.task.ID, st.task.Kind, s.maxTaskAttempts())
 		}
 		st.assigned = r.slot
-		t := *st.task // shallow copy: prep may attach per-target payloads
 		if st.prep != nil {
-			if err := st.prep(r, &t); err != nil {
+			if err := st.prep(r); err != nil {
 				if !r.alive.Load() {
 					continue // prep's send hit a dead worker; try the next one
 				}
 				return err
 			}
 		}
-		if err := s.enqueue(r, MsgTask, EncodeTask(&t)); err != nil {
+		if err := s.enqueue(r, MsgTask, EncodeTask(st.task)); err != nil {
 			if !r.alive.Load() {
 				continue
 			}
@@ -1003,11 +975,12 @@ func (s *Session) dispatch(st *stageTask) error {
 	}
 }
 
-// beginStage starts one fan-out round WITHOUT waiting for it: chaos kills
-// due at this stage fire first, pending deaths are consumed, and every
-// task is queued to its home worker (or a live substitute). The stage
-// completes inside awaitStage — possibly after later stages have begun.
-func (s *Session) beginStage(tasks []*stageTask) *stage {
+// runStage runs one fan-out round: chaos faults due at this stage fire
+// first, pending rejoins and deaths are consumed, every task is queued to
+// its home worker (or a live substitute), and events are pumped until every
+// task has its result. Results may arrive in any order; each lands in its
+// own rows, so completion order never affects the arithmetic.
+func (s *Session) runStage(tasks []*stageTask) error {
 	s.stageSeq++
 	s.stats.Stages++
 	if s.cfg.Plan != nil {
@@ -1042,7 +1015,8 @@ func (s *Session) beginStage(tasks []*stageTask) *stage {
 		st.assigned = st.home
 		stg.byID[st.task.ID] = st
 	}
-	s.inflight = append(s.inflight, stg)
+	s.stage = stg
+	defer func() { s.stage = nil }()
 	for _, st := range tasks {
 		if err := s.dispatch(st); err != nil {
 			s.setFatal(err)
@@ -1052,14 +1026,6 @@ func (s *Session) beginStage(tasks []*stageTask) *stage {
 	if s.cfg.AfterDispatch != nil {
 		s.cfg.AfterDispatch(stg.seq)
 	}
-	return stg
-}
-
-// awaitStage pumps events until the stage completes: results may arrive
-// in any order and from any in-flight stage; deaths reassign tasks across
-// all in-flight stages. Callers apply results in a fixed order after the
-// await, so completion order never affects the arithmetic.
-func (s *Session) awaitStage(stg *stage) error {
 	for stg.remaining > 0 && s.fatal == nil {
 		select {
 		case slot := <-s.deathc:
@@ -1072,18 +1038,7 @@ func (s *Session) awaitStage(stg *stage) error {
 			s.setFatal(fmt.Errorf("dist: session closed during stage %d", stg.seq))
 		}
 	}
-	for i, f := range s.inflight {
-		if f == stg {
-			s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
-			break
-		}
-	}
 	return s.fatal
-}
-
-// runStage is the barrier form: begin and immediately await.
-func (s *Session) runStage(tasks []*stageTask) error {
-	return s.awaitStage(s.beginStage(tasks))
 }
 
 func (s *Session) setFatal(err error) {
@@ -1121,8 +1076,8 @@ func (s *Session) drainRejoins() {
 
 // handleDeath processes one worker death: its touched-row sets merge into
 // its deterministic substitute (so future deltas keep the substitute
-// current for the inherited work), and its unfinished tasks across every
-// in-flight stage are re-dispatched starting one past the dead slot.
+// current for the inherited work), and its unfinished tasks in the stage in
+// flight are re-dispatched starting one past the dead slot.
 func (s *Session) handleDeath(slot int) {
 	s.stats.WorkerDeaths++
 	dead := s.remotes[slot]
@@ -1134,19 +1089,20 @@ func (s *Session) handleDeath(slot int) {
 			}
 		}
 	}
-	for _, stg := range s.inflight {
-		for _, st := range stg.tasks {
-			if st.done || st.assigned != slot {
-				continue
-			}
-			s.stats.Reassignments++
-			// Restart the scan one past the dead slot so the substitute
-			// choice is deterministic.
-			st.assigned = (slot + 1) % len(s.remotes)
-			if err := s.dispatch(st); err != nil {
-				s.setFatal(err)
-				return
-			}
+	if s.stage == nil {
+		return
+	}
+	for _, st := range s.stage.tasks {
+		if st.done || st.assigned != slot {
+			continue
+		}
+		s.stats.Reassignments++
+		// Restart the scan one past the dead slot so the substitute choice
+		// is deterministic.
+		st.assigned = (slot + 1) % len(s.remotes)
+		if err := s.dispatch(st); err != nil {
+			s.setFatal(err)
+			return
 		}
 	}
 }
@@ -1251,25 +1207,24 @@ func (s *Session) handleResult(m resMsg) {
 		s.setFatal(m.rerr)
 		return
 	}
-	for _, stg := range s.inflight {
-		st, ok := stg.byID[m.res.ID]
-		if !ok {
-			continue
-		}
-		if st.done {
-			return // duplicate after a reassignment race; identical bits either way
-		}
-		if m.slot != st.assigned {
-			return // stale result from a slot whose task was reassigned
-		}
-		st.done = true
-		stg.remaining--
-		if st.onResult != nil {
-			if err := st.onResult(m.res); err != nil {
-				s.setFatal(err)
-			}
-		}
+	if s.stage == nil {
 		return
+	}
+	st, ok := s.stage.byID[m.res.ID]
+	switch {
+	case !ok:
+		return // a result from a finished stage, after a reassignment race
+	case st.done:
+		return // duplicate after a reassignment race; identical bits either way
+	case m.slot != st.assigned:
+		return // stale result from a slot whose task was reassigned
+	}
+	st.done = true
+	s.stage.remaining--
+	if st.onResult != nil {
+		if err := st.onResult(m.res); err != nil {
+			s.setFatal(err)
+		}
 	}
 }
 
@@ -1281,16 +1236,15 @@ func shardFrame(t *tensor.COO, mode int, rg tensor.NNZRange, touched []bitset) [
 	return encodeShard(src, t.ModeIndex(mode).Perm[rg.Lo:rg.Hi], t.Dims, touched)
 }
 
-// sendShard queues an encoded shard for one worker, where it replaces
-// whatever is resident under the same (mode, row range) key, and tracks
-// residency for re-sends. The rals kernel's per-epoch sampled shards change
-// contents under a stable key; it tracks which generation each connection
-// holds itself.
-func (s *Session) sendShard(r *remote, key shardKey, payload []byte) error {
+// sendShard queues x's shard under key for one worker, where it replaces
+// whatever is resident under the same (mode, row range) key, and records
+// which tensor the connection now holds there. Per-epoch sampled shards
+// change contents under a stable key.
+func (s *Session) sendShard(r *remote, key shardKey, x *tensor.COO, payload []byte) error {
 	if err := s.enqueue(r, MsgShard, payload); err != nil {
 		return err
 	}
 	s.stats.ShardBytes += int64(len(payload))
-	r.hasShard[key] = true
+	r.shards[key] = x
 	return nil
 }

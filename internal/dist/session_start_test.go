@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"cstf/internal/chaos"
-	"cstf/internal/par"
 	"cstf/internal/tensor"
 )
 
-// gatherTouched is the communication plan as InitComms computed it before
-// the shard encoder took the pass over: a second Perm gather over every
-// (mode, nonzero) pair only to set bits, then the gram/fit block chunks.
+// gatherTouched is the communication plan as a second Perm gather over
+// every (mode, nonzero) pair that only sets bits: the factor rows each
+// worker's shards read.
 func gatherTouched(x *tensor.COO, ranges [][]tensor.NNZRange, W int) [][]bitset {
 	order := x.Order()
 	touched := make([][]bitset, W)
@@ -38,25 +37,12 @@ func gatherTouched(x *tensor.COO, ranges [][]tensor.NNZRange, W int) [][]bitset 
 			}
 		}
 	}
-	for m := 0; m < order; m++ {
-		nb := par.NumBlocks(x.Dims[m])
-		if !distributeBlocks(nb, W) {
-			continue
-		}
-		for k := 0; k < W; k++ {
-			lo, hi := blockChunk(k, nb, W)
-			for i := lo * par.BlockSize; i < min(hi*par.BlockSize, x.Dims[m]); i++ {
-				touched[k][m].set(i)
-			}
-		}
-	}
 	return touched
 }
 
 // The touched-row sets the fused encode pass leaves behind — live and frozen
-// — must equal the old gather's bit for bit at every worker count, on a
-// tensor whose first mode is long enough to spread gram blocks over four
-// workers and whose others are not.
+// — must equal the gather's bit for bit at every worker count, on a tensor
+// whose first mode is long and whose others are short.
 func TestFusedTouchedSetsEqualGather(t *testing.T) {
 	x := tensor.GenZipf(5, 20000, 0.7, 9000, 300, 40)
 	for _, W := range []int{1, 2, 4} {
@@ -79,7 +65,7 @@ func TestFusedTouchedSetsEqualGather(t *testing.T) {
 				t.Errorf("%d workers: slot %d touched sets differ from the gather's", W, k)
 			}
 			for m := range ranges {
-				if k < len(ranges[m]) && !r.hasShard[shardKey{m, ranges[m][k].RowLo, ranges[m][k].RowHi}] {
+				if k < len(ranges[m]) && r.shards[shardKey{m, ranges[m][k].RowLo, ranges[m][k].RowHi}] != x {
 					t.Errorf("%d workers: slot %d mode %d shard not recorded resident", W, k, m)
 				}
 			}
@@ -93,8 +79,9 @@ func TestFusedTouchedSetsEqualGather(t *testing.T) {
 }
 
 // The coordinator phases partition the call: on a two-worker in-process
-// solve they sum to WallSeconds (within 5 % — what lies outside the laps is
-// reading the counters), none is negative, and the solver's stages all show.
+// solve of either tier they sum to WallSeconds (within 5 % — what lies
+// outside the laps is reading the counters), none is negative, and the
+// phases each tier passes through all show.
 func TestPhasesSumToWall(t *testing.T) {
 	x := tensor.GenZipf(3, 200000, 0.7, 4000, 3000, 2000)
 	c, err := StartInProcess(2)
@@ -104,25 +91,40 @@ func TestPhasesSumToWall(t *testing.T) {
 	defer c.Close()
 	opts := solveOpts()
 	opts.Rank = 8
-	_, stats, err := Solve(x, opts, c.Config())
+	_, exact, err := Solve(x, opts, c.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum float64
-	for _, p := range stats.Phases.List() {
-		if p.Seconds < 0 {
-			t.Errorf("phase %s is negative: %g", p.Name, p.Seconds)
+	ro := ralsOpts()
+	ro.Options = opts
+	_, sampled, err := SolveSampled(x, ro, c.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []struct {
+		name  string
+		stats Stats
+		shown []string
+	}{
+		{"Solve", exact, []string{"connect", "partition", "shard-ship", "factor-init", "mttkrp-wait", "factor-update", "local"}},
+		{"SolveSampled", sampled, []string{"connect", "partition", "factor-init", "mttkrp-wait", "factor-update", "local"}},
+	} {
+		var sum float64
+		byName := map[string]float64{}
+		for _, p := range tier.stats.Phases.List() {
+			if p.Seconds < 0 {
+				t.Errorf("%s: phase %s is negative: %g", tier.name, p.Name, p.Seconds)
+			}
+			sum += p.Seconds
+			byName[p.Name] = p.Seconds
 		}
-		sum += p.Seconds
-	}
-	if math.Abs(sum-stats.WallSeconds) > 0.05*stats.WallSeconds {
-		t.Errorf("phases sum to %.4f s, wall is %.4f s: %+v", sum, stats.WallSeconds, stats.Phases)
-	}
-	ph := stats.Phases
-	for name, v := range map[string]float64{"connect": ph.Connect, "partition": ph.Partition, "shard-ship": ph.ShardShip,
-		"factor-init": ph.FactorInit, "mttkrp-wait": ph.MTTKRPWait, "row-solve": ph.RowSolve, "factor-update": ph.FactorUpdate} {
-		if v <= 0 {
-			t.Errorf("phase %s recorded no time: %+v", name, ph)
+		if wall := tier.stats.WallSeconds; math.Abs(sum-wall) > 0.05*wall {
+			t.Errorf("%s: phases sum to %.4f s, wall is %.4f s: %+v", tier.name, sum, wall, tier.stats.Phases)
+		}
+		for _, name := range tier.shown {
+			if byName[name] <= 0 {
+				t.Errorf("%s: phase %s recorded no time: %+v", tier.name, name, tier.stats.Phases)
+			}
 		}
 	}
 }
@@ -145,7 +147,7 @@ func TestSolveLeavesNoGoroutines(t *testing.T) {
 		},
 		"rejoin": func(_ *LocalCluster, cfg *Config) {
 			cfg.Retry = fastRetry()
-			cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NetPartition, Node: 1, Stage: 4})
+			cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NetPartition, Node: 1, Stage: 2})
 		},
 	}
 	for name, arm := range runs {

@@ -11,7 +11,6 @@ import (
 
 	"cstf/internal/cpals"
 	"cstf/internal/la"
-	"cstf/internal/par"
 	"cstf/internal/rng"
 	"cstf/internal/tensor"
 )
@@ -115,16 +114,11 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-// shardKey identifies a resident shard or MTTKRP row block: shards are cut
-// per (mode, output-row range) and never overlap within a mode.
+// shardKey identifies a resident shard: shards are cut per (mode,
+// output-row range) and never overlap within a mode.
 type shardKey struct {
 	mode         int
 	rowLo, rowHi int
-}
-
-// gramKey identifies one cached partial gram: (mode, global block index).
-type gramKey struct {
-	mode, block int
 }
 
 // wsession is the per-connection worker state. The read loop stores
@@ -139,15 +133,6 @@ type wsession struct {
 	running bool // a task is executing against a snapshot of factors
 	shards  map[shardKey]*ShardColumns
 	factors []*la.Dense
-	mrows   map[shardKey]*la.Dense // MTTKRP outputs kept for the RowSolve that follows
-
-	// gramCache keeps per-block partial grams across iterations; a factor
-	// update invalidates exactly the blocks whose rows changed, so Gram
-	// tasks over converged (or untouched) blocks reuse the resident
-	// partial instead of recomputing it. Reuse is bitwise-safe: a block
-	// survives in the cache only if none of its rows changed, and
-	// GramAccumulate is deterministic in the row bits.
-	gramCache map[gramKey]*la.Dense
 
 	// csfs caches the per-shard CSF trees for the optional SPLATT kernel
 	// (Hello flag HelloUseCSF). An entry is invalidated when its shard is
@@ -170,10 +155,8 @@ func (w *Worker) handle(c net.Conn) {
 	}
 
 	s := &wsession{
-		shards:    map[shardKey]*ShardColumns{},
-		mrows:     map[shardKey]*la.Dense{},
-		gramCache: map[gramKey]*la.Dense{},
-		csfs:      map[shardKey]*tensor.CSF{},
+		shards: map[shardKey]*ShardColumns{},
+		csfs:   map[shardKey]*tensor.CSF{},
 	}
 
 	// Tasks execute on their own goroutine so the read loop keeps
@@ -254,11 +237,6 @@ func (w *Worker) handle(c net.Conn) {
 				return
 			}
 			s.factors[f.Mode] = f.M
-			for k := range s.gramCache {
-				if k.mode == f.Mode {
-					delete(s.gramCache, k)
-				}
-			}
 			s.mu.Unlock()
 		case MsgFactorDelta:
 			fd, err := DecodeFactorDelta(payload)
@@ -292,7 +270,7 @@ func (w *Worker) handle(c net.Conn) {
 
 // applyDelta patches the changed rows of one factor — in place when no task
 // is executing (the usual case: the coordinator sends a mode's delta after
-// that mode's row-solve came back), otherwise copy-on-write: the resident
+// that mode's MTTKRP came back), otherwise copy-on-write: the resident
 // matrix is cloned, the rows land in the clone, and the pointer swaps under
 // the lock, so a task that snapshotted the old matrix keeps reading
 // unchanged state — the coordinator guarantees any task that must see the
@@ -322,7 +300,6 @@ func (s *wsession) applyDelta(fd *FactorDelta) error {
 	}
 	for i, idx := range fd.Indices {
 		copy(nf.Row(idx), fd.Rows[i*fd.Cols:(i+1)*fd.Cols])
-		delete(s.gramCache, gramKey{fd.Mode, idx / par.BlockSize})
 	}
 	s.factors[fd.Mode] = nf
 	return nil
@@ -359,26 +336,22 @@ func (s *wsession) exec(t *Task) (*Result, error) {
 	if hello == nil {
 		return nil, fmt.Errorf("task before hello")
 	}
-	switch t.Kind {
-	case TaskPartialMTTKRP:
-		return s.execMTTKRP(t, hello, factors)
-	case TaskRowSolve:
-		return s.execRowSolve(t)
-	case TaskGram:
-		return s.execGram(t, factors)
-	case TaskFitPartial:
-		return s.execFitPartial(t, factors)
-	default:
+	if t.Kind != TaskPartialMTTKRP {
 		return nil, fmt.Errorf("unknown task kind %d", uint8(t.Kind))
 	}
+	return s.execMTTKRP(t, hello, factors)
 }
 
 // execMTTKRP computes output rows [RowLo, RowHi) of the mode-t.Mode MTTKRP
 // from the resident shard. The shard's nonzeros are in the stable ModeIndex
 // Perm order, and each output row is accumulated nonzero by nonzero in that
 // order by the block body the shared-memory MTTKRPWorkers kernel runs — the
-// identical floating-point sequence for those rows.
+// identical floating-point sequence for those rows. An empty row range
+// needs no shard and yields no rows.
 func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Result, error) {
+	if t.RowLo == t.RowHi {
+		return &Result{ID: t.ID, Kind: t.Kind, RowLo: t.RowLo, Rows: la.NewDense(0, hello.Rank)}, nil
+	}
 	key := shardKey{t.Mode, t.RowLo, t.RowHi}
 	s.mu.Lock()
 	sh := s.shards[key]
@@ -406,9 +379,6 @@ func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Resu
 	}
 	out := la.NewDense(t.RowHi-t.RowLo, hello.Rank)
 	cpals.MTTKRPColumns(out, t.RowLo, sh.Rows, sh.Vals, sh.Cols, t.Mode, factors)
-	s.mu.Lock()
-	s.mrows[key] = out
-	s.mu.Unlock()
 	return &Result{ID: t.ID, Kind: t.Kind, RowLo: t.RowLo, Rows: out}, nil
 }
 
@@ -456,118 +426,10 @@ func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh 
 		factors[t.Mode] = la.NewDense(hello.Dims[t.Mode], hello.Rank)
 	}
 	full := cpals.MTTKRPCSF(csf, factors)
-	out := rowsView(full, t.RowLo, t.RowHi)
-	s.mu.Lock()
-	s.mrows[key] = out
-	s.mu.Unlock()
-	return &Result{ID: t.ID, Kind: t.Kind, RowLo: t.RowLo, Rows: out}, nil
+	return &Result{ID: t.ID, Kind: t.Kind, RowLo: t.RowLo, Rows: rowsView(full, t.RowLo, t.RowHi)}, nil
 }
 
-// execRowSolve applies the pseudo-inverse row by row: a_i = m_i * Pinv.
-// The MTTKRP rows come from the task payload when the coordinator
-// reassigned the range, otherwise from the resident rows produced by this
-// worker's PartialMTTKRP moments earlier.
-func (s *wsession) execRowSolve(t *Task) (*Result, error) {
-	if t.Pinv == nil {
-		return nil, fmt.Errorf("row-solve without pinv")
-	}
-	m := t.MRows
-	if m == nil {
-		key := shardKey{t.Mode, t.RowLo, t.RowHi}
-		s.mu.Lock()
-		m = s.mrows[key]
-		s.mu.Unlock()
-		if m == nil {
-			return nil, fmt.Errorf("no resident mttkrp rows for mode %d rows [%d,%d)", t.Mode, t.RowLo, t.RowHi)
-		}
-	}
-	if m.Rows != t.RowHi-t.RowLo || m.Cols != t.Pinv.Rows {
-		return nil, fmt.Errorf("row-solve shape mismatch: rows %dx%d, pinv %dx%d, range [%d,%d)",
-			m.Rows, m.Cols, t.Pinv.Rows, t.Pinv.Cols, t.RowLo, t.RowHi)
-	}
-	out := la.NewDense(m.Rows, t.Pinv.Cols)
-	for i := 0; i < m.Rows; i++ {
-		la.VecMatInto(out.Row(i), m.Row(i), t.Pinv)
-	}
-	return &Result{ID: t.ID, Kind: t.Kind, RowLo: t.RowLo, Rows: out}, nil
-}
-
-// execGram computes one partial gram per global par.BlockSize row block in
-// [BlockLo, BlockHi) of the resident factor — the identical per-block
-// computation la.GramParallel performs, so the coordinator's block-order
-// sum reproduces its bits exactly.
-func (s *wsession) execGram(t *Task, factors []*la.Dense) (*Result, error) {
-	if t.Mode >= len(factors) || factors[t.Mode] == nil {
-		return nil, fmt.Errorf("gram: factor %d not broadcast", t.Mode)
-	}
-	f := factors[t.Mode]
-	nb := par.NumBlocks(f.Rows)
-	if t.BlockLo < 0 || t.BlockHi > nb {
-		return nil, fmt.Errorf("gram: block range [%d,%d) out of [0,%d)", t.BlockLo, t.BlockHi, nb)
-	}
-	grams := make([]*la.Dense, 0, t.BlockHi-t.BlockLo)
-	for b := t.BlockLo; b < t.BlockHi; b++ {
-		// Reuse the resident partial when no row of the block has changed
-		// since it was computed. The cache is only consulted while the
-		// resident factor still is the snapshot this task executes against;
-		// a concurrent update swaps the pointer and invalidates the
-		// changed blocks, so a hit is always bitwise-equal to a recompute.
-		key := gramKey{t.Mode, b}
-		s.mu.Lock()
-		var p *la.Dense
-		if s.factors[t.Mode] == f {
-			p = s.gramCache[key]
-		}
-		s.mu.Unlock()
-		if p == nil {
-			lo, hi := par.Block(b, f.Rows)
-			p = la.NewDense(f.Cols, f.Cols)
-			la.GramAccumulate(p, &la.Dense{Rows: hi - lo, Cols: f.Cols, Data: f.Data[lo*f.Cols : hi*f.Cols]})
-			s.mu.Lock()
-			if s.factors[t.Mode] == f {
-				s.gramCache[key] = p
-			}
-			s.mu.Unlock()
-		}
-		grams = append(grams, p)
-	}
-	return &Result{ID: t.ID, Kind: t.Kind, BlockLo: t.BlockLo, Grams: grams}, nil
-}
-
-// execFitPartial computes one <X, X_hat> inner-product partial per global
-// row block of the last mode's MTTKRP result (shipped in MRows, rows
-// offset by BlockLo*par.BlockSize), against the resident normalized
-// factor — the per-block body of cpals.FitFromWorkers.
-func (s *wsession) execFitPartial(t *Task, factors []*la.Dense) (*Result, error) {
-	if t.Mode >= len(factors) || factors[t.Mode] == nil {
-		return nil, fmt.Errorf("fit: factor %d not broadcast", t.Mode)
-	}
-	if t.MRows == nil {
-		return nil, fmt.Errorf("fit without mttkrp rows")
-	}
-	if len(t.Lambda) != t.MRows.Cols {
-		return nil, fmt.Errorf("fit: lambda length %d != rank %d", len(t.Lambda), t.MRows.Cols)
-	}
-	f := factors[t.Mode]
-	base := t.BlockLo * par.BlockSize
-	if base+t.MRows.Rows > f.Rows {
-		return nil, fmt.Errorf("fit: rows [%d,%d) out of factor range %d", base, base+t.MRows.Rows, f.Rows)
-	}
-	partials := make([]float64, 0, t.BlockHi-t.BlockLo)
-	for b := t.BlockLo; b < t.BlockHi; b++ {
-		lo, hi := par.Block(b, f.Rows)
-		if hi-base > t.MRows.Rows {
-			return nil, fmt.Errorf("fit: block %d rows [%d,%d) beyond shipped rows", b, lo, hi)
-		}
-		var sum float64
-		for i := lo; i < hi; i++ {
-			mrow := t.MRows.Row(i - base)
-			arow := f.Row(i)
-			for r := range mrow {
-				sum += mrow[r] * arow[r] * t.Lambda[r]
-			}
-		}
-		partials = append(partials, sum)
-	}
-	return &Result{ID: t.ID, Kind: t.Kind, BlockLo: t.BlockLo, Partials: partials}, nil
+// rowsView is a zero-copy view of rows [lo, hi) of m.
+func rowsView(m *la.Dense, lo, hi int) *la.Dense {
+	return &la.Dense{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }

@@ -102,3 +102,36 @@ func TestWorkerRefusesShardIndexingPastFactor(t *testing.T) {
 		}
 	}
 }
+
+// A worker refuses a coordinator that speaks the previous protocol version,
+// with an error that names both versions, and ends the connection.
+func TestWorkerRefusesPreviousProtocolVersion(t *testing.T) {
+	lc, err := StartInProcess(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	c, err := net.Dial("tcp", lc.Addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := WriteFrame(c, MsgHello, EncodeHello(&Hello{Version: 3, Order: 3, Rank: 2, Dims: []int{4, 4, 4}, Workers: 1})); err != nil {
+		t.Fatal(err)
+	}
+	mt, payload, err := ReadFrame(c)
+	if err != nil || mt != MsgErr {
+		t.Fatalf("v3 hello answered with %v, err %v; want an error frame", mt, err)
+	}
+	re, err := DecodeErr(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "protocol version mismatch: coordinator 3, worker 4"; re.Msg != want {
+		t.Errorf("refusal %q, want %q", re.Msg, want)
+	}
+	if _, _, err := ReadFrame(c); err == nil {
+		t.Error("connection still open after the refusal")
+	}
+}

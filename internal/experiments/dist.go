@@ -93,7 +93,6 @@ type DistRow struct {
 	Workers         int     `json:"workers,omitempty"`
 	Kernel          string  `json:"kernel"` // "coo" or "csf"
 	DeltaBroadcast  bool    `json:"delta_broadcast"`
-	Pipelined       bool    `json:"pipelined"`
 	Chaos           bool    `json:"chaos,omitempty"` // mid-run worker crash injected
 	WallMs          float64 `json:"wall_ms"`
 	WireSentMB      float64 `json:"wire_sent_mb"`
@@ -229,7 +228,7 @@ func DistBenchWith(p Params, cfg DistBenchConfig) (*DistReport, error) {
 		if withChaos {
 			// Crash a mid-rank worker a few stages in; the run must still
 			// finish and still match the serial reference bit for bit.
-			dc.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: n / 2, Stage: 4})
+			dc.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: n / 2, Stage: 2})
 		}
 		res, stats, err := dist.Solve(x, opts, dc)
 		lc.Close()
@@ -241,7 +240,6 @@ func DistBenchWith(p Params, cfg DistBenchConfig) (*DistReport, error) {
 			Workers:         n,
 			Kernel:          kernel,
 			DeltaBroadcast:  !noDelta,
-			Pipelined:       true,
 			Chaos:           withChaos,
 			WallMs:          wallMs,
 			WireSentMB:      float64(stats.BytesSent) / 1e6,

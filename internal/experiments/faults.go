@@ -201,20 +201,20 @@ func FaultsBenchWith(p Params, cfg FaultsBenchConfig) (*FaultsReport, error) {
 		{"baseline", nil},
 		{"worker-crash", func(dc *dist.Config) {
 			dc.Plan = chaos.NewPlanFromEvents(
-				chaos.Event{Kind: chaos.NodeCrash, Node: cfg.Workers / 2, Stage: 4})
+				chaos.Event{Kind: chaos.NodeCrash, Node: cfg.Workers / 2, Stage: 2})
 		}},
 		{"partition-rejoin", func(dc *dist.Config) {
 			dc.Plan = chaos.NewPlanFromEvents(
-				chaos.Event{Kind: chaos.NetPartition, Node: cfg.Workers - 1, Stage: 4})
+				chaos.Event{Kind: chaos.NetPartition, Node: cfg.Workers - 1, Stage: 2})
 		}},
 		{"frame-corrupt", func(dc *dist.Config) {
 			dc.Plan = chaos.NewPlanFromEvents(
-				chaos.Event{Kind: chaos.FrameCorrupt, Node: 0, Stage: 3})
+				chaos.Event{Kind: chaos.FrameCorrupt, Node: 0, Stage: 2})
 		}},
 		{"fleet-collapse-degrade", func(dc *dist.Config) {
 			var evs []chaos.Event
 			for n := 0; n < cfg.Workers; n++ {
-				evs = append(evs, chaos.Event{Kind: chaos.NodeCrash, Node: n, Stage: 4})
+				evs = append(evs, chaos.Event{Kind: chaos.NodeCrash, Node: n, Stage: 2})
 			}
 			dc.Plan = chaos.NewPlanFromEvents(evs...)
 			dc.DisableRejoin = true // the processes are dead; don't redial
