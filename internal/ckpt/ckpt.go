@@ -88,12 +88,9 @@ type RALSState struct {
 }
 
 // NTFState is the extra solver state an ncp checkpoint carries: the inner
-// coordinate-descent pass count the run was configured with and the per-mode
-// saturation bitmaps (row-major Dims[n] x Rank, 1 = element pinned at the
-// zero bound), so a resumed run restores the exact skip set.
+// coordinate-descent pass count the run was configured with.
 type NTFState struct {
 	InnerIters int
-	Saturated  [][]byte // one row-major bitmap per mode, Dims[n] x Rank
 }
 
 // InvalidError reports a checkpoint whose fields are structurally
@@ -159,7 +156,7 @@ func (f *File) Validate(path string) error {
 		}
 	}
 	if f.NTF != nil {
-		if err := f.NTF.Validate(f.Dims, f.Rank); err != nil {
+		if err := f.NTF.Validate(); err != nil {
 			return fail("%v", err)
 		}
 	}
@@ -190,18 +187,10 @@ func (st *RALSState) Validate(dims []int, rank int) error {
 	return nil
 }
 
-// Validate checks the state against the model shape it belongs to.
-func (st *NTFState) Validate(dims []int, rank int) error {
+// Validate checks the inner pass count.
+func (st *NTFState) Validate() error {
 	if st.InnerIters <= 0 {
 		return fmt.Errorf("ntf inner pass count %d", st.InnerIters)
-	}
-	if len(st.Saturated) != len(dims) {
-		return fmt.Errorf("%d ntf saturation bitmaps for %d modes", len(st.Saturated), len(dims))
-	}
-	for n, s := range st.Saturated {
-		if len(s) != dims[n]*rank {
-			return fmt.Errorf("ntf saturation bitmap %d has %d flags, want %d*%d", n, len(s), dims[n], rank)
-		}
 	}
 	return nil
 }

@@ -84,6 +84,7 @@ type Result struct {
 	Factors []*la.Dense // one normalized factor matrix per mode
 	Fits    []float64   // model fit after each completed iteration
 	Iters   int         // iterations actually run
+	Rule    Rule        // the row rule the solve ran; a warm start continues with it
 }
 
 // Fit returns the final fit, or 0 if no iterations ran.

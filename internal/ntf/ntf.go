@@ -4,7 +4,7 @@
 // least-squares problem by clipped exact coordinate minimization and skips
 // the coordinates saturated at the zero bound, where implicit-feedback
 // tensors spend most of them (the factors come out mostly sparse). This
-// package holds the options, their checkpoint state and the constructor.
+// package holds the options and the constructor.
 //
 // Determinism contract: for a fixed seed the factors are bitwise identical
 // across runs and across Parallelism values. Row problems are independent,
@@ -29,8 +29,8 @@ import (
 
 // DefaultInnerIters is the number of coordinate-descent passes each row
 // problem runs per mode update when Options.InnerIters is unset. The first
-// pass re-checks every coordinate (unlocking saturated elements whose
-// gradient sign flipped); later passes skip saturated elements entirely.
+// pass checks every coordinate and flags the saturated ones; later passes
+// of the same row problem skip them.
 const DefaultInnerIters = 3
 
 // Options configures a nonnegative CP solve. The embedded cpals.Options
@@ -45,14 +45,10 @@ type Options struct {
 	InnerIters int
 
 	// InitState resumes from a checkpoint's NTF state (what this solver
-	// writes to ckpt.File.NTF): the per-mode saturation bitmaps (row-major
-	// rows x rank, 1 = pinned at the zero bound with a non-descending
-	// gradient at last check) and the inner pass count, which takes the
-	// place of InnerIters. Saturated elements always hold value zero, so the
-	// bitmaps restore the skip set — and with it the resumed run's exact
-	// work profile — without affecting the factors themselves. A resume
-	// (StartIter > 0) requires it; a warm start without it rebuilds the
-	// bitmaps in the first sweep's re-check pass.
+	// writes to ckpt.File.NTF): the inner pass count the checkpointed run
+	// was configured with, which takes the place of InnerIters so the
+	// resumed run follows the original trajectory. A resume (StartIter > 0)
+	// requires it.
 	InitState *ckpt.NTFState
 }
 
@@ -79,11 +75,11 @@ func (o *Options) Validate(t *tensor.COO) error {
 		if o.InitFactors == nil {
 			return fmt.Errorf("ntf: InitState requires InitFactors")
 		}
-		if err := st.Validate(t.Dims, o.Rank); err != nil {
+		if err := st.Validate(); err != nil {
 			return fmt.Errorf("ntf: InitState: %w", err)
 		}
 	} else if o.StartIter > 0 {
-		return fmt.Errorf("ntf: resuming at iteration %d needs the checkpoint's saturation state (InitState)", o.StartIter)
+		return fmt.Errorf("ntf: resuming at iteration %d needs the checkpoint's inner pass count (InitState)", o.StartIter)
 	}
 	return nil
 }
@@ -100,24 +96,5 @@ func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
 	if err := o.Validate(t); err != nil {
 		return nil, err
 	}
-	return cpals.SolveWith(t, o.Options, cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: o.Inner()}, NTF: o.InitState})
-}
-
-// SaturatedFrac reports the fraction of factor elements currently pinned at
-// the zero bound — the coordinates whose inner-loop updates the solver
-// skips, and a direct sparsity readout of the learned factors.
-func SaturatedFrac(st *ckpt.NTFState) float64 {
-	total, on := 0, 0
-	for _, s := range st.Saturated {
-		total += len(s)
-		for _, b := range s {
-			if b != 0 {
-				on++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(on) / float64(total)
+	return cpals.SolveWith(t, o.Options, cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: o.Inner()}})
 }

@@ -119,7 +119,7 @@ func TestPipelineFeedsServingHotReload(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	want := u.ReconstructAt(idx...)
+	want := (&cpals.Result{Lambda: u.Lambda(), Factors: u.Factors()}).ReconstructAt(idx...)
 	if math.Abs(body.Value-want) > 1e-12*math.Max(1, math.Abs(want)) {
 		t.Fatalf("/predict = %v, live updater reconstructs %v", body.Value, want)
 	}

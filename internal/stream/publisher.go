@@ -48,8 +48,10 @@ func (p *Publisher) Version() int { return p.version }
 func (p *Publisher) Path() string { return p.path }
 
 // Publish atomically writes the updater's current model as the next
-// version. On error the previous version remains intact on disk and the
-// version counter does not advance.
+// version. The file names the model's rule: "stream" for least squares,
+// "ncp" with the inner pass count for the nonnegative rule. On error the
+// previous version remains intact on disk and the version counter does not
+// advance.
 func (p *Publisher) Publish(u *Updater, fit float64) (int, error) {
 	next := p.version + 1
 	cp := &ckpt.File{
@@ -60,6 +62,9 @@ func (p *Publisher) Publish(u *Updater, fit float64) (int, error) {
 		Dims:      u.Dims(),
 		Lambda:    u.Lambda(),
 		Fits:      []float64{fit},
+	}
+	if u.rule.Nonneg {
+		cp.Algorithm, cp.NTF = "ncp", &ckpt.NTFState{InnerIters: u.rule.Inner}
 	}
 	for _, f := range u.Factors() {
 		cp.Factors = append(cp.Factors, f.Data)

@@ -84,3 +84,41 @@ func TestPublisherRetentionDisabled(t *testing.T) {
 		t.Fatalf("stray files in publish dir: %v", ents)
 	}
 }
+
+// A streamed nonnegative model is published as what it is: an "ncp" file
+// carrying the inner pass count, while a least-squares one stays "stream".
+func TestPublisherNamesTheRule(t *testing.T) {
+	u, rest := ncpStream(t, 2)
+	if _, err := u.ApplyDelta(rest[:200]); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	if _, err := NewPublisher(path, 3).Publish(u, u.Fit()); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ckpt.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Algorithm != "ncp" || f.NTF == nil || f.NTF.InnerIters != 2 {
+		t.Fatalf("published ncp stream as %q with NTF %+v", f.Algorithm, f.NTF)
+	}
+	for n, data := range f.Factors {
+		for i, v := range data {
+			if v < 0 {
+				t.Fatalf("published factor %d entry %d = %v", n, i, v)
+			}
+		}
+	}
+
+	ls := trainedUpdater(t, tensor.GenLowRank(13, 2000, 3, 0.05, 40, 30, 20), 3, 3, 13)
+	if _, err := NewPublisher(path, 13).Publish(ls, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = ckpt.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	if f.Algorithm != "stream" || f.NTF != nil {
+		t.Fatalf("published least-squares stream as %q with NTF %+v", f.Algorithm, f.NTF)
+	}
+}

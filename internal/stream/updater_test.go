@@ -1,11 +1,13 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"cstf/internal/cpals"
 	"cstf/internal/la"
+	"cstf/internal/ntf"
 	"cstf/internal/tensor"
 )
 
@@ -242,98 +244,66 @@ func TestApplyDeltaDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Sampled sweeps, degenerate case: a full sample budget makes the rals
-// sweep bitwise identical to the exact sweep — factors, lambda, and the
-// returned exact fit.
-func TestSampledSweepFullBudgetBitwiseExact(t *testing.T) {
-	const seed, rank = 17, 3
-	x := tensor.GenLowRank(seed, 4000, rank, 0.05, 50, 40, 30)
-	delta := tensor.GenUniform(seed+1, 400, 50, 40, 30).Entries
-
-	run := func(s *SweepSampling) (*Updater, float64) {
-		u := trainedUpdater(t, x, rank, 2, seed)
-		u.SetSweepSampling(s)
-		if _, err := u.ApplyDelta(delta); err != nil {
-			t.Fatal(err)
-		}
-		fit, err := u.FullSweep(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return u, fit
-	}
-	exactU, exactFit := run(nil)
-	sampU, sampFit := run(&SweepSampling{SampleCount: x.NNZ() + len(delta)})
-
-	if sampFit != exactFit {
-		t.Fatalf("full-budget sampled sweep fit %v != exact sweep fit %v", sampFit, exactFit)
-	}
-	for n, f := range sampU.Factors() {
-		for i, v := range f.Data {
-			if v != exactU.Factors()[n].Data[i] {
-				t.Fatalf("factor %d datum %d differs bitwise from exact sweep", n, i)
-			}
+// ncpStream trains a nonnegative model on most of a planted recommender
+// tensor and returns an updater over it plus the held-back interactions,
+// which include users past the trained mode size.
+func ncpStream(t *testing.T, inner int) (*Updater, []tensor.Entry) {
+	t.Helper()
+	x := tensor.GenRecsys(11, 8000, 120, 80, 4, 4, 0.02)
+	base := tensor.New(110, x.Dims[1], x.Dims[2])
+	var rest []tensor.Entry
+	for i, e := range x.Entries {
+		if e.Idx[0] >= 110 || i%5 == 0 {
+			rest = append(rest, e)
+		} else {
+			base.Entries = append(base.Entries, e)
 		}
 	}
-	for c, v := range sampU.Lambda() {
-		if v != exactU.Lambda()[c] {
-			t.Fatalf("lambda[%d] differs bitwise from exact sweep", c)
-		}
+	res, err := ntf.Solve(base, ntf.Options{Options: cpals.Options{Rank: 4, MaxIters: 10, Seed: 3}, InnerIters: inner})
+	if err != nil {
+		t.Fatal(err)
 	}
+	u, err := NewUpdaterFromResult(base, res, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u, rest
 }
 
-// Sampled sweeps are deterministic — the same event sequence yields bitwise
-// identical factors on repeat runs and across worker counts — and the sweep
-// still does its job: warm-started on drifted factors, the sampled sweep's
-// exact fit lands close to what the exact sweep reaches.
-func TestSampledSweepDeterministicAndTracksExact(t *testing.T) {
-	const seed, rank = 29, 3
-	x := tensor.GenLowRank(seed, 5000, rank, 0.02, 50, 40, 30)
-	deltas := [][]tensor.Entry{
-		tensor.GenUniform(seed+1, 300, 50, 40, 30).Entries,
-		tensor.GenUniform(seed+2, 300, 50, 40, 30).Entries,
-	}
-	s := &SweepSampling{SampleFraction: 0.5, ResampleEvery: 2, ExactFinishIters: 1}
-
-	run := func(workers int, s *SweepSampling) (*Updater, float64) {
-		res, err := cpals.Solve(x, cpals.Options{Rank: rank, MaxIters: 4, Seed: seed, Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := NewUpdaterFromResult(x, res, seed, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u.SetSweepSampling(s)
-		var fit float64
-		for _, d := range deltas {
-			if _, err := u.ApplyDelta(d); err != nil {
-				t.Fatal(err)
+// A nonnegative model stays nonnegative under streaming: its windows and
+// full sweeps run the rule that trained it, so no factor entry or weight
+// turns negative.
+func TestNCPStreamStaysNonnegative(t *testing.T) {
+	u, rest := ncpStream(t, 0)
+	check := func(stage string) {
+		t.Helper()
+		for c, v := range u.Lambda() {
+			if !(v >= 0) {
+				t.Fatalf("%s: lambda[%d] = %v", stage, c, v)
 			}
-			if fit, err = u.FullSweep(4); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return u, fit
-	}
-
-	ref, sampFit := run(1, s)
-	for _, workers := range []int{1, 4} {
-		u, fit := run(workers, s)
-		if fit != sampFit {
-			t.Fatalf("workers=%d: sampled sweep fit %v != reference %v", workers, fit, sampFit)
 		}
 		for n, f := range u.Factors() {
-			for i, v := range f.Data {
-				if v != ref.Factors()[n].Data[i] {
-					t.Fatalf("workers=%d: factor %d datum %d differs bitwise", workers, n, i)
+			negative := 0
+			for _, v := range f.Data {
+				if !(v >= 0) {
+					negative++
 				}
+			}
+			if negative > 0 {
+				t.Fatalf("%s: factor %d has %d of %d entries below zero", stage, n, negative, len(f.Data))
 			}
 		}
 	}
-
-	_, exactFit := run(1, nil)
-	if sampFit < exactFit-0.05 {
-		t.Fatalf("sampled sweep fit %v trails exact sweep fit %v by > 0.05", sampFit, exactFit)
+	check("trained")
+	const windows = 4
+	for w := 0; w < windows; w++ {
+		if _, err := u.ApplyDelta(rest[len(rest)*w/windows : len(rest)*(w+1)/windows]); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("window %d", w))
 	}
+	if _, err := u.FullSweep(2); err != nil {
+		t.Fatal(err)
+	}
+	check("full sweep")
 }
