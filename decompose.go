@@ -172,10 +172,9 @@ type RALSOptions struct {
 // passes per row problem.
 type NTFOptions struct {
 	// InnerIters is the number of coordinate-descent passes each mode
-	// update runs over every row problem. The first pass re-checks
-	// saturated (pinned-at-zero) elements and unlocks the ones whose
-	// partial gradient sign flipped; later passes skip them entirely.
-	// <= 0 selects the default.
+	// update runs over every row problem. The first pass checks every
+	// element and flags the saturated (pinned-at-zero) ones; later passes
+	// skip them. <= 0 selects the default.
 	InnerIters int
 }
 

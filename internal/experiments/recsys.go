@@ -39,10 +39,9 @@ import (
 // the fleet's scatter-gathered TopK with an exclude set is bitwise-equal
 // to a single-node scan of the freshly published model. A final
 // evaluation scores the streamed-up-to-date model, closing the
-// before/after freshness loop. The streamed refreshes are the updater's
-// least-squares restricted sweeps, so the served factors may drift
-// slightly negative between full nonnegative retrains; ranking quality is
-// what the final evaluation measures.
+// before/after freshness loop. The streamed refreshes run the rule that
+// trained the model, so the served model stays nonnegative; a negative
+// served factor entry fails the benchmark.
 
 // RecsysBenchConfig sizes the recommender benchmark; tests shrink it.
 type RecsysBenchConfig struct {
@@ -154,7 +153,8 @@ func RecsysBench(p Params) (*RecsysReport, error) {
 // RecsysBenchWith generates, splits, trains, evaluates, streams, and
 // serves. Any invariant violation — a model losing to popularity, a
 // non-bitwise ncp repeat, a fleet TopK diverging from single-node, a
-// replica that never reloads — fails the benchmark.
+// replica that never reloads, a served factor entry below zero after the
+// stream — fails the benchmark.
 func RecsysBenchWith(p Params, cfg RecsysBenchConfig) (*RecsysReport, error) {
 	r := cfg.Groups
 	if r < 2 {
@@ -368,6 +368,13 @@ func RecsysBenchWith(p Params, cfg RecsysBenchConfig) (*RecsysReport, error) {
 	final, err := serve.LoadCheckpoint(path)
 	if err != nil {
 		return nil, err
+	}
+	for n := range final.Dims {
+		for i, v := range final.Factor(n).Data {
+			if v < 0 {
+				return nil, fmt.Errorf("experiments: recsys served ncp factor %d entry %d is %g after the stream", n, i, v)
+			}
+		}
 	}
 	if rep.NCPAfter, err = rank.EvalModel(final, u.Tensor(), held, 0, 1, cfg.K); err != nil {
 		return nil, err

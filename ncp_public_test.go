@@ -39,7 +39,7 @@ func TestNCPDecomposePublicAPI(t *testing.T) {
 
 // Mid-solve checkpoint, resume via the public API: the resumed run must be
 // bitwise identical to the uninterrupted one — the checkpoint carries the
-// saturation bitmaps and the factors fully determine the trajectory.
+// inner pass count, and with it the factors fully determine the trajectory.
 func TestNCPResumeMatchesUninterrupted(t *testing.T) {
 	x := apiTestTensor()
 	path := filepath.Join(t.TempDir(), "cp.gob")
