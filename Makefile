@@ -108,14 +108,12 @@ SMOKE = tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 smoke: stream-smoke fleet-smoke dist-smoke dist-chaos-smoke rals-smoke recsys-smoke
 
 # End-to-end distributed smoke under the race detector: fork three real
-# cstf-worker processes and run a small decomposition over TCP — once with
-# delta broadcasts on (the default) and once with full broadcasts, so the
-# A/B paths both stay green.
+# cstf-worker processes and run a small decomposition over TCP with delta
+# broadcasts. The full-broadcast path runs in rals-smoke's fleet leg, where
+# a sampled update forces it.
 dist-smoke:
 	@$(SMOKE) \
-	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 && \
-	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0 \
-		-dist-no-delta
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -dist-local 3 -rank 3 -iters 3 -tol 0
 
 # End-to-end fault-recovery smoke under the race detector: forked workers
 # survive an injected partition plus a corrupted frame mid-solve, then a
@@ -150,11 +148,12 @@ rals-smoke:
 # End-to-end recommender smoke under the race detector: generate a planted
 # recsys tensor with its held-out split, train nonnegative CP on it with
 # checkpointing, resume from the mid-run checkpoint (bitwise vs
-# uninterrupted — the CLI half of the scenario), then run the shrunken
-# recsys benchmark, which streams delta windows through the updater,
-# publishes each version, hot-reloads every replica of a sharded serving
-# fleet over real HTTP, and checks fleet TopK-with-exclude bitwise against
-# a single-node scan.
+# uninterrupted — the CLI half of the scenario), train it over two forked
+# workers (still nonnegative CP: the fleet keeps -algo ncp), then run the
+# shrunken recsys benchmark, which streams delta windows through the
+# updater, publishes each version, hot-reloads every replica of a sharded
+# serving fleet over real HTTP, and checks fleet TopK-with-exclude bitwise
+# against a single-node scan.
 recsys-smoke: SMOKE_TENSOR = -recsys -users 120 -items 80 -contexts 4 -groups 3 -nnz 6000 -seed 13
 recsys-smoke:
 	@$(SMOKE) \
@@ -164,4 +163,6 @@ recsys-smoke:
 	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -algo ncp \
 		-rank 3 -iters 6 -tol 0 -ntf-inner 2 \
 		-checkpoint "$$tmp/m.ckpt" -resume && \
+	$(GO) run -race ./cmd/cstf -in "$$tmp/t.tns" -algo ncp -dist-local 2 \
+		-rank 3 -iters 3 -tol 0 -ntf-inner 2 && \
 	$(GO) test -race -run TestRecsysBenchSmall ./internal/experiments

@@ -13,10 +13,11 @@
 // Exactly one of -in (a FROSTT .tns file) or -dataset (a Table 5 dataset
 // name; see -list) selects the input. Simulated distributed algorithms
 // (coo, qcoo, bigtensor) print the modeled cluster cost summary; -dist and
-// -dist-local run the REAL distributed runtime against cstf-worker
-// processes and print measured wall clock and bytes on the wire; -algo rals
-// runs randomized leverage-score-sampled ALS (see the -rals-* flags);
-// -factors writes the factor matrices as .tns-style text files.
+// -dist-local run the MTTKRPs on the REAL distributed runtime against
+// cstf-worker processes — under -algo rals or ncp, else the exact dist tier
+// — and print measured wall clock and bytes on the wire; -algo rals runs
+// randomized leverage-score-sampled ALS (see the -rals-* flags); -factors
+// writes the factor matrices as .tns-style text files.
 package main
 
 import (
@@ -37,10 +38,9 @@ func main() {
 	scale := flag.Float64("scale", 1e-4, "dataset scale when using -dataset")
 	list := flag.Bool("list", false, "list available -dataset names and exit")
 	algo := flag.String("algo", "qcoo", "algorithm: "+strings.Join(cstf.AlgorithmNames(), "|"))
-	distAddrs := flag.String("dist", "", "comma-separated cstf-worker addresses; implies -algo dist")
-	distLocal := flag.Int("dist-local", 0, "launch N local workers and run distributed; implies -algo dist")
+	distAddrs := flag.String("dist", "", "comma-separated cstf-worker addresses; implies -algo dist unless -algo is rals or ncp")
+	distLocal := flag.Int("dist-local", 0, "launch N local workers and run distributed; implies -algo dist unless -algo is rals or ncp")
 	distBin := flag.String("dist-worker-bin", "", "cstf-worker binary for -dist-local (default: $CSTF_WORKER_BIN, next to cstf, or $PATH; in-process fallback)")
-	distNoDelta := flag.Bool("dist-no-delta", false, "ship full factor matrices every mode-iteration instead of delta broadcasts")
 	distCSF := flag.Bool("dist-csf", false, "run worker MTTKRPs with the SPLATT CSF kernel (bitwise-matches the serial CSF solver, not the COO one)")
 	distMinWorkers := flag.Int("dist-min-workers", 0, "live-worker floor before degrading to a coordinator-local solve (0 = 1; negative makes fleet collapse a hard error)")
 	ralsFrac := flag.Float64("rals-frac", 0, "rals: sample this fraction of the nonzeros per mode update (0 with -rals-count unset = 0.1)")
@@ -103,9 +103,9 @@ func main() {
 		o.NoConvergenceCheck = true
 	}
 	if *distAddrs != "" || *distLocal > 0 {
-		// With -algo rals the workers run the sampled MTTKRPs; any other
-		// algorithm choice is overridden by the exact distributed solver.
-		if o.Algorithm != cstf.RALS {
+		// rals and ncp run their own updates with the MTTKRPs on the
+		// workers; any other algorithm choice becomes the exact dist tier.
+		if o.Algorithm != cstf.RALS && o.Algorithm != cstf.NCP {
 			o.Algorithm = cstf.Dist
 		}
 		if *distAddrs != "" {
@@ -113,7 +113,6 @@ func main() {
 		}
 		o.Dist.LocalWorkers = *distLocal
 		o.Dist.WorkerBin = *distBin
-		o.Dist.DisableDeltaBroadcast = *distNoDelta
 		o.Dist.CSFKernel = *distCSF
 		o.Dist.MinWorkers = *distMinWorkers
 	}

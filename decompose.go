@@ -47,16 +47,17 @@ const (
 	// RALS is randomized ALS (internal/rals): leverage-score-sampled MTTKRP
 	// in the style of CP-ARLS-LEV, configured with Options.RALS. Reported
 	// fits are always exact; a fixed seed is bitwise-reproducible across
-	// runs, Parallelism values, and dist worker counts. Runs serially by
-	// default, or under the distributed runtime when Options.Dist names a
-	// fleet.
+	// runs, Parallelism values, and dist worker counts. Runs locally by
+	// default, or with its MTTKRPs on a fleet when Options.Dist names one.
 	RALS Algorithm = "rals"
 	// NCP is nonnegative CP (internal/ntf): column-wise coordinate descent
 	// with saturation skipping over the shared MTTKRP/gram kernels,
 	// configured with Options.NTF. Factors come out elementwise >= 0 (the
 	// natural parameterization for implicit-feedback/recommendation
 	// tensors), the fit is monotone non-decreasing per sweep, and a fixed
-	// seed is bitwise-reproducible across runs and Parallelism values.
+	// seed is bitwise-reproducible across runs, Parallelism values, and dist
+	// worker counts. Runs locally by default, or with its MTTKRPs on a fleet
+	// when Options.Dist names one.
 	NCP Algorithm = "ncp"
 )
 
@@ -86,8 +87,10 @@ func AlgorithmNames() []string {
 	return names
 }
 
-// DistOptions groups the knobs of the real distributed runtime (the Dist
-// algorithm). The zero value launches nothing — set Addrs or LocalWorkers.
+// DistOptions names the fleet of the real distributed runtime and its
+// knobs: the workers that run a run's MTTKRPs, always for the Dist
+// algorithm and for RALS or NCP when set. The zero value launches nothing —
+// set Addrs or LocalWorkers.
 type DistOptions struct {
 	// Addrs lists the TCP addresses of already-running cstf-worker
 	// processes. The slot order is the reduction rank order; keep it fixed
@@ -102,12 +105,6 @@ type DistOptions struct {
 
 	// WorkerBin optionally pins the cstf-worker binary LocalWorkers forks.
 	WorkerBin string
-
-	// DisableDeltaBroadcast turns off delta factor broadcasts, shipping
-	// full factor matrices to every worker each mode-iteration (the
-	// pre-delta wire behavior). Results are bitwise identical either way;
-	// the toggle exists for A/B measurement.
-	DisableDeltaBroadcast bool
 
 	// CSFKernel makes workers run their partial MTTKRPs with the SPLATT
 	// CSF fiber-reuse kernel instead of the per-nonzero COO loop. The run
@@ -182,10 +179,11 @@ type NTFOptions struct {
 type FaultOptions struct {
 	// Chaos, when non-nil, injects a deterministic fault schedule: for the
 	// simulated algorithms, node crashes / disk failures / stragglers /
-	// network degradation against the cost model; for the Dist algorithm,
-	// REAL faults at stage boundaries — worker kills, network partitions,
-	// frame corruption, torn checkpoint writes (fault kinds with no
-	// physical analogue are ignored). Distributed algorithms only.
+	// network degradation against the cost model; for a run on a fleet
+	// (Options.Dist), REAL faults at stage boundaries — worker kills,
+	// network partitions, frame corruption, torn checkpoint writes (fault
+	// kinds with no physical analogue are ignored). A run with neither
+	// rejects it.
 	Chaos *ChaosSpec
 
 	// CheckpointEvery, with CheckpointPath, writes an iteration-granular
@@ -243,7 +241,8 @@ type Options struct {
 	// OnIteration, when non-nil, is called after every completed ALS
 	// iteration with the 0-based iteration number and the model fit;
 	// returning true stops the run early, keeping the factors computed so
-	// far. Honored by Serial, COO, and QCOO; BigTensor reports fit 0.
+	// far. Honored by every algorithm: RALS calls it only at the iterations
+	// that record an exact fit (epoch ends), and BigTensor reports fit 0.
 	OnIteration func(iter int, fit float64) (stop bool)
 
 	// Profile overrides the cluster cost profile (default: CometProfile).
@@ -254,8 +253,8 @@ type Options struct {
 	// execution timeline to this file.
 	TracePath string
 
-	// Dist configures the real distributed runtime (Algorithm Dist, and
-	// the sampled-MTTKRP distribution of Algorithm RALS).
+	// Dist names the fleet of the real distributed runtime: the workers
+	// that run the MTTKRPs of Algorithm Dist, and of RALS or NCP when set.
 	Dist DistOptions
 
 	// RALS configures the randomized-ALS tier (Algorithm RALS).
@@ -275,15 +274,15 @@ type Options struct {
 type ChaosSpec struct {
 	Seed uint64 // fault-schedule seed (independent of Options.Seed)
 	// HorizonStages is the number of stages the events are spread over;
-	// default 100. On the Dist algorithm a stage is one MTTKRP round, so an
-	// iteration over an order-N tensor is N stages; the simulated engines
-	// count their own RDD or MapReduce stages.
+	// default 100. On a fleet a stage is one MTTKRP round, so an iteration
+	// over an order-N tensor is N stages; the simulated engines count their
+	// own RDD or MapReduce stages.
 	HorizonStages uint64
 
 	NodeCrashes  int // executors lost (cache dropped, recovery charged)
 	DiskFailures int // HDFS block losses (executor survives)
 
-	// Real-runtime fault kinds (Dist algorithm; ignored by the simulated
+	// Real-runtime fault kinds (runs on a fleet; ignored by the simulated
 	// algorithms, which have no sockets or checkpoint files to damage).
 	NetPartitions int // worker connections severed; the process survives and rejoins
 	FrameCorrupts int // one-shot bit flips on a coordinator->worker frame (CRC-caught)
@@ -354,10 +353,10 @@ func (m *Matrix) Row(i int) []float64 { return la.VecClone(m.d.Row(i)) }
 
 // Metrics reports the cost of a distributed run. It mixes two kinds of
 // numbers that must never be conflated: the Sim*/␣*Bytes/Flops group is
-// MODELED by the simulated cluster (internal/cluster) and is zero for the
-// Dist algorithm, while the Wall/Wire/Worker group is MEASURED — real
-// elapsed time and real bytes on TCP sockets — and is zero for the
-// simulated algorithms.
+// MODELED by the simulated cluster (internal/cluster) and is zero for a run
+// on a fleet, while the Wall/Wire/Worker group is MEASURED — real elapsed
+// time and real bytes on TCP sockets — and is zero for the simulated
+// algorithms.
 type Metrics struct {
 	// Simulated-cluster cost model (COO, QCOO, BigTensor). These are
 	// predictions from the cost profile, not measurements.
@@ -514,7 +513,7 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 		// Workers records the fleet size behind the snapshot: informational,
 		// since a resume is bitwise on any fleet size or none.
 		alg, workers, path := string(o.Algorithm), 0, o.Faults.CheckpointPath
-		if o.Algorithm == Dist || o.Algorithm == RALS {
+		if o.fleet() {
 			workers = o.Dist.size()
 		}
 		opts.CheckpointEvery = o.Faults.CheckpointEvery
@@ -522,9 +521,6 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 			snap.Algorithm, snap.Workers = alg, workers
 			return ckpt.Write(path, snap)
 		}
-	}
-	if o.Faults.Chaos != nil && (o.Algorithm == Serial || o.Algorithm == RALS || o.Algorithm == NCP) {
-		return nil, fmt.Errorf("cstf: chaos injection requires a distributed algorithm")
 	}
 
 	profile := cluster.CometProfile()
@@ -551,23 +547,38 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 	var c *cluster.Cluster
 	var distStats *dist.Stats
 	switch o.Algorithm {
-	case Serial:
-		res, err = cpals.Solve(t.coo, opts)
-	case Dist:
-		res, distStats, err = distSolve(t, o, opts)
-	case RALS:
-		res, distStats, err = ralsSolve(t, o, rals.Options{
-			Options:          opts,
-			SampleCount:      o.RALS.SampleCount,
-			SampleFraction:   o.RALS.SampleFraction,
-			ModeSampleCounts: o.RALS.ModeSampleCounts,
-			ResampleEvery:    o.RALS.ResampleEvery,
-			FinalFitOnly:     o.RALS.FinalFitOnly,
-			ExactFinishIters: o.RALS.ExactFinishIters,
-			InitState:        cp.RALS,
-		})
-	case NCP:
-		res, err = ntf.Solve(t.coo, ntf.Options{Options: opts, InnerIters: o.NTF.InnerIters, InitState: cp.NTF})
+	case Serial, Dist, RALS, NCP:
+		// One mode update: the rule, sampler and checkpointed state of the
+		// algorithm, its MTTKRPs run locally or on the fleet.
+		var u cpals.Update
+		switch o.Algorithm {
+		case RALS:
+			ro := rals.Options{
+				Options:          opts,
+				SampleCount:      o.RALS.SampleCount,
+				SampleFraction:   o.RALS.SampleFraction,
+				ModeSampleCounts: o.RALS.ModeSampleCounts,
+				ResampleEvery:    o.RALS.ResampleEvery,
+				FinalFitOnly:     o.RALS.FinalFitOnly,
+				ExactFinishIters: o.RALS.ExactFinishIters,
+				InitState:        cp.RALS,
+			}
+			u, err = ro.Update(t.coo)
+		case NCP:
+			no := ntf.Options{Options: opts, InnerIters: o.NTF.InnerIters, InitState: cp.NTF}
+			u, err = no.Update(t.coo)
+		default:
+			err = opts.Validate(t.coo)
+		}
+		switch {
+		case err != nil:
+		case o.fleet():
+			res, distStats, err = onFleet(t, o, opts, u)
+		case o.Faults.Chaos != nil:
+			err = fmt.Errorf("cstf: chaos injection requires a distributed algorithm or a fleet")
+		default:
+			res, err = cpals.SolveWith(t.coo, opts, u)
+		}
 	case COO:
 		c = newCluster()
 		rctx := rdd.NewContext(c, o.Nodes*profile.CoresPerNode)
@@ -660,53 +671,22 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 	return out, nil
 }
 
-// distSolve runs the real distributed runtime: workers from Dist.Addrs, or
-// locally launched ones (forked cstf-worker processes when a binary is
-// available, in-process loopback workers otherwise). A ChaosSpec schedules
+// fleet reports whether the run's MTTKRPs go to workers: always for Dist,
+// and for RALS and NCP when Options.Dist names a fleet.
+func (o Options) fleet() bool {
+	return o.Algorithm == Dist || (o.Algorithm == RALS || o.Algorithm == NCP) && o.Dist.size() > 0
+}
+
+// onFleet runs the mode update u with its MTTKRPs on the workers
+// Options.Dist names: Dist.Addrs, or locally launched ones (forked
+// cstf-worker processes when a binary is available, in-process loopback
+// workers otherwise), closed when the solve returns. A ChaosSpec schedules
 // REAL faults against the session's stage clock: worker kills, network
 // partitions (severed connections the worker survives and rejoins from),
 // frame corruption (CRC-caught bit flips), and torn checkpoint writes.
 // Fault kinds with no physical analogue here (stragglers, disk failures,
 // network degradation) are ignored.
-func distSolve(t *Tensor, o Options, opts cpals.Options) (*cpals.Result, *dist.Stats, error) {
-	return onFleet(o, func(cfg dist.Config) (*cpals.Result, dist.Stats, error) {
-		cfg.NoDelta = o.Dist.DisableDeltaBroadcast
-		cfg.UseCSF = o.Dist.CSFKernel
-		if o.Faults.Chaos != nil {
-			cfg.Plan = chaosPlan(o.Faults.Chaos, o.Dist.size())
-			if o.Faults.Chaos.TornWrites > 0 && o.Faults.CheckpointPath != "" {
-				// A TornWrite event damages the just-written checkpoint file
-				// in place — the on-disk state a crash mid-write would leave.
-				// The ckpt checksum must surface it as a CorruptError on
-				// resume, never as silently wrong factors.
-				path := o.Faults.CheckpointPath
-				cfg.OnTornWrite = func(int) { tearFile(path) }
-			}
-		}
-		return dist.Solve(t.coo, opts, cfg)
-	})
-}
-
-// ralsSolve runs the randomized-ALS tier: serially by default, or with the
-// MTTKRPs distributed over the real runtime when Options.Dist names a
-// fleet. The distributed composition changes WHERE the MTTKRPs run, not
-// what they compute, so results are bitwise identical to the serial rals
-// solve for every worker count.
-func ralsSolve(t *Tensor, o Options, ro rals.Options) (*cpals.Result, *dist.Stats, error) {
-	if o.Dist.size() == 0 {
-		res, err := rals.Solve(t.coo, ro)
-		return res, nil, err
-	}
-	return onFleet(o, func(cfg dist.Config) (*cpals.Result, dist.Stats, error) {
-		return dist.SolveSampled(t.coo, ro, cfg)
-	})
-}
-
-// onFleet runs solve against the workers Options.Dist names: Dist.Addrs, or
-// locally launched ones (forked cstf-worker processes when a binary is
-// available, in-process loopback workers otherwise), closed when solve
-// returns.
-func onFleet(o Options, solve func(dist.Config) (*cpals.Result, dist.Stats, error)) (*cpals.Result, *dist.Stats, error) {
+func onFleet(t *Tensor, o Options, opts cpals.Options, u cpals.Update) (*cpals.Result, *dist.Stats, error) {
 	cfg := dist.Config{Addrs: o.Dist.Addrs}
 	if len(o.Dist.Addrs) == 0 {
 		if o.Dist.LocalWorkers <= 0 {
@@ -720,7 +700,19 @@ func onFleet(o Options, solve func(dist.Config) (*cpals.Result, dist.Stats, erro
 		cfg = lc.Config()
 	}
 	cfg.MinWorkers = o.Dist.MinWorkers
-	res, stats, err := solve(cfg)
+	cfg.UseCSF = o.Dist.CSFKernel
+	if o.Faults.Chaos != nil {
+		cfg.Plan = chaosPlan(o.Faults.Chaos, o.Dist.size())
+		if o.Faults.Chaos.TornWrites > 0 && o.Faults.CheckpointPath != "" {
+			// A TornWrite event damages the just-written checkpoint file in
+			// place — the on-disk state a crash mid-write would leave. The
+			// ckpt checksum must surface it as a CorruptError on resume,
+			// never as silently wrong factors.
+			path := o.Faults.CheckpointPath
+			cfg.OnTornWrite = func(int) { tearFile(path) }
+		}
+	}
+	res, stats, err := dist.Solve(t.coo, opts, u, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -759,9 +751,9 @@ func chaosPlan(cs *ChaosSpec, nodes int) *chaos.FaultPlan {
 
 // DecomposeBest runs Decompose `restarts` times with initialization seeds
 // derived from o.Seed and returns the result with the highest fit — the
-// standard remedy for CP-ALS's sensitivity to its starting point. Only
-// meaningful for algorithms that report per-iteration fits (Serial, COO,
-// QCOO). It is DecomposeBestContext with a background context.
+// standard remedy for CP-ALS's sensitivity to its starting point. Every
+// algorithm reports the final fit the restarts are ranked by. It is
+// DecomposeBestContext with a background context.
 func DecomposeBest(t *Tensor, o Options, restarts int) (*Decomposition, error) {
 	return DecomposeBestContext(context.Background(), t, o, restarts)
 }

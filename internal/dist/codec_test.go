@@ -11,7 +11,6 @@ import (
 
 	"cstf/internal/cpals"
 	"cstf/internal/la"
-	"cstf/internal/rals"
 	"cstf/internal/rng"
 	"cstf/internal/tensor"
 )
@@ -415,8 +414,12 @@ func TestEncodeInPlaceEqualsMaterialised(t *testing.T) {
 	x := plantedTensor()
 	rec := &sampleRecorder{full: x}
 	o := ralsOpts()
-	o.Kernel = rec
-	if _, err := rals.Solve(x, o); err != nil {
+	u, err := o.Update(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Source = rec
+	if _, err := cpals.SolveWith(x, o.Options, u); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.sampled) < 2 {

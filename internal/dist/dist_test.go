@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"cstf/internal/chaos"
 	"cstf/internal/cpals"
+	"cstf/internal/ntf"
 	"cstf/internal/rals"
 	"cstf/internal/tensor"
 )
@@ -57,34 +59,41 @@ func sameBits(t *testing.T, label string, want, got *cpals.Result) {
 
 // TestDistBitwiseMatchesSerial is the PR 1 determinism guarantee extended
 // over the wire: 1, 2, and 4 distributed workers all reproduce the serial
-// solver bit for bit on a planted-rank tensor.
+// solver bit for bit on a planted-rank tensor, under the least-squares
+// update and under ntf's nonnegative one.
 func TestDistBitwiseMatchesSerial(t *testing.T) {
 	x := plantedTensor()
 	opts := solveOpts()
-	want, err := cpals.Solve(x, opts)
+	nonneg, err := (&ntf.Options{Options: opts}).Update(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{1, 2, 4} {
-		c, err := StartInProcess(n)
+	for _, u := range []cpals.Update{{}, nonneg} {
+		want, err := cpals.SolveWith(x, opts, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := Solve(x, opts, c.Config())
-		c.Close()
-		if err != nil {
-			t.Fatalf("%d workers: %v", n, err)
-		}
-		label := map[int]string{1: "1 worker", 2: "2 workers", 4: "4 workers"}[n]
-		sameBits(t, label, want, got)
-		if stats.Workers != n || stats.WorkersAlive != n {
-			t.Fatalf("%s: stats workers %d/%d", label, stats.WorkersAlive, stats.Workers)
-		}
-		if stats.BytesSent == 0 || stats.BytesRecv == 0 || stats.WallSeconds <= 0 {
-			t.Fatalf("%s: real measurements missing: %+v", label, stats)
-		}
-		if stats.WorkerDeaths != 0 || stats.Reassignments != 0 {
-			t.Fatalf("%s: unexpected failures: %+v", label, stats)
+		for _, n := range []int{1, 2, 4} {
+			c, err := StartInProcess(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := Solve(x, opts, u, c.Config())
+			c.Close()
+			if err != nil {
+				t.Fatalf("%d workers: %v", n, err)
+			}
+			label := fmt.Sprintf("%+v, %d workers", u.Rule, n)
+			sameBits(t, label, want, got)
+			if stats.Workers != n || stats.WorkersAlive != n {
+				t.Fatalf("%s: stats workers %d/%d", label, stats.WorkersAlive, stats.Workers)
+			}
+			if stats.BytesSent == 0 || stats.BytesRecv == 0 || stats.WallSeconds <= 0 {
+				t.Fatalf("%s: real measurements missing: %+v", label, stats)
+			}
+			if stats.WorkerDeaths != 0 || stats.Reassignments != 0 {
+				t.Fatalf("%s: unexpected failures: %+v", label, stats)
+			}
 		}
 	}
 }
@@ -105,7 +114,7 @@ func TestDistBitwiseThroughFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, _, err := Solve(x, opts, c.Config())
+	got, _, err := Solve(x, opts, cpals.Update{}, c.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +141,7 @@ func TestChaosKillSurvives(t *testing.T) {
 	// Stage 2 is iteration 0's mode-1 MTTKRP (one stage per MTTKRP), so
 	// the kill lands mid-iteration with factors in flight.
 	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
-	got, stats, err := Solve(x, opts, cfg)
+	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +176,7 @@ func TestMidFlightKillReassigns(t *testing.T) {
 			once.Do(func() { c.Kills[2]() })
 		}
 	}
-	got, stats, err := Solve(x, opts, cfg)
+	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +216,7 @@ func TestAllWorkersDead(t *testing.T) {
 		cfg := c.Config()
 		cfg.UseCSF = csf
 		cfg.AfterDispatch = killAll(c)
-		res, st, err := Solve(x, solveOpts(), cfg)
+		res, st, err := Solve(x, solveOpts(), cpals.Update{}, cfg)
 		if err != nil {
 			t.Fatalf("degraded solve failed: %v", err)
 		}
@@ -238,7 +247,7 @@ func TestAllWorkersDead(t *testing.T) {
 		cfg := c.Config()
 		cfg.MinWorkers = -1
 		cfg.AfterDispatch = killAll(c)
-		_, _, err = Solve(x, solveOpts(), cfg)
+		_, _, err = Solve(x, solveOpts(), cpals.Update{}, cfg)
 		var nw *NoWorkersError
 		if !errors.As(err, &nw) {
 			t.Fatalf("want *NoWorkersError with floor disabled, got %v", err)
@@ -272,7 +281,7 @@ func TestSpawnedWorkerProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, stats, err := Solve(x, opts, c.Config())
+	got, stats, err := Solve(x, opts, cpals.Update{}, c.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +298,7 @@ func TestSpawnedWorkerProcesses(t *testing.T) {
 	defer c2.Close()
 	cfg := c2.Config()
 	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 0, Stage: 3})
-	got2, stats2, err := Solve(x, opts, cfg)
+	got2, stats2, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +311,7 @@ func TestSpawnedWorkerProcesses(t *testing.T) {
 // TestMinWorkersFloorDegradesBothTiers holds both tiers to the live-worker
 // floor: with MinWorkers = 2 over two workers, rejoin off and worker 1
 // killed at stage 2, the next iteration's first MTTKRP finds one live
-// worker, so Solve and SolveSampled both finish coordinator-local, flagged
+// worker, so the exact and the sampled update both finish coordinator-local, flagged
 // Degraded, bitwise equal to their serial solvers.
 func TestMinWorkersFloorDegradesBothTiers(t *testing.T) {
 	x := plantedTensor()
@@ -323,7 +332,7 @@ func TestMinWorkersFloorDegradesBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, cfg := cluster()
-	got, stats, err := Solve(x, solveOpts(), cfg)
+	got, stats, err := Solve(x, solveOpts(), cpals.Update{}, cfg)
 	c.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -338,13 +347,13 @@ func TestMinWorkersFloorDegradesBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, cfg = cluster()
-	gotS, statsS, err := SolveSampled(x, ralsOpts(), cfg)
+	gotS, statsS, err := solveSampled(x, ralsOpts(), cfg)
 	c.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !statsS.Degraded || statsS.WorkerDeaths != 1 {
-		t.Fatalf("SolveSampled: want one death and degradation, got %+v", statsS)
+		t.Fatalf("sampled: want one death and degradation, got %+v", statsS)
 	}
-	sameBits(t, "SolveSampled under the floor", wantS, gotS)
+	sameBits(t, "sampled under the floor", wantS, gotS)
 }

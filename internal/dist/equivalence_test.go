@@ -46,7 +46,7 @@ func TestToggleMatrixBitwise(t *testing.T) {
 		}
 		cfg := c.Config()
 		cfg.NoDelta = cb.noDelta
-		got, stats, err := Solve(x, opts, cfg)
+		got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 		c.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", cb.label, err)
@@ -95,7 +95,7 @@ func TestCSFKernelBitwiseMatchesSerialCSF(t *testing.T) {
 		}
 		cfg := c.Config()
 		cfg.UseCSF = true
-		got, _, err := Solve(x, opts, cfg)
+		got, _, err := Solve(x, opts, cpals.Update{}, cfg)
 		c.Close()
 		if err != nil {
 			t.Fatalf("%d workers: %v", n, err)
@@ -126,7 +126,7 @@ func TestChaosReassignmentResyncsFullFactor(t *testing.T) {
 	// Stage 2 is iteration 0's second MTTKRP: by then factor 0 has been
 	// updated, so the substitute is guaranteed stale.
 	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
-	got, stats, err := Solve(x, opts, cfg)
+	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMidFlightKillWithDeltas(t *testing.T) {
 			once.Do(func() { c.Kills[2]() })
 		}
 	}
-	got, stats, err := Solve(x, opts, cfg)
+	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"cstf/internal/chaos"
 	"cstf/internal/cpals"
+	"cstf/internal/ntf"
 )
 
 // resultHash is the FNV-64a hash of a result's lambda, factors and fits, the
@@ -47,7 +48,7 @@ func TestSampledKillGoldenHash(t *testing.T) {
 	cfg := c.Config()
 	cfg.Retry = fastRetry()
 	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
-	got, stats, err := SolveSampled(x, o, cfg)
+	got, stats, err := solveSampled(x, o, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +60,24 @@ func TestSampledKillGoldenHash(t *testing.T) {
 	}
 }
 
-// TestExactKillGoldenHash pins the exact Dist tier with a worker killed by
-// hash: over three workers, once with a chaos NodeCrash before stage 2 and
-// once with a kill while stage 2's tasks are in flight, the run must land on
-// the hash of cpals.Solve with the same options.
+// TestExactKillGoldenHash pins the exact tiers with a worker killed by
+// hash: for the least-squares update and ntf's nonnegative one, over three
+// workers, once with a chaos NodeCrash before stage 2 and once with a kill
+// while stage 2's tasks are in flight, the run must land on the hash of
+// cpals.SolveWith with the same update locally.
 func TestExactKillGoldenHash(t *testing.T) {
-	const want = "d0e0cb0d8930ee12"
 	x := plantedTensor()
 	opts := solveOpts()
-	serial, err := cpals.Solve(x, opts)
+	nonneg, err := (&ntf.Options{Options: opts}).Update(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hash := resultHash(serial); hash != want {
-		t.Fatalf("serial hash %s, want %s", hash, want)
+	updates := []struct {
+		name, want string
+		u          cpals.Update
+	}{
+		{"least squares", "d0e0cb0d8930ee12", cpals.Update{}},
+		{"nonnegative", "80b5b24efbff1ab9", nonneg},
 	}
 	kills := map[string]func(c *LocalCluster, cfg *Config){
 		"chaos crash": func(_ *LocalCluster, cfg *Config) {
@@ -87,24 +92,33 @@ func TestExactKillGoldenHash(t *testing.T) {
 			}
 		},
 	}
-	for name, arm := range kills {
-		c, err := StartInProcess(3)
+	for _, up := range updates {
+		serial, err := cpals.SolveWith(x, opts, up.u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := c.Config()
-		cfg.DisableRejoin = true
-		arm(c, &cfg)
-		got, stats, err := Solve(x, opts, cfg)
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if hash := resultHash(serial); hash != up.want {
+			t.Fatalf("%s: serial hash %s, want %s", up.name, hash, up.want)
 		}
-		if stats.WorkerDeaths != 1 || stats.Degraded {
-			t.Fatalf("%s: want one death and no degradation, got %+v", name, stats)
-		}
-		if hash := resultHash(got); hash != want {
-			t.Fatalf("%s: hash %s, want %s", name, hash, want)
+		for name, arm := range kills {
+			c, err := StartInProcess(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := c.Config()
+			cfg.DisableRejoin = true
+			arm(c, &cfg)
+			got, stats, err := Solve(x, opts, up.u, cfg)
+			c.Close()
+			if err != nil {
+				t.Fatalf("%s %s: %v", up.name, name, err)
+			}
+			if stats.WorkerDeaths != 1 || stats.Degraded {
+				t.Fatalf("%s %s: want one death and no degradation, got %+v", up.name, name, stats)
+			}
+			if hash := resultHash(got); hash != up.want {
+				t.Fatalf("%s %s: hash %s, want %s", up.name, name, hash, up.want)
+			}
 		}
 	}
 }

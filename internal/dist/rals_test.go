@@ -6,6 +6,7 @@ import (
 	"cstf/internal/chaos"
 	"cstf/internal/cpals"
 	"cstf/internal/rals"
+	"cstf/internal/tensor"
 )
 
 func ralsOpts() rals.Options {
@@ -13,6 +14,15 @@ func ralsOpts() rals.Options {
 		Options:        cpals.Options{Rank: 4, MaxIters: 6, Seed: 7, Parallelism: 3},
 		SampleFraction: 0.3, ResampleEvery: 2,
 	}
+}
+
+// solveSampled runs o's randomized update with its MTTKRPs on cfg's fleet.
+func solveSampled(x *tensor.COO, o rals.Options, cfg Config) (*cpals.Result, Stats, error) {
+	u, err := o.Update(x)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return Solve(x, o.Options, u, cfg)
 }
 
 // TestSampledBitwiseMatchesSerial is the rals determinism guarantee over
@@ -30,7 +40,7 @@ func TestSampledBitwiseMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := SolveSampled(x, o, c.Config())
+		got, stats, err := solveSampled(x, o, c.Config())
 		c.Close()
 		if err != nil {
 			t.Fatalf("%d workers: %v", n, err)
@@ -65,7 +75,7 @@ func TestSampledExactPolishBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, _, err := SolveSampled(x, o, c.Config())
+	got, _, err := solveSampled(x, o, c.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestSampledKillDegrades(t *testing.T) {
 	cfg := c.Config()
 	cfg.Retry = fastRetry()
 	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
-	got, stats, err := SolveSampled(x, o, cfg)
+	got, stats, err := solveSampled(x, o, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +111,7 @@ func TestSampledKillDegrades(t *testing.T) {
 }
 
 // TestSampledFullBudgetMatchesExactDist pins the degenerate case across
-// the stack: budget >= nnz makes SolveSampled's per-mode updates exact, so
+// the stack: budget >= nnz makes the sampler's per-mode updates exact, so
 // its factors match the serial EXACT solver bitwise.
 func TestSampledFullBudgetMatchesExactDist(t *testing.T) {
 	x := plantedTensor()
@@ -118,7 +128,7 @@ func TestSampledFullBudgetMatchesExactDist(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, _, err := SolveSampled(x, o, c.Config())
+	got, _, err := solveSampled(x, o, c.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

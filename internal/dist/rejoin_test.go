@@ -40,7 +40,7 @@ func TestPartitionRejoin(t *testing.T) {
 	cfg := c.Config()
 	cfg.Retry = fastRetry()
 	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NetPartition, Node: 1, Stage: 2})
-	got, stats, err := Solve(x, opts, cfg)
+	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCorruptFrameRecovery(t *testing.T) {
 	cfg := c.Config()
 	cfg.Retry = fastRetry()
 	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.FrameCorrupt, Node: 0, Stage: 2})
-	got, stats, err := Solve(x, opts, cfg)
+	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLateListenerJoins(t *testing.T) {
 	}()
 
 	cfg := Config{Addrs: []string{ln0.Addr().String(), addr1}}
-	got, stats, err := Solve(x, opts, cfg)
+	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 	if err != nil {
 		t.Fatalf("solve with late listener: %v", err)
 	}

@@ -32,7 +32,8 @@ type Config struct {
 
 	// NoDelta disables delta factor broadcasts: every mode-iteration ships
 	// full factor matrices to every worker, the pre-v2 behavior. Kept for
-	// A/B benchmarking; results are bitwise identical either way.
+	// A/B benchmarking (cstf-bench -exp dist); results are bitwise identical
+	// either way.
 	NoDelta bool
 
 	// UseCSF makes workers run PartialMTTKRP with the SPLATT CSF kernel on
@@ -57,13 +58,12 @@ type Config struct {
 	// pre-v3 behavior). Reassignment to survivors still happens.
 	DisableRejoin bool
 
-	// MinWorkers is the live-worker floor of Solve and SolveSampled: when
-	// the live count is below it before an iteration's first MTTKRP, or a
-	// stage finds no live worker at all, the coordinator computes the
-	// remaining MTTKRPs itself — bitwise identical to the distributed
-	// result — instead of failing. 0 means 1 (degrade only when no workers
-	// remain); negative disables degradation entirely, turning fleet
-	// collapse into a hard error.
+	// MinWorkers is the live-worker floor of Solve: when the live count is
+	// below it before an iteration's first MTTKRP, or a stage finds no live
+	// worker at all, the coordinator computes the remaining MTTKRPs itself
+	// — bitwise identical to the distributed result — instead of failing.
+	// 0 means 1 (degrade only when no workers remain); negative disables
+	// degradation entirely, turning fleet collapse into a hard error.
 	MinWorkers int
 
 	// OnTornWrite, when non-nil, fires right after the iteration

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cstf/internal/chaos"
+	"cstf/internal/cpals"
 	"cstf/internal/tensor"
 )
 
@@ -91,13 +92,13 @@ func TestPhasesSumToWall(t *testing.T) {
 	defer c.Close()
 	opts := solveOpts()
 	opts.Rank = 8
-	_, exact, err := Solve(x, opts, c.Config())
+	_, exact, err := Solve(x, opts, cpals.Update{}, c.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ro := ralsOpts()
 	ro.Options = opts
-	_, sampled, err := SolveSampled(x, ro, c.Config())
+	_, sampled, err := solveSampled(x, ro, c.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestPhasesSumToWall(t *testing.T) {
 		shown []string
 	}{
 		{"Solve", exact, []string{"connect", "partition", "shard-ship", "factor-init", "mttkrp-wait", "factor-update", "local"}},
-		{"SolveSampled", sampled, []string{"connect", "partition", "factor-init", "mttkrp-wait", "factor-update", "local"}},
+		{"sampled", sampled, []string{"connect", "partition", "factor-init", "mttkrp-wait", "factor-update", "local"}},
 	} {
 		var sum float64
 		byName := map[string]float64{}
@@ -160,7 +161,7 @@ func TestSolveLeavesNoGoroutines(t *testing.T) {
 		arm(c, &cfg)
 		opts := solveOpts()
 		opts.MaxIters = 40
-		if _, _, err := Solve(x, opts, cfg); err != nil {
+		if _, _, err := Solve(x, opts, cpals.Update{}, cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		c.Close()

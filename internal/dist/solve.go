@@ -9,92 +9,45 @@ import (
 	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
-	"cstf/internal/rals"
 	"cstf/internal/tensor"
 )
 
-// Solve runs CP-ALS with its MTTKRPs executed on remote workers: the shared
-// mode update (cpals.SolveWith) over a remote Source. The coordinator keeps
-// everything else — initialization, the row solves, normalization, grams and
-// fits — so the returned factorization is bitwise identical to
-// cpals.Solve's for every worker count and every task placement, including
-// placements forced by worker deaths. (With Config.UseCSF the reference is
-// the single-process CSF solver — cpals Options.CSFKernel — not the COO
-// one; see the Config docs.)
+// Solve runs cpals.SolveWith with the mode update u — any tier's — over a
+// remote Source in place of u.Source. The coordinator keeps everything but
+// the MTTKRPs, so the result is bitwise identical to the local COO kernel's
+// (the CSF kernel's under Config.UseCSF) for every worker count and every
+// task placement, including placements forced by worker deaths. The
+// options are validated here; the tier's own (rals, ntf) by its Update.
 //
-// The tensor's shards are shipped once, at session start, and each factor
-// update reaches a worker as a delta of the rows its shards read.
+// Without a Sampler, the tensor's shards ship once, at session start, and
+// each factor update reaches a worker as a delta of the rows its shards
+// read. A Sampler's updates contract tensors the fleet has not seen (an
+// epoch's sample, or the full tensor in the polish); each ships when first
+// seen, cut along the full tensor's frozen mode partitions, and the COO
+// kernel accumulates each output row in the contracted tensor's stable
+// mode-index order however its entries are partitioned. A sampled mode
+// touches an epoch-varying row subset, so factors go by full broadcast
+// (NoDelta) and the workers run the COO kernel (not UseCSF).
 //
 // The returned Stats are real measurements (wall clock, bytes on sockets),
 // populated even when the solve fails partway. Fleet collapse degrades the
 // source in place (see Config.MinWorkers): the run completes with the same
 // bits.
-func Solve(t *tensor.COO, opts cpals.Options, cfg Config) (*cpals.Result, Stats, error) {
+func Solve(t *tensor.COO, opts cpals.Options, u cpals.Update, cfg Config) (*cpals.Result, Stats, error) {
 	if err := opts.Validate(t); err != nil {
 		return nil, Stats{}, err
 	}
-	return withSource(t, opts.Rank, opts.Workers(), cfg, func(src *remoteSource) (*cpals.Result, error) {
-		s := src.s
-		s.shipShards(src.ranges)
-		for m := range src.x {
-			src.x[m] = t
-		}
-		s.lap(&s.stats.Phases.ShardShip)
-		// A scheduled TornWrite fires right after the checkpoint hook: it
-		// damages the file just written, simulating a crash mid-write that a
-		// later resume must detect.
-		if hook := opts.OnCheckpoint; hook != nil && s.cfg.OnTornWrite != nil && s.cfg.Plan != nil {
-			opts.OnCheckpoint = func(cp *ckpt.File) error {
-				if err := hook(cp); err != nil {
-					return err
-				}
-				if len(s.cfg.Plan.TakeEvents(s.stageSeq, chaos.TornWrite)) > 0 {
-					s.logf("dist: chaos tears the checkpoint written at iteration %d", cp.Iter)
-					s.cfg.OnTornWrite(cp.Iter)
-				}
-				return nil
-			}
-		}
-		return cpals.SolveWith(t, opts, cpals.Update{Source: src})
-	})
-}
-
-// SolveSampled runs randomized ALS (internal/rals) with its MTTKRPs
-// executed on remote workers: rals.Solve with the remote Source as its
-// Kernel. The source ships each tensor it is handed (an epoch's sample, or
-// the full tensor in the polish) when it first sees it, cut along the FULL
-// tensor's frozen mode partitions, so a shard key always means the same row
-// range. The COO MTTKRP accumulates each output row in the contracted
-// tensor's stable mode-index order however its entries are partitioned, so
-// the result is bitwise identical to the serial rals solve for every worker
-// count and every task placement.
-//
-// Factor state is kept resident by full broadcast after every update
-// (Config.NoDelta is forced): a sampled mode touches an arbitrary,
-// epoch-varying row subset, so the frozen touched-row plan does not apply.
-// Config.UseCSF is likewise forced off — the COO worker kernel is the one
-// that matches rals.Solve's local kernel bitwise.
-func SolveSampled(t *tensor.COO, o rals.Options, cfg Config) (*cpals.Result, Stats, error) {
-	if err := o.Validate(t); err != nil {
-		return nil, Stats{}, err
+	if u.Sampler != nil {
+		cfg.NoDelta = true
+		cfg.UseCSF = false
 	}
-	cfg.NoDelta = true
-	cfg.UseCSF = false
-	return withSource(t, o.Rank, o.Workers(), cfg, func(src *remoteSource) (*cpals.Result, error) {
-		o.Kernel = src
-		return rals.Solve(t, o)
-	})
-}
-
-// withSource opens a session on cfg's workers, runs solve with a remote
-// source over it, and returns the session's Stats with the call's wall time.
-func withSource(t *tensor.COO, rank, w int, cfg Config, solve func(*remoteSource) (*cpals.Result, error)) (*cpals.Result, Stats, error) {
 	start := time.Now()
-	s, err := NewSession(t, rank, cfg)
+	s, err := NewSession(t, opts.Rank, cfg)
 	if err != nil {
 		return nil, Stats{WallSeconds: time.Since(start).Seconds()}, err
 	}
 	defer s.Close()
+	w := opts.Workers()
 	src := &remoteSource{s: s, w: w, cur: make([]*la.Dense, t.Order()), x: make([]*tensor.COO, t.Order())}
 	// The cut points depend only on (tensor, workers), so re-runs — and
 	// reassignments within a run — see identical tasks.
@@ -103,8 +56,30 @@ func withSource(t *tensor.COO, rank, w int, cfg Config, solve func(*remoteSource
 	}
 	s.lap(&s.stats.Phases.Partition)
 	s.TrackFactors(src.cur) // rejoining workers resync from the live factors
-
-	res, err := solve(src)
+	if u.Sampler == nil {
+		s.shipShards(src.ranges)
+		for m := range src.x {
+			src.x[m] = t
+		}
+		s.lap(&s.stats.Phases.ShardShip)
+	}
+	// A scheduled TornWrite fires right after the checkpoint hook: it
+	// damages the file just written, simulating a crash mid-write that a
+	// later resume must detect.
+	if hook := opts.OnCheckpoint; hook != nil && s.cfg.OnTornWrite != nil && s.cfg.Plan != nil {
+		opts.OnCheckpoint = func(cp *ckpt.File) error {
+			if err := hook(cp); err != nil {
+				return err
+			}
+			if len(s.cfg.Plan.TakeEvents(s.stageSeq, chaos.TornWrite)) > 0 {
+				s.logf("dist: chaos tears the checkpoint written at iteration %d", cp.Iter)
+				s.cfg.OnTornWrite(cp.Iter)
+			}
+			return nil
+		}
+	}
+	u.Source = src
+	res, err := cpals.SolveWith(t, opts, u)
 	s.lap(&s.stats.Phases.Other)
 	st := s.Stats()
 	st.WallSeconds = time.Since(start).Seconds()

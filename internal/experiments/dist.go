@@ -230,7 +230,7 @@ func DistBenchWith(p Params, cfg DistBenchConfig) (*DistReport, error) {
 			// finish and still match the serial reference bit for bit.
 			dc.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: n / 2, Stage: 2})
 		}
-		res, stats, err := dist.Solve(x, opts, dc)
+		res, stats, err := dist.Solve(x, opts, cpals.Update{}, dc)
 		lc.Close()
 		if err != nil {
 			return DistRow{}, fmt.Errorf("experiments: dist bench with %d workers failed: %w", n, err)

@@ -167,7 +167,7 @@ func FaultsBenchWith(p Params, cfg FaultsBenchConfig) (*FaultsReport, error) {
 		if mut != nil {
 			mut(&dc)
 		}
-		return dist.Solve(x, opts, dc)
+		return dist.Solve(x, opts, cpals.Update{}, dc)
 	}
 
 	var baselineMs float64
@@ -278,7 +278,7 @@ func killResumeRun(x *tensor.COO, opts cpals.Options, cfg FaultsBenchConfig, dir
 	if err != nil {
 		return nil, dist.Stats{}, 0, err
 	}
-	_, _, err = dist.Solve(x, headOpts, lc.Config())
+	_, _, err = dist.Solve(x, headOpts, cpals.Update{}, lc.Config())
 	lc.Close()
 	if !errors.Is(err, errSimKill) {
 		return nil, dist.Stats{}, 0, fmt.Errorf("experiments: %s head run: want simulated kill, got %v", scenario, err)
@@ -319,7 +319,7 @@ func killResumeRun(x *tensor.COO, opts cpals.Options, cfg FaultsBenchConfig, dir
 		return nil, dist.Stats{}, 0, err
 	}
 	defer lc.Close()
-	res, st, err := dist.Solve(x, tailOpts, lc.Config())
+	res, st, err := dist.Solve(x, tailOpts, cpals.Update{}, lc.Config())
 	if err != nil {
 		return nil, dist.Stats{}, 0, fmt.Errorf("experiments: %s resume failed: %w", scenario, err)
 	}

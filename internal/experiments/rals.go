@@ -192,11 +192,16 @@ func RALSBenchWith(p Params, cfg RALSBenchConfig) (*RALSReport, error) {
 	}
 	rep.BitwiseRepeat = bitwiseEqual(accepted, repeat)
 	if cfg.DistWorkers > 0 {
+		ro := ralsOpts(rep.AcceptedFraction)
+		u, err := ro.Update(x)
+		if err != nil {
+			return nil, err
+		}
 		lc, err := dist.StartInProcess(cfg.DistWorkers)
 		if err != nil {
 			return nil, err
 		}
-		distRes, _, err := dist.SolveSampled(x, ralsOpts(rep.AcceptedFraction), lc.Config())
+		distRes, _, err := dist.Solve(x, ro.Options, u, lc.Config())
 		lc.Close()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: rals bench with %d workers failed: %w", cfg.DistWorkers, err)

@@ -52,36 +52,30 @@ type Options struct {
 	InitState *ckpt.NTFState
 }
 
-// Inner resolves the effective inner CD pass count.
-func (o *Options) Inner() int {
-	switch {
-	case o.InitState != nil:
-		return o.InitState.InnerIters
-	case o.InnerIters <= 0:
-		return DefaultInnerIters
-	}
-	return o.InnerIters
-}
-
-// Validate checks the options against a tensor.
-func (o *Options) Validate(t *tensor.COO) error {
+// Update checks the options against t and returns the mode update that runs
+// them: the nonnegative coordinate-descent rule, with the checkpointed inner
+// pass count on a resume.
+func (o *Options) Update(t *tensor.COO) (cpals.Update, error) {
 	if err := o.Options.Validate(t); err != nil {
-		return err
+		return cpals.Update{}, err
 	}
-	if o.InnerIters < 0 {
-		return fmt.Errorf("ntf: InnerIters must be non-negative, got %d", o.InnerIters)
-	}
-	if st := o.InitState; st != nil {
-		if o.InitFactors == nil {
-			return fmt.Errorf("ntf: InitState requires InitFactors")
-		}
+	inner := o.InnerIters
+	switch st := o.InitState; {
+	case inner < 0:
+		return cpals.Update{}, fmt.Errorf("ntf: InnerIters must be non-negative, got %d", inner)
+	case st != nil && o.InitFactors == nil:
+		return cpals.Update{}, fmt.Errorf("ntf: InitState requires InitFactors")
+	case st != nil:
 		if err := st.Validate(); err != nil {
-			return fmt.Errorf("ntf: InitState: %w", err)
+			return cpals.Update{}, fmt.Errorf("ntf: InitState: %w", err)
 		}
-	} else if o.StartIter > 0 {
-		return fmt.Errorf("ntf: resuming at iteration %d needs the checkpoint's inner pass count (InitState)", o.StartIter)
+		inner = st.InnerIters
+	case o.StartIter > 0:
+		return cpals.Update{}, fmt.Errorf("ntf: resuming at iteration %d needs the checkpoint's inner pass count (InitState)", o.StartIter)
+	case inner == 0:
+		inner = DefaultInnerIters
 	}
-	return nil
+	return cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: inner}}, nil
 }
 
 // Solve runs nonnegative CP: the shared cpals mode update with the
@@ -93,8 +87,9 @@ func (o *Options) Validate(t *tensor.COO) error {
 // identical point and their rankings are directly comparable; warm starts
 // are clipped at zero.
 func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
-	if err := o.Validate(t); err != nil {
+	u, err := o.Update(t)
+	if err != nil {
 		return nil, err
 	}
-	return cpals.SolveWith(t, o.Options, cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: o.Inner()}})
+	return cpals.SolveWith(t, o.Options, u)
 }

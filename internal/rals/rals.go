@@ -89,13 +89,6 @@ type Options struct {
 	// updater's): the unnormalized factors are seeded as A*diag(lambda),
 	// the ALS fixed-point identity.
 	InitState *ckpt.RALSState
-
-	// Kernel, when non-nil, is the Source every MTTKRP runs on — sampled or
-	// exact — in place of the shared-memory COO kernel; internal/dist plugs
-	// in its workers. Only the MTTKRP bits have to match, and they are
-	// partition-independent: per output row, entries accumulate in the
-	// contracted tensor's stable mode-index order.
-	Kernel cpals.Source
 }
 
 // Budgets resolves the per-mode sample counts against a tensor.
@@ -132,42 +125,39 @@ func (o *Options) Budgets(t *tensor.COO) ([]int, error) {
 	return budgets, nil
 }
 
-// schedule resolves the epoch length and the per-mode sample budgets: the
-// checkpointed ones on a resume, the options' otherwise.
-func (o *Options) schedule(t *tensor.COO) (epochLen int, budgets []int, err error) {
-	if st := o.InitState; st != nil {
-		return st.ResampleEvery, append([]int(nil), st.SampleCounts...), nil
-	}
-	budgets, err = o.Budgets(t)
-	return max(o.ResampleEvery, 1), budgets, err
-}
-
-// Validate checks the options against a tensor.
-func (o *Options) Validate(t *tensor.COO) error {
+// Update checks the options against t and returns the mode update that runs
+// them: the least-squares rule over the shared-memory COO kernel, its
+// MTTKRPs reshaped by the leverage-score sampler, on the checkpointed
+// sampling schedule on a resume and the options' otherwise.
+func (o *Options) Update(t *tensor.COO) (cpals.Update, error) {
 	if err := o.Options.Validate(t); err != nil {
-		return err
+		return cpals.Update{}, err
 	}
 	if o.ExactFinishIters < 0 {
-		return fmt.Errorf("rals: ExactFinishIters must be non-negative, got %d", o.ExactFinishIters)
+		return cpals.Update{}, fmt.Errorf("rals: ExactFinishIters must be non-negative, got %d", o.ExactFinishIters)
 	}
-	if st := o.InitState; st != nil {
-		if o.InitFactors == nil {
-			return fmt.Errorf("rals: InitState requires InitFactors")
-		}
+	epochLen := max(o.ResampleEvery, 1)
+	var budgets []int
+	switch st := o.InitState; {
+	case st != nil && o.InitFactors == nil:
+		return cpals.Update{}, fmt.Errorf("rals: InitState requires InitFactors")
+	case st != nil:
 		if err := st.Validate(t.Dims, o.Rank); err != nil {
-			return fmt.Errorf("rals: InitState: %w", err)
+			return cpals.Update{}, fmt.Errorf("rals: InitState: %w", err)
 		}
-	} else if o.StartIter > 0 {
-		return fmt.Errorf("rals: resuming at iteration %d needs the checkpoint's sampler state (InitState)", o.StartIter)
+		epochLen, budgets = st.ResampleEvery, append([]int(nil), st.SampleCounts...)
+	case o.StartIter > 0:
+		return cpals.Update{}, fmt.Errorf("rals: resuming at iteration %d needs the checkpoint's sampler state (InitState)", o.StartIter)
+	default:
+		var err error
+		if budgets, err = o.Budgets(t); err != nil {
+			return cpals.Update{}, err
+		}
 	}
-	e, _, err := o.schedule(t)
-	if err != nil {
-		return err
+	if o.StartIter%epochLen != 0 {
+		return cpals.Update{}, fmt.Errorf("rals: StartIter %d is not an epoch boundary (ResampleEvery %d)", o.StartIter, epochLen)
 	}
-	if o.StartIter%e != 0 {
-		return fmt.Errorf("rals: StartIter %d is not an epoch boundary (ResampleEvery %d)", o.StartIter, e)
-	}
-	return nil
+	return cpals.Update{Source: cpals.COOSource{Workers: o.Workers()}, Sampler: newSampler(t, *o, epochLen, budgets)}, nil
 }
 
 // Solve runs randomized CP-ALS: the shared cpals mode update with the
@@ -176,15 +166,11 @@ func (o *Options) Validate(t *tensor.COO) error {
 // normalized factors, lambda, and per-epoch EXACT fits (per-iteration when
 // ResampleEvery is 1).
 func Solve(t *tensor.COO, o Options) (*cpals.Result, error) {
-	if err := o.Validate(t); err != nil {
+	u, err := o.Update(t)
+	if err != nil {
 		return nil, err
 	}
-	s := newSampler(t, o)
-	src := o.Kernel
-	if src == nil {
-		src = cpals.COOSource{Workers: s.w}
-	}
-	return cpals.SolveWith(t, o.Options, cpals.Update{Source: src, Sampler: s})
+	return cpals.SolveWith(t, o.Options, u)
 }
 
 // sampler is rals' cpals.Sampler: the epoch cadence, the per-epoch,
@@ -221,9 +207,9 @@ type sampler struct {
 	counts []int32     // scratch: per-entry draw multiplicity
 }
 
-// newSampler resolves the schedule of options Validate accepted.
-func newSampler(t *tensor.COO, o Options) *sampler {
-	epochLen, budgets, _ := o.schedule(t)
+// newSampler builds the sampler of options Update accepted, on their
+// resolved epoch length and budgets.
+func newSampler(t *tensor.COO, o Options, epochLen int, budgets []int) *sampler {
 	s := &sampler{t: t, o: o, w: o.Workers(), nnz: t.NNZ(), epochLen: epochLen, budgets: budgets, allFull: true,
 		finishStart: max(o.MaxIters-o.ExactFinishIters, o.StartIter), it: o.StartIter,
 		unnorm: make([]*la.Dense, t.Order()), sampled: make([]*tensor.COO, t.Order()), scores: make([][]float64, t.Order()),
