@@ -307,3 +307,102 @@ func TestNCPStreamStaysNonnegative(t *testing.T) {
 	}
 	check("full sweep")
 }
+
+// Fixed point of a window: the model's value at a coordinate none of whose
+// rows the window touches is the value it had before, whatever the rule and
+// the parallelism. Untouched rows keep their contribution; only the column
+// weights and the touched rows move. The delta holds part of the context
+// mode only, so every mode keeps rows the window does not touch.
+func TestWindowKeepsUntouchedCoordinates(t *testing.T) {
+	const rank, seed = 4, 3
+	x := tensor.GenRecsys(11, 6000, 80, 60, 4, 4, 0.02)
+	base := tensor.New(x.Dims...)
+	var delta []tensor.Entry
+	for i, e := range x.Entries {
+		if i%20 == 0 && e.Idx[2] < 2 {
+			delta = append(delta, e)
+		} else {
+			base.Entries = append(base.Entries, e)
+		}
+	}
+	touched := make([][]bool, base.Order())
+	for m := range touched {
+		touched[m] = make([]bool, base.Dims[m])
+		for _, e := range delta {
+			touched[m][e.Idx[m]] = true
+		}
+		free := 0
+		for _, hit := range touched[m] {
+			if !hit {
+				free++
+			}
+		}
+		if free == 0 {
+			t.Fatalf("the delta touches every row of mode %d", m)
+		}
+	}
+	for _, nonneg := range []bool{false, true} {
+		for _, p := range []int{1, 4} {
+			o := cpals.Options{Rank: rank, MaxIters: 5, Seed: seed, Parallelism: p}
+			var res *cpals.Result
+			var err error
+			if nonneg {
+				res, err = ntf.Solve(base, ntf.Options{Options: o})
+			} else {
+				res, err = cpals.Solve(base, o)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := NewUpdaterFromResult(base, res, seed, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := denseModel(u.Lambda(), u.Factors())
+			if _, err := u.ApplyDelta(delta); err != nil {
+				t.Fatal(err)
+			}
+			after := denseModel(u.Lambda(), u.Factors())
+			var scale float64
+			for _, v := range before {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			checked := 0
+			for i := range touched[0] {
+				for j := range touched[1] {
+					for k := range touched[2] {
+						if touched[0][i] || touched[1][j] || touched[2][k] {
+							continue
+						}
+						p0 := (i*len(touched[1])+j)*len(touched[2]) + k
+						if d := math.Abs(after[p0] - before[p0]); d > 1e-10*scale {
+							t.Fatalf("nonneg=%v P=%d: value at (%d,%d,%d) moved %g -> %g", nonneg, p, i, j, k, before[p0], after[p0])
+						}
+						checked++
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no coordinate has all its rows untouched")
+			}
+		}
+	}
+}
+
+// denseModel evaluates an order-3 CP model at every coordinate, row-major.
+func denseModel(lambda []float64, factors []*la.Dense) []float64 {
+	a, b, c := factors[0], factors[1], factors[2]
+	out := make([]float64, 0, a.Rows*b.Rows*c.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			for k := 0; k < c.Rows; k++ {
+				var v float64
+				for r, l := range lambda {
+					v += l * a.At(i, r) * b.At(j, r) * c.At(k, r)
+				}
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
