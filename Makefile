@@ -87,12 +87,19 @@ bench-serve:
 	$(GO) test ./internal/serve -run '^$$' -bench . -benchtime 1x
 
 # End-to-end streaming smoke under the race detector: train a tiny model,
-# stream three windows through ingest -> incremental update -> publish.
+# stream three windows through ingest -> incremental update -> publish
+# (v1..v4), then restart on the same model path. The restarted stream's
+# first publish must continue the versions on disk at v5.
+STREAM_SMOKE = $(GO) run -race ./cmd/cstf-stream -model "$$tmp/model.ckpt" \
+	-dims 60,50,40 -nnz 2000 -rank 2 -train-iters 2 \
+	-windows 3 -window 200 -full-sweep-every 2 -grow-every 150
 stream-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run -race ./cmd/cstf-stream -model "$$tmp/model.ckpt" \
-		-dims 60,50,40 -nnz 2000 -rank 2 -train-iters 2 \
-		-windows 3 -window 200 -full-sweep-every 2 -grow-every 150
+	$(STREAM_SMOKE) || exit 1; \
+	$(STREAM_SMOKE) 2>"$$tmp/restart.log"; status=$$?; cat "$$tmp/restart.log" >&2; \
+	[ $$status -eq 0 ] || exit 1; \
+	grep -q '^cstf-stream: published v5 ' "$$tmp/restart.log" || \
+		{ echo "stream-smoke: the restarted stream's first publish is not v5" >&2; exit 1; }
 
 # The preamble the dist, rals and recsys smoke cases share: a temp dir
 # removed on exit, a race-built cstf-worker that -dist-local forks (exported

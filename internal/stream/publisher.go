@@ -35,13 +35,25 @@ type Publisher struct {
 // a corrupted newest retained copy.
 const defaultKeep = 3
 
-// NewPublisher publishes to path. seed is recorded in each checkpoint so a
-// resumed pipeline reproduces the same grown-row initialization.
+// NewPublisher publishes to path, continuing after the newest version on
+// disk: the live file's Iter or the newest retained version, whichever is
+// higher, so a restarted stream never publishes a version number twice. A
+// missing or corrupt live file leaves the retained versions to decide. seed
+// is recorded in each checkpoint so a resumed pipeline reproduces the same
+// grown-row initialization.
 func NewPublisher(path string, seed uint64) *Publisher {
-	return &Publisher{path: path, seed: seed}
+	p := &Publisher{path: path, seed: seed}
+	if f, err := ckpt.Read(path); err == nil {
+		p.version = max(f.Iter, 0)
+	}
+	if vs, _ := ckpt.ListVersions(path); len(vs) > 0 {
+		p.version = max(p.version, vs[len(vs)-1])
+	}
+	return p
 }
 
-// Version returns the last published sequence number (0 before the first).
+// Version returns the last published sequence number: before the first
+// publish, the newest version on disk (0 for a fresh path).
 func (p *Publisher) Version() int { return p.version }
 
 // Path returns the checkpoint path being published to.

@@ -122,3 +122,42 @@ func TestPublisherNamesTheRule(t *testing.T) {
 		t.Fatalf("published least-squares stream as %q with NTF %+v", f.Algorithm, f.NTF)
 	}
 }
+
+// A restarted publisher continues the versions on disk: a new Publisher on
+// the path of one that published five versions publishes version six, so
+// the live file is again the newest retained version. With the live file
+// corrupt, the retained versions alone say where to continue.
+func TestPublisherContinuesAfterRestart(t *testing.T) {
+	x := tensor.GenLowRank(14, 2000, 3, 0.05, 40, 30, 20)
+	u := trainedUpdater(t, x, 3, 3, 14)
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	pub := NewPublisher(path, 14)
+	for i := 0; i < 5; i++ {
+		if _, err := pub.Publish(u, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restart := func(want int) {
+		t.Helper()
+		v, err := NewPublisher(path, 14).Publish(u, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := ckpt.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := ckpt.ListVersions(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != want || live.Iter != want || vs[len(vs)-1] != want {
+			t.Fatalf("restarted publisher wrote v%d, live iter %d, retained %v; want v%d throughout", v, live.Iter, vs, want)
+		}
+	}
+	restart(6)
+	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restart(7)
+}
