@@ -9,12 +9,15 @@ import (
 
 // Source is where a mode update's M = MTTKRP(X, mode n) comes from: the
 // shared-memory COO kernel, the CSF trees, or a dist session's workers. The
-// tensor to contract is an argument, so a sampled update hands the source a
-// tensor it has not seen before.
+// tensor to contract and the rows the update solves are arguments, so a
+// sampled update hands the source a tensor it has not seen before and a
+// streamed window asks only for the rows it touched.
 type Source interface {
 	// MTTKRP computes the mode MTTKRP of x against factors into out
-	// (x.Dims[mode] x rank, zeroed by the caller).
-	MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, out *la.Dense) error
+	// (x.Dims[mode] x rank, zeroed by the caller). rows, when non-nil, are
+	// the only output rows the update reads (sorted, unique): the COO
+	// source computes just those, the CSF and remote sources the whole mode.
+	MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []int, out *la.Dense) error
 	// FactorUpdated announces that factor mode is now f: after the initial
 	// materialization and after every mode update.
 	FactorUpdated(mode int, f *la.Dense)
@@ -24,8 +27,35 @@ type Source interface {
 // on Workers goroutines.
 type COOSource struct{ Workers int }
 
-func (s COOSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, out *la.Dense) error {
-	MTTKRPWorkers(x, mode, factors, s.Workers, out, nil)
+// MTTKRP walks a row set as ranges of x's mode index: each run of listed
+// rows with no other nonzero between them is one range, cut at row
+// boundaries into parts of about an even share of the listed rows'
+// nonzeros per worker. Every row sees its nonzeros in mode-index order, so
+// its bits are MTTKRPWorkers' however the ranges fall.
+func (s COOSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []int, out *la.Dense) error {
+	if rows == nil {
+		MTTKRPWorkers(x, mode, factors, s.Workers, out, nil)
+		return nil
+	}
+	w := par.Workers(s.Workers)
+	mi := x.ModeIndex(mode)
+	total := 0
+	for _, i := range rows {
+		total += int(mi.RowPtr[i+1] - mi.RowPtr[i])
+	}
+	part := max((total+w-1)/w, 1)
+	var ranges [][2]int32
+	for _, i := range rows {
+		lo, hi := mi.RowPtr[i], mi.RowPtr[i+1]
+		if k := len(ranges) - 1; k >= 0 && ranges[k][1] == lo && int(ranges[k][1]-ranges[k][0]) < part {
+			ranges[k][1] = hi
+		} else if lo < hi {
+			ranges = append(ranges, [2]int32{lo, hi})
+		}
+	}
+	par.Run(w, len(ranges), func(k int) {
+		MTTKRPAccumulate(out, 0, x.Entries, mi.Perm[ranges[k][0]:ranges[k][1]], mode, factors)
+	})
 	return nil
 }
 
@@ -38,7 +68,7 @@ type csfSource struct {
 	w    int
 }
 
-func (s csfSource) MTTKRP(_ *tensor.COO, mode int, factors []*la.Dense, out *la.Dense) error {
+func (s csfSource) MTTKRP(_ *tensor.COO, mode int, factors []*la.Dense, _ []int, out *la.Dense) error {
 	mttkrpCSFInto(s.csfs[mode], factors, s.w, out)
 	return nil
 }
@@ -49,15 +79,20 @@ func (csfSource) FactorUpdated(int, *la.Dense) {}
 // handed t.
 func NewCSFSource(t *tensor.COO, workers int) Source { return csfSource{BuildCSFs(t), workers} }
 
-// Sampler turns exact mode updates into sampled ones (internal/rals): it
-// picks the tensor each update contracts, owns the unnormalized matrices the
-// rule writes, and decides the fit cadence and which checkpoints to take.
+// Sampler restricts the mode updates to a sample or a row set: it picks the
+// tensor each update contracts and the rows it solves, may own the
+// unnormalized matrices the rule writes, and decides the fit cadence and
+// which checkpoints to take. rals samples the nonzeros; a streamed window
+// solves the rows its nonzeros touch.
 type Sampler interface {
 	// Mode is called before mode n's update with the current factors and
-	// grams. It returns the tensor to contract — the solve's own, or a
-	// sample whose untouched rows the update leaves alone — and the matrix
-	// the rule updates; factor n becomes its normalized copy.
-	Mode(n int, factors, grams []*la.Dense) (x *tensor.COO, u *la.Dense)
+	// grams. It returns the tensor to contract (the solve's own, or a
+	// sample), the matrix the rule updates, and the rows the update solves
+	// (sorted, unique; nil: every row). The other rows keep their value;
+	// when u is the live factor it is first multiplied by lambda, so those
+	// rows keep their contribution to the model. Factor n becomes u's
+	// normalized copy.
+	Mode(n int, factors, grams []*la.Dense) (x *tensor.COO, u *la.Dense, rows []int)
 	// Fit reports whether the iteration just completed records a fit.
 	Fit() bool
 	// Checkpoint adds the sampler's state to a snapshot; false declines it.
@@ -126,26 +161,31 @@ type als struct {
 	// MTTKRP outputs alias ws; nothing in the Result retains them.
 	lastM *la.Dense
 	ws    *Workspace
-	// sampled records that an update of this iteration contracted a tensor
-	// other than t, so the fit cannot come from lastM.
+	// sampled records that an update of this iteration solved a row set,
+	// so the fit cannot come from lastM.
 	sampled bool
 }
 
 func (s *als) Step(n int) error {
-	x, u := s.t, s.factors[n]
+	x, u, rows := s.t, s.factors[n], []int(nil)
 	if s.smp != nil {
-		x, u = s.smp.Mode(n, s.factors, s.grams)
+		x, u, rows = s.smp.Mode(n, s.factors, s.grams)
 	}
 	m := s.ws.Out(n, u.Rows, u.Cols, s.w)
-	if err := s.src.MTTKRP(x, n, s.factors, m); err != nil {
+	if err := s.src.MTTKRP(x, n, s.factors, rows, m); err != nil {
 		return err
 	}
-	var rows *tensor.ModeIndex
-	if x != s.t {
-		rows = x.ModeIndex(n)
-		s.sampled = true
+	if u == s.factors[n] && (rows != nil || s.rule.Nonneg) && len(s.lambda) == u.Cols {
+		// Absorb lambda into the factor being solved: with the other
+		// factors fixed, A_n * diag(lambda) reproduces the current model
+		// exactly, so the rows a restricted update skips keep their
+		// contribution and coordinate descent warm-starts from it. An
+		// empty lambda (first update of a fresh start) is an implicit
+		// all-ones.
+		la.ScaleColumnsParallel(u, s.lambda, s.w)
 	}
-	s.rule.apply(u, m, HadamardOfGramsExcept(s.grams, n), s.lambda, rows, s.w)
+	s.sampled = s.sampled || rows != nil
+	s.rule.apply(u, m, HadamardOfGramsExcept(s.grams, n), rows, s.w)
 	if u != s.factors[n] {
 		u = u.Clone() // the sampler keeps its matrix unnormalized
 	}

@@ -1,10 +1,6 @@
 package cpals
 
-import (
-	"cstf/internal/la"
-	"cstf/internal/par"
-	"cstf/internal/tensor"
-)
+import "cstf/internal/la"
 
 // Rule is how a mode update turns M into factor rows. The zero Rule is
 // least squares, Algorithm 1's row solve A_n = M * pinv(V) with V the
@@ -29,69 +25,25 @@ type Rule struct {
 	Inner  int // coordinate-descent passes per row problem (Nonneg only)
 }
 
-// apply updates the rows of u from M and V. rows, when non-nil, restricts
-// the update to the rows it indexes nonzeros for; the rest keep their
+// apply updates the rows of u from M and V: the listed rows (sorted,
+// unique) when rows is non-nil, every row otherwise. The rest keep their
 // value.
-func (r Rule) apply(u, m, v *la.Dense, lambda []float64, rows *tensor.ModeIndex, w int) {
-	if r.Nonneg && len(lambda) == u.Cols {
-		// Re-absorb lambda into the mode being solved: with the other
-		// factors fixed, u = A_n * diag(lambda) reproduces the current model
-		// exactly, so coordinate descent warm-starts from it and the
-		// objective can only go down. An empty lambda (first update of a
-		// fresh start) is an implicit all-ones.
-		la.ScaleColumnsParallel(u, lambda, w)
-	}
+func (r Rule) apply(u, m, v *la.Dense, rows []int, w int) {
 	pinv := r.pinv(v)
-	la.RowBlocksApply(w, u.Rows, func(lo, hi int) {
+	n := u.Rows
+	if rows != nil {
+		n = len(rows)
+	}
+	la.RowBlocksApply(w, n, func(lo, hi int) {
 		sat := make([]byte, u.Cols)
-		for i := lo; i < hi; i++ {
-			if rows == nil || rows.RowPtr[i+1] > rows.RowPtr[i] {
-				r.solveRow(u.Row(i), m.Row(i), v, pinv, sat)
+		for k := lo; k < hi; k++ {
+			i := k
+			if rows != nil {
+				i = rows[k]
 			}
+			r.solveRow(u.Row(i), m.Row(i), v, pinv, sat)
 		}
 	})
-}
-
-// SweepRows is the mode update of a row set: one ALS sweep of t under the
-// rule that updates only rows[n] (sorted, unique) of each mode n in place,
-// each from its own nonzeros, with lambda absorbed into the last mode
-// first and every column renormalized into lambda (updated in place) at
-// the end. A streamed window applies it to the rows its nonzeros touch.
-func (r Rule) SweepRows(t *tensor.COO, lambda []float64, factors []*la.Dense, rows [][]int, w int) {
-	la.ScaleColumnsParallel(factors[len(factors)-1], lambda, w)
-	grams := make([]*la.Dense, len(factors))
-	for n, f := range factors {
-		grams[n] = la.GramParallel(f, w)
-	}
-	for n, touched := range rows {
-		if len(touched) == 0 {
-			continue
-		}
-		v := HadamardOfGramsExcept(grams, n)
-		pinv := r.pinv(v)
-		mi := t.ModeIndex(n)
-		f := factors[n]
-		// Each row owns its output row and reads only other modes'
-		// factors in the stable mode-index order: bitwise for any w.
-		par.ForBlocks(w, len(touched), func(lo, hi int) {
-			acc := la.NewDense(1, f.Cols)
-			sat := make([]byte, f.Cols)
-			for _, i := range touched[lo:hi] {
-				acc.Zero()
-				MTTKRPAccumulate(acc, i, t.Entries, mi.Perm[mi.RowPtr[i]:mi.RowPtr[i+1]], n, factors)
-				r.solveRow(f.Row(i), acc.Data, v, pinv, sat)
-			}
-		})
-		grams[n] = la.GramParallel(f, w)
-	}
-	for c := range lambda {
-		lambda[c] = 1
-	}
-	for _, f := range factors {
-		for c, norm := range la.NormalizeColumnsParallel(f, w) {
-			lambda[c] *= norm
-		}
-	}
 }
 
 // pinv is the least-squares rule's pinv(V); the nonnegative rule has none.

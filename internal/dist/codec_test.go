@@ -443,7 +443,7 @@ type sampleRecorder struct {
 	modes   []int
 }
 
-func (r *sampleRecorder) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, out *la.Dense) error {
+func (r *sampleRecorder) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, _ []int, out *la.Dense) error {
 	if x != r.full && !slices.Contains(r.sampled, x) {
 		r.sampled, r.modes = append(r.sampled, x), append(r.modes, mode)
 	}

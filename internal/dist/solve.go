@@ -127,15 +127,16 @@ func (k *remoteSource) FactorUpdated(mode int, f *la.Dense) {
 }
 
 // MTTKRP computes the mode MTTKRP of x into out (zeroed by the caller) on
-// the workers. Output row ranges are disjoint, so assembly is pure
-// placement and each row's bits match the shared-memory kernel's.
+// the workers, every row whatever rows lists. Output row ranges are
+// disjoint, so assembly is pure placement and each row's bits match the
+// shared-memory kernel's.
 //
 // The live-worker floor is checked before each iteration's first MTTKRP;
 // below it, or on a stage that finds no live worker, the source degrades to
 // the kernel SolveWith would have picked locally — COO, or CSF under
 // UseCSF — for the rest of the run. That kernel is bitwise identical to the
 // workers', so the run completes with the same bits.
-func (k *remoteSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, out *la.Dense) error {
+func (k *remoteSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []int, out *la.Dense) error {
 	k.lapLocal()
 	k.started = true
 	defer k.s.lap(&k.s.stats.Phases.MTTKRPWait)
@@ -145,14 +146,14 @@ func (k *remoteSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, out 
 		}
 	}
 	if k.local != nil {
-		return k.local.MTTKRP(x, mode, factors, out)
+		return k.local.MTTKRP(x, mode, factors, rows, out)
 	}
 	err := k.remote(x, mode, factors, out)
 	var nw *NoWorkersError
 	if errors.As(err, &nw) && k.s.cfg.MinWorkers >= 0 {
 		k.degrade(err)
 		clear(out.Data) // partial stage results may have landed
-		return k.local.MTTKRP(x, mode, factors, out)
+		return k.local.MTTKRP(x, mode, factors, rows, out)
 	}
 	return err
 }

@@ -86,10 +86,10 @@ func TestChainGoldenHash(t *testing.T) {
 		name, want string
 		solve      func(o cpals.Options, cp *ckpt.File) (*cpals.Result, error)
 	}{
-		{"serial", "e160a513cc8d7e86", func(o cpals.Options, _ *ckpt.File) (*cpals.Result, error) {
+		{"serial", "9850e2e6c02df766", func(o cpals.Options, _ *ckpt.File) (*cpals.Result, error) {
 			return cpals.Solve(base, o)
 		}},
-		{"ncp", "83e4dff3e1b9b9d9", func(o cpals.Options, cp *ckpt.File) (*cpals.Result, error) {
+		{"ncp", "648832cb913c4e64", func(o cpals.Options, cp *ckpt.File) (*cpals.Result, error) {
 			no := ntf.Options{Options: o}
 			if cp != nil {
 				no.InitState = cp.NTF

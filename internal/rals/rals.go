@@ -199,6 +199,7 @@ type sampler struct {
 	// diag(InitLambda) on a warm start, the ALS fixed-point identity.
 	unnorm  []*la.Dense
 	sampled []*tensor.COO // the current epoch's draws, per mode
+	rows    [][]int       // per mode: the rows its draw holds a nonzero in
 	it      int           // the iteration in progress; Fit ends it
 	exact   bool          // iteration it is in the polish phase
 
@@ -212,7 +213,8 @@ type sampler struct {
 func newSampler(t *tensor.COO, o Options, epochLen int, budgets []int) *sampler {
 	s := &sampler{t: t, o: o, w: o.Workers(), nnz: t.NNZ(), epochLen: epochLen, budgets: budgets, allFull: true,
 		finishStart: max(o.MaxIters-o.ExactFinishIters, o.StartIter), it: o.StartIter,
-		unnorm: make([]*la.Dense, t.Order()), sampled: make([]*tensor.COO, t.Order()), scores: make([][]float64, t.Order()),
+		unnorm: make([]*la.Dense, t.Order()), sampled: make([]*tensor.COO, t.Order()), rows: make([][]int, t.Order()),
+		scores: make([][]float64, t.Order()),
 		weight: make([]float64, len(t.Entries)), counts: make([]int32, len(t.Entries))}
 	for m, b := range budgets {
 		if b < s.nnz {
@@ -231,10 +233,11 @@ func newSampler(t *tensor.COO, o Options, epochLen int, budgets []int) *sampler 
 }
 
 // Mode redraws every sampled mode at an epoch boundary, then hands mode n's
-// update its sample (or, for a full budget or in the polish phase, the full
-// tensor) and its unnormalized factor, whose structurally empty rows it
-// pins to zero (what the exact solver computes for them).
-func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dense) {
+// update its sample and the rows the sample holds a nonzero in (or, for a
+// full budget or in the polish phase, the full tensor and every row) and
+// its unnormalized factor, whose structurally empty rows it pins to zero
+// (what the exact solver computes for them).
+func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dense, []int) {
 	if n == 0 {
 		s.exact = s.it >= s.finishStart
 		if s.it%s.epochLen == 0 && !s.allFull && !s.exact {
@@ -245,6 +248,7 @@ func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dens
 			for m := range s.sampled {
 				if s.budgets[m] < s.nnz {
 					s.sampled[m] = s.draw(epoch, m)
+					s.rows[m] = nonEmptyRows(s.sampled[m].ModeIndex(m))
 				}
 			}
 		}
@@ -258,7 +262,7 @@ func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dens
 		s.unnorm[n] = u
 	}
 	if s.budgets[n] >= s.nnz || s.exact {
-		return s.t, u
+		return s.t, u, nil
 	}
 	fmi := s.t.ModeIndex(n)
 	la.RowBlocksApply(s.w, u.Rows, func(lo, hi int) {
@@ -271,7 +275,18 @@ func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dens
 			}
 		}
 	})
-	return s.sampled[n], u
+	return s.sampled[n], u, s.rows[n]
+}
+
+// nonEmptyRows lists the rows of mi that hold a nonzero, ascending.
+func nonEmptyRows(mi *tensor.ModeIndex) []int {
+	rows := []int{}
+	for i := 0; i+1 < len(mi.RowPtr); i++ {
+		if mi.RowPtr[i+1] > mi.RowPtr[i] {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 // Fit records the exact fit at epoch ends (unless FinalFitOnly) and after

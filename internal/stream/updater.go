@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
 	"cstf/internal/la"
 	"cstf/internal/par"
@@ -13,13 +14,15 @@ import (
 
 // Updater owns the resident tensor and the live CP factors, and folds delta
 // windows into both. The refresh is the row-wise ALS update of CDTF/SALS
-// (cpals Rule.SweepRows) under the rule that made the model: a new nonzero
-// only perturbs the row problems of the factor rows it indexes, so one
-// window's work is bounded by the touched rows' nonzeros rather than the
-// whole tensor. Because the row-set sweeps hold untouched rows fixed, the
-// factors drift from the true ALS fixed point as windows accumulate;
-// FullSweep (driven by Pipeline.FullSweepEvery) runs warm-started ALS with
-// the same rule over the resident tensor to pull them back.
+// under the rule that made the model: one warm-started iteration of the
+// shared mode update (cpals.SolveWith) whose Sampler restricts each mode to
+// the rows the window touched. A new nonzero only perturbs the row problems
+// of the factor rows it indexes, so one window's MTTKRP work is bounded by
+// the touched rows' nonzeros rather than the whole tensor. Because the
+// row-set updates hold untouched rows fixed, the factors drift from the
+// true ALS fixed point as windows accumulate; FullSweep (driven by
+// Pipeline.FullSweepEvery) runs the same call over every row to pull them
+// back.
 //
 // An Updater is single-threaded by design — the pipeline's consumer owns it
 // — but its kernels fan out over the internal/par pool.
@@ -99,11 +102,14 @@ type UpdateStats struct {
 }
 
 // ApplyDelta merges a delta window into the resident tensor and refreshes
-// the factors with one sweep of the model's rule restricted to the touched
-// rows. An empty delta is a guaranteed bitwise no-op on the factors and
-// lambda. New indices beyond the current mode sizes grow the tensor and the
-// factor matrices (fresh rows use the solver's deterministic seeded init
-// before being refreshed like any other touched row).
+// the factors with one warm-started ALS iteration of the model's rule that
+// solves only the touched rows of each mode. Every other row keeps its
+// contribution to the model, so the model's value at a coordinate none of
+// whose rows the window touched does not change. An empty delta is a
+// guaranteed bitwise no-op on the factors and lambda. New indices beyond
+// the current mode sizes grow the tensor and the factor matrices (fresh
+// rows use the solver's deterministic seeded init before being refreshed
+// like any other touched row).
 func (u *Updater) ApplyDelta(delta []tensor.Entry) (UpdateStats, error) {
 	start := time.Now()
 	st := UpdateStats{Events: len(delta), NNZ: u.t.NNZ()}
@@ -128,7 +134,9 @@ func (u *Updater) ApplyDelta(delta []tensor.Entry) (UpdateStats, error) {
 	u.t.InvalidateIndex()
 	st.NNZ = u.t.NNZ()
 
-	u.rule.SweepRows(u.t, u.lambda, u.factors, touched, u.workers)
+	if _, err := u.solve(1, rowSet{u.t, touched}); err != nil {
+		return st, fmt.Errorf("stream: window: %w", err)
+	}
 	st.Duration = time.Since(start)
 	st.DurationMs = float64(st.Duration.Nanoseconds()) / 1e6
 	return st, nil
@@ -169,9 +177,17 @@ func growFactor(f *la.Dense, newRows, mode int, seed uint64) *la.Dense {
 // the resident tensor (the drift bound), adopts the result and returns its
 // exact fit.
 func (u *Updater) FullSweep(iters int) (float64, error) {
-	if iters <= 0 {
-		iters = 1
+	res, err := u.solve(max(iters, 1), nil)
+	if err != nil {
+		return 0, fmt.Errorf("stream: full sweep: %w", err)
 	}
+	return res.Fit(), nil
+}
+
+// solve runs iters warm-started iterations of the model's rule over the
+// resident tensor, restricted by smp (nil: every row), and adopts the
+// result.
+func (u *Updater) solve(iters int, smp cpals.Sampler) (*cpals.Result, error) {
 	res, err := cpals.SolveWith(u.t, cpals.Options{
 		Rank:        len(u.lambda),
 		MaxIters:    iters,
@@ -179,14 +195,28 @@ func (u *Updater) FullSweep(iters int) (float64, error) {
 		Parallelism: u.workers,
 		InitFactors: u.factors,
 		InitLambda:  u.lambda,
-	}, cpals.Update{Rule: u.rule})
+	}, cpals.Update{Rule: u.rule, Sampler: smp})
 	if err != nil {
-		return 0, fmt.Errorf("stream: full sweep: %w", err)
+		return nil, err
 	}
-	u.factors = res.Factors
-	u.lambda = res.Lambda
-	return res.Fit(), nil
+	u.factors, u.lambda = res.Factors, res.Lambda
+	return res, nil
 }
+
+// rowSet is the Sampler of a streamed window: each mode's update contracts
+// the resident tensor t and solves the rows the window touched, rows[n].
+// It records no fit and takes no checkpoint.
+type rowSet struct {
+	t    *tensor.COO
+	rows [][]int
+}
+
+func (s rowSet) Mode(n int, factors, _ []*la.Dense) (*tensor.COO, *la.Dense, []int) {
+	return s.t, factors[n], s.rows[n]
+}
+
+func (rowSet) Fit() bool                  { return false }
+func (rowSet) Checkpoint(*ckpt.File) bool { return false }
 
 // Fit computes the current model fit 1 - ||X - X̂||/||X|| over the resident
 // tensor: the solvers' exact pass over the nonzeros (cpals.InnerProduct),
