@@ -69,14 +69,6 @@ func MTTKRP(t *tensor.COO, mode int, factors []*la.Dense) *la.Dense {
 	return out
 }
 
-// MTTKRPFlops returns the floating-point operations of one COO MTTKRP
-// according to the paper's accounting (Table 4): (order)*nnz*R for 3rd
-// order = 3*nnz*R — one Hadamard scale per non-target mode, the scaling by
-// the tensor value, and the row accumulation.
-func MTTKRPFlops(nnz, order, rank int) float64 {
-	return float64(order) * float64(nnz) * float64(rank)
-}
-
 // Result is a computed CP decomposition [lambda; A_1 ... A_N] plus
 // per-iteration fit diagnostics.
 type Result struct {
@@ -326,27 +318,4 @@ func initFactorWorkers(seed uint64, mode, rows, rank, workers int) *la.Dense {
 		}
 	})
 	return m
-}
-
-// SolveBest runs CP-ALS `restarts` times with different initialization
-// seeds (derived deterministically from opts.Seed) and returns the result
-// with the best fit. CP-ALS converges to local optima that depend on the
-// starting point; multiple restarts are the standard remedy.
-func SolveBest(t *tensor.COO, opts Options, restarts int) (*Result, error) {
-	if restarts <= 0 {
-		return nil, fmt.Errorf("cpals: restarts must be positive, got %d", restarts)
-	}
-	var best *Result
-	for r := 0; r < restarts; r++ {
-		o := opts
-		o.Seed = rng.Hash64(opts.Seed, uint64(r))
-		res, err := Solve(t, o)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Fit() > best.Fit() {
-			best = res
-		}
-	}
-	return best, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"cstf/internal/la"
-	"cstf/internal/rng"
 	"cstf/internal/tensor"
 )
 
@@ -95,12 +94,6 @@ func TestMTTKRPFourthOrder(t *testing.T) {
 	}
 	if d := la.MaxAbsDiff(got, want); d > 1e-10 {
 		t.Fatalf("4th-order MTTKRP differs by %g", d)
-	}
-}
-
-func TestMTTKRPFlops(t *testing.T) {
-	if MTTKRPFlops(100, 3, 2) != 600 {
-		t.Fatalf("flops accounting: %v", MTTKRPFlops(100, 3, 2))
 	}
 }
 
@@ -289,30 +282,5 @@ func TestFitFromPerfectModel(t *testing.T) {
 	fit := FitFrom(x.Norm(), m, factors[2], lambda, grams)
 	if math.Abs(fit-1) > 1e-9 {
 		t.Fatalf("fit of exact model = %v, want 1", fit)
-	}
-}
-
-func TestSolveBestPicksHighestFit(t *testing.T) {
-	x := tensor.GenUniform(3, 800, 20, 18, 16)
-	opts := Options{Rank: 3, MaxIters: 8, Seed: 5}
-	best, err := SolveBest(x, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The best of 4 restarts must be at least as good as each individual
-	// restart with the derived seeds.
-	for r := 0; r < 4; r++ {
-		o := opts
-		o.Seed = rng.Hash64(opts.Seed, uint64(r))
-		res, err := Solve(x, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Fit() > best.Fit()+1e-12 {
-			t.Fatalf("restart %d fit %v beats SolveBest %v", r, res.Fit(), best.Fit())
-		}
-	}
-	if _, err := SolveBest(x, opts, 0); err == nil {
-		t.Fatal("0 restarts must error")
 	}
 }

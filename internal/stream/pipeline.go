@@ -24,9 +24,6 @@ type Config struct {
 	// PollInterval is how long the feeder sleeps when the source has
 	// nothing new (a tailed file that has not grown). Default 10ms.
 	PollInterval time.Duration
-	// FeedBatch bounds how many events one Source.Next call requests.
-	// Default WindowSize.
-	FeedBatch int
 	// PublishEvery publishes a checkpoint version every Nth window.
 	// Default 1 (every window). 0 also means 1; negative disables.
 	PublishEvery int
@@ -55,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 10 * time.Millisecond
-	}
-	if c.FeedBatch <= 0 {
-		c.FeedBatch = c.WindowSize
 	}
 	if c.PublishEvery == 0 {
 		c.PublishEvery = 1
@@ -184,7 +178,7 @@ func (p *Pipeline) feed(ctx context.Context, errCh chan<- error) {
 		if ctx.Err() != nil {
 			return
 		}
-		batch, err := p.src.Next(p.cfg.FeedBatch)
+		batch, err := p.src.Next(p.cfg.WindowSize)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				errCh <- err

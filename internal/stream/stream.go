@@ -87,9 +87,6 @@ func NewSynthetic(cfg SyntheticConfig) (*SyntheticSource, error) {
 // Dims returns a copy of the current (possibly grown) mode sizes.
 func (s *SyntheticSource) Dims() []int { return append([]int(nil), s.dims...) }
 
-// Emitted returns how many events have been produced so far.
-func (s *SyntheticSource) Emitted() int { return s.emitted }
-
 // PlantedValue evaluates the planted rank-r CP model at one coordinate,
 // using the same per-cell factor formula as tensor.GenLowRank.
 func PlantedValue(seed uint64, rank int, idx []uint32) float64 {
