@@ -50,10 +50,11 @@ flake:
 	$(GO) test -count=20 -race $(FLAKE_PKGS)
 
 # Every fuzz target, ten seconds each beyond its seed corpus: the dist frame
-# decoder, the fault-plan parser and the serving query parse. Not part of
-# `make ci`; CI runs it as its own step.
+# decoder, the fault-plan parser, the serving query parse and the checkpoint
+# decoder. Not part of `make ci`; CI runs it as its own step.
 fuzz:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 10s
 

@@ -261,6 +261,11 @@ func Read(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
+	return decode(path, data)
+}
+
+// decode is Read over the file's bytes; path only labels the errors.
+func decode(path string, data []byte) (*File, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("no %s magic", magic)}
 	}
