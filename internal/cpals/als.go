@@ -87,11 +87,10 @@ func NewCSFSource(t *tensor.COO, workers int) Source { return csfSource{BuildCSF
 type Sampler interface {
 	// Mode is called before mode n's update with the current factors and
 	// grams. It returns the tensor to contract (the solve's own, or a
-	// sample), the matrix the rule updates, and the rows the update solves
-	// (sorted, unique; nil: every row). The other rows keep their value;
-	// when u is the live factor it is first multiplied by lambda, so those
-	// rows keep their contribution to the model. Factor n becomes u's
-	// normalized copy.
+	// sample), the matrix the rule updates, whose normalized copy becomes
+	// factor n, and the rows to solve (sorted, unique; nil: all). The live
+	// factor is first multiplied by lambda, so the other rows keep their
+	// contribution to the model.
 	Mode(n int, factors, grams []*la.Dense) (x *tensor.COO, u *la.Dense, rows []int)
 	// Fit reports whether the iteration just completed records a fit.
 	Fit() bool
@@ -176,12 +175,9 @@ func (s *als) Step(n int) error {
 		return err
 	}
 	if u == s.factors[n] && (rows != nil || s.rule.Nonneg) && len(s.lambda) == u.Cols {
-		// Absorb lambda into the factor being solved: with the other
-		// factors fixed, A_n * diag(lambda) reproduces the current model
-		// exactly, so the rows a restricted update skips keep their
-		// contribution and coordinate descent warm-starts from it. An
-		// empty lambda (first update of a fresh start) is an implicit
-		// all-ones.
+		// A_n * diag(lambda) is the current model (an empty lambda, a
+		// fresh start's, is all ones): skipped rows keep their
+		// contribution and coordinate descent warm-starts from it.
 		la.ScaleColumnsParallel(u, s.lambda, s.w)
 	}
 	s.sampled = s.sampled || rows != nil

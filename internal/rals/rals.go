@@ -199,7 +199,6 @@ type sampler struct {
 	// diag(InitLambda) on a warm start, the ALS fixed-point identity.
 	unnorm  []*la.Dense
 	sampled []*tensor.COO // the current epoch's draws, per mode
-	rows    [][]int       // per mode: the rows its draw holds a nonzero in
 	it      int           // the iteration in progress; Fit ends it
 	exact   bool          // iteration it is in the polish phase
 
@@ -213,8 +212,7 @@ type sampler struct {
 func newSampler(t *tensor.COO, o Options, epochLen int, budgets []int) *sampler {
 	s := &sampler{t: t, o: o, w: o.Workers(), nnz: t.NNZ(), epochLen: epochLen, budgets: budgets, allFull: true,
 		finishStart: max(o.MaxIters-o.ExactFinishIters, o.StartIter), it: o.StartIter,
-		unnorm: make([]*la.Dense, t.Order()), sampled: make([]*tensor.COO, t.Order()), rows: make([][]int, t.Order()),
-		scores: make([][]float64, t.Order()),
+		unnorm: make([]*la.Dense, t.Order()), sampled: make([]*tensor.COO, t.Order()), scores: make([][]float64, t.Order()),
 		weight: make([]float64, len(t.Entries)), counts: make([]int32, len(t.Entries))}
 	for m, b := range budgets {
 		if b < s.nnz {
@@ -248,7 +246,6 @@ func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dens
 			for m := range s.sampled {
 				if s.budgets[m] < s.nnz {
 					s.sampled[m] = s.draw(epoch, m)
-					s.rows[m] = nonEmptyRows(s.sampled[m].ModeIndex(m))
 				}
 			}
 		}
@@ -275,18 +272,13 @@ func (s *sampler) Mode(n int, factors, grams []*la.Dense) (*tensor.COO, *la.Dens
 			}
 		}
 	})
-	return s.sampled[n], u, s.rows[n]
-}
-
-// nonEmptyRows lists the rows of mi that hold a nonzero, ascending.
-func nonEmptyRows(mi *tensor.ModeIndex) []int {
-	rows := []int{}
-	for i := 0; i+1 < len(mi.RowPtr); i++ {
-		if mi.RowPtr[i+1] > mi.RowPtr[i] {
+	rows, ptr := []int{}, s.sampled[n].ModeIndex(n).RowPtr
+	for i := range u.Rows {
+		if ptr[i+1] > ptr[i] {
 			rows = append(rows, i)
 		}
 	}
-	return rows
+	return s.sampled[n], u, rows
 }
 
 // Fit records the exact fit at epoch ends (unless FinalFitOnly) and after

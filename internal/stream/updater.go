@@ -2,7 +2,7 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cstf/internal/ckpt"
@@ -144,18 +144,12 @@ func (u *Updater) ApplyDelta(delta []tensor.Entry) (UpdateStats, error) {
 
 // touchedRows returns the sorted unique mode-m indices of delta.
 func touchedRows(delta []tensor.Entry, m int) []int {
-	rows := make([]int, 0, len(delta))
+	rows := make([]int, len(delta))
 	for i := range delta {
-		rows = append(rows, int(delta[i].Idx[m]))
+		rows[i] = int(delta[i].Idx[m])
 	}
-	sort.Ints(rows)
-	out := rows[:0]
-	for i, r := range rows {
-		if i == 0 || r != rows[i-1] {
-			out = append(out, r)
-		}
-	}
-	return out
+	slices.Sort(rows)
+	return slices.Compact(rows)
 }
 
 // growFactor extends f to newRows rows, filling the fresh rows with the
