@@ -46,6 +46,7 @@ func NewPublisher(path string, seed uint64) *Publisher {
 	if f, err := ckpt.Read(path); err == nil {
 		p.version = max(f.Iter, 0)
 	}
+	// A directory too broken to list fails the first Publish instead.
 	if vs, _ := ckpt.ListVersions(path); len(vs) > 0 {
 		p.version = max(p.version, vs[len(vs)-1])
 	}
