@@ -1,36 +1,32 @@
-// cstf-bench regenerates the paper's evaluation: every figure and table of
-// Section 6, as text reports and CSV files.
+// cstf-bench regenerates the paper's evaluation — every figure and table
+// of Section 6 — and the runtime benchmarks, as text reports plus CSV and
+// JSON files. `cstf-bench -list` names and describes every experiment.
 //
 // Usage:
 //
 //	cstf-bench -list               # list experiments with descriptions
-//	cstf-bench -exp all            # everything (default)
+//	cstf-bench -exp all            # every experiment but json (default)
 //	cstf-bench -exp fig2           # one experiment (see -list for names)
-//	cstf-bench -exp serve          # train, checkpoint, serve, load-test (writes BENCH_serve.json)
-//	cstf-bench -exp stream         # streaming ingest + incremental updates (writes BENCH_stream.json)
-//	cstf-bench -exp dist           # real TCP workers vs single-process (writes BENCH_dist.json)
-//	cstf-bench -exp rals           # sampled vs exact ALS budget sweep (writes BENCH_rals.json)
-//	cstf-bench -exp recsys         # recommender: ncp vs cpals vs popularity (writes BENCH_recsys.json)
 //	cstf-bench -scale 1e-3         # dataset scale (fraction of Table 5 sizes)
 //	cstf-bench -rank 2             # decomposition rank (paper: 2)
-//	cstf-bench -out results        # directory for CSV output ("" disables)
+//	cstf-bench -out results        # directory for CSV and JSON output ("" disables)
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"cstf/internal/experiments"
-	"cstf/internal/workload"
 )
 
 func main() {
-	// The experiment registry (names, descriptions, run order) lives in
-	// internal/experiments so -list, the -exp usage text, and the run
-	// order cannot drift from the benchmarks themselves.
+	// The experiment registry (names, descriptions, run order, and what
+	// each experiment prints and writes) lives in internal/experiments, so
+	// -list, the -exp usage text and the runs cannot drift apart.
 	registry := experiments.Experiments()
 	names := make([]string, 0, len(registry)+1)
 	names = append(names, "all")
@@ -41,7 +37,7 @@ func main() {
 	scale := flag.Float64("scale", 1e-3, "dataset scale in (0, 1]")
 	rank := flag.Int("rank", 2, "decomposition rank")
 	seed := flag.Uint64("seed", 42, "deterministic seed")
-	out := flag.String("out", "results", "directory for CSV output (empty to skip)")
+	out := flag.String("out", "results", "directory for CSV and JSON output (empty to skip)")
 	list := flag.Bool("list", false, "list experiments with one-line descriptions and exit")
 	flag.Parse()
 
@@ -56,291 +52,47 @@ func main() {
 	p.Scale = *scale
 	p.Rank = *rank
 	p.Seed = *seed
-
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-	writeCSV := func(name, data string) {
-		if *out == "" {
-			return
-		}
-		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
-	run := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-
-	if *exp == "json" {
-		rep, err := experiments.RunAll(p)
-		if err != nil {
-			fatal(err)
-		}
-		if *out == "" {
-			if err := rep.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		path := filepath.Join(*out, "report.json")
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-		return
-	}
-
-	if run("table5") {
-		ran = true
-		fmt.Println(experiments.RenderTable5(experiments.Table5(p)))
-	}
-	if run("table4") {
-		ran = true
-		rows, err := experiments.Table4(p)
-		if err != nil {
-			fatal(err)
-		}
-		cfg, _ := workload.ByName("delicious3d")
-		fmt.Println(experiments.RenderTable4(rows, cfg.ScaledNNZ(p.Scale), p.Rank))
-	}
-	if run("fig2") {
-		ran = true
-		rows, err := experiments.Fig2(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderFig2(rows))
-		writeCSV("fig2.csv", experiments.CSVFig2(rows))
-	}
-	if run("fig3") {
-		ran = true
-		rows, err := experiments.Fig3(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderFig3(rows))
-		writeCSV("fig3.csv", experiments.CSVFig3(rows))
-	}
-	if run("fig4") {
-		ran = true
-		res, err := experiments.Fig4(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderFig4(res, p.Scale))
-	}
-	if run("fig5") {
-		ran = true
-		rows, err := experiments.Fig5(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderFig5(rows))
-	}
-	if run("ablations") {
-		ran = true
-		caching, err := experiments.AblationCaching(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderAblationCaching(caching))
-		gram, err := experiments.AblationGramReuse(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderAblationGramReuse(gram))
-		ranks, err := experiments.AblationRankSweep(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderAblationRankSweep(ranks))
-		orders, err := experiments.AblationOrderSweep(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderAblationOrderSweep(orders))
-		res, err := experiments.ResilienceSweep(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderResilience(res))
-		parts, err := experiments.AblationPartitions(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderAblationPartitions(parts))
-	}
-	if run("faults") {
-		ran = true
-		crashes, err := experiments.CrashSweep(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderCrashSweep(crashes))
-		stragglers, err := experiments.StragglerSweep(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderStragglerSweep(stragglers))
-		checkpoints, err := experiments.CheckpointSweep(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderCheckpointSweep(checkpoints))
-		faults, err := experiments.FaultsBench(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderFaultsBench(faults))
-		if *out != "" {
-			path := filepath.Join(*out, "BENCH_faults.json")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := faults.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	if run("serve") {
-		ran = true
-		rep, err := experiments.ServeBench(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderServeBench(rep))
-		fleetRep, err := experiments.FleetBench(p)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Fleet = fleetRep
-		fmt.Println(experiments.RenderFleetBench(fleetRep))
-		if *out != "" {
-			path := filepath.Join(*out, "BENCH_serve.json")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	if run("stream") {
-		ran = true
-		rep, err := experiments.StreamBench(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderStreamBench(rep))
-		if *out != "" {
-			path := filepath.Join(*out, "BENCH_stream.json")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	if run("dist") {
-		ran = true
-		rep, err := experiments.DistBench(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderDistBench(rep))
-		if *out != "" {
-			path := filepath.Join(*out, "BENCH_dist.json")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	if run("rals") {
-		ran = true
-		rep, err := experiments.RALSBench(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderRALSBench(rep))
-		if *out != "" {
-			path := filepath.Join(*out, "BENCH_rals.json")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	if run("recsys") {
-		ran = true
-		rep, err := experiments.RecsysBench(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.RenderRecsysBench(rep))
-		if *out != "" {
-			path := filepath.Join(*out, "BENCH_recsys.json")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	if !ran {
-		fatal(fmt.Errorf("unknown experiment %q (see -list)", *exp))
+	if err := run(os.Stdout, registry, *exp, p, *out); err != nil {
+		fmt.Fprintln(os.Stderr, "cstf-bench:", err)
+		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cstf-bench:", err)
-	os.Exit(1)
+// run runs, in registry order, the entry named exp — or, for "all", every
+// entry that is not Explicit. It prints each report to w and writes each
+// file under the directory out, reporting the path; an empty out skips the
+// files.
+func run(w io.Writer, registry []experiments.ExperimentInfo, exp string, p experiments.Params, out string) error {
+	var selected []experiments.ExperimentInfo
+	for _, e := range registry {
+		if e.Name == exp || (exp == "all" && !e.Explicit) {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q (see -list)", exp)
+	}
+	if out != "" {
+		if err := os.MkdirAll(out, 0o755); err != nil {
+			return err
+		}
+	}
+	for _, e := range selected {
+		report, files, err := e.Run(p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		fmt.Fprint(w, report)
+		if out == "" {
+			continue
+		}
+		for _, f := range files {
+			path := filepath.Join(out, f.Name)
+			if err := os.WriteFile(path, f.Data, 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "wrote %s\n", path)
+		}
+	}
+	return nil
 }

@@ -408,6 +408,57 @@ type Metrics struct {
 	CheckpointSeconds    float64 // modeled time spent writing checkpoints
 }
 
+// add accumulates o into m: counts, bytes and seconds sum, DistWorkers
+// keeps the largest fleet, DistDegraded is set if either run degraded, and
+// phases sum by name (DistPhases by position, in order of first occurrence).
+func (m *Metrics) add(o Metrics) {
+	m.SimSeconds += o.SimSeconds
+	m.RemoteBytes += o.RemoteBytes
+	m.LocalBytes += o.LocalBytes
+	m.Shuffles += o.Shuffles
+	m.Flops += o.Flops
+	m.HadoopJobs += o.HadoopJobs
+	for phase, s := range o.SecondsByMode {
+		if m.SecondsByMode == nil {
+			m.SecondsByMode = map[string]float64{}
+		}
+		m.SecondsByMode[phase] += s
+	}
+
+	m.WallSeconds += o.WallSeconds
+	m.WireBytesSent += o.WireBytesSent
+	m.WireBytesRecv += o.WireBytesRecv
+	m.WireShardBytes += o.WireShardBytes
+	m.WireFactorBytes += o.WireFactorBytes
+	m.WireDeltaFrames += o.WireDeltaFrames
+	m.FactorResyncs += o.FactorResyncs
+	m.DistWorkers = max(m.DistWorkers, o.DistWorkers)
+	m.WorkerDeaths += o.WorkerDeaths
+	m.TaskReassignments += o.TaskReassignments
+	m.ShardResends += o.ShardResends
+	m.WorkerRejoins += o.WorkerRejoins
+	m.CorruptFrames += o.CorruptFrames
+	m.DistDegraded = m.DistDegraded || o.DistDegraded
+	for i, p := range o.DistPhases {
+		if i == len(m.DistPhases) {
+			m.DistPhases = append(m.DistPhases, PhaseSeconds{Name: p.Name})
+		}
+		m.DistPhases[i].Seconds += p.Seconds
+	}
+
+	m.NodeCrashes += o.NodeCrashes
+	m.DiskFailures += o.DiskFailures
+	m.TaskFailures += o.TaskFailures
+	m.StageRetries += o.StageRetries
+	m.StragglerStages += o.StragglerStages
+	m.SpeculativeTasks += o.SpeculativeTasks
+	m.RecomputedPartitions += o.RecomputedPartitions
+	m.LostCacheBytes += o.LostCacheBytes
+	m.ReReplicatedBytes += o.ReReplicatedBytes
+	m.RecoverySeconds += o.RecoverySeconds
+	m.CheckpointSeconds += o.CheckpointSeconds
+}
+
 // PhaseSeconds is one named share of a measured wall clock.
 type PhaseSeconds struct {
 	Name    string
@@ -790,46 +841,12 @@ func DecomposeBestContext(ctx context.Context, t *Tensor, o Options, restarts in
 		}
 	}
 	best := decs[0]
-	total := Metrics{SecondsByMode: map[string]float64{}}
+	var total Metrics
 	for _, dec := range decs {
 		if dec.Fit() > best.Fit() {
 			best = dec
 		}
-		m := dec.Metrics
-		total.SimSeconds += m.SimSeconds
-		total.RemoteBytes += m.RemoteBytes
-		total.LocalBytes += m.LocalBytes
-		total.Shuffles += m.Shuffles
-		total.Flops += m.Flops
-		total.HadoopJobs += m.HadoopJobs
-		total.WallSeconds += m.WallSeconds
-		total.WireBytesSent += m.WireBytesSent
-		total.WireBytesRecv += m.WireBytesRecv
-		total.WireShardBytes += m.WireShardBytes
-		total.WireFactorBytes += m.WireFactorBytes
-		total.WireDeltaFrames += m.WireDeltaFrames
-		total.FactorResyncs += m.FactorResyncs
-		if m.DistWorkers > total.DistWorkers {
-			total.DistWorkers = m.DistWorkers
-		}
-		total.WorkerDeaths += m.WorkerDeaths
-		total.TaskReassignments += m.TaskReassignments
-		total.ShardResends += m.ShardResends
-		total.WorkerRejoins += m.WorkerRejoins
-		total.CorruptFrames += m.CorruptFrames
-		total.DistDegraded = total.DistDegraded || m.DistDegraded
-		for i, p := range m.DistPhases {
-			if i == len(total.DistPhases) {
-				total.DistPhases = append(total.DistPhases, PhaseSeconds{Name: p.Name})
-			}
-			total.DistPhases[i].Seconds += p.Seconds
-		}
-		for phase, s := range m.SecondsByMode {
-			total.SecondsByMode[phase] += s
-		}
-	}
-	if len(total.SecondsByMode) == 0 {
-		total.SecondsByMode = nil
+		total.add(dec.Metrics)
 	}
 	best.Metrics = total
 	return best, nil

@@ -101,48 +101,73 @@ func TestOnIterationCallback(t *testing.T) {
 func TestDecomposeBestRecordsWinnerAndSumsMetrics(t *testing.T) {
 	x := apiTestTensor()
 	const restarts = 3
-	opt := cstf.Options{Algorithm: cstf.QCOO, Rank: 2, MaxIters: 2, NoConvergenceCheck: true, Seed: 5}
+	for _, tc := range []struct {
+		name  string
+		chaos *cstf.ChaosSpec
+	}{
+		{"clean", nil},
+		{"chaos", &cstf.ChaosSpec{Seed: 1, HorizonStages: 6, NodeCrashes: 1, Stragglers: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := func(seed uint64) cstf.Options {
+				o := cstf.Options{Algorithm: cstf.QCOO, Rank: 2, MaxIters: 2, NoConvergenceCheck: true, Seed: seed}
+				o.Faults.Chaos = tc.chaos
+				return o
+			}
+			opt := opts(5)
 
-	// Reference: run the restarts by hand.
-	var wantBest *cstf.Decomposition
-	wantIdx := 0
-	var wantSim float64
-	var wantShuffles int
-	singles := make([]*cstf.Decomposition, restarts)
-	for r := 0; r < restarts; r++ {
-		dec, err := cstf.Decompose(x, cstf.Options{
-			Algorithm: cstf.QCOO, Rank: 2, MaxIters: 2, NoConvergenceCheck: true,
-			Seed: cstf.RestartSeed(opt.Seed, r),
+			// Reference: run the restarts by hand.
+			var wantBest *cstf.Decomposition
+			wantIdx := 0
+			var want cstf.Metrics
+			singles := make([]*cstf.Decomposition, restarts)
+			for r := 0; r < restarts; r++ {
+				dec, err := cstf.Decompose(x, opts(cstf.RestartSeed(opt.Seed, r)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				singles[r] = dec
+				m := dec.Metrics
+				want.SimSeconds += m.SimSeconds
+				want.Shuffles += m.Shuffles
+				want.NodeCrashes += m.NodeCrashes
+				want.StragglerStages += m.StragglerStages
+				want.RecoverySeconds += m.RecoverySeconds
+				if wantBest == nil || dec.Fit() > wantBest.Fit() {
+					wantBest, wantIdx = dec, r
+				}
+			}
+			if tc.chaos != nil && (want.NodeCrashes == 0 || want.StragglerStages == 0 || want.RecoverySeconds == 0) {
+				t.Fatalf("chaos schedule delivered no faults: %+v", want)
+			}
+
+			got, err := cstf.DecomposeBest(x, opt, restarts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Restart != wantIdx {
+				t.Fatalf("winner restart %d, want %d", got.Restart, wantIdx)
+			}
+			if got.Seed != singles[wantIdx].Seed {
+				t.Fatalf("winner seed %d, want %d", got.Seed, singles[wantIdx].Seed)
+			}
+			if got.Fit() != wantBest.Fit() {
+				t.Fatalf("winner fit %v, want %v", got.Fit(), wantBest.Fit())
+			}
+			m := got.Metrics
+			if m.SimSeconds != want.SimSeconds {
+				t.Fatalf("summed SimSeconds %v, want %v", m.SimSeconds, want.SimSeconds)
+			}
+			if m.Shuffles != want.Shuffles {
+				t.Fatalf("summed Shuffles %d, want %d", m.Shuffles, want.Shuffles)
+			}
+			if m.NodeCrashes != want.NodeCrashes || m.StragglerStages != want.StragglerStages ||
+				m.RecoverySeconds != want.RecoverySeconds {
+				t.Fatalf("summed fault counters crashes=%d stragglers=%d recovery=%v, want %d, %d, %v",
+					m.NodeCrashes, m.StragglerStages, m.RecoverySeconds,
+					want.NodeCrashes, want.StragglerStages, want.RecoverySeconds)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		singles[r] = dec
-		wantSim += dec.Metrics.SimSeconds
-		wantShuffles += dec.Metrics.Shuffles
-		if wantBest == nil || dec.Fit() > wantBest.Fit() {
-			wantBest, wantIdx = dec, r
-		}
-	}
-
-	got, err := cstf.DecomposeBest(x, opt, restarts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Restart != wantIdx {
-		t.Fatalf("winner restart %d, want %d", got.Restart, wantIdx)
-	}
-	if got.Seed != singles[wantIdx].Seed {
-		t.Fatalf("winner seed %d, want %d", got.Seed, singles[wantIdx].Seed)
-	}
-	if got.Fit() != wantBest.Fit() {
-		t.Fatalf("winner fit %v, want %v", got.Fit(), wantBest.Fit())
-	}
-	if got.Metrics.SimSeconds != wantSim {
-		t.Fatalf("summed SimSeconds %v, want %v", got.Metrics.SimSeconds, wantSim)
-	}
-	if got.Metrics.Shuffles != wantShuffles {
-		t.Fatalf("summed Shuffles %d, want %d", got.Metrics.Shuffles, wantShuffles)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cstf/internal/core"
+	"cstf/internal/rdd"
 	"cstf/internal/tensor"
 )
 
@@ -36,7 +37,7 @@ type CachingRow struct {
 // AblationCaching compares raw vs serialized tensor caching for CSTF-COO
 // on delicious3d at several cluster sizes.
 func AblationCaching(p Params) ([]CachingRow, error) {
-	x, _, err := p.generate("delicious3d")
+	x, err := p.generate("delicious3d")
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +74,7 @@ type GramReuseRow struct {
 // AblationGramReuse runs QCOO on nell1 (large mode sizes, so gram passes
 // are visible) with and without the once-per-update gram computation.
 func AblationGramReuse(p Params) ([]GramReuseRow, error) {
-	x, _, err := p.generate("nell1")
+	x, err := p.generate("nell1")
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +158,7 @@ type RankSweepRow struct {
 // AblationRankSweep measures the communication reduction of the queue
 // strategy as the decomposition rank grows (delicious3d, 8 nodes).
 func AblationRankSweep(p Params) ([]RankSweepRow, error) {
-	x, _, err := p.generate("delicious3d")
+	x, err := p.generate("delicious3d")
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +196,7 @@ type PartitionsRow struct {
 // imbalance at the price of per-task overhead — the Spark "2-3 tasks per
 // core" guidance, measured.
 func AblationPartitions(p Params) ([]PartitionsRow, error) {
-	x, _, err := p.generate("nell1")
+	x, err := p.generate("nell1")
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +204,7 @@ func AblationPartitions(p Params) ([]PartitionsRow, error) {
 	var rows []PartitionsRow
 	for _, tpc := range []int{1, 2, 4, 8} {
 		c := p.newCluster(nodes)
-		ctx := rddContext(c, nodes*p.Profile.CoresPerNode*tpc)
+		ctx := rdd.NewContext(c, nodes*p.Profile.CoresPerNode*tpc)
 		s := core.NewCOOState(ctx, x, p.Rank, p.Seed)
 		stats := measureIterations(c, s, x.Order(), 2)
 		rows = append(rows, PartitionsRow{TasksPerCore: tpc, Seconds: stats[1].Seconds})

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -127,30 +125,6 @@ type DistBenchReport struct {
 	Compute  *DistReport `json:"compute"`
 	Wire     *DistReport `json:"wire"`
 	AllExact bool        `json:"all_bitwise_equal"`
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *DistBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// DistBench runs both regimes with the default sizing.
-func DistBench(p Params) (*DistBenchReport, error) {
-	comp, err := DistBenchWith(p, ComputeDistBenchConfig())
-	if err != nil {
-		return nil, err
-	}
-	wire, err := DistBenchWith(p, WireDistBenchConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &DistBenchReport{
-		Compute:  comp,
-		Wire:     wire,
-		AllExact: comp.AllExact && wire.AllExact,
-	}, nil
 }
 
 // benchSettle reduces run-to-run interference between timed rows.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -59,14 +58,14 @@ func TestDistBenchSmall(t *testing.T) {
 			t.Fatalf("full-broadcast row reported delta frames: %+v", row)
 		}
 	}
-	var buf bytes.Buffer
 	full := &DistBenchReport{Compute: rep, AllExact: rep.AllExact}
-	if err := full.WriteJSON(&buf); err != nil {
+	f, err := jsonFile("BENCH_dist.json", full)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Satellite check: serial rows are self-describing — `"serial": true`
 	// with the workers key omitted — and the delta codec column is present.
-	js := buf.String()
+	js := string(f.Data)
 	if !strings.Contains(js, `"serial": true`) {
 		t.Fatalf("JSON missing serial marker:\n%s", js)
 	}
@@ -77,7 +76,7 @@ func TestDistBenchSmall(t *testing.T) {
 		t.Fatalf("JSON missing wire_delta_frames column:\n%s", js)
 	}
 	var back DistBenchReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(f.Data, &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
 	if RenderDistBench(full) == "" {

@@ -48,12 +48,6 @@ func (p Params) sparkCtx(nodes int) *rdd.Context {
 	return rdd.NewContext(p.newCluster(nodes), nodes*p.Profile.CoresPerNode)
 }
 
-// rddContext builds a context on an existing cluster with an explicit
-// partition count (the task-granularity ablation varies it).
-func rddContext(c *cluster.Cluster, parts int) *rdd.Context {
-	return rdd.NewContext(c, parts)
-}
-
 // hadoopEnv builds a MapReduce environment with one reducer per core.
 func (p Params) hadoopEnv(nodes int) *mapreduce.Env {
 	return mapreduce.NewEnv(p.newCluster(nodes), nodes*p.Profile.CoresPerNode)
@@ -117,35 +111,40 @@ const (
 	AlgoBig Algo = "BIGtensor"
 )
 
-// runAlgo constructs the solver (charging its setup to the cluster) and
-// returns per-iteration stats. The returned slice includes the first
-// (setup-bearing) iteration followed by steady-state iterations.
-func (p Params) runAlgo(algo Algo, nodes int, x *tensor.COO, iters int) ([]IterStats, error) {
+// newSolver constructs algo's solver on a fresh cluster of the given size,
+// charging its setup to that cluster.
+func (p Params) newSolver(algo Algo, nodes int, x *tensor.COO) (stepper, *cluster.Cluster, error) {
 	switch algo {
 	case AlgoCOO:
 		ctx := p.sparkCtx(nodes)
-		s := core.NewCOOState(ctx, x, p.Rank, p.Seed)
-		return measureIterations(ctx.Cluster, s, x.Order(), iters), nil
+		return core.NewCOOState(ctx, x, p.Rank, p.Seed), ctx.Cluster, nil
 	case AlgoQ:
 		ctx := p.sparkCtx(nodes)
-		s := core.NewQCOOState(ctx, x, p.Rank, p.Seed)
-		return measureIterations(ctx.Cluster, s, x.Order(), iters), nil
+		return core.NewQCOOState(ctx, x, p.Rank, p.Seed), ctx.Cluster, nil
 	case AlgoBig:
 		env := p.hadoopEnv(nodes)
 		s, err := bigtensor.New(env, x, p.Rank, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return measureIterations(env.C, s, x.Order(), iters), nil
+		return s, env.C, err
 	}
 	panic("experiments: unknown algorithm " + string(algo))
 }
 
+// runAlgo constructs the solver (charging its setup to the cluster) and
+// returns per-iteration stats. The returned slice includes the first
+// (setup-bearing) iteration followed by steady-state iterations.
+func (p Params) runAlgo(algo Algo, nodes int, x *tensor.COO, iters int) ([]IterStats, error) {
+	s, c, err := p.newSolver(algo, nodes, x)
+	if err != nil {
+		return nil, err
+	}
+	return measureIterations(c, s, x.Order(), iters), nil
+}
+
 // generate builds the scaled dataset for a Table 5 config.
-func (p Params) generate(name string) (*tensor.COO, workload.Config, error) {
+func (p Params) generate(name string) (*tensor.COO, error) {
 	cfg, err := workload.ByName(name)
 	if err != nil {
-		return nil, cfg, err
+		return nil, err
 	}
-	return cfg.Generate(p.Scale), cfg, nil
+	return cfg.Generate(p.Scale), nil
 }

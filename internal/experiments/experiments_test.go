@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"sync"
@@ -20,9 +19,16 @@ func testParams() Params {
 	return p
 }
 
-// fig2Rows runs the deterministic Fig2(testParams()) sweep once per test
-// binary; both Fig2 tests assert their claims against the shared rows.
-var fig2Rows = sync.OnceValues(func() ([]Fig2Row, error) { return Fig2(testParams()) })
+// Each deterministic sweep runs once per test binary at testParams(): the
+// shape tests assert their claims against the shared results, and the JSON
+// round trip encodes them.
+var (
+	fig2Rows   = sync.OnceValues(func() ([]Fig2Row, error) { return Fig2(testParams()) })
+	fig3Rows   = sync.OnceValues(func() ([]Fig3Row, error) { return Fig3(testParams()) })
+	fig4Res    = sync.OnceValues(func() (*Fig4Result, error) { return Fig4(testParams()) })
+	fig5Rows   = sync.OnceValues(func() ([]Fig5Row, error) { return Fig5(testParams()) })
+	table4Rows = sync.OnceValues(func() ([]Table4Row, error) { return Table4(testParams()) })
+)
 
 func TestFig2ShapeClaims(t *testing.T) {
 	if testing.Short() {
@@ -94,7 +100,7 @@ func TestFig3ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	rows, err := Fig3(testParams())
+	rows, err := fig3Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestFig4ShuffleReductions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	res, err := Fig4(testParams())
+	res, err := fig4Res()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +164,7 @@ func TestFig5ModeBehavior(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	rows, err := Fig5(testParams())
+	rows, err := fig5Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,7 @@ func TestTable4Counts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	rows, err := Table4(testParams())
+	rows, err := table4Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,17 +262,29 @@ func TestRunAllJSONRoundTrip(t *testing.T) {
 		t.Skip("experiment sweep")
 	}
 	p := testParams()
-	p.Scale = 5e-5 // keep this one fast; shapes are asserted elsewhere
-	rep, err := RunAll(p)
+	rep := &Report{Scale: p.Scale, Rank: p.Rank, Seed: p.Seed}
+	var err error
+	if rep.Fig2, err = fig2Rows(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fig3, err = fig3Rows(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fig4, err = fig4Res(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fig5, err = fig5Rows(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Table4, err = table4Rows(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := jsonFile("report.json", rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(f.Data, &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
 	if len(back.Fig2) != len(rep.Fig2) || len(back.Table4) != 3 || back.Fig4 == nil {

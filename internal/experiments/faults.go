@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,13 +89,6 @@ type FaultsReport struct {
 	AllExact bool `json:"all_bitwise_equal"`
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *FaultsReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // errSimKill aborts a head run at a checkpoint boundary, standing in for a
 // coordinator SIGKILL that lands right after a durable checkpoint write.
 var errSimKill = errors.New("experiments: simulated coordinator kill")
@@ -111,11 +102,6 @@ func loopbackRetry() dist.RetryPolicy {
 		Multiplier:  2,
 		Jitter:      0.5,
 	}
-}
-
-// FaultsBench runs the fault benchmark with the default sizing.
-func FaultsBench(p Params) (*FaultsReport, error) {
-	return FaultsBenchWith(p, DefaultFaultsBenchConfig())
 }
 
 // FaultsBenchWith generates the planted tensor, solves it serially for the

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"cstf/internal/bigtensor"
-	"cstf/internal/core"
 )
 
 // ---------------------------------------------------------------------------
@@ -33,7 +30,7 @@ type Fig2Row struct {
 func Fig2(p Params) ([]Fig2Row, error) {
 	var rows []Fig2Row
 	for _, ds := range Fig2Datasets {
-		x, _, err := p.generate(ds)
+		x, err := p.generate(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +81,7 @@ type Fig3Row struct {
 func Fig3(p Params) ([]Fig3Row, error) {
 	var rows []Fig3Row
 	for _, ds := range Fig3Datasets {
-		x, _, err := p.generate(ds)
+		x, err := p.generate(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -134,10 +131,11 @@ type Fig4Bar struct {
 
 // Fig4Result carries both panels of Figure 4 plus the headline reductions.
 type Fig4Result struct {
-	Remote, Local []Fig4Bar
+	Remote []Fig4Bar `json:"remote"`
+	Local  []Fig4Bar `json:"local"`
 	// RemoteReduction[dataset] = 1 - QCOO/COO remote bytes.
-	RemoteReduction map[string]float64
-	LocalReduction  map[string]float64
+	RemoteReduction map[string]float64 `json:"remote_reduction"`
+	LocalReduction  map[string]float64 `json:"local_reduction"`
 }
 
 // Fig4 regenerates Figure 4(a-b).
@@ -153,7 +151,7 @@ func Fig4(p Params) (*Fig4Result, error) {
 	remote := map[key]float64{}
 	local := map[key]float64{}
 	for _, ds := range Fig4Datasets {
-		x, _, err := p.generate(ds)
+		x, err := p.generate(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +208,7 @@ type Fig5Row struct {
 func Fig5(p Params) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, ds := range Fig5Datasets {
-		x, _, err := p.generate(ds)
+		x, err := p.generate(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -218,33 +216,14 @@ func Fig5(p Params) ([]Fig5Row, error) {
 			// Cumulative metrics over solver construction plus one full
 			// iteration: construction charges (e.g. QCOO's queue build)
 			// land in their phase labels.
-			var cum IterStats
-			switch algo {
-			case AlgoCOO:
-				ctx := p.sparkCtx(Fig5Nodes)
-				s := core.NewCOOState(ctx, x, p.Rank, p.Seed)
-				for n := 0; n < 3; n++ {
-					s.Step(n)
-				}
-				cum = statsFrom(ctx.Cluster.Metrics())
-			case AlgoQ:
-				ctx := p.sparkCtx(Fig5Nodes)
-				s := core.NewQCOOState(ctx, x, p.Rank, p.Seed)
-				for n := 0; n < 3; n++ {
-					s.Step(n)
-				}
-				cum = statsFrom(ctx.Cluster.Metrics())
-			case AlgoBig:
-				env := p.hadoopEnv(Fig5Nodes)
-				s, err := bigtensor.New(env, x, p.Rank, p.Seed)
-				if err != nil {
-					return nil, err
-				}
-				for n := 0; n < 3; n++ {
-					s.Step(n)
-				}
-				cum = statsFrom(env.C.Metrics())
+			s, c, err := p.newSolver(algo, Fig5Nodes, x)
+			if err != nil {
+				return nil, err
 			}
+			for n := 0; n < 3; n++ {
+				s.Step(n)
+			}
+			cum := statsFrom(c.Metrics())
 			row := Fig5Row{Dataset: ds, Algo: algo}
 			for n := 0; n < 3; n++ {
 				row.Mode[n] = cum.TimeByPhase[fmt.Sprintf("MTTKRP-%d", n+1)]

@@ -110,11 +110,6 @@ type FleetReport struct {
 	Reload     FleetReloadDrill `json:"rolling_reload"`
 }
 
-// FleetBench runs the fleet benchmark with the default sizing.
-func FleetBench(p Params) (*FleetReport, error) {
-	return FleetBenchWith(p, DefaultFleetBenchConfig())
-}
-
 // FleetBenchWith boots a local fleet per (replica count, approx) phase,
 // drives the closed-loop load through the router, measures recall@K
 // against a single-node exact scan, and finishes with the rolling-reload

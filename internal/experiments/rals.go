@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -95,18 +93,6 @@ type RALSReport struct {
 	// workers matched the serial sampled run bit for bit.
 	BitwiseDist bool `json:"bitwise_dist"`
 	DistWorkers int  `json:"dist_workers,omitempty"`
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *RALSReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// RALSBench runs the benchmark with the default sizing.
-func RALSBench(p Params) (*RALSReport, error) {
-	return RALSBenchWith(p, DefaultRALSBenchConfig())
 }
 
 // RALSBenchWith generates the planted tensor, solves it exactly, then once

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -50,18 +49,18 @@ func TestRALSBenchSmall(t *testing.T) {
 		t.Fatalf("distributed sampled run diverged: dist=%v workers=%d", rep.BitwiseDist, rep.DistWorkers)
 	}
 
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	f, err := jsonFile("BENCH_rals.json", rep)
+	if err != nil {
 		t.Fatal(err)
 	}
-	js := buf.String()
+	js := string(f.Data)
 	for _, key := range []string{`"fit_vs_exact"`, `"time_vs_exact"`, `"accepted_fraction"`, `"bitwise_repeat"`, `"bitwise_dist"`} {
 		if !strings.Contains(js, key) {
 			t.Fatalf("JSON missing %s:\n%s", key, js)
 		}
 	}
 	var back RALSReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(f.Data, &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
 	if RenderRALSBench(rep) == "" {

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -136,18 +134,6 @@ type RecsysReport struct {
 	Replicas       int    `json:"replicas"`
 	Reloads        uint64 `json:"reloads"` // hot reloads summed over replicas
 	ShardedQueries uint64 `json:"sharded_queries"`
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *RecsysReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// RecsysBench runs the recommender benchmark with the default sizing.
-func RecsysBench(p Params) (*RecsysReport, error) {
-	return RecsysBenchWith(p, DefaultRecsysBenchConfig())
 }
 
 // RecsysBenchWith generates, splits, trains, evaluates, streams, and

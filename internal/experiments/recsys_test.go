@@ -73,13 +73,13 @@ func TestRecsysBenchSmall(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	var sb strings.Builder
-	if err := rep.WriteJSON(&sb); err != nil {
+	f, err := jsonFile("BENCH_recsys.json", rep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"\"bitwise_repeat\": true", "\"lag_ms\"", "\"ncp_after_stream\"", "\"fleet_topk_match\": true"} {
-		if !strings.Contains(sb.String(), field) {
-			t.Fatalf("JSON missing %s:\n%s", field, sb.String())
+		if !strings.Contains(string(f.Data), field) {
+			t.Fatalf("JSON missing %s:\n%s", field, string(f.Data))
 		}
 	}
 }

@@ -31,7 +31,7 @@ type ResilienceRow struct {
 // is missing or measures zero time the sweep is invalid and an error is
 // returned rather than rows with meaningless overhead ratios.
 func ResilienceSweep(p Params) ([]ResilienceRow, error) {
-	x, _, err := p.generate("delicious3d")
+	x, err := p.generate("delicious3d")
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ type CrashRow struct {
 // stage timeline. Recovery is Spark's: lost cached partitions are recomputed
 // from lineage at their next read, charged to the Recovery phase.
 func CrashSweep(p Params) ([]CrashRow, error) {
-	x, _, err := p.generate("delicious3d")
+	x, err := p.generate("delicious3d")
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ type StragglerRow struct {
 // node 2 slowed by increasing factors, comparing plain execution against
 // speculative re-execution.
 func StragglerSweep(p Params) ([]StragglerRow, error) {
-	x, _, err := p.generate("delicious3d")
+	x, err := p.generate("delicious3d")
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ type CheckpointRow struct {
 // under increasing checkpoint frequency, charging each checkpoint as a
 // replicated HDFS write of the full factor set.
 func CheckpointSweep(p Params) ([]CheckpointRow, error) {
-	x, _, err := p.generate("delicious3d")
+	x, err := p.generate("delicious3d")
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +16,7 @@ import (
 
 // Serving benchmark: the paper's pipeline ends at trained factors, but the
 // point of factorizing a recommender tensor is answering queries with it.
-// ServeBench closes that loop end to end: train CP-ALS on a synthetic
+// ServeBenchWith closes that loop end to end: train CP-ALS on a synthetic
 // low-rank tensor, checkpoint it, serve the checkpoint through
 // internal/serve, and drive a closed-loop client sweep — overwriting the
 // checkpoint mid-sweep to prove hot reload drops nothing.
@@ -72,13 +70,8 @@ type ServeReport struct {
 	MaxBatch   uint64          `json:"max_batch"`
 
 	// Fleet is the horizontal-scaling section (router + replica fleet);
-	// see FleetBench. Populated by `cstf-bench -exp serve`.
+	// see FleetBenchWith. Populated by `cstf-bench -exp serve`.
 	Fleet *FleetReport `json:"fleet,omitempty"`
-}
-
-// ServeBench runs the serving benchmark with the default sizing.
-func ServeBench(p Params) (*ServeReport, error) {
-	return ServeBenchWith(p, DefaultServeBenchConfig())
 }
 
 // ServeBenchWith trains, checkpoints, serves, and load-tests a CP model.
@@ -192,13 +185,6 @@ func writeServeCheckpoint(path string, seed uint64, res *cpals.Result, dims []in
 		cp.Factors = append(cp.Factors, f.Data)
 	}
 	return ckpt.Write(path, cp)
-}
-
-// WriteJSON marshals the serving report with indentation.
-func (r *ServeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // RenderServeBench formats the serving sweep as a text table.

@@ -46,11 +46,11 @@ func TestServeBenchSmall(t *testing.T) {
 	if !strings.Contains(out, "clients") || !strings.Contains(out, "hot reloads") {
 		t.Fatalf("render missing headers:\n%s", out)
 	}
-	var sb strings.Builder
-	if err := rep.WriteJSON(&sb); err != nil {
+	f, err := jsonFile("BENCH_serve.json", rep)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "\"p99_micros\"") {
-		t.Fatalf("JSON missing latency fields:\n%s", sb.String())
+	if !strings.Contains(string(f.Data), "\"p99_micros\"") {
+		t.Fatalf("JSON missing latency fields:\n%s", string(f.Data))
 	}
 }

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +15,7 @@ import (
 )
 
 // Streaming benchmark: the batch pipeline's answer to "how stale is the
-// served model?" is "as stale as the last retrain". StreamBench measures
+// served model?" is "as stale as the last retrain". StreamBenchWith measures
 // the alternative end to end — train an initial model, serve it with the
 // hot-reload watcher, then stream windows of new nonzeros through
 // internal/stream and record, per window, the incremental update time and
@@ -88,11 +86,6 @@ type StreamReport struct {
 	ServerReloads  uint64            `json:"server_reloads"`
 	ServedVersion  uint64            `json:"served_version"` // serve.Model.Version after the last reload
 	ServedModelAge float64           `json:"served_model_age_secs"`
-}
-
-// StreamBench runs the streaming benchmark with the default sizing.
-func StreamBench(p Params) (*StreamReport, error) {
-	return StreamBenchWith(p, DefaultStreamBenchConfig())
 }
 
 // StreamBenchWith trains, serves, streams, and measures. Any pipeline or
@@ -241,13 +234,6 @@ func StreamBenchWith(p Params, cfg StreamBenchConfig) (*StreamReport, error) {
 		rep.Speedup = rep.FullRetrainMs / rep.MeanWindowMs
 	}
 	return rep, nil
-}
-
-// WriteJSON marshals the streaming report with indentation.
-func (r *StreamReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // RenderStreamBench formats the streaming run as a text table.

@@ -63,13 +63,13 @@ func TestStreamBenchSmall(t *testing.T) {
 	if !strings.Contains(out, "window") || !strings.Contains(out, "stream fit") {
 		t.Fatalf("render missing headers:\n%s", out)
 	}
-	var sb strings.Builder
-	if err := rep.WriteJSON(&sb); err != nil {
+	f, err := jsonFile("BENCH_stream.json", rep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"\"lag_ms\"", "\"fit_drift\"", "\"window_vs_retrain_speedup\""} {
-		if !strings.Contains(sb.String(), field) {
-			t.Fatalf("JSON missing %s:\n%s", field, sb.String())
+		if !strings.Contains(string(f.Data), field) {
+			t.Fatalf("JSON missing %s:\n%s", field, string(f.Data))
 		}
 	}
 }

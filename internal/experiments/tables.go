@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cstf/internal/bigtensor"
-	"cstf/internal/core"
 	"cstf/internal/workload"
 )
 
@@ -31,13 +30,12 @@ type Table4Row struct {
 // Table4 measures one mode-1 MTTKRP per algorithm on the delicious3d
 // configuration.
 func Table4(p Params) ([]Table4Row, error) {
-	x, cfg, err := p.generate("delicious3d")
+	x, err := p.generate("delicious3d")
 	if err != nil {
 		return nil, err
 	}
 	nnz := float64(x.NNZ())
 	r := float64(p.Rank)
-	_ = cfg
 
 	rows := make([]Table4Row, 0, 3)
 
@@ -63,45 +61,35 @@ func Table4(p Params) ([]Table4Row, error) {
 		})
 	}
 
-	// CSTF-COO: measure the second MTTKRP of mode 1 (steady state).
-	{
-		ctx := p.sparkCtx(8)
-		s := core.NewCOOState(ctx, x, p.Rank, p.Seed)
+	// CSTF-COO and CSTF-QCOO: measure the second MTTKRP of mode 1
+	// (steady state). QCOO's queue holds twice COO's nnz x R records.
+	for _, a := range []struct {
+		algo     Algo
+		records  float64
+		paper    string
+		shuffles int
+	}{
+		{AlgoCOO, 1, "nnz x R", 3},
+		{AlgoQ, 2, "2 x nnz x R", 2},
+	} {
+		s, c, err := p.newSolver(a.algo, 8, x)
+		if err != nil {
+			return nil, err
+		}
 		for n := 0; n < 3; n++ {
 			s.Step(n)
 		}
-		before := ctx.Cluster.Metrics()
+		before := c.Metrics()
 		s.Step(0)
-		m := ctx.Cluster.Metrics().Sub(before)
+		m := c.Metrics().Sub(before)
 		rows = append(rows, Table4Row{
-			Algo:              AlgoCOO,
+			Algo:              a.algo,
 			MeasuredFlops:     m.Flops["MTTKRP-1"],
 			PaperFlops:        3 * nnz * r,
-			IntermediateBytes: 8 * nnz * r,
-			PaperIntermediate: "nnz x R",
+			IntermediateBytes: a.records * 8 * nnz * r,
+			PaperIntermediate: a.paper,
 			MeasuredShuffles:  m.Shuffles["MTTKRP-1"],
-			PaperShuffles:     3,
-		})
-	}
-
-	// CSTF-QCOO: steady state likewise.
-	{
-		ctx := p.sparkCtx(8)
-		s := core.NewQCOOState(ctx, x, p.Rank, p.Seed)
-		for n := 0; n < 3; n++ {
-			s.Step(n)
-		}
-		before := ctx.Cluster.Metrics()
-		s.Step(0)
-		m := ctx.Cluster.Metrics().Sub(before)
-		rows = append(rows, Table4Row{
-			Algo:              AlgoQ,
-			MeasuredFlops:     m.Flops["MTTKRP-1"],
-			PaperFlops:        3 * nnz * r,
-			IntermediateBytes: 2 * 8 * nnz * r,
-			PaperIntermediate: "2 x nnz x R",
-			MeasuredShuffles:  m.Shuffles["MTTKRP-1"],
-			PaperShuffles:     2,
+			PaperShuffles:     a.shuffles,
 		})
 	}
 	return rows, nil
@@ -118,11 +106,4 @@ func Table5(p Params) []string {
 		out = append(out, fmt.Sprintf("%s   (%d)", c.Table5Row(), c.ScaledNNZ(p.Scale)))
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -205,7 +205,7 @@ func TestRouterFailoverAndReadmission(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica never evicted; stats %+v", st)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // poll: eviction happens on the router's probe ticker
 	}
 	for _, r := range rt.Stats().Replicas {
 		if r.Name == dead.Name && r.Evictions == 0 {
@@ -225,7 +225,7 @@ func TestRouterFailoverAndReadmission(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("restarted replica never re-admitted; stats %+v", st)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // poll: re-admission happens on the router's probe ticker
 	}
 }
 

@@ -34,11 +34,11 @@ func TestDrainRejectsNewFinishesInflight(t *testing.T) {
 	}
 	// Wait until every client has been accepted before draining.
 	for len(s.reqs) < n {
-		time.Sleep(100 * time.Microsecond)
+		time.Sleep(100 * time.Microsecond) // poll: accepting a request fires no event
 	}
 	go func() {
 		for !s.Draining() {
-			time.Sleep(100 * time.Microsecond)
+			time.Sleep(100 * time.Microsecond) // poll: Drain fires no event when it starts
 		}
 		s.done.Add(1)
 		go s.dispatch()

@@ -276,11 +276,11 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	// Overwrite the checkpoint several times while queries are in flight.
 	for i := 2; i <= 6; i++ {
 		writeTestCheckpoint(t, path, uint64(i), i)
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // several 1 ms watcher polls, so each version can be swapped in under load
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().Reloads == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // poll: the watcher reloads on its own ticker
 	}
 	close(stop)
 	wg.Wait()

@@ -97,7 +97,7 @@ func TestPipelineFeedsServingHotReload(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("server never reloaded to v%d (at iter %d)", pub.Version(), s.Model().Iter)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // poll: the watcher reloads on its own ticker
 	}
 	if s.Model().Version <= v0 {
 		t.Fatalf("served model version did not advance: %d -> %d", v0, s.Model().Version)
@@ -193,7 +193,7 @@ func TestPipelineOverTailedLog(t *testing.T) {
 		part1.Entries = part1.Entries[:half]
 		part2.Entries = part2.Entries[half:]
 		appendTNS(t, logPath, part1)
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // many 1 ms tail polls, so the two bursts arrive as separate reads
 		appendTNS(t, logPath, part2)
 	}()
 

@@ -69,7 +69,7 @@ func TestQueueCloseUnblocksAndDrainsRemainder(t *testing.T) {
 
 	unblocked := make(chan bool, 1)
 	go func() { unblocked <- q.Push(entryAt(1), now) }()
-	time.Sleep(5 * time.Millisecond)
+	time.Sleep(5 * time.Millisecond) // let the Push block on the full queue; if it starts after Close it is rejected all the same
 	q.Close()
 	if ok := <-unblocked; ok {
 		t.Fatal("push blocked at Close must report rejection")

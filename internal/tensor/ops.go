@@ -167,14 +167,18 @@ func ReadBinary(r io.Reader) (*COO, error) {
 		return nil, err
 	}
 	t := New(dims...)
-	t.Entries = make([]Entry, 0, nnz)
+	// nnz is unchecked header data: reserve at most maxPrealloc entries up
+	// front and let append grow, so a short file fails with a read error
+	// instead of an allocation sized by a corrupt count.
+	const maxPrealloc = 1 << 16
+	t.Entries = make([]Entry, 0, min(nnz, maxPrealloc))
 	for i := uint64(0); i < nnz; i++ {
 		var e Entry
 		for m := 0; m < int(order); m++ {
 			if err := binary.Read(br, binary.LittleEndian, &e.Idx[m]); err != nil {
 				return nil, fmt.Errorf("tensor: entry %d: %w", i, err)
 			}
-			if e.Idx[m] >= uint32(dims[m]) {
+			if uint64(e.Idx[m]) >= uint64(dims[m]) {
 				return nil, fmt.Errorf("tensor: entry %d index %d out of range for mode %d", i, e.Idx[m], m)
 			}
 		}

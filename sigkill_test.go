@@ -71,7 +71,7 @@ func TestSIGKILLResumeBitwise(t *testing.T) {
 			killedAt = cp.Iter
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // poll: the child process signals progress only through the file
 	}
 	if killedAt < 0 {
 		cmd.Process.Kill() //nolint:errcheck
