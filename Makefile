@@ -5,7 +5,7 @@ GO ?= go
 # Packages that carry concurrency (worker pools, shared caches, simulated
 # cluster, the serving executor, the streaming pipeline) or fault-recovery
 # paths: these also run under the race detector in `make ci`.
-RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/ntf ./internal/rank
+RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/rank
 
 .PHONY: ci fmt vet staticcheck build test race flake fuzz bench bench-la bench-dist bench-tensor bench-serve smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 

@@ -180,13 +180,13 @@ func runSmoke(model string, logf func(string, ...any)) error {
 		stats = serve.RunLoad(ctx, rt, serve.LoadOptions{Clients: 4, Requests: 1 << 20, Seed: 7})
 	}()
 
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // ramp: the load is running before the reload starts
 	if err := rt.RollingReload(context.Background()); err != nil {
 		cancel()
 		wg.Wait()
 		return fmt.Errorf("rolling reload: %w", err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // the load keeps running on the reloaded fleet
 	cancel()
 	wg.Wait()
 

@@ -103,9 +103,10 @@ func main() {
 		o.NoConvergenceCheck = true
 	}
 	if *distAddrs != "" || *distLocal > 0 {
-		// rals and ncp run their own updates with the MTTKRPs on the
-		// workers; any other algorithm choice becomes the exact dist tier.
-		if o.Algorithm != cstf.RALS && o.Algorithm != cstf.NCP {
+		// An algorithm that can run on a fleet keeps its own update with the
+		// MTTKRPs on the workers; any other registered one becomes the exact
+		// dist tier (an unknown name stays, for Decompose to reject).
+		if a, ok := o.Algorithm.Info(); ok && !a.Fleet {
 			o.Algorithm = cstf.Dist
 		}
 		if *distAddrs != "" {

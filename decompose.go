@@ -3,7 +3,9 @@ package cstf
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -16,11 +18,11 @@ import (
 	"cstf/internal/dist"
 	"cstf/internal/la"
 	"cstf/internal/mapreduce"
-	"cstf/internal/ntf"
 	"cstf/internal/par"
 	"cstf/internal/rals"
 	"cstf/internal/rdd"
 	"cstf/internal/rng"
+	"cstf/internal/tensor"
 )
 
 // Algorithm selects the CP-ALS implementation.
@@ -50,9 +52,9 @@ const (
 	// runs, Parallelism values, and dist worker counts. Runs locally by
 	// default, or with its MTTKRPs on a fleet when Options.Dist names one.
 	RALS Algorithm = "rals"
-	// NCP is nonnegative CP (internal/ntf): column-wise coordinate descent
-	// with saturation skipping over the shared MTTKRP/gram kernels,
-	// configured with Options.NTF. Factors come out elementwise >= 0 (the
+	// NCP is nonnegative CP (the nonnegative cpals.Rule): column-wise
+	// coordinate descent with saturation skipping over the shared
+	// MTTKRP/gram kernels, configured with Options.NTF. Factors come out elementwise >= 0 (the
 	// natural parameterization for implicit-feedback/recommendation
 	// tensors), the fit is monotone non-decreasing per sweep, and a fixed
 	// seed is bitwise-reproducible across runs, Parallelism values, and dist
@@ -61,21 +63,45 @@ const (
 	NCP Algorithm = "ncp"
 )
 
+// AlgorithmInfo is one registered tier: its name, a one-line description,
+// whether its MTTKRPs can or must run on a fleet (Options.Dist), and what
+// builds it. An update tier (Serial, Dist, RALS, NCP) builds the
+// cpals.Update that runs locally or on the fleet (no builder: the
+// least-squares update); a simulated tier (COO, QCOO, BigTensor) runs on
+// the modeled cluster decompose builds for it.
+type AlgorithmInfo struct {
+	Name      Algorithm
+	Desc      string // one-line description
+	Fleet     bool   // runs its MTTKRPs on a fleet when Options.Dist names one
+	FleetOnly bool   // always runs on a fleet, so Options.Dist must name one
+
+	update   func(o Options, cp *ckpt.File, opts cpals.Options, t *tensor.COO) (cpals.Update, error)
+	simulate func(c *cluster.Cluster, slots int, t *tensor.COO, opts cpals.Options) (*cpals.Result, error)
+}
+
 // Algorithms is the single source of truth for the algorithm registry: one
-// entry per Algorithm constant, in documentation order. The "unknown
-// algorithm" error and the cstf CLI's -algo help both derive from it, so a
-// new tier cannot appear in one and drift from the other.
-var Algorithms = []struct {
-	Name Algorithm
-	Desc string // one-line description
-}{
-	{Serial, "single-machine reference CP-ALS"},
-	{COO, "CSTF-COO on the simulated Spark-like engine"},
-	{QCOO, "CSTF-QCOO queue strategy (default)"},
-	{BigTensor, "GigaTensor baseline on the MapReduce engine (3rd-order only)"},
-	{Dist, "real TCP distributed runtime (Options.Dist)"},
-	{RALS, "randomized leverage-score-sampled ALS (Options.RALS)"},
-	{NCP, "nonnegative CP via saturating coordinate descent (Options.NTF)"},
+// entry per Algorithm constant, in documentation order. Decompose, the
+// "unknown algorithm" and fleet errors, and the cstf CLI's -algo help and
+// -dist handling all derive from it, so a new tier cannot appear in one and
+// drift from the others.
+var Algorithms = []AlgorithmInfo{
+	{Name: Serial, Desc: "single-machine reference CP-ALS"},
+	{Name: COO, Desc: "CSTF-COO on the simulated Spark-like engine", simulate: onRDD(core.SolveCOO)},
+	{Name: QCOO, Desc: "CSTF-QCOO queue strategy (default)", simulate: onRDD(core.SolveQCOO)},
+	{Name: BigTensor, Desc: "GigaTensor baseline on the MapReduce engine (3rd-order only)", simulate: onMapReduce},
+	{Name: Dist, Desc: "real TCP distributed runtime (Options.Dist)", Fleet: true, FleetOnly: true},
+	{Name: RALS, Desc: "randomized leverage-score-sampled ALS (Options.RALS)", Fleet: true, update: ralsUpdate},
+	{Name: NCP, Desc: "nonnegative CP via saturating coordinate descent (Options.NTF)", Fleet: true, update: ncpUpdate},
+}
+
+// Info returns a's registry entry; false when a is not registered.
+func (a Algorithm) Info() (AlgorithmInfo, bool) {
+	for _, e := range Algorithms {
+		if e.Name == a {
+			return e, true
+		}
+	}
+	return AlgorithmInfo{}, false
 }
 
 // AlgorithmNames returns the registered algorithm names in order.
@@ -165,13 +191,13 @@ type RALSOptions struct {
 }
 
 // NTFOptions groups the knobs of the nonnegative-CP tier (the NCP
-// algorithm). The zero value runs ntf.DefaultInnerIters coordinate-descent
-// passes per row problem.
+// algorithm). The zero value runs three coordinate-descent passes per row
+// problem.
 type NTFOptions struct {
 	// InnerIters is the number of coordinate-descent passes each mode
 	// update runs over every row problem. The first pass checks every
 	// element and flags the saturated (pinned-at-zero) ones; later passes
-	// skip them. <= 0 selects the default.
+	// skip them. 0 selects the default (3); a negative count is an error.
 	InnerIters int
 }
 
@@ -255,6 +281,7 @@ type Options struct {
 
 	// Dist names the fleet of the real distributed runtime: the workers
 	// that run the MTTKRPs of Algorithm Dist, and of RALS or NCP when set.
+	// An algorithm that cannot run on a fleet rejects a non-empty one.
 	Dist DistOptions
 
 	// RALS configures the randomized-ALS tier (Algorithm RALS).
@@ -327,9 +354,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WorkScale == 0 {
 		o.WorkScale = 1
-	}
-	if o.Algorithm == RALS && o.RALS.SampleCount == 0 && o.RALS.SampleFraction == 0 && len(o.RALS.ModeSampleCounts) == 0 {
-		o.RALS.SampleFraction = 0.1
 	}
 	return o
 }
@@ -408,55 +432,37 @@ type Metrics struct {
 	CheckpointSeconds    float64 // modeled time spent writing checkpoints
 }
 
-// add accumulates o into m: counts, bytes and seconds sum, DistWorkers
-// keeps the largest fleet, DistDegraded is set if either run degraded, and
-// phases sum by name (DistPhases by position, in order of first occurrence).
+// add accumulates o into m: every count, byte total and second sums —
+// field by field through reflection, so no field can be left out — except
+// that DistWorkers keeps the largest fleet and DistDegraded is set if
+// either run degraded; phases sum by name (DistPhases by position, in
+// order of first occurrence).
 func (m *Metrics) add(o Metrics) {
-	m.SimSeconds += o.SimSeconds
-	m.RemoteBytes += o.RemoteBytes
-	m.LocalBytes += o.LocalBytes
-	m.Shuffles += o.Shuffles
-	m.Flops += o.Flops
-	m.HadoopJobs += o.HadoopJobs
+	workers := max(m.DistWorkers, o.DistWorkers)
+	dst, src := reflect.ValueOf(m).Elem(), reflect.ValueOf(o)
+	for i := 0; i < dst.NumField(); i++ {
+		switch f, g := dst.Field(i), src.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + g.Int())
+		case reflect.Float64:
+			f.SetFloat(f.Float() + g.Float())
+		case reflect.Bool:
+			f.SetBool(f.Bool() || g.Bool())
+		}
+	}
+	m.DistWorkers = workers
 	for phase, s := range o.SecondsByMode {
 		if m.SecondsByMode == nil {
 			m.SecondsByMode = map[string]float64{}
 		}
 		m.SecondsByMode[phase] += s
 	}
-
-	m.WallSeconds += o.WallSeconds
-	m.WireBytesSent += o.WireBytesSent
-	m.WireBytesRecv += o.WireBytesRecv
-	m.WireShardBytes += o.WireShardBytes
-	m.WireFactorBytes += o.WireFactorBytes
-	m.WireDeltaFrames += o.WireDeltaFrames
-	m.FactorResyncs += o.FactorResyncs
-	m.DistWorkers = max(m.DistWorkers, o.DistWorkers)
-	m.WorkerDeaths += o.WorkerDeaths
-	m.TaskReassignments += o.TaskReassignments
-	m.ShardResends += o.ShardResends
-	m.WorkerRejoins += o.WorkerRejoins
-	m.CorruptFrames += o.CorruptFrames
-	m.DistDegraded = m.DistDegraded || o.DistDegraded
 	for i, p := range o.DistPhases {
 		if i == len(m.DistPhases) {
 			m.DistPhases = append(m.DistPhases, PhaseSeconds{Name: p.Name})
 		}
 		m.DistPhases[i].Seconds += p.Seconds
 	}
-
-	m.NodeCrashes += o.NodeCrashes
-	m.DiskFailures += o.DiskFailures
-	m.TaskFailures += o.TaskFailures
-	m.StageRetries += o.StageRetries
-	m.StragglerStages += o.StragglerStages
-	m.SpeculativeTasks += o.SpeculativeTasks
-	m.RecomputedPartitions += o.RecomputedPartitions
-	m.LostCacheBytes += o.LostCacheBytes
-	m.ReReplicatedBytes += o.ReReplicatedBytes
-	m.RecoverySeconds += o.RecoverySeconds
-	m.CheckpointSeconds += o.CheckpointSeconds
 }
 
 // PhaseSeconds is one named share of a measured wall clock.
@@ -523,16 +529,7 @@ func (d *Decomposition) TopK(mode, r, k int) []Component {
 	for i := 0; i < f.Rows(); i++ {
 		out = append(out, Component{Index: i, Weight: f.At(i, r)})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		wa, wb := out[a].Weight, out[b].Weight
-		if wa < 0 {
-			wa = -wa
-		}
-		if wb < 0 {
-			wb = -wb
-		}
-		return wa > wb
-	})
+	sort.Slice(out, func(a, b int) bool { return math.Abs(out[a].Weight) > math.Abs(out[b].Weight) })
 	if k < len(out) {
 		out = out[:k]
 	}
@@ -555,6 +552,20 @@ func DecomposeContext(ctx context.Context, t *Tensor, o Options) (*Decomposition
 // decompose runs one solve from the checkpoint cp: a validated file on
 // DecomposeResume, the zero File (iteration 0, no state) on a fresh run.
 func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decomposition, error) {
+	a, ok := o.Algorithm.Info()
+	if !ok {
+		return nil, fmt.Errorf("cstf: unknown algorithm %q (known: %s)", o.Algorithm, strings.Join(AlgorithmNames(), ", "))
+	}
+	fleet := a.FleetOnly || a.Fleet && o.Dist.size() > 0
+	if !a.Fleet && o.Dist.size() > 0 {
+		var names []string
+		for _, e := range Algorithms {
+			if e.Fleet {
+				names = append(names, string(e.Name))
+			}
+		}
+		return nil, fmt.Errorf("cstf: the %s algorithm cannot run on a fleet; Options.Dist is for %s", o.Algorithm, strings.Join(names, ", "))
+	}
 	opts := cpals.Options{
 		Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed,
 		Parallelism: o.Parallelism, Ctx: ctx, OnIteration: o.OnIteration,
@@ -564,7 +575,7 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 		// Workers records the fleet size behind the snapshot: informational,
 		// since a resume is bitwise on any fleet size or none.
 		alg, workers, path := string(o.Algorithm), 0, o.Faults.CheckpointPath
-		if o.fleet() {
+		if fleet {
 			workers = o.Dist.size()
 		}
 		opts.CheckpointEvery = o.Faults.CheckpointEvery
@@ -574,12 +585,16 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 		}
 	}
 
-	profile := cluster.CometProfile()
-	if o.Profile != nil {
-		profile = *o.Profile
-	}
-	newCluster := func() *cluster.Cluster {
-		c := cluster.New(o.Nodes, profile)
+	var res *cpals.Result
+	var err error
+	var c *cluster.Cluster
+	var distStats *dist.Stats
+	if a.simulate != nil {
+		profile := cluster.CometProfile()
+		if o.Profile != nil {
+			profile = *o.Profile
+		}
+		c = cluster.New(o.Nodes, profile)
 		c.SetWorkScale(o.WorkScale)
 		if o.TracePath != "" {
 			c.EnableTrace()
@@ -590,63 +605,23 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 				c.EnableSpeculation(o.Faults.Chaos.Speculation)
 			}
 		}
-		return c
-	}
-
-	var res *cpals.Result
-	var err error
-	var c *cluster.Cluster
-	var distStats *dist.Stats
-	switch o.Algorithm {
-	case Serial, Dist, RALS, NCP:
+		res, err = a.simulate(c, o.Nodes*profile.CoresPerNode, t.coo, opts)
+	} else {
 		// One mode update: the rule, sampler and checkpointed state of the
 		// algorithm, its MTTKRPs run locally or on the fleet.
 		var u cpals.Update
-		switch o.Algorithm {
-		case RALS:
-			ro := rals.Options{
-				Options:          opts,
-				SampleCount:      o.RALS.SampleCount,
-				SampleFraction:   o.RALS.SampleFraction,
-				ModeSampleCounts: o.RALS.ModeSampleCounts,
-				ResampleEvery:    o.RALS.ResampleEvery,
-				FinalFitOnly:     o.RALS.FinalFitOnly,
-				ExactFinishIters: o.RALS.ExactFinishIters,
-				InitState:        cp.RALS,
-			}
-			u, err = ro.Update(t.coo)
-		case NCP:
-			no := ntf.Options{Options: opts, InnerIters: o.NTF.InnerIters, InitState: cp.NTF}
-			u, err = no.Update(t.coo)
-		default:
-			err = opts.Validate(t.coo)
+		if err = opts.Validate(t.coo); err == nil && a.update != nil {
+			u, err = a.update(o, cp, opts, t.coo)
 		}
 		switch {
 		case err != nil:
-		case o.fleet():
+		case fleet:
 			res, distStats, err = onFleet(t, o, opts, u)
 		case o.Faults.Chaos != nil:
 			err = fmt.Errorf("cstf: chaos injection requires a distributed algorithm or a fleet")
 		default:
 			res, err = cpals.SolveWith(t.coo, opts, u)
 		}
-	case COO:
-		c = newCluster()
-		rctx := rdd.NewContext(c, o.Nodes*profile.CoresPerNode)
-		rctx.EnableRecovery()
-		res, err = core.SolveCOO(rctx, t.coo, opts)
-	case QCOO:
-		c = newCluster()
-		rctx := rdd.NewContext(c, o.Nodes*profile.CoresPerNode)
-		rctx.EnableRecovery()
-		res, err = core.SolveQCOO(rctx, t.coo, opts)
-	case BigTensor:
-		c = newCluster()
-		env := mapreduce.NewEnv(c, o.Nodes*profile.CoresPerNode)
-		env.EnableRecovery()
-		res, err = bigtensor.Solve(env, t.coo, opts)
-	default:
-		return nil, fmt.Errorf("cstf: unknown algorithm %q (known: %s)", o.Algorithm, strings.Join(AlgorithmNames(), ", "))
 	}
 	if err != nil {
 		return nil, err
@@ -722,10 +697,55 @@ func decompose(ctx context.Context, t *Tensor, o Options, cp *ckpt.File) (*Decom
 	return out, nil
 }
 
-// fleet reports whether the run's MTTKRPs go to workers: always for Dist,
-// and for RALS and NCP when Options.Dist names a fleet.
-func (o Options) fleet() bool {
-	return o.Algorithm == Dist || (o.Algorithm == RALS || o.Algorithm == NCP) && o.Dist.size() > 0
+// ralsUpdate builds the RALS tier's sampled update, resuming the sampler
+// from cp. With no budget set it samples 10% of the nonzeros.
+func ralsUpdate(o Options, cp *ckpt.File, opts cpals.Options, t *tensor.COO) (cpals.Update, error) {
+	r := o.RALS
+	if r.SampleCount == 0 && r.SampleFraction == 0 && len(r.ModeSampleCounts) == 0 {
+		r.SampleFraction = 0.1
+	}
+	ro := rals.Options{Options: opts, SampleCount: r.SampleCount, SampleFraction: r.SampleFraction,
+		ModeSampleCounts: r.ModeSampleCounts, ResampleEvery: r.ResampleEvery, FinalFitOnly: r.FinalFitOnly,
+		ExactFinishIters: r.ExactFinishIters, InitState: cp.RALS}
+	return ro.Update(t)
+}
+
+// ncpUpdate builds the NCP tier's update: the nonnegative rule with
+// NTF.InnerIters coordinate-descent passes (0: three) or, on a resume, the
+// pass count the checkpointed run used, so it follows the same trajectory.
+func ncpUpdate(o Options, cp *ckpt.File, opts cpals.Options, t *tensor.COO) (cpals.Update, error) {
+	inner := o.NTF.InnerIters
+	switch {
+	case inner < 0:
+		return cpals.Update{}, fmt.Errorf("cstf: NTF.InnerIters must be non-negative, got %d", inner)
+	case cp.NTF != nil && opts.InitFactors == nil:
+		return cpals.Update{}, fmt.Errorf("cstf: the checkpoint's ncp state requires its factors")
+	case cp.NTF != nil:
+		inner = cp.NTF.InnerIters
+	case opts.StartIter > 0:
+		return cpals.Update{}, fmt.Errorf("cstf: resuming ncp at iteration %d needs the checkpoint's inner pass count", opts.StartIter)
+	case inner == 0:
+		inner = 3
+	}
+	return cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: inner}}, nil
+}
+
+// onRDD runs a CSTF solver on the Spark-like engine over the cluster's
+// slots, with lineage recovery.
+func onRDD(solve func(*rdd.Context, *tensor.COO, cpals.Options) (*cpals.Result, error)) func(*cluster.Cluster, int, *tensor.COO, cpals.Options) (*cpals.Result, error) {
+	return func(c *cluster.Cluster, slots int, t *tensor.COO, opts cpals.Options) (*cpals.Result, error) {
+		rctx := rdd.NewContext(c, slots)
+		rctx.EnableRecovery()
+		return solve(rctx, t, opts)
+	}
+}
+
+// onMapReduce runs BigTensor on the Hadoop-like engine over the cluster's
+// slots, with task recovery.
+func onMapReduce(c *cluster.Cluster, slots int, t *tensor.COO, opts cpals.Options) (*cpals.Result, error) {
+	env := mapreduce.NewEnv(c, slots)
+	env.EnableRecovery()
+	return bigtensor.Solve(env, t, opts)
 }
 
 // onFleet runs the mode update u with its MTTKRPs on the workers

@@ -2,6 +2,7 @@ package cstf_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"cstf"
@@ -187,5 +188,23 @@ func TestDecomposeBestSerialDeterministicAcrossParallelism(t *testing.T) {
 	if a.Restart != b.Restart || a.Fit() != b.Fit() || a.Seed != b.Seed {
 		t.Fatalf("restart/fit/seed changed with parallelism: (%d,%v,%d) vs (%d,%v,%d)",
 			a.Restart, a.Fit(), a.Seed, b.Restart, b.Fit(), b.Seed)
+	}
+}
+
+// Options.Dist names a fleet; an algorithm that cannot run on one rejects
+// it, naming the registry's algorithms that can, instead of ignoring it.
+func TestDistOptionsRejectedOffFleet(t *testing.T) {
+	x := apiTestTensor()
+	fleets := map[string]cstf.DistOptions{
+		"addrs": {Addrs: []string{"127.0.0.1:1"}},
+		"local": {LocalWorkers: 2},
+	}
+	for _, algo := range []cstf.Algorithm{cstf.Serial, cstf.COO, cstf.QCOO, cstf.BigTensor} {
+		for name, d := range fleets {
+			_, err := cstf.Decompose(x, cstf.Options{Algorithm: algo, Rank: 2, MaxIters: 1, Dist: d})
+			if err == nil || !strings.Contains(err.Error(), "dist, rals, ncp") {
+				t.Errorf("%s with %s fleet: error %v, want one naming dist, rals, ncp", algo, name, err)
+			}
+		}
 	}
 }

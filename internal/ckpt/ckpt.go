@@ -48,7 +48,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // gob ignores names the decoder does not know and zeroes names the encoder
 // did not send.) The solvers produce it through cpals.Options.OnCheckpoint
 // and read it back through cpals.Options.Restore and their own state
-// fields (rals and ntf Options.InitState).
+// (rals.Options.InitState; the nonnegative rule's pass count, NTF).
 type File struct {
 	Algorithm string
 	Rank      int

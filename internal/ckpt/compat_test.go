@@ -12,7 +12,6 @@ import (
 
 	"cstf/internal/ckpt"
 	"cstf/internal/cpals"
-	"cstf/internal/ntf"
 	"cstf/internal/tensor"
 )
 
@@ -58,8 +57,9 @@ func writeSaturated(t *testing.T, path string, f *saturatedFile) {
 // solve resumed from it follows the uninterrupted run bit for bit.
 func TestNCPCheckpointWithSaturationBitmapsResumes(t *testing.T) {
 	x := tensor.GenLowRank(7, 3000, 3, 0.05, 40, 30, 20)
-	full := ntf.Options{Options: cpals.Options{Rank: 3, MaxIters: 6, Seed: 11}, InnerIters: 2}
-	want, err := ntf.Solve(x, full)
+	full := cpals.Options{Rank: 3, MaxIters: 6, Seed: 11}
+	nonneg := cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: 2}}
+	want, err := cpals.SolveWith(x, full, nonneg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestNCPCheckpointWithSaturationBitmapsResumes(t *testing.T) {
 	head := full
 	head.MaxIters, head.CheckpointEvery = 4, 4
 	head.OnCheckpoint = func(f *ckpt.File) error { cp = f; return nil }
-	if _, err := ntf.Solve(x, head); err != nil {
+	if _, err := cpals.SolveWith(x, head, nonneg); err != nil {
 		t.Fatal(err)
 	}
 	old := &saturatedFile{Algorithm: "ncp", Rank: cp.Rank, Seed: cp.Seed, Iter: cp.Iter, Dims: cp.Dims,
@@ -95,8 +95,7 @@ func TestNCPCheckpointWithSaturationBitmapsResumes(t *testing.T) {
 	}
 	tail := full
 	tail.Restore(f)
-	tail.InitState = f.NTF
-	got, err := ntf.Solve(x, tail)
+	got, err := cpals.SolveWith(x, tail, cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: f.NTF.InnerIters}})
 	if err != nil {
 		t.Fatal(err)
 	}

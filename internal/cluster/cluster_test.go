@@ -345,3 +345,34 @@ func TestParallelReraisesPanicOnCaller(t *testing.T) {
 	})
 	t.Fatal("Parallel returned normally")
 }
+
+// Every total sums its phases in sorted phase order, so it is the same to
+// the bit on every call. The phase values make the float sum depend on the
+// order: summed in map order, the totals differ between calls.
+func TestTotalsSumInSortedPhaseOrder(t *testing.T) {
+	m := newMetrics()
+	phases := make([]string, 24)
+	for i := range phases {
+		phases[i] = fmt.Sprintf("phase-%02d", i)
+		v := []float64{1e16, 1, -1e16, 1}[i%4] * float64(i/4+1)
+		m.RemoteBytes[phases[i]] = v
+		m.LocalBytes[phases[i]] = v
+		m.Flops[phases[i]] = v
+		m.SimTime[phases[i]] = v
+	}
+	var want float64
+	for _, p := range phases { // already sorted
+		want += m.SimTime[p]
+	}
+	totals := map[string]func() float64{
+		"TotalRemoteBytes": m.TotalRemoteBytes, "TotalLocalBytes": m.TotalLocalBytes,
+		"TotalFlops": m.TotalFlops, "TotalSimTime": m.TotalSimTime,
+	}
+	for i := 0; i < 50; i++ {
+		for name, total := range totals {
+			if got := total(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("call %d: %s = %v, want the sorted-order sum %v", i, name, got, want)
+			}
+		}
+	}
+}

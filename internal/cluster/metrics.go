@@ -1,6 +1,9 @@
 package cluster
 
-import "sort"
+import (
+	"maps"
+	"sort"
+)
 
 // Metrics mirrors the Spark metrics-collection service the paper uses in
 // Section 6.5: remote and local shuffle bytes read, plus counters for
@@ -43,36 +46,41 @@ func newMetrics() *Metrics {
 	}
 }
 
-func sumF(m map[string]float64) float64 {
-	var s float64
-	for _, v := range m {
-		s += v
+// sum adds the per-phase values in sorted phase order: float addition is
+// not associative, so a sum in map order would differ in its last bits from
+// run to run.
+func sum[V int | float64](m map[string]V) V {
+	var s V
+	for _, k := range sortedPhases(m) {
+		s += m[k]
 	}
 	return s
 }
 
-func sumI(m map[string]int) int {
-	var s int
-	for _, v := range m {
-		s += v
+// sortedPhases returns the phase labels of m in sorted order.
+func sortedPhases[V any](m map[string]V) []string {
+	phases := make([]string, 0, len(m))
+	for k := range m {
+		phases = append(phases, k)
 	}
-	return s
+	sort.Strings(phases)
+	return phases
 }
 
 // TotalRemoteBytes returns remote shuffle bytes read across all phases.
-func (m *Metrics) TotalRemoteBytes() float64 { return sumF(m.RemoteBytes) }
+func (m *Metrics) TotalRemoteBytes() float64 { return sum(m.RemoteBytes) }
 
 // TotalLocalBytes returns local shuffle bytes read across all phases.
-func (m *Metrics) TotalLocalBytes() float64 { return sumF(m.LocalBytes) }
+func (m *Metrics) TotalLocalBytes() float64 { return sum(m.LocalBytes) }
 
 // TotalShuffles returns the number of shuffle operations across all phases.
-func (m *Metrics) TotalShuffles() int { return sumI(m.Shuffles) }
+func (m *Metrics) TotalShuffles() int { return sum(m.Shuffles) }
 
 // TotalFlops returns the floating-point operations charged across phases.
-func (m *Metrics) TotalFlops() float64 { return sumF(m.Flops) }
+func (m *Metrics) TotalFlops() float64 { return sum(m.Flops) }
 
 // TotalSimTime returns the modeled seconds across all phases.
-func (m *Metrics) TotalSimTime() float64 { return sumF(m.SimTime) }
+func (m *Metrics) TotalSimTime() float64 { return sum(m.SimTime) }
 
 // Phases returns the phase labels seen so far, sorted for stable output.
 func (m *Metrics) Phases() []string {
@@ -82,76 +90,29 @@ func (m *Metrics) Phases() []string {
 			seen[k] = true
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedPhases(seen)
 }
 
 // Clone returns a deep copy of the metrics.
 func (m *Metrics) Clone() *Metrics {
-	c := newMetrics()
-	for k, v := range m.RemoteBytes {
-		c.RemoteBytes[k] = v
-	}
-	for k, v := range m.LocalBytes {
-		c.LocalBytes[k] = v
-	}
-	for k, v := range m.Shuffles {
-		c.Shuffles[k] = v
-	}
-	for k, v := range m.Flops {
-		c.Flops[k] = v
-	}
-	for k, v := range m.Records {
-		c.Records[k] = v
-	}
-	for k, v := range m.SimTime {
-		c.SimTime[k] = v
-	}
-	for k, v := range m.DiskBytes {
-		c.DiskBytes[k] = v
-	}
-	c.Stages, c.Tasks, c.Jobs = m.Stages, m.Tasks, m.Jobs
-	c.TaskFailures = m.TaskFailures
-	c.StageRetries = m.StageRetries
-	c.NodeCrashes = m.NodeCrashes
-	c.DiskFailures = m.DiskFailures
-	c.StragglerStages = m.StragglerStages
-	c.SpeculativeTasks = m.SpeculativeTasks
-	c.RecomputedPartitions = m.RecomputedPartitions
-	c.LostCacheBytes = m.LostCacheBytes
-	c.ReReplicatedBytes = m.ReReplicatedBytes
-	return c
+	c := *m
+	c.RemoteBytes, c.LocalBytes, c.Flops = maps.Clone(m.RemoteBytes), maps.Clone(m.LocalBytes), maps.Clone(m.Flops)
+	c.Records, c.SimTime, c.DiskBytes = maps.Clone(m.Records), maps.Clone(m.SimTime), maps.Clone(m.DiskBytes)
+	c.Shuffles = maps.Clone(m.Shuffles)
+	return &c
 }
 
 // Sub returns m - other, field-wise; used to measure a window (e.g. one
 // CP-ALS iteration) by snapshotting before and after.
 func (m *Metrics) Sub(other *Metrics) *Metrics {
 	d := m.Clone()
-	for k, v := range other.RemoteBytes {
-		d.RemoteBytes[k] -= v
-	}
-	for k, v := range other.LocalBytes {
-		d.LocalBytes[k] -= v
-	}
-	for k, v := range other.Shuffles {
-		d.Shuffles[k] -= v
-	}
-	for k, v := range other.Flops {
-		d.Flops[k] -= v
-	}
-	for k, v := range other.Records {
-		d.Records[k] -= v
-	}
-	for k, v := range other.SimTime {
-		d.SimTime[k] -= v
-	}
-	for k, v := range other.DiskBytes {
-		d.DiskBytes[k] -= v
-	}
+	subPhases(d.RemoteBytes, other.RemoteBytes)
+	subPhases(d.LocalBytes, other.LocalBytes)
+	subPhases(d.Shuffles, other.Shuffles)
+	subPhases(d.Flops, other.Flops)
+	subPhases(d.Records, other.Records)
+	subPhases(d.SimTime, other.SimTime)
+	subPhases(d.DiskBytes, other.DiskBytes)
 	d.Stages -= other.Stages
 	d.Tasks -= other.Tasks
 	d.Jobs -= other.Jobs
@@ -165,4 +126,11 @@ func (m *Metrics) Sub(other *Metrics) *Metrics {
 	d.LostCacheBytes -= other.LostCacheBytes
 	d.ReReplicatedBytes -= other.ReReplicatedBytes
 	return d
+}
+
+// subPhases subtracts each phase of o from the same phase of d.
+func subPhases[V int | float64](d, o map[string]V) {
+	for k, v := range o {
+		d[k] -= v
+	}
 }

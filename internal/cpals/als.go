@@ -1,6 +1,8 @@
 package cpals
 
 import (
+	"fmt"
+
 	"cstf/internal/ckpt"
 	"cstf/internal/la"
 	"cstf/internal/par"
@@ -101,8 +103,8 @@ type Sampler interface {
 // Update is what distinguishes the tiers that share Algorithm 1's one mode
 // update — M from the Source, the factor rows from M and the Hadamard of the
 // other modes' grams by the Rule, then normalize, refresh the gram and keep
-// M for the fit: Serial (Solve), rals, ntf and dist, whose Source is the
-// workers.
+// M for the fit: Serial (Solve), rals, ncp (the nonnegative Rule) and dist,
+// whose Source is the workers.
 type Update struct {
 	Source  Source  // nil: the CSF trees with Options.CSFKernel, else the COO kernel
 	Rule    Rule    // the zero Rule is least squares
@@ -112,6 +114,9 @@ type Update struct {
 // SolveWith runs the ALS iteration of t with the mode update u; the Result
 // records u.Rule. The options are the caller's to validate.
 func SolveWith(t *tensor.COO, o Options, u Update) (*Result, error) {
+	if u.Rule.Nonneg && u.Rule.Inner < 1 {
+		return nil, fmt.Errorf("cpals: the nonnegative rule needs at least one inner pass, got %d", u.Rule.Inner)
+	}
 	w := o.Workers()
 	s := &als{t: t, w: w, rule: u.Rule, smp: u.Sampler, src: u.Source,
 		normX: t.Norm(), lambda: la.VecClone(o.InitLambda), ws: &Workspace{}}

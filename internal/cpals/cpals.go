@@ -103,8 +103,8 @@ func (r *Result) ReconstructAt(idx ...int) float64 {
 }
 
 // Options configures a CP-ALS run. It is the one declaration of the options
-// every solver tier shares: rals.Options and ntf.Options embed it and add
-// only their own fields, and Run reads it for every tier.
+// every solver tier shares: rals.Options embeds it and adds only its own
+// fields, and Run reads it for every tier.
 type Options struct {
 	Rank     int     // R, the decomposition rank
 	MaxIters int     // maximum ALS iterations

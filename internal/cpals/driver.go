@@ -9,7 +9,7 @@ import (
 
 // Tier is one solver's computation inside the ALS iteration that Run owns.
 // Every tier in the repository — core's COO and QCOO, bigtensor, and the
-// one shared by Solve, rals, ntf and dist (SolveWith) — runs the same outer
+// one shared by Solve, rals, ncp and dist (SolveWith) — runs the same outer
 // loop; they differ only in how a mode update, the end-of-iteration fit
 // and a checkpoint are computed, and whatever else varies (rals' epochs,
 // bigtensor's missing in-band fit) is expressed inside those methods.
@@ -105,7 +105,7 @@ func CheckpointBytes(dims []int, rank int) float64 {
 
 // Restore sets StartIter, InitFactors, InitLambda and InitFits to resume
 // from a checkpoint, the inverse of the snapshot OnCheckpoint receives. The
-// tier's own state (cp.RALS, cp.NTF) is read by the tier's options.
+// tier's own state (cp.RALS, cp.NTF) is read by whatever builds its Update.
 func (o *Options) Restore(cp *ckpt.File) {
 	o.StartIter, o.InitLambda, o.InitFits = cp.Iter, cp.Lambda, cp.Fits
 	o.InitFactors = nil

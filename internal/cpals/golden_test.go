@@ -10,9 +10,9 @@ import (
 	"cstf/internal/tensor"
 )
 
-// resultHash is FNV-1a over the bit patterns of lambda and every factor, in
-// that order.
-func resultHash(res *Result) string {
+// resultHash is FNV-1a over the bit patterns of lambda, every factor and
+// then each extra vector, in that order.
+func resultHash(res *Result, extra ...[]float64) string {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(vs []float64) {
@@ -24,6 +24,9 @@ func resultHash(res *Result) string {
 	put(res.Lambda)
 	for _, f := range res.Factors {
 		put(f.Data)
+	}
+	for _, vs := range extra {
+		put(vs)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -1,27 +1,71 @@
-package ntf
+package cpals
 
 import (
 	"math"
 	"testing"
 
 	"cstf/internal/ckpt"
-	"cstf/internal/cpals"
 	"cstf/internal/tensor"
 )
 
-func testTensor() *tensor.COO {
-	// Nonnegative low-rank structure plus noise: the workload the solver is
+// The nonnegative rule's contracts (rule.go): nonnegative factors, a
+// monotone objective, bitwise repeatability across runs and Parallelism
+// values, and a bitwise resume.
+
+func nonnegTensor() *tensor.COO {
+	// Nonnegative low-rank structure plus noise: the workload the rule is
 	// for. GenLowRank plants factors in [0.1, 1.1), so the data is >= 0.
 	return tensor.GenLowRank(7, 3000, 3, 0.05, 40, 30, 20)
 }
 
-func solveOpts() Options {
-	return Options{Options: cpals.Options{Rank: 3, MaxIters: 8, Seed: 11, Parallelism: 1}}
+func nonnegOpts() Options {
+	return Options{Rank: 3, MaxIters: 8, Seed: 11, Parallelism: 1}
+}
+
+// solveNonneg runs the shared mode update under the nonnegative rule with
+// inner coordinate-descent passes per row problem.
+func solveNonneg(t *tensor.COO, o Options, inner int) (*Result, error) {
+	return SolveWith(t, o, Update{Rule: Rule{Nonneg: true, Inner: inner}})
+}
+
+// A warm start from an unconstrained CP-ALS model with negative entries —
+// the path that clips the start onto the nonnegative orthant — at two inner
+// passes, pinned bit for bit (lambda, factors and fits) at Parallelism 1
+// and 4.
+func TestNonnegSolveGoldenHash(t *testing.T) {
+	x := tensor.GenZipf(3, 4000, 0.7, 40, 30, 20)
+	signed, err := Solve(x, Options{Rank: 4, MaxIters: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	negative := 0
+	for _, f := range signed.Factors {
+		for _, v := range f.Data {
+			if v < 0 {
+				negative++
+			}
+		}
+	}
+	if negative == 0 {
+		t.Fatal("the warm start has no negative entry to clip")
+	}
+	const want = "1ae1171c5f7d2462"
+	for _, p := range []int{1, 4} {
+		o := Options{Rank: 4, MaxIters: 4, Seed: 9, Parallelism: p,
+			InitFactors: signed.Factors, InitLambda: signed.Lambda}
+		res, err := solveNonneg(x, o, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultHash(res, res.Fits); got != want {
+			t.Errorf("Parallelism %d: hash %s, want %s", p, got, want)
+		}
+	}
 }
 
 // Every factor element and every lambda must come out nonnegative.
-func TestFactorsNonnegative(t *testing.T) {
-	res, err := Solve(testTensor(), solveOpts())
+func TestNonnegFactorsNonnegative(t *testing.T) {
+	res, err := solveNonneg(nonnegTensor(), nonnegOpts(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +86,10 @@ func TestFactorsNonnegative(t *testing.T) {
 // Each coordinate update exactly minimizes a convex quadratic clipped at
 // zero and skipped updates change nothing, so the fit can never decrease
 // across sweeps.
-func TestObjectiveMonotone(t *testing.T) {
-	o := solveOpts()
+func TestNonnegObjectiveMonotone(t *testing.T) {
+	o := nonnegOpts()
 	o.MaxIters = 12
-	res, err := Solve(testTensor(), o)
+	res, err := solveNonneg(nonnegTensor(), o, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +103,7 @@ func TestObjectiveMonotone(t *testing.T) {
 	}
 	// On nonnegative data the constrained solve should land within a few
 	// percent of unconstrained ALS from the same start.
-	als, err := cpals.Solve(testTensor(), cpals.Options{Rank: 3, MaxIters: 12, Seed: 11, Parallelism: 1})
+	als, err := Solve(nonnegTensor(), Options{Rank: 3, MaxIters: 12, Seed: 11, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +113,13 @@ func TestObjectiveMonotone(t *testing.T) {
 }
 
 // A fixed seed must be bitwise repeatable run to run.
-func TestBitwiseRepeatable(t *testing.T) {
-	x := testTensor()
-	a, err := Solve(x, solveOpts())
+func TestNonnegBitwiseRepeatable(t *testing.T) {
+	x := nonnegTensor()
+	a, err := solveNonneg(x, nonnegOpts(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(x, solveOpts())
+	b, err := solveNonneg(x, nonnegOpts(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +128,16 @@ func TestBitwiseRepeatable(t *testing.T) {
 
 // Results must be bitwise identical for every Parallelism value: rows are
 // independent and all reductions run in fixed block order.
-func TestParallelismInvariant(t *testing.T) {
-	x := testTensor()
-	base, err := Solve(x, solveOpts())
+func TestNonnegParallelismInvariant(t *testing.T) {
+	x := nonnegTensor()
+	base, err := solveNonneg(x, nonnegOpts(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8} {
-		o := solveOpts()
+		o := nonnegOpts()
 		o.Parallelism = w
-		got, err := Solve(x, o)
+		got, err := solveNonneg(x, o, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +147,11 @@ func TestParallelismInvariant(t *testing.T) {
 
 // A checkpointed run resumed mid-solve must follow the original trajectory
 // bitwise: (lambda, factors, inner pass count) fully determine the rest.
-func TestResumeBitwise(t *testing.T) {
-	x := testTensor()
-	full := solveOpts()
+func TestNonnegResumeBitwise(t *testing.T) {
+	x := nonnegTensor()
+	full := nonnegOpts()
 	full.MaxIters = 8
-	want, err := Solve(x, full)
+	want, err := solveNonneg(x, full, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +164,7 @@ func TestResumeBitwise(t *testing.T) {
 		saved = cp
 		return nil
 	}
-	if _, err := Solve(x, head); err != nil {
+	if _, err := solveNonneg(x, head, 3); err != nil {
 		t.Fatal(err)
 	}
 	var savedIter int
@@ -134,15 +178,14 @@ func TestResumeBitwise(t *testing.T) {
 
 	tail := full
 	tail.Restore(saved)
-	tail.InitState = savedState
-	got, err := Solve(x, tail)
+	got, err := solveNonneg(x, tail, savedState.InnerIters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireBitwise(t, want, got)
 }
 
-func requireBitwise(t *testing.T, a, b *cpals.Result) {
+func requireBitwise(t *testing.T, a, b *Result) {
 	t.Helper()
 	if len(a.Lambda) != len(b.Lambda) {
 		t.Fatalf("lambda lengths differ")
@@ -166,6 +209,16 @@ func requireBitwise(t *testing.T, a, b *cpals.Result) {
 			if math.Float64bits(fa.Data[i]) != math.Float64bits(fb.Data[i]) {
 				t.Fatalf("factor %d element %d differs: %v vs %v", n, i, fa.Data[i], fb.Data[i])
 			}
+		}
+	}
+}
+
+// A nonnegative rule with no inner pass would leave every row as it is: an
+// error, not a solve that never moves.
+func TestNonnegRuleNeedsAnInnerPass(t *testing.T) {
+	for _, inner := range []int{0, -1} {
+		if _, err := solveNonneg(nonnegTensor(), nonnegOpts(), inner); err == nil {
+			t.Errorf("Inner %d: no error", inner)
 		}
 	}
 }

@@ -4,19 +4,31 @@ import "cstf/internal/la"
 
 // Rule is how a mode update turns M into factor rows. The zero Rule is
 // least squares, Algorithm 1's row solve A_n = M * pinv(V) with V the
-// Hadamard of the other modes' grams. Nonneg selects nonnegative CP by
-// column-wise coordinate descent (internal/ntf): each row solves
+// Hadamard of the other modes' grams. Nonneg selects nonnegative CP (the
+// ncp algorithm) by column-wise saturating coordinate descent: each row
+// solves
 //
 //	min_{u_i >= 0}  0.5 * u_i V u_i^T - u_i . m_i
 //
 // by cycling the coordinates in fixed order and clipping each exact
 // single-coordinate minimizer at the zero bound, Inner passes at most.
 // Elements pinned at zero whose partial gradient points into the constraint
-// are SATURATED: later passes of the same row problem skip them. The first
-// pass checks every coordinate, so the saturation flags live for one row
-// problem and the rule carries no state between updates. Rows are
-// independent and the coordinate order is fixed, so both rules are bitwise
-// worker-count-invariant.
+// are SATURATED: later passes of the same row problem skip them (on
+// implicit-feedback tensors most are, and the factors come out mostly
+// sparse). The first pass checks every coordinate, so the saturation flags
+// live for one row problem and the rule carries no state between updates;
+// a checkpoint records Inner (ckpt.File.NTF), which a resume must reuse.
+//
+// Determinism: for a fixed seed the factors are bitwise identical across
+// runs and across Parallelism values under either rule. Rows are
+// independent, the coordinate order inside a row is fixed, and every
+// cross-row reduction (norms, grams, fits) runs in fixed block order.
+//
+// Monotonicity of the nonnegative rule: every coordinate update is the
+// exact minimizer of a convex quadratic along that coordinate projected
+// onto [0, inf), and a skipped (saturated) update leaves the objective
+// unchanged, so the reconstruction error is non-increasing — and the fit
+// non-decreasing — after every completed sweep.
 //
 // A Rule is a plain value, not a closure, so it can travel as a task
 // parameter.

@@ -11,7 +11,6 @@ import (
 
 	"cstf/internal/chaos"
 	"cstf/internal/cpals"
-	"cstf/internal/ntf"
 	"cstf/internal/rals"
 	"cstf/internal/tensor"
 )
@@ -60,14 +59,11 @@ func sameBits(t *testing.T, label string, want, got *cpals.Result) {
 // TestDistBitwiseMatchesSerial is the PR 1 determinism guarantee extended
 // over the wire: 1, 2, and 4 distributed workers all reproduce the serial
 // solver bit for bit on a planted-rank tensor, under the least-squares
-// update and under ntf's nonnegative one.
+// update and under the nonnegative one.
 func TestDistBitwiseMatchesSerial(t *testing.T) {
 	x := plantedTensor()
 	opts := solveOpts()
-	nonneg, err := (&ntf.Options{Options: opts}).Update(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nonneg := cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: 3}}
 	for _, u := range []cpals.Update{{}, nonneg} {
 		want, err := cpals.SolveWith(x, opts, u)
 		if err != nil {

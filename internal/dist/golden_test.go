@@ -10,7 +10,6 @@ import (
 
 	"cstf/internal/chaos"
 	"cstf/internal/cpals"
-	"cstf/internal/ntf"
 )
 
 // resultHash is the FNV-64a hash of a result's lambda, factors and fits, the
@@ -61,17 +60,14 @@ func TestSampledKillGoldenHash(t *testing.T) {
 }
 
 // TestExactKillGoldenHash pins the exact tiers with a worker killed by
-// hash: for the least-squares update and ntf's nonnegative one, over three
+// hash: for the least-squares update and the nonnegative one, over three
 // workers, once with a chaos NodeCrash before stage 2 and once with a kill
 // while stage 2's tasks are in flight, the run must land on the hash of
 // cpals.SolveWith with the same update locally.
 func TestExactKillGoldenHash(t *testing.T) {
 	x := plantedTensor()
 	opts := solveOpts()
-	nonneg, err := (&ntf.Options{Options: opts}).Update(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nonneg := cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: 3}}
 	updates := []struct {
 		name, want string
 		u          cpals.Update

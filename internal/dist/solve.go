@@ -17,7 +17,7 @@ import (
 // the MTTKRPs, so the result is bitwise identical to the local COO kernel's
 // (the CSF kernel's under Config.UseCSF) for every worker count and every
 // task placement, including placements forced by worker deaths. The
-// options are validated here; the tier's own (rals, ntf) by its Update.
+// options are validated here; the tier's own by whatever built its Update.
 //
 // Without a Sampler, the tensor's shards ship once, at session start, and
 // each factor update reaches a worker as a delta of the rows its shards

@@ -327,9 +327,9 @@ func fleetReloadDrill(p Params, cfg FleetBenchConfig, path string) (*FleetReload
 		defer wg.Done()
 		st = serve.RunLoad(ctx, rt, fleetLoadOptions(cfg, 1<<20, p.Seed+999))
 	}()
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // ramp: the load is running before the reload starts
 	rollErr := rt.RollingReload(context.Background())
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // the load keeps running on the reloaded fleet
 	cancel()
 	wg.Wait()
 	if rollErr != nil {

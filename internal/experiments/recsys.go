@@ -13,7 +13,6 @@ import (
 	"cstf/internal/cpals"
 	"cstf/internal/fleet"
 	"cstf/internal/la"
-	"cstf/internal/ntf"
 	"cstf/internal/rank"
 	"cstf/internal/rng"
 	"cstf/internal/serve"
@@ -181,16 +180,19 @@ func RecsysBenchWith(p Params, cfg RecsysBenchConfig) (*RecsysReport, error) {
 		TrainIters: cfg.TrainIters, K: cfg.K, Replicas: cfg.Replicas,
 	}
 
-	ncpOpts := ntf.Options{Options: cpals.Options{Rank: r, MaxIters: cfg.TrainIters, Seed: p.Seed}}
+	// ncp: the shared mode update under the nonnegative rule, three
+	// coordinate-descent passes per row problem.
+	ncpOpts := cpals.Options{Rank: r, MaxIters: cfg.TrainIters, Seed: p.Seed}
+	ncp := cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: 3}}
 	benchSettle()
 	start := time.Now()
-	ncpRes, err := ntf.Solve(base, ncpOpts)
+	ncpRes, err := cpals.SolveWith(base, ncpOpts, ncp)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: recsys ncp training failed: %w", err)
 	}
 	rep.NCPTrainMs = time.Since(start).Seconds() * 1e3
 	rep.NCPFit = ncpRes.Fit()
-	repeat, err := ntf.Solve(base, ncpOpts)
+	repeat, err := cpals.SolveWith(base, ncpOpts, ncp)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +298,7 @@ func RecsysBenchWith(p Params, cfg RecsysBenchConfig) (*RecsysReport, error) {
 				if time.Now().After(deadline) {
 					return nil, fmt.Errorf("experiments: replica %s never reloaded to v%d", rp.Name, ver)
 				}
-				time.Sleep(2 * time.Millisecond)
+				time.Sleep(2 * time.Millisecond) // poll: each replica's watcher reloads on its own ticker
 			}
 		}
 		lagMs := time.Since(start).Seconds() * 1e3

@@ -150,7 +150,7 @@ func ServeBenchWith(p Params, cfg ServeBenchConfig) (*ServeReport, error) {
 				if time.Now().After(deadline) {
 					return nil, fmt.Errorf("experiments: watcher never reloaded the overwritten checkpoint")
 				}
-				time.Sleep(2 * time.Millisecond)
+				time.Sleep(2 * time.Millisecond) // poll: the watcher reloads on its own ticker
 			}
 		}
 	}

@@ -200,7 +200,7 @@ func StreamBenchWith(p Params, cfg StreamBenchConfig) (*StreamReport, error) {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("experiments: server never reloaded to v%d (at %d)", pub.Version(), s.Model().Iter)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // poll: the watcher reloads on its own ticker
 	}
 	st := s.Stats()
 	rep.ServerReloads = st.Reloads

@@ -24,11 +24,11 @@ type client struct {
 	http *http.Client
 }
 
-func newClient(baseURL string, timeout time.Duration) *client {
+func newClient(baseURL string, timeout time.Duration, tr *http.Transport) *client {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	return &client{base: baseURL, http: &http.Client{Timeout: timeout}}
+	return &client{base: baseURL, http: &http.Client{Timeout: timeout, Transport: tr}}
 }
 
 // replicaError is a failure reported by (or while reaching) a replica.

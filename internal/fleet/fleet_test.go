@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -371,6 +372,46 @@ func TestRouterTopKExcludeMatchesSingleNode(t *testing.T) {
 					t.Fatalf("shard=%v trial %d: result %d = %+v want %+v", shard, trial, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// Router.Close must leave no goroutine behind: not the prober, not the
+// connections its queries and probes opened to the replicas (whose
+// goroutines live on both ends, in this process).
+func TestRouterCloseLeavesNoGoroutines(t *testing.T) {
+	path := writeCheckpoint(t, t.TempDir(), 3, 4, 1, 60, 50, 40)
+	// One scan worker per replica: its dispatcher starts no helper that
+	// could come up after the baseline.
+	lf, err := StartLocal(2, func(int) (*serve.Model, error) {
+		return serve.LoadCheckpoint(path)
+	}, serve.Config{Workers: 1}, serve.HandlerConfig{ReloadPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	for _, shard := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		rt, err := New(Config{Replicas: lf.Configs(), Shard: shard, ProbeInterval: time.Millisecond,
+			Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < 8; row++ {
+			if _, err := rt.Rank(context.Background(), topK(1, 0, row, 5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.Close()
+		// Goroutines unwind after Close returns (a replica's connection
+		// handler sees the closed socket): poll.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond) // a poll interval, not a wait for an event
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("shard=%v: %d goroutines before, %d after Close:\n%s", shard, base, n, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

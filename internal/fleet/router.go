@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,7 @@ type Router struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 	done      sync.WaitGroup
+	tr        *http.Transport // the members' connections, closed by Close
 }
 
 // New builds a router over cfg.Replicas, waits (under cfg.Retry) for at
@@ -102,7 +104,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
 	}
-	rt := &Router{cfg: cfg, closed: make(chan struct{})}
+	rt := &Router{cfg: cfg, closed: make(chan struct{}), tr: http.DefaultTransport.(*http.Transport).Clone()}
 	seen := map[string]bool{}
 	for _, r := range cfg.Replicas {
 		if r.Name == "" || r.URL == "" {
@@ -112,7 +114,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("fleet: duplicate replica name %q", r.Name)
 		}
 		seen[r.Name] = true
-		rt.members = append(rt.members, &member{name: r.Name, url: r.URL, c: newClient(r.URL, cfg.Timeout)})
+		rt.members = append(rt.members, &member{name: r.Name, url: r.URL, c: newClient(r.URL, cfg.Timeout, rt.tr)})
 	}
 	sort.Slice(rt.members, func(a, b int) bool { return rt.members[a].name < rt.members[b].name })
 
@@ -170,10 +172,12 @@ func (rt *Router) probeTimeout() time.Duration {
 	return 2 * time.Second
 }
 
-// Close stops the prober. It does not touch the replicas.
+// Close stops the prober and closes the router's idle connections to the
+// replicas. It does not touch the replicas.
 func (rt *Router) Close() {
 	rt.closeOnce.Do(func() { close(rt.closed) })
 	rt.done.Wait()
+	rt.tr.CloseIdleConnections()
 }
 
 // Dims returns the fleet's mode sizes (Querier surface).

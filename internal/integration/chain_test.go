@@ -17,7 +17,6 @@ import (
 	"cstf/internal/dist"
 	"cstf/internal/fleet"
 	"cstf/internal/la"
-	"cstf/internal/ntf"
 	"cstf/internal/serve"
 	"cstf/internal/stream"
 	"cstf/internal/tensor"
@@ -90,11 +89,11 @@ func TestChainGoldenHash(t *testing.T) {
 			return cpals.Solve(base, o)
 		}},
 		{"ncp", "648832cb913c4e64", func(o cpals.Options, cp *ckpt.File) (*cpals.Result, error) {
-			no := ntf.Options{Options: o}
+			inner := 3
 			if cp != nil {
-				no.InitState = cp.NTF
+				inner = cp.NTF.InnerIters
 			}
-			return ntf.Solve(base, no)
+			return cpals.SolveWith(base, o, cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: inner}})
 		}},
 	}
 	for _, c := range cases {

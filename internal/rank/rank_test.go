@@ -5,7 +5,6 @@ import (
 
 	"cstf/internal/cpals"
 	"cstf/internal/la"
-	"cstf/internal/ntf"
 	"cstf/internal/rng"
 	"cstf/internal/serve"
 	"cstf/internal/tensor"
@@ -98,7 +97,8 @@ func TestPlantedModelBeatsPopularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ntf.Solve(train, ntf.Options{Options: cpals.Options{Rank: 3, MaxIters: 15, Seed: 21, Parallelism: 0}})
+	res, err := cpals.SolveWith(train, cpals.Options{Rank: 3, MaxIters: 15, Seed: 21, Parallelism: 0},
+		cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

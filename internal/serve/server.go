@@ -332,7 +332,7 @@ func (s *Server) Close() {
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	for s.inflight.Load() != 0 {
-		time.Sleep(200 * time.Microsecond)
+		time.Sleep(200 * time.Microsecond) // a poll interval: no event marks the last answer
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -457,5 +458,38 @@ func TestReloadFallsBackToRetainedVersion(t *testing.T) {
 	}
 	if s.Stats().ReloadErrors != 1 {
 		t.Fatalf("exhausted fallback not counted as error: %+v", s.Stats())
+	}
+}
+
+// Close must leave no goroutine behind: not the dispatcher, not the
+// executor's scan workers, not a watcher whose context is never cancelled.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := New(randModel(t, 42, 3, 400, 300, 200), Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Watch(context.Background(), filepath.Join(t.TempDir(), "model.ckpt"), time.Millisecond)
+	var wg sync.WaitGroup
+	for row := 0; row < 16; row++ {
+		wg.Add(1)
+		go func(row int) {
+			defer wg.Done()
+			if _, err := s.TopK(context.Background(), 0, 1, row, 5); err != nil {
+				t.Error(err)
+			}
+		}(row)
+	}
+	wg.Wait()
+	s.Close()
+	// Goroutines unwind after Close returns (a scan worker sees its closed
+	// channel and exits): poll.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond) // a poll interval, not a wait for an event
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before, %d after Close:\n%s", base, n, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,5 +224,67 @@ func appendTNS(t *testing.T, path string, x *tensor.COO) {
 	defer f.Close()
 	if err := tensor.WriteTNS(f, x); err != nil {
 		t.Error(err)
+	}
+}
+
+// Run must leave no goroutine behind once it returns — not its feeder —
+// whether it stops at MaxWindows or on a cancelled context while the
+// feeder polls an idle tail.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	dims := []int{20, 15, 10}
+	x := tensor.GenLowRank(5, 1500, 2, 0, dims...)
+	logPath := filepath.Join(t.TempDir(), "events.tns")
+	if err := tensor.SaveTNSFile(logPath, x); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cpals.Solve(x, cpals.Options{Rank: 2, MaxIters: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func() (Source, context.Context, context.CancelFunc, error){
+		"max windows": func() (Source, context.Context, context.CancelFunc, error) {
+			src, err := NewSynthetic(SyntheticConfig{Seed: 5, Dims: dims, Rank: 2, Total: 1000})
+			ctx, cancel := context.WithCancel(context.Background())
+			return src, ctx, cancel, err
+		},
+		"cancelled": func() (Source, context.Context, context.CancelFunc, error) {
+			src, err := NewTail(logPath, true) // nothing is appended: the feeder polls
+			if err == nil {
+				t.Cleanup(func() { src.Close() })
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			return src, ctx, cancel, err
+		},
+	}
+	for name, start := range runs {
+		base := runtime.NumGoroutine()
+		src, ctx, cancel, err := start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := NewUpdaterFromResult(x, res, 5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPipeline(src, u, nil, Config{WindowSize: 100, MaxWait: time.Millisecond,
+			PollInterval: time.Millisecond, MaxWindows: 2, Queue: QueueConfig{Depth: 256}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.Run(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The feeder exits after Run returns (it sees the closed queue or
+		// the cancelled context on its next step): poll.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond) // a poll interval, not a wait for an event
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines before, %d after Run:\n%s", name, base, n, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

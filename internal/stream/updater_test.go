@@ -7,7 +7,6 @@ import (
 
 	"cstf/internal/cpals"
 	"cstf/internal/la"
-	"cstf/internal/ntf"
 	"cstf/internal/tensor"
 )
 
@@ -259,7 +258,8 @@ func ncpStream(t *testing.T, inner int) (*Updater, []tensor.Entry) {
 			base.Entries = append(base.Entries, e)
 		}
 	}
-	res, err := ntf.Solve(base, ntf.Options{Options: cpals.Options{Rank: 4, MaxIters: 10, Seed: 3}, InnerIters: inner})
+	res, err := cpals.SolveWith(base, cpals.Options{Rank: 4, MaxIters: 10, Seed: 3},
+		cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: inner}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func ncpStream(t *testing.T, inner int) (*Updater, []tensor.Entry) {
 // full sweeps run the rule that trained it, so no factor entry or weight
 // turns negative.
 func TestNCPStreamStaysNonnegative(t *testing.T) {
-	u, rest := ncpStream(t, 0)
+	u, rest := ncpStream(t, 3)
 	check := func(stage string) {
 		t.Helper()
 		for c, v := range u.Lambda() {
@@ -347,7 +347,7 @@ func TestWindowKeepsUntouchedCoordinates(t *testing.T) {
 			var res *cpals.Result
 			var err error
 			if nonneg {
-				res, err = ntf.Solve(base, ntf.Options{Options: o})
+				res, err = cpals.SolveWith(base, o, cpals.Update{Rule: cpals.Rule{Nonneg: true, Inner: 3}})
 			} else {
 				res, err = cpals.Solve(base, o)
 			}

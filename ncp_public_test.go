@@ -2,6 +2,7 @@ package cstf_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cstf"
@@ -118,5 +119,16 @@ func TestNCPChaosRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("ncp + chaos did not fail")
+	}
+}
+
+// NTF.InnerIters 0 selects the default pass count; a negative count is an
+// error, not the default.
+func TestNCPRejectsNegativeInnerIters(t *testing.T) {
+	_, err := cstf.Decompose(apiTestTensor(), cstf.Options{
+		Algorithm: cstf.NCP, Rank: 2, MaxIters: 2, NTF: cstf.NTFOptions{InnerIters: -1},
+	})
+	if err == nil || !strings.Contains(err.Error(), "InnerIters") {
+		t.Fatalf("InnerIters -1: error %v, want one naming InnerIters", err)
 	}
 }
