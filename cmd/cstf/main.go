@@ -314,7 +314,13 @@ func writeFactor(path string, f *cstf.Matrix) error {
 	return out.Close()
 }
 
+// fatal prints err behind one "cstf: " prefix (the library's errors
+// already carry it) and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cstf:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "cstf: ") {
+		msg = "cstf: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

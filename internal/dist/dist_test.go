@@ -120,33 +120,39 @@ func TestDistBitwiseThroughFlush(t *testing.T) {
 // TestChaosKillSurvives injects a NodeCrash through the chaos plan: a real
 // worker connection is severed at a stage boundary mid-iteration, the
 // coordinator re-homes its ranges (re-shipping shards), and the result is
-// still bitwise identical to the serial run.
+// still bitwise identical to the serial run, with COO workers and with
+// CSF workers (against the serial CSF solver).
 func TestChaosKillSurvives(t *testing.T) {
 	x := plantedTensor()
-	opts := solveOpts()
-	want, err := cpals.Solve(x, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := StartInProcess(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cfg := c.Config()
-	// Stage 2 is iteration 0's mode-1 MTTKRP (one stage per MTTKRP), so
-	// the kill lands mid-iteration with factors in flight.
-	cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
-	got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "after chaos kill", want, got)
-	if stats.WorkerDeaths != 1 || stats.WorkersAlive != 2 {
-		t.Fatalf("want exactly one dead worker, got %+v", stats)
-	}
-	if stats.ShardResends == 0 {
-		t.Fatalf("dead worker's shards were never re-shipped: %+v", stats)
+	for _, csf := range []bool{false, true} {
+		opts := solveOpts()
+		opts.CSFKernel = csf
+		want, err := cpals.Solve(x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := StartInProcess(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.Config()
+		cfg.UseCSF = csf
+		// Stage 2 is iteration 0's mode-1 MTTKRP (one stage per MTTKRP), so
+		// the kill lands mid-iteration with factors in flight.
+		cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
+		got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("after chaos kill, csf %v", csf)
+		sameBits(t, label, want, got)
+		if stats.WorkerDeaths != 1 || stats.WorkersAlive != 2 {
+			t.Fatalf("%s: want exactly one dead worker, got %+v", label, stats)
+		}
+		if stats.ShardResends == 0 {
+			t.Fatalf("%s: dead worker's shards were never re-shipped: %+v", label, stats)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestToggleMatrixBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := c.Config()
-		cfg.NoDelta = cb.noDelta
+		cfg.noDelta = cb.noDelta
 		got, stats, err := Solve(x, opts, cpals.Update{}, cfg)
 		c.Close()
 		if err != nil {

@@ -30,20 +30,17 @@ type Config struct {
 	// a nil entry falls back to severing the connection.
 	Kills []func() error
 
-	// NoDelta disables delta factor broadcasts: every mode-iteration ships
-	// full factor matrices to every worker, the pre-v2 behavior. Kept for
-	// A/B benchmarking (cstf-bench -exp dist); results are bitwise identical
-	// either way.
-	NoDelta bool
+	// noDelta disables delta factor broadcasts: every mode-iteration ships
+	// full factor matrices to every worker. Solve sets it for a Sampler,
+	// whose modes touch an epoch-varying row subset; results are bitwise
+	// identical either way.
+	noDelta bool
 
 	// UseCSF makes workers run PartialMTTKRP with the SPLATT CSF kernel on
 	// their shards. The run is then bitwise identical to the single-process
 	// CSF solver (cpals CSFKernel), NOT to the COO reference — the factored
 	// fiber arithmetic evaluates the same sums in a different order.
 	UseCSF bool
-
-	// DialTimeout bounds each worker dial attempt (default 5s).
-	DialTimeout time.Duration
 
 	// Retry is the shared backoff schedule: initial dials retry under it
 	// (a worker whose listener comes up late still joins), dead workers
@@ -72,13 +69,6 @@ type Config struct {
 	// checkpoint file, simulating a crash mid-write. Test/bench only.
 	OnTornWrite func(iter int)
 
-	// HeartbeatEvery is the ping cadence (default 250ms).
-	HeartbeatEvery time.Duration
-
-	// HeartbeatTimeout is how long a worker may go silent before it is
-	// declared dead (default 10*HeartbeatEvery).
-	HeartbeatTimeout time.Duration
-
 	// Plan, when non-nil, schedules faults against the session's stage
 	// clock. A stage is one MTTKRP round, so an iteration over an order-N
 	// tensor is N stages and stage 1 is iteration 0's mode-0 MTTKRP. Every
@@ -97,18 +87,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = 250 * time.Millisecond
-	}
-	if c.HeartbeatTimeout == 0 {
-		c.HeartbeatTimeout = 10 * c.HeartbeatEvery
-	}
-	return c
-}
+const (
+	dialTimeout      = 5 * time.Second        // bounds each worker dial attempt and handshake
+	heartbeatEvery   = 250 * time.Millisecond // ping cadence
+	heartbeatTimeout = 10 * heartbeatEvery    // silence after which a worker is declared dead
+)
 
 // Stats are the REAL measurements of a distributed run — wall clock and
 // bytes moved over sockets — kept deliberately separate from the modeled
@@ -120,7 +103,6 @@ type Stats struct {
 	BytesSent     int64   // bytes written to worker sockets
 	BytesRecv     int64   // bytes read from worker sockets
 	Stages        int     // MTTKRP rounds run on the fleet
-	Tasks         int     // tasks dispatched (including reassignments)
 	WorkerDeaths  int     // workers lost (timeout, socket error, or kill)
 	Reassignments int     // tasks re-dispatched after a worker death
 	ShardResends  int     // shards re-shipped to a substitute worker
@@ -132,7 +114,6 @@ type Stats struct {
 	ShardBytes  int64 // nonzero shards shipped at session start + resends
 	FactorBytes int64 // factor state shipped: full broadcasts, deltas, resyncs
 	DeltaFrames int   // FactorDelta frames sent
-	DeltaRows   int64 // factor rows carried by those frames
 	Resyncs     int   // full-factor resyncs forced by task reassignment
 
 	// Phases splits WallSeconds by what the solver goroutine was doing.
@@ -341,7 +322,6 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // resident tensor (the source of shards and re-sends); rank is the
 // decomposition rank.
 func NewSession(t *tensor.COO, rank int, cfg Config) (*Session, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("dist: no worker addresses")
 	}
@@ -381,7 +361,7 @@ func NewSession(t *tensor.COO, rank int, cfg Config) (*Session, error) {
 // still joins). Safe to call off the solver goroutine: it touches only
 // immutable session state and atomics.
 func (s *Session) connect(slot int, addr string) (*remote, error) {
-	conn, err := DialRetry(addr, s.cfg.DialTimeout, s.cfg.Retry, s.closed)
+	conn, err := DialRetry(addr, dialTimeout, s.cfg.Retry, s.closed)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +407,7 @@ func (s *Session) connect(slot int, addr string) (*remote, error) {
 		conn.Close()
 		return nil, err
 	}
-	conn.SetReadDeadline(time.Now().Add(s.cfg.DialTimeout))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	mt, payload, err := ReadFrame(r.br)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
@@ -602,7 +582,7 @@ func (s *Session) readLoop(r *remote) {
 }
 
 func (s *Session) heartbeat(r *remote) {
-	tick := time.NewTicker(s.cfg.HeartbeatEvery)
+	tick := time.NewTicker(heartbeatEvery)
 	defer tick.Stop()
 	var seq uint64
 	for {
@@ -626,7 +606,7 @@ func (s *Session) heartbeat(r *remote) {
 			continue
 		}
 		silent := time.Since(time.Unix(0, r.lastPong.Load()))
-		if silent > s.cfg.HeartbeatTimeout {
+		if silent > heartbeatTimeout {
 			s.markDead(r, fmt.Sprintf("heartbeat timeout (%v silent)", silent.Round(time.Millisecond)))
 			return
 		}
@@ -736,7 +716,7 @@ func (s *Session) Close() {
 func (s *Session) shipShards(ranges [][]tensor.NNZRange) {
 	order := s.t.Order()
 	W := len(s.remotes)
-	if !s.cfg.NoDelta {
+	if !s.cfg.noDelta {
 		for _, r := range s.remotes {
 			r.touched = make([]bitset, order)
 			for m := range r.touched {
@@ -766,7 +746,7 @@ func (s *Session) shipShards(ranges [][]tensor.NNZRange) {
 			}
 		}
 	}
-	if s.cfg.NoDelta {
+	if s.cfg.noDelta {
 		return
 	}
 	// Freeze pristine copies before any death merges widen the live sets:
@@ -809,7 +789,7 @@ func (s *Session) FactorUpdate(mode int, m *la.Dense) {
 		if !r.alive.Load() {
 			continue
 		}
-		if s.cfg.NoDelta || r.prev == nil {
+		if s.cfg.noDelta || r.prev == nil {
 			if s.enqueue(r, MsgFactor, encodeFull()) == nil {
 				s.stats.FactorBytes += int64(len(full))
 			}
@@ -848,7 +828,6 @@ func (s *Session) FactorUpdate(mode int, m *la.Dense) {
 		payload := EncodeFactorDelta(fd)
 		if s.enqueue(r, MsgFactorDelta, payload) == nil {
 			s.stats.DeltaFrames++
-			s.stats.DeltaRows += int64(len(idxs))
 			s.stats.FactorBytes += int64(len(payload))
 			for _, i := range idxs {
 				copy(prev.Row(i), m.Row(i))
@@ -867,7 +846,7 @@ func (s *Session) FactorUpdate(mode int, m *la.Dense) {
 // before its sets were widened, and the contract is that a delta is only
 // sent against state the worker is known to hold.
 func (s *Session) ensureCurrent(r *remote, mode int, m *la.Dense) error {
-	if s.cfg.NoDelta {
+	if s.cfg.noDelta {
 		return nil // every live worker already got the full broadcast
 	}
 	if prev := r.prev[mode]; prev != nil && prev.Rows == m.Rows && prev.Cols == m.Cols {
@@ -970,7 +949,6 @@ func (s *Session) dispatch(st *stageTask) error {
 			}
 			return err
 		}
-		s.stats.Tasks++
 		return nil
 	}
 }

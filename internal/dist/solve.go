@@ -27,7 +27,7 @@ import (
 // kernel accumulates each output row in the contracted tensor's stable
 // mode-index order however its entries are partitioned. A sampled mode
 // touches an epoch-varying row subset, so factors go by full broadcast
-// (NoDelta) and the workers run the COO kernel (not UseCSF).
+// (noDelta) and the workers run the COO kernel (not UseCSF).
 //
 // The returned Stats are real measurements (wall clock, bytes on sockets),
 // populated even when the solve fails partway. Fleet collapse degrades the
@@ -38,7 +38,7 @@ func Solve(t *tensor.COO, opts cpals.Options, u cpals.Update, cfg Config) (*cpal
 		return nil, Stats{}, err
 	}
 	if u.Sampler != nil {
-		cfg.NoDelta = true
+		cfg.noDelta = true
 		cfg.UseCSF = false
 	}
 	start := time.Now()
@@ -115,7 +115,7 @@ func (k *remoteSource) lapLocal() {
 }
 
 // FactorUpdated ships the updated factor to the fleet — a delta of the rows
-// each worker reads, or the full matrix under NoDelta — and records it for
+// each worker reads, or the full matrix under noDelta — and records it for
 // rejoin resyncs.
 func (k *remoteSource) FactorUpdated(mode int, f *la.Dense) {
 	k.lapLocal()

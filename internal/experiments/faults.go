@@ -3,8 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -362,4 +365,39 @@ func RenderFaultsBench(r *FaultsReport) string {
 	}
 	fmt.Fprintf(&b, "all bitwise-identical to serial: %v\n", r.AllExact)
 	return b.String()
+}
+
+// benchSettle reduces run-to-run interference between timed rows.
+func benchSettle() {
+	runtime.GC()
+	debug.FreeOSMemory()
+}
+
+// bitwiseEqual compares two CP results bit for bit: lambda, factors, fits.
+func bitwiseEqual(a, b *cpals.Result) bool {
+	if len(a.Lambda) != len(b.Lambda) || len(a.Factors) != len(b.Factors) || len(a.Fits) != len(b.Fits) {
+		return false
+	}
+	for i := range a.Lambda {
+		if math.Float64bits(a.Lambda[i]) != math.Float64bits(b.Lambda[i]) {
+			return false
+		}
+	}
+	for i := range a.Fits {
+		if math.Float64bits(a.Fits[i]) != math.Float64bits(b.Fits[i]) {
+			return false
+		}
+	}
+	for n := range a.Factors {
+		fa, fb := a.Factors[n], b.Factors[n]
+		if fa.Rows != fb.Rows || fa.Cols != fb.Cols {
+			return false
+		}
+		for i := range fa.Data {
+			if math.Float64bits(fa.Data[i]) != math.Float64bits(fb.Data[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }

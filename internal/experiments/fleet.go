@@ -46,7 +46,7 @@ type FleetBenchConfig struct {
 	K             int
 }
 
-// DefaultFleetBenchConfig returns the `cstf-bench -exp serve` fleet sizing:
+// DefaultFleetBenchConfig returns the `cstf-bench -exp fleet` sizing:
 // a model whose full-mode scan is milliseconds (so cache misses are
 // expensive), a working set ~3x one replica's cache (so capacity is the
 // bottleneck at N=1), and cache capacity that covers the working set by
@@ -98,7 +98,8 @@ type FleetReloadDrill struct {
 	Reloaded int `json:"reloaded"` // replicas rolled — must equal Replicas
 }
 
-// FleetReport is the fleet section of BENCH_serve.json.
+// FleetReport is the machine-readable result of FleetBench
+// (results/BENCH_fleet.json).
 type FleetReport struct {
 	Dims       []int            `json:"dims"`
 	Rank       int              `json:"rank"`

@@ -8,7 +8,7 @@ import (
 // A shrunken FleetBench must complete every phase with zero failed
 // queries, report a measured recall on approx rows, and roll a reload
 // across the whole fleet without drops — the same invariants
-// `cstf-bench -exp serve` enforces at full size.
+// `cstf-bench -exp fleet` enforces at full size.
 func TestFleetBenchSmall(t *testing.T) {
 	p := DefaultParams()
 	cfg := FleetBenchConfig{

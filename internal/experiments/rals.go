@@ -42,20 +42,19 @@ type RALSBenchConfig struct {
 	MaxTimeRatio float64
 }
 
-// DefaultRALSBenchConfig returns the report sizing: the compute-regime
-// tensor of the distributed benchmark, swept over sample fractions with a
+// DefaultRALSBenchConfig returns the report sizing: a 4-mode tensor of
+// dense blocks (the compute regime), swept over sample fractions with a
 // short exact polish.
 func DefaultRALSBenchConfig() RALSBenchConfig {
-	d := ComputeDistBenchConfig()
 	return RALSBenchConfig{
-		Dims:        d.Dims,
-		NNZ:         d.NNZ,
-		TrueRank:    d.TrueRank,
-		Rank:        d.Rank,
-		Block:       d.Block,
-		Noise:       d.Noise,
-		GenSeed:     d.GenSeed,
-		Iters:       d.Iters,
+		Dims:        []int{600, 500, 400, 300},
+		NNZ:         500000,
+		TrueRank:    4,
+		Rank:        16,
+		Block:       10,
+		Noise:       0.01,
+		GenSeed:     11,
+		Iters:       40,
 		Fractions:   []float64{0.02, 0.05, 0.10, 0.15},
 		Resample:    5,
 		Polish:      6,

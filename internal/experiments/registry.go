@@ -41,9 +41,7 @@ func Experiments() []ExperimentInfo {
 		{Name: "fig5", Desc: "modeled per-mode behavior (Figure 5)", Run: runFig5},
 		{Name: "ablations", Desc: "caching, gram reuse, rank/order sweeps, resilience, partitions", Run: runAblations},
 		{Name: "faults", Desc: "crash/straggler/checkpoint sweeps on the simulated cluster (writes BENCH_faults.json)", Run: runFaults},
-		{Name: "serve", Desc: "train, checkpoint, serve, load-test the query tier (writes BENCH_serve.json)", Run: runServe},
-		{Name: "stream", Desc: "streaming ingest + incremental factor updates (writes BENCH_stream.json)", Run: runStream},
-		{Name: "dist", Desc: "real TCP workers vs single-process, bitwise-checked (writes BENCH_dist.json)", Run: runDist},
+		{Name: "fleet", Desc: "router + replica fleet: QPS scaling, recall@K, rolling reload under load (writes BENCH_fleet.json)", Run: runFleet},
 		{Name: "rals", Desc: "randomized sampled ALS vs exact across budgets, bitwise-checked (writes BENCH_rals.json)", Run: runRALS},
 		{Name: "recsys", Desc: "recommender: ncp vs cpals vs popularity, streamed updates + fleet TopK (writes BENCH_recsys.json)", Run: runRecsys},
 		// json re-runs the sweeps of table4 and fig2..fig5, so `-exp all`
@@ -173,39 +171,13 @@ func runFaults(p Params) (string, []File, error) {
 		RenderCheckpointSweep(checkpoints), RenderFaultsBench(rep)), []File{f}, err
 }
 
-func runServe(p Params) (string, []File, error) {
-	rep, err := ServeBenchWith(p, DefaultServeBenchConfig())
+func runFleet(p Params) (string, []File, error) {
+	rep, err := FleetBenchWith(p, DefaultFleetBenchConfig())
 	if err != nil {
 		return "", nil, err
 	}
-	if rep.Fleet, err = FleetBenchWith(p, DefaultFleetBenchConfig()); err != nil {
-		return "", nil, err
-	}
-	f, err := jsonFile("BENCH_serve.json", rep)
-	return lines(RenderServeBench(rep), RenderFleetBench(rep.Fleet)), []File{f}, err
-}
-
-func runStream(p Params) (string, []File, error) {
-	rep, err := StreamBenchWith(p, DefaultStreamBenchConfig())
-	if err != nil {
-		return "", nil, err
-	}
-	f, err := jsonFile("BENCH_stream.json", rep)
-	return lines(RenderStreamBench(rep)), []File{f}, err
-}
-
-func runDist(p Params) (string, []File, error) {
-	comp, err := DistBenchWith(p, ComputeDistBenchConfig())
-	if err != nil {
-		return "", nil, err
-	}
-	wire, err := DistBenchWith(p, WireDistBenchConfig())
-	if err != nil {
-		return "", nil, err
-	}
-	rep := &DistBenchReport{Compute: comp, Wire: wire, AllExact: comp.AllExact && wire.AllExact}
-	f, err := jsonFile("BENCH_dist.json", rep)
-	return lines(RenderDistBench(rep)), []File{f}, err
+	f, err := jsonFile("BENCH_fleet.json", rep)
+	return lines(RenderFleetBench(rep)), []File{f}, err
 }
 
 func runRALS(p Params) (string, []File, error) {

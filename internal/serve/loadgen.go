@@ -14,8 +14,10 @@ import (
 // (per seed) mix of queries against a Querier, each client sending its
 // next request only after the previous one completes — the standard
 // closed-loop model whose measured latency includes queueing, batching,
-// and cache effects. Used by `cstf-bench -exp serve` and the serving
-// tests; the fleet benchmark points it at a Router instead of a Server.
+// and cache effects. Used by the serving tests, `cstf-router -smoke` and
+// the fleet benchmark (`cstf-bench -exp fleet`), which point it at a Router
+// instead of a Server. One server's end-to-end QPS and latency over HTTP
+// are timed by `go run ./bench -workload serve-stream`.
 
 // Querier is the query surface RunLoad drives: a single in-process Server
 // or a fleet Router fanning the same calls out over HTTP.
@@ -33,10 +35,6 @@ type LoadOptions struct {
 	Seed     uint64  // deterministic request-stream seed
 	Predict  float64 // fraction of predict queries (default 0.2)
 	Similar  float64 // fraction of similar queries (default 0.1; rest TopK)
-	// HotRows, when in (0, 1), draws that fraction of traffic from a
-	// single hot row per mode — the skew that makes the result cache earn
-	// its keep. Default 0 (uniform rows).
-	HotRows float64
 	// WorkingSet, when positive, bounds every drawn row to [0,
 	// WorkingSet) per mode (clamped to the mode's size): the bounded
 	// universe of distinct queries that makes cache capacity — one
@@ -108,9 +106,6 @@ func RunLoad(ctx context.Context, s Querier, o LoadOptions) LoadStats {
 				kindDraw := g.Float64()
 				mode := g.Intn(order)
 				row := func(n int) int {
-					if o.HotRows > 0 && g.Float64() < o.HotRows {
-						return 0
-					}
 					d := dims[n]
 					if o.WorkingSet > 0 && o.WorkingSet < d {
 						d = o.WorkingSet

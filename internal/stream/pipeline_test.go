@@ -66,7 +66,9 @@ func TestPipelineFeedsServingHotReload(t *testing.T) {
 
 	// Stream the remaining events through the full pipeline: exactly three
 	// 500-event windows, each published, whatever the feeder's pace — the
-	// window deadline is far beyond any scheduling stall.
+	// window deadline is far beyond any scheduling stall. Every window
+	// must do work and report its published version and freshness lag.
+	var windows []WindowStats
 	p, err := NewPipeline(src, u, pub, Config{
 		WindowSize:     500,
 		MaxWait:        5 * time.Second,
@@ -74,6 +76,7 @@ func TestPipelineFeedsServingHotReload(t *testing.T) {
 		FullSweepEvery: 2,
 		MaxWindows:     3,
 		Queue:          QueueConfig{Depth: 2048, Policy: Block},
+		OnWindow:       func(ws WindowStats) { windows = append(windows, ws) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +93,15 @@ func TestPipelineFeedsServingHotReload(t *testing.T) {
 	}
 	if met.Events != 1500 {
 		t.Fatalf("processed %d events, want 1500", met.Events)
+	}
+	if len(windows) != 3 {
+		t.Fatalf("OnWindow saw %d windows, want 3", len(windows))
+	}
+	for i, ws := range windows {
+		if ws.Update.Events == 0 || ws.Update.TouchedRows == 0 || ws.Version != i+2 || ws.LagMs < 0 {
+			t.Fatalf("window %d: %d events, %d touched rows, version %d, lag %v ms; want work, version %d and a lag >= 0",
+				i, ws.Update.Events, ws.Update.TouchedRows, ws.Version, ws.LagMs, i+2)
+		}
 	}
 
 	// The watcher must pick up the final published version.
