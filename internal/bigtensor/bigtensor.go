@@ -436,10 +436,6 @@ func driverFit(t *tensor.COO, res *cpals.Result) float64 {
 	return cpals.FitFromInner(t.Norm(), inner, res.Lambda, grams)
 }
 
-// JobsPerIteration returns the number of Hadoop jobs one CP-ALS iteration
-// launches (4 MTTKRP jobs + update + gram, per mode).
-func JobsPerIteration() int { return 3 * 6 }
-
 // Metrics convenience: expose the underlying cluster for callers holding
 // only a Solver.
 func (s *Solver) Cluster() *cluster.Cluster { return s.env.C }

@@ -101,9 +101,6 @@ func TestJobAndShuffleCounts(t *testing.T) {
 	if got := env.C.Metrics().Jobs; got != 6 {
 		t.Fatalf("jobs per factor update = %d, want 6", got)
 	}
-	if JobsPerIteration() != 18 {
-		t.Fatalf("JobsPerIteration = %d", JobsPerIteration())
-	}
 }
 
 func TestHadoopSlowerThanItsOwnComputeFloor(t *testing.T) {

@@ -205,7 +205,7 @@ func SolveCOO(ctx *rdd.Context, t *tensor.COO, opts cpals.Options) (*cpals.Resul
 }
 
 // fitOf evaluates the CP fit at the end of an iteration from the last
-// MTTKRP result (see cpals.FitFrom): the inner product is a narrow
+// MTTKRP result (see cpals.FitFromWorkers): the inner product is a narrow
 // co-partitioned join, the model norm comes from fresh gram matrices.
 func fitOf(normX float64, lastM *rdd.Dataset[Row], factors []*FactorRDD, lambda []float64, rank int) float64 {
 	order := len(factors)

@@ -142,7 +142,7 @@ func collectFactor(f *FactorRDD, dim, rank int) *la.Dense {
 // innerProduct computes <X, X_hat> = sum_{i,r} M(i,r) A(i,r) lambda_r from
 // the last MTTKRP result and the factor it produced — a narrow
 // co-partitioned join plus an aggregate (the SPLATT fit trick,
-// cpals.FitFrom's distributed half).
+// cpals.FitFromWorkers' distributed half).
 func innerProduct(m *rdd.Dataset[Row], factor *FactorRDD, lambda []float64, rank int) float64 {
 	joined := rdd.Join(m, factor, func(rdd.KV[uint32, rdd.Pair[[]float64, []float64]]) int {
 		return 8 * (1 + 2*rank)

@@ -233,30 +233,9 @@ func ModelNormSq(lambda []float64, grams []*la.Dense) float64 {
 	return la.VecDot(lambda, la.MatVec(h, lambda))
 }
 
-// FitFrom computes the CP-ALS fit 1 - ||X - X_hat|| / ||X|| using the
-// standard identity
-//
-//	||X - X_hat||^2 = ||X||^2 + ||X_hat||^2 - 2 <X, X_hat>
-//	<X, X_hat>      = sum_{i,r} M(i,r) * A(i,r) * lambda_r
-//
-// where M is the MTTKRP result of the last updated mode and A that mode's
-// normalized factor. This avoids a pass over the tensor (the SPLATT trick);
-// all three quantities already exist at the end of an ALS iteration.
-func FitFrom(normX float64, lastM, lastFactor *la.Dense, lambda []float64, grams []*la.Dense) float64 {
-	inner := 0.0
-	for i := 0; i < lastM.Rows; i++ {
-		mrow := lastM.Row(i)
-		arow := lastFactor.Row(i)
-		for r := range mrow {
-			inner += mrow[r] * arow[r] * lambda[r]
-		}
-	}
-	return FitFromInner(normX, inner, lambda, grams)
-}
-
 // FitFromInner finishes the fit computation once <X, X_hat> is known. Every
 // fit in the repository ends here, whichever pass computed the inner
-// product: the last MTTKRP (FitFrom, FitFromWorkers), a join (core) or a
+// product: the last MTTKRP (FitFromWorkers), a join (core) or a
 // pass over the nonzeros (rals, bigtensor, stream).
 func FitFromInner(normX, inner float64, lambda []float64, grams []*la.Dense) float64 {
 	modelSq := ModelNormSq(lambda, grams)

@@ -279,7 +279,7 @@ func TestFitFromPerfectModel(t *testing.T) {
 	m := MTTKRP(x, 2, factors)
 	// Scale M rows as CP-ALS would have just before normalization: the
 	// "last factor" here is already normalized, so M corresponds directly.
-	fit := FitFrom(x.Norm(), m, factors[2], lambda, grams)
+	fit := FitFromWorkers(x.Norm(), m, factors[2], lambda, grams, 1)
 	if math.Abs(fit-1) > 1e-9 {
 		t.Fatalf("fit of exact model = %v, want 1", fit)
 	}

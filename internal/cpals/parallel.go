@@ -130,8 +130,16 @@ func mttkrpCSFInto(csf *tensor.CSF, factors []*la.Dense, workers int, out *la.De
 	})
 }
 
-// FitFromWorkers is FitFrom with the <X, X_hat> inner product computed as a
-// deterministic blocked reduction on the worker pool.
+// FitFromWorkers computes the CP-ALS fit 1 - ||X - X_hat|| / ||X|| using the
+// standard identity
+//
+//	||X - X_hat||^2 = ||X||^2 + ||X_hat||^2 - 2 <X, X_hat>
+//	<X, X_hat>      = sum_{i,r} M(i,r) * A(i,r) * lambda_r
+//
+// where M is the MTTKRP result of the last updated mode and A that mode's
+// normalized factor. This avoids a pass over the tensor (the SPLATT trick);
+// all three quantities already exist at the end of an ALS iteration. The
+// inner product is a deterministic blocked reduction on the worker pool.
 func FitFromWorkers(normX float64, lastM, lastFactor *la.Dense, lambda []float64, grams []*la.Dense, workers int) float64 {
 	inner := par.SumBlocks(workers, lastM.Rows, func(lo, hi int) float64 {
 		var s float64

@@ -606,19 +606,6 @@ func DecodeResult(b []byte) (*Result, error) {
 	return r, nil
 }
 
-// EncodeSeq serializes a ping/pong heartbeat sequence number.
-func EncodeSeq(seq uint64) []byte { return appendU64(nil, seq) }
-
-// DecodeSeq parses a ping/pong heartbeat sequence number.
-func DecodeSeq(b []byte) (uint64, error) {
-	d := &dec{b: b}
-	seq := d.u64()
-	if err := d.done(); err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-
 // EncodeErr serializes a worker task failure.
 func EncodeErr(e *RemoteError) []byte {
 	b := appendU64(make([]byte, 0, 12+len(e.Msg)), e.TaskID)

@@ -584,7 +584,6 @@ func (s *Session) readLoop(r *remote) {
 func (s *Session) heartbeat(r *remote) {
 	tick := time.NewTicker(heartbeatEvery)
 	defer tick.Stop()
-	var seq uint64
 	for {
 		select {
 		case <-s.closed:
@@ -594,12 +593,11 @@ func (s *Session) heartbeat(r *remote) {
 		if !r.alive.Load() {
 			return
 		}
-		seq++
 		// Non-blocking: when the outbox is saturated with bulk frames the
 		// connection is demonstrably draining, so skip the probe (and the
 		// timeout check, which would be measuring our own backlog).
 		select {
-		case r.outbox <- outFrame{t: MsgPing, payload: EncodeSeq(seq)}:
+		case r.outbox <- outFrame{t: MsgPing}:
 		case <-r.gone:
 			return
 		default:

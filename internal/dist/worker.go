@@ -256,7 +256,7 @@ func (w *Worker) handle(c net.Conn) {
 			}
 			taskc <- t
 		case MsgPing:
-			if err := send(MsgPong, payload); err != nil {
+			if err := send(MsgPong, nil); err != nil {
 				return
 			}
 		case MsgShutdown:

@@ -93,9 +93,6 @@ func NewRing(members []string) (*Ring, error) {
 	return r, nil
 }
 
-// Members returns the ring's member names in sorted order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
 // Owner returns the member owning hash key h: the first vnode clockwise
 // from h, wrapping at the top of the space.
 func (r *Ring) Owner(h uint64) string {
@@ -105,7 +102,3 @@ func (r *Ring) Owner(h uint64) string {
 	}
 	return r.members[r.points[i].member]
 }
-
-// OwnerKey routes a query key. Fleet keys are (kind, mode, row) tuples —
-// see queryKey — hashed through rng.Hash64.
-func (r *Ring) OwnerKey(parts ...uint64) string { return r.Owner(rng.Hash64(parts...)) }

@@ -160,26 +160,6 @@ func TestKhatriRaoDefinition(t *testing.T) {
 	}
 }
 
-func TestKroneckerIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := randDense(rng, 2, 3)
-	k := Kronecker(Identity(2), m)
-	if k.Rows != 4 || k.Cols != 6 {
-		t.Fatalf("kron dims %dx%d", k.Rows, k.Cols)
-	}
-	// Top-left block is m, top-right block is zero.
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if k.At(i, j) != m.At(i, j) {
-				t.Fatal("kron top-left block mismatch")
-			}
-			if k.At(i, j+3) != 0 {
-				t.Fatal("kron top-right block must be zero")
-			}
-		}
-	}
-}
-
 // Khatri-Rao gram identity: (A ⊙ B)^T (A ⊙ B) = A^T A .* B^T B.
 // This identity is why CP-ALS never needs the explicit Khatri-Rao product.
 func TestKhatriRaoGramIdentity(t *testing.T) {
@@ -203,7 +183,8 @@ func TestVecKernels(t *testing.T) {
 	if got := VecDot(a, b); got != 32 {
 		t.Fatalf("dot = %v", got)
 	}
-	h := VecHadamard(a, b)
+	h := make([]float64, len(a))
+	VecHadamardInto(h, a, b)
 	if h[0] != 4 || h[1] != 10 || h[2] != 18 {
 		t.Fatalf("hadamard = %v", h)
 	}

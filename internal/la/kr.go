@@ -25,22 +25,3 @@ func KhatriRao(a, b *Dense) *Dense {
 	}
 	return out
 }
-
-// Kronecker returns the Kronecker product a ⊗ b.
-func Kronecker(a, b *Dense) *Dense {
-	out := NewDense(a.Rows*b.Rows, a.Cols*b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			av := a.At(i, j)
-			if av == 0 {
-				continue
-			}
-			for p := 0; p < b.Rows; p++ {
-				for q := 0; q < b.Cols; q++ {
-					out.Set(i*b.Rows+p, j*b.Cols+q, av*b.At(p, q))
-				}
-			}
-		}
-	}
-	return out
-}

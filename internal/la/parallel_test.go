@@ -1,6 +1,7 @@
 package la
 
 import (
+	"math"
 	"testing"
 
 	"cstf/internal/rng"
@@ -87,6 +88,41 @@ func TestRowBlocksApplyCoverage(t *testing.T) {
 	for i, c := range seen {
 		if c != 1 {
 			t.Fatalf("row %d visited %d times", i, c)
+		}
+	}
+}
+
+func seededDense(seed uint64, r, c int) *Dense {
+	g := rng.New(seed)
+	m := NewDense(r, c)
+	for i := range m.Data {
+		m.Data[i] = g.Float64()*2 - 1
+	}
+	return m
+}
+
+func TestRowNormsParallel(t *testing.T) {
+	m := seededDense(10, 4100, 7) // spans multiple blocks
+	for _, workers := range []int{1, 4} {
+		norms := RowNormsParallel(m, workers)
+		for i := 0; i < m.Rows; i += 997 {
+			if want := VecNorm(m.Row(i)); norms[i] != want {
+				t.Fatalf("workers=%d row %d norm %v want %v", workers, i, norms[i], want)
+			}
+		}
+	}
+}
+
+func TestColumnSums(t *testing.T) {
+	m := seededDense(11, 123, 3)
+	sums := ColumnSums(m)
+	for j := 0; j < m.Cols; j++ {
+		var want float64
+		for i := 0; i < m.Rows; i++ {
+			want += m.At(i, j)
+		}
+		if math.Abs(sums[j]-want) > 1e-12 {
+			t.Fatalf("col %d sum %v want %v", j, sums[j], want)
 		}
 	}
 }

@@ -16,13 +16,6 @@ func VecHadamardInto(dst, a, b []float64) {
 	}
 }
 
-// VecHadamard returns a new vector a .* b.
-func VecHadamard(a, b []float64) []float64 {
-	dst := make([]float64, len(a))
-	VecHadamardInto(dst, a, b)
-	return dst
-}
-
 // VecMulInto sets dst[i] *= a[i].
 func VecMulInto(dst, a []float64) {
 	_ = a[len(dst)-1]

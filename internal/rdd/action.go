@@ -74,17 +74,3 @@ func Aggregate[T, A any](d *Dataset[T], zero func() A, seq func(A, T) A, comb fu
 	}
 	return res
 }
-
-// Foreach materializes the dataset and applies f to every record on the
-// executors (no data returned to the driver).
-func Foreach[T any](d *Dataset[T], f func(T)) {
-	parts := d.materialize()
-	counts := make([]int, len(parts))
-	d.ctx.Cluster.Parallel(len(parts), func(p int) {
-		for i := range parts[p] {
-			f(parts[p][i])
-		}
-		counts[p] = len(parts[p])
-	})
-	narrowTasks(d.ctx, counts, opts{costFactor: 1})
-}

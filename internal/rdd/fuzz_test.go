@@ -50,7 +50,7 @@ func TestRandomPipelineEquivalence(t *testing.T) {
 
 		steps := 1 + src.Intn(6)
 		for s := 0; s < steps; s++ {
-			switch src.Intn(6) {
+			switch src.Intn(4) {
 			case 0: // map: shift value, rotate key
 				shift := int64(src.Intn(7)) - 3
 				d = Map(d, func(r KV[uint32, int64]) KV[uint32, int64] {
@@ -59,19 +59,9 @@ func TestRandomPipelineEquivalence(t *testing.T) {
 				for i := range ref {
 					ref[i] = refRec{Key: (ref[i].Key + 1) % keySpace, Val: ref[i].Val + shift}
 				}
-			case 1: // filter
-				mod := int64(2 + src.Intn(3))
-				d = Filter(d, func(r KV[uint32, int64]) bool { return r.Val%mod != 0 })
-				var nr []refRec
-				for _, r := range ref {
-					if r.Val%mod != 0 {
-						nr = append(nr, r)
-					}
-				}
-				ref = nr
-			case 2: // partitionBy (pure movement, no data change)
+			case 1: // partitionBy (pure movement, no data change)
 				d = PartitionBy(d)
-			case 3: // reduceByKey (sum)
+			case 2: // reduceByKey (sum)
 				d = ReduceByKey(d, func(a, b int64) int64 { return a + b })
 				sums := map[uint32]int64{}
 				for _, r := range ref {
@@ -81,17 +71,7 @@ func TestRandomPipelineEquivalence(t *testing.T) {
 				for k, v := range sums {
 					ref = append(ref, refRec{Key: k, Val: v})
 				}
-			case 4: // union with a small extra dataset
-				m := 1 + src.Intn(30)
-				extra := make([]KV[uint32, int64], m)
-				for i := range extra {
-					k := uint32(src.Intn(int(keySpace)))
-					v := int64(src.Intn(100))
-					extra[i] = KV[uint32, int64]{Key: k, Val: v}
-					ref = append(ref, refRec{Key: k, Val: v})
-				}
-				d = Union(d, FromSlice(ctx, "extra", extra, FixedSize[KV[uint32, int64]](16)))
-			case 5: // mapValues
+			case 3: // mapValues
 				d = MapValues(d, func(v int64) int64 { return -v }, FixedSize[KV[uint32, int64]](16))
 				for i := range ref {
 					ref[i].Val = -ref[i].Val

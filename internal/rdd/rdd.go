@@ -1,6 +1,6 @@
 // Package rdd implements the Spark-style dataset engine CSTF runs on:
 // typed, partitioned, lazily materialized datasets with narrow
-// transformations (map, filter, mapValues), wide transformations backed by
+// transformations (map, mapValues), wide transformations backed by
 // hash shuffles (partitionBy, join, reduceByKey), persist/unpersist
 // caching, and actions (collect, count, aggregate).
 //
@@ -137,9 +137,6 @@ func (d *Dataset[T]) Parts() int { return d.ctx.Parts }
 // Context returns the owning context.
 func (d *Dataset[T]) Context() *Context { return d.ctx }
 
-// KeyPartitioned reports whether the dataset is hash-partitioned by key.
-func (d *Dataset[T]) KeyPartitioned() bool { return d.keyed }
-
 func newDataset[T any](ctx *Context, name string, sizeOf func(T) int) *Dataset[T] {
 	if sizeOf == nil {
 		panic("rdd: nil sizeOf for dataset " + name)
@@ -242,17 +239,6 @@ func (d *Dataset[T]) recover() {
 	cl.NoteRecomputed(recovered)
 }
 
-// byteSize returns the accounted size of all records currently held.
-func (d *Dataset[T]) byteSize() float64 {
-	var s float64
-	for _, p := range d.parts {
-		for i := range p {
-			s += float64(d.sizeOf(p[i]))
-		}
-	}
-	return s
-}
-
 // Eval forces materialization (running any pending lineage now, under the
 // cluster's current metrics phase) without the extra read stage an action
 // like Count would add. Algorithms use it to pin a computation to the
@@ -353,9 +339,6 @@ func (d *Dataset[T]) Unpersist() {
 		d.lostCount = 0
 	}
 }
-
-// Cached reports whether the dataset is persisted.
-func (d *Dataset[T]) Cached() bool { return d.cached }
 
 // FixedSize returns a sizeOf function reporting n bytes per record.
 func FixedSize[T any](n int) func(T) int { return func(T) int { return n } }

@@ -48,15 +48,12 @@ func TestCountAndEmptyDataset(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMap(t *testing.T) {
 	ctx := testCtx(2, 4)
 	d := FromSlice(ctx, "nums", seq(10), intSize)
-	doubled := Map(d, func(x int) int { return 2 * x }, intSize)
-	evens := Filter(doubled, func(x int) bool { return x%4 == 0 })
-	expanded := FlatMap(evens, func(x int) []int { return []int{x, x + 1} }, intSize)
-	got := Collect(expanded)
+	got := Collect(Map(d, func(x int) int { return 2 * x }, intSize))
 	sort.Ints(got)
-	want := []int{0, 1, 4, 5, 8, 9, 12, 13, 16, 17}
+	want := []int{0, 2, 4, 6, 8, 10, 12, 14, 16, 18}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
 	}
@@ -67,25 +64,6 @@ func TestMapFilterFlatMap(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsSeesEveryRecordOnce(t *testing.T) {
-	ctx := testCtx(2, 4)
-	d := FromSlice(ctx, "nums", seq(20), intSize)
-	sums := MapPartitions(d, func(p int, in []int) []int {
-		s := 0
-		for _, v := range in {
-			s += v
-		}
-		return []int{s}
-	}, intSize)
-	total := 0
-	for _, s := range Collect(sums) {
-		total += s
-	}
-	if total != 190 {
-		t.Fatalf("total = %d, want 190", total)
-	}
-}
-
 func TestPartitionByPlacesKeysCorrectly(t *testing.T) {
 	ctx := testCtx(4, 8)
 	recs := make([]KV[uint32, int], 200)
@@ -93,11 +71,11 @@ func TestPartitionByPlacesKeysCorrectly(t *testing.T) {
 		recs[i] = KV[uint32, int]{Key: uint32(i % 50), Val: i}
 	}
 	d := FromSlice(ctx, "kv", recs, kvSize)
-	if d.KeyPartitioned() {
+	if d.keyed {
 		t.Fatal("FromSlice output must not claim key partitioning")
 	}
 	pd := PartitionBy(d)
-	if !pd.KeyPartitioned() {
+	if !pd.keyed {
 		t.Fatal("PartitionBy output must be key-partitioned")
 	}
 	parts := pd.materialize()
@@ -166,7 +144,7 @@ func TestReduceByKeySums(t *testing.T) {
 			t.Fatalf("key %d count %d, want 30", k, v)
 		}
 	}
-	if !red.KeyPartitioned() {
+	if !red.keyed {
 		t.Fatal("reduceByKey output must be key-partitioned")
 	}
 }
@@ -226,7 +204,7 @@ func TestJoinInner(t *testing.T) {
 			t.Fatalf("mismatched pair %+v", rec)
 		}
 	}
-	if !j.KeyPartitioned() {
+	if !j.keyed {
 		t.Fatal("join output must be key-partitioned")
 	}
 }
@@ -292,7 +270,7 @@ func TestMapValuesPreservesPartitioning(t *testing.T) {
 	recs := []KV[uint32, int]{{1, 1}, {2, 2}, {3, 3}}
 	pd := PartitionBy(FromSlice(ctx, "kv", recs, kvSize))
 	mv := MapValues(pd, func(v int) int { return v * v }, kvSize)
-	if !mv.KeyPartitioned() {
+	if !mv.keyed {
 		t.Fatal("mapValues must preserve key partitioning")
 	}
 	got := CollectMap(mv)
@@ -301,7 +279,7 @@ func TestMapValuesPreservesPartitioning(t *testing.T) {
 	}
 	// Plain Map must drop the partitioner.
 	m := Map(pd, func(r KV[uint32, int]) KV[uint32, int] { return r }, kvSize)
-	if m.KeyPartitioned() {
+	if m.keyed {
 		t.Fatal("map must not preserve key partitioning")
 	}
 }
@@ -317,7 +295,7 @@ func TestGenerateKeyed(t *testing.T) {
 		}
 		return recs
 	}, kvSize)
-	if !d.KeyPartitioned() {
+	if !d.keyed {
 		t.Fatal("GenerateKeyed output must be key-partitioned")
 	}
 	if n := Count(d); n != 60 {
@@ -344,7 +322,7 @@ func TestGenerateKeyedPanicsOnWrongPartition(t *testing.T) {
 func TestPersistUnpersistCacheAccounting(t *testing.T) {
 	ctx := testCtx(2, 4)
 	d := FromSlice(ctx, "kv", seq(100), intSize).Persist()
-	if !d.Cached() {
+	if !d.cached {
 		t.Fatal("persist must mark cached")
 	}
 	want := 800 * ctx.Cluster.Profile.RawCacheFactor // wire bytes x raw-object factor
@@ -360,6 +338,55 @@ func TestPersistUnpersistCacheAccounting(t *testing.T) {
 		t.Fatalf("unpersist left %v bytes", got)
 	}
 	d.Unpersist() // idempotent
+}
+
+func TestPersistSerializedAccountingAndReadCost(t *testing.T) {
+	ctx := testCtx(2, 4)
+	d := FromSlice(ctx, "kv", seq(100), intSize).PersistSerialized()
+	// Serialized footprint = wire bytes (no raw-object expansion).
+	if got := ctx.Cluster.CachedBytes(); got != 800 {
+		t.Fatalf("serialized cached bytes %v, want 800", got)
+	}
+	d.Unpersist()
+	if ctx.Cluster.CachedBytes() != 0 {
+		t.Fatal("unpersist must release serialized cache")
+	}
+
+	// Reading a serialized cache must charge more engine time than reading
+	// a raw cache (the DeserFactor).
+	run := func(serialized bool) float64 {
+		c := cluster.New(2, cluster.LaptopProfile())
+		cx := NewContext(c, 4)
+		src := FromSlice(cx, "kv", seq(50000), intSize)
+		if serialized {
+			src.PersistSerialized()
+		} else {
+			src.Persist()
+		}
+		base := c.SimTime()
+		Count(Map(src, func(x int) int { return x + 1 }, intSize))
+		return c.SimTime() - base
+	}
+	raw, ser := run(false), run(true)
+	if ser <= raw {
+		t.Fatalf("serialized read (%v) must cost more than raw read (%v)", ser, raw)
+	}
+}
+
+func TestPersistSerializedSmallerFootprintThanRaw(t *testing.T) {
+	mk := func(serialized bool) float64 {
+		ctx := testCtx(2, 4)
+		d := FromSlice(ctx, "kv", seq(1000), intSize)
+		if serialized {
+			d.PersistSerialized()
+		} else {
+			d.Persist()
+		}
+		return ctx.Cluster.CachedBytes()
+	}
+	if raw, ser := mk(false), mk(true); ser >= raw {
+		t.Fatalf("serialized footprint (%v) must be below raw (%v)", ser, raw)
+	}
 }
 
 func TestMaterializeChargesOnce(t *testing.T) {
@@ -383,15 +410,6 @@ func TestAggregate(t *testing.T) {
 		func(a, b int) int { return a + b }, 1)
 	if sum != 5050 {
 		t.Fatalf("aggregate sum %d", sum)
-	}
-}
-
-func TestForeach(t *testing.T) {
-	ctx := testCtx(1, 2)
-	var sum int
-	Foreach(FromSlice(ctx, "n", seq(10), intSize), func(x int) { sum += x })
-	if sum != 45 {
-		t.Fatalf("foreach sum %d", sum)
 	}
 }
 

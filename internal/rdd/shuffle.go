@@ -8,14 +8,6 @@ import "cstf/internal/cluster"
 // hosts, mirroring Spark's shuffle-read metrics; every shuffled record also
 // pays the profile's per-record serialization overhead.
 func shuffle[K comparable, V any](ctx *Context, in [][]KV[K, V], sizeOf func(KV[K, V]) int) ([][]KV[K, V], []cluster.Task) {
-	return shuffleBy(ctx, in, sizeOf, func(k K) int {
-		return int(HashKey(k) % uint64(ctx.Parts))
-	})
-}
-
-// shuffleBy is shuffle with an arbitrary destination function (hash for
-// the pair operations, range for SortByKey).
-func shuffleBy[K comparable, V any](ctx *Context, in [][]KV[K, V], sizeOf func(KV[K, V]) int, partOf func(K) int) ([][]KV[K, V], []cluster.Task) {
 	P := ctx.Parts
 	buckets := make([][][]KV[K, V], P) // [src][dst]
 	bytes := make([][]float64, P)      // [src][dst]
@@ -26,7 +18,7 @@ func shuffleBy[K comparable, V any](ctx *Context, in [][]KV[K, V], sizeOf func(K
 		by := make([]float64, P)
 		for i := range in[src] {
 			rec := in[src][i]
-			dst := partOf(rec.Key)
+			dst := int(HashKey(rec.Key) % uint64(P))
 			bk[dst] = append(bk[dst], rec)
 			by[dst] += float64(sizeOf(rec)) + overhead
 		}

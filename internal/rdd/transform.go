@@ -82,60 +82,6 @@ func Map[T, U any](d *Dataset[T], f func(T) U, sizeOf func(U) int, os ...Option)
 	return out
 }
 
-// FlatMap applies f to every record and concatenates the results.
-func FlatMap[T, U any](d *Dataset[T], f func(T) []U, sizeOf func(U) int, os ...Option) *Dataset[U] {
-	o := applyOpts("flatMap", os)
-	out := newDataset[U](d.ctx, o.name, sizeOf)
-	out.compute = func() [][]U {
-		in := d.materialize()
-		parts := make([][]U, d.ctx.Parts)
-		counts := make([]int, d.ctx.Parts)
-		d.ctx.Cluster.Parallel(d.ctx.Parts, func(p int) {
-			src := in[p]
-			var dst []U
-			for i := range src {
-				dst = append(dst, f(src[i])...)
-			}
-			parts[p] = dst
-			counts[p] = len(src)
-		})
-		oc := o
-		oc.costFactor *= d.readCost()
-		narrowTasks(d.ctx, counts, oc)
-		return parts
-	}
-	return out
-}
-
-// Filter keeps records satisfying pred. Filtering preserves key
-// partitioning (keys are unchanged), as in Spark.
-func Filter[T any](d *Dataset[T], pred func(T) bool, os ...Option) *Dataset[T] {
-	o := applyOpts("filter", os)
-	out := newDataset[T](d.ctx, o.name, d.sizeOf)
-	out.keyed = d.keyed
-	out.compute = func() [][]T {
-		in := d.materialize()
-		parts := make([][]T, d.ctx.Parts)
-		counts := make([]int, d.ctx.Parts)
-		d.ctx.Cluster.Parallel(d.ctx.Parts, func(p int) {
-			src := in[p]
-			dst := make([]T, 0, len(src))
-			for i := range src {
-				if pred(src[i]) {
-					dst = append(dst, src[i])
-				}
-			}
-			parts[p] = dst
-			counts[p] = len(src)
-		})
-		oc := o
-		oc.costFactor *= d.readCost()
-		narrowTasks(d.ctx, counts, oc)
-		return parts
-	}
-	return out
-}
-
 // MapValues transforms the value of each KV record, preserving the key and
 // therefore the partitioning — the property QCOO's queue-reduction step
 // (STAGE 3 of Table 2) depends on to avoid a shuffle.
@@ -155,26 +101,6 @@ func MapValues[K comparable, V, W any](d *Dataset[KV[K, V]], f func(V) W, sizeOf
 			}
 			parts[p] = dst
 			counts[p] = len(src)
-		})
-		oc := o
-		oc.costFactor *= d.readCost()
-		narrowTasks(d.ctx, counts, oc)
-		return parts
-	}
-	return out
-}
-
-// MapPartitions applies f to whole partitions. Output is not key-partitioned.
-func MapPartitions[T, U any](d *Dataset[T], f func(p int, in []T) []U, sizeOf func(U) int, os ...Option) *Dataset[U] {
-	o := applyOpts("mapPartitions", os)
-	out := newDataset[U](d.ctx, o.name, sizeOf)
-	out.compute = func() [][]U {
-		in := d.materialize()
-		parts := make([][]U, d.ctx.Parts)
-		counts := make([]int, d.ctx.Parts)
-		d.ctx.Cluster.Parallel(d.ctx.Parts, func(p int) {
-			parts[p] = f(p, in[p])
-			counts[p] = len(in[p])
 		})
 		oc := o
 		oc.costFactor *= d.readCost()

@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// Drain must reject new queries with ErrDraining, finish every accepted
-// one, and Resume must re-admit traffic — the replica-side half of the
-// fleet's zero-drop rolling reload.
+// Drain must reject new queries with ErrDraining and finish every accepted
+// one — what cstf-serve's graceful shutdown relies on.
 func TestDrainRejectsNewFinishesInflight(t *testing.T) {
 	m := randModel(t, 3, 3, 400, 50, 30)
 	s, err := newServer(m, Config{MaxBatch: 64})
@@ -69,33 +68,5 @@ func TestDrainRejectsNewFinishesInflight(t *testing.T) {
 	}
 	if _, err := s.Rank(context.Background(), Query{Kind: Similar, Mode: 0, Row: 1, K: 5}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Similar while draining: %v, want ErrDraining", err)
-	}
-
-	s.Resume()
-	if _, err := s.TopK(context.Background(), 0, 1, 1, 5); err != nil {
-		t.Fatalf("TopK after Resume: %v", err)
-	}
-}
-
-// A drained server can swap models and resume — the reload step of the
-// rolling sequence — and queries after Resume see the new version.
-func TestDrainReloadResume(t *testing.T) {
-	m := randModel(t, 3, 3, 200, 40)
-	s, err := New(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	v0 := s.Model().Version
-
-	s.Drain()
-	s.Swap(randModel(t, 4, 3, 200, 40))
-	s.Resume()
-
-	if got := s.Model().Version; got <= v0 {
-		t.Fatalf("version %d after swap, want > %d", got, v0)
-	}
-	if _, err := s.TopK(context.Background(), 0, 1, 1, 5); err != nil {
-		t.Fatalf("TopK after drain/swap/resume: %v", err)
 	}
 }

@@ -326,18 +326,14 @@ func (s *Server) Close() {
 
 // Drain flips the server into draining mode — new queries are rejected
 // with ErrDraining — and returns once every already-accepted query has
-// been answered. Callers then Close (graceful shutdown) or Reload and
-// Resume (rolling reload): the drain/reload/resume sequence never fails a
-// query that was accepted.
+// been answered, so a Close after it (graceful shutdown) fails no query
+// that was accepted.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	for s.inflight.Load() != 0 {
 		time.Sleep(200 * time.Microsecond) // a poll interval: no event marks the last answer
 	}
 }
-
-// Resume takes a drained server back into service.
-func (s *Server) Resume() { s.draining.Store(false) }
 
 // Draining reports whether the server is refusing new queries.
 func (s *Server) Draining() bool { return s.draining.Load() }

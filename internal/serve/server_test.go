@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cstf/internal/ckpt"
-	"cstf/internal/la"
 	"cstf/internal/rng"
 )
 
@@ -376,19 +375,6 @@ func TestServerValidatesRequests(t *testing.T) {
 	}
 	if st := s.Stats(); st.BadRequest != uint64(len(cases)) || st.CacheHits != 1 {
 		t.Fatalf("bad requests %d, cache hits %d, want %d and 1", st.BadRequest, st.CacheHits, len(cases))
-	}
-}
-
-// la.GatherRows round-trips batched reconstruction inputs; exercised here
-// against the model's factors to keep the helper honest end to end.
-func TestGatherRowsOnFactors(t *testing.T) {
-	m := randModel(t, 4, 2, 30, 20)
-	rows := []int{0, 29, 7}
-	g := la.GatherRows(m.Factor(0), rows)
-	for o, i := range rows {
-		if la.VecMaxAbsDiff(g.Row(o), m.Factor(0).Row(i)) != 0 {
-			t.Fatalf("gathered factor row %d differs", i)
-		}
 	}
 }
 

@@ -118,9 +118,6 @@ func NewPipeline(src Source, up *Updater, pub *Publisher, cfg Config) (*Pipeline
 	}, nil
 }
 
-// Updater exposes the live model (read it only after Run returns).
-func (p *Pipeline) Updater() *Updater { return p.up }
-
 // Queue exposes the ingest queue (for its counters).
 func (p *Pipeline) Queue() *Queue { return p.q }
 

@@ -54,21 +54,8 @@ func LinearizeEntry(e *Entry, n int, strides []uint64) (uint32, uint64) {
 	return e.Idx[n], col
 }
 
-// DelinearizeCol recovers the per-mode indices encoded in a matricized
-// column index. idx[n] is left as 0. This is the z/J, z%J arithmetic the
-// GigaTensor map tasks perform to find which factor rows a column needs.
-func DelinearizeCol(col uint64, dims []int, n int, idx []uint32) {
-	for k := range dims {
-		if k == n {
-			idx[k] = 0
-			continue
-		}
-		idx[k] = uint32(col % uint64(dims[k]))
-		col /= uint64(dims[k])
-	}
-}
-
 // Matricize returns the mode-n unfolding of t as a list of matrix nonzeros.
+// Only tests call it: it is the oracle the cpals MTTKRP is checked against.
 func (t *COO) Matricize(n int) []MatEntry {
 	strides := UnfoldStrides(t.Dims, n)
 	out := make([]MatEntry, len(t.Entries))
@@ -78,15 +65,4 @@ func (t *COO) Matricize(n int) []MatEntry {
 		out[i] = MatEntry{Row: r, Col: c, Val: e.Val}
 	}
 	return out
-}
-
-// MatricizedCols returns the number of columns of the mode-n unfolding.
-func (t *COO) MatricizedCols(n int) uint64 {
-	cols := uint64(1)
-	for k, d := range t.Dims {
-		if k != n {
-			cols *= uint64(d)
-		}
-	}
-	return cols
 }
