@@ -7,7 +7,7 @@ GO ?= go
 # paths: these also run under the race detector in `make ci`.
 RACE_PKGS := ./internal/cpals ./internal/la ./internal/par ./internal/tensor ./internal/rdd ./internal/cluster ./internal/chaos ./internal/mapreduce ./internal/core ./internal/bigtensor ./internal/serve ./internal/stream ./internal/dist ./internal/fleet ./internal/rals ./internal/rank
 
-.PHONY: ci fmt vet staticcheck build test race flake fuzz bench bench-la bench-dist bench-tensor bench-serve smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
+.PHONY: ci fmt vet staticcheck build test race flake fuzz bench bench-la bench-cpals bench-dist bench-tensor bench-serve smoke stream-smoke dist-smoke dist-chaos-smoke fleet-smoke rals-smoke recsys-smoke
 
 ci: fmt vet staticcheck build test race
 
@@ -69,6 +69,12 @@ bench:
 # they keep compiling and running; for numbers raise -benchtime and pin -cpu.
 bench-la:
 	$(GO) test ./internal/la -run '^$$' -bench . -benchtime 1x
+
+# The solver microbenchmarks, same deal: the MTTKRP kernel per access path
+# and storage order (ns/nnz per mode) at the als3-zipf and als4-tall shapes,
+# and a whole als4-tall-shaped solve (MB allocated per solve).
+bench-cpals:
+	$(GO) test ./internal/cpals -run '^$$' -bench . -benchtime 1x
 
 # The dist runtime's microbenchmarks, same deal: session start (ms, MB
 # allocated, resident bytes per nonzero), shard codec (ns/nnz each way) and

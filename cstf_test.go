@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"cstf/internal/la"
 )
 
 func TestTensorBasics(t *testing.T) {
@@ -180,6 +185,51 @@ func TestDecompositionAtAndTopK(t *testing.T) {
 	row[0] = 999 // must be a copy
 	if f.At(0, 0) == 999 {
 		t.Fatal("Row must return a copy")
+	}
+}
+
+// TopK selects under a total order: |weight| descending, the lower index
+// first on ties. It returns nil for k <= 0 and every row for k past the
+// end.
+func TestDecompositionTopKOrder(t *testing.T) {
+	col := func(w ...float64) *Decomposition {
+		return &Decomposition{Lambda: []float64{1}, Factors: []*Matrix{{d: la.NewDenseFrom(len(w), 1, w)}}}
+	}
+	ties := col(0.5, -2, 0.25, 2, 0.5, -0.5, 1)
+	for _, k := range []int{-1, 0} {
+		if got := ties.TopK(0, 0, k); got != nil {
+			t.Fatalf("TopK(k=%d) = %v, want nil", k, got)
+		}
+	}
+	want := []int{1, 3, 6, 0, 4, 5, 2}
+	for _, k := range []int{1, 3, 5, 7, 100} {
+		got := ties.TopK(0, 0, k)
+		if len(got) != min(k, len(want)) {
+			t.Fatalf("TopK(k=%d) returned %d rows", k, len(got))
+		}
+		for i, c := range got {
+			if c.Index != want[i] || c.Weight != ties.Factors[0].At(c.Index, 0) {
+				t.Fatalf("TopK(k=%d)[%d] = %+v, want index %d", k, i, c, want[i])
+			}
+		}
+	}
+
+	// On distinct weights the selection is a full sort's prefix.
+	r := rand.New(rand.NewSource(3))
+	w := make([]float64, 1000)
+	for i := range w {
+		w[i] = r.NormFloat64()
+	}
+	dec := col(w...)
+	full := make([]Component, len(w))
+	for i, v := range w {
+		full[i] = Component{Index: i, Weight: v}
+	}
+	sort.Slice(full, func(a, b int) bool { return math.Abs(full[a].Weight) > math.Abs(full[b].Weight) })
+	for _, k := range []int{1, 10, 999, 1000} {
+		if got := dec.TopK(0, 0, k); !reflect.DeepEqual(got, full[:k]) {
+			t.Fatalf("TopK(k=%d) differs from the full sort's prefix", k)
+		}
 	}
 }
 

@@ -522,18 +522,53 @@ type Component struct {
 
 // TopK returns the k indices of `mode` with the largest absolute loading
 // in component r — the standard way to read a CP factor ("top nouns of
-// concept 3").
+// concept 3") — best first, the lower index first on equal loadings.
+// k <= 0 returns nil. A bounded heap keeps only the k best, so a tall
+// factor costs k Components, not one per row.
 func (d *Decomposition) TopK(mode, r, k int) []Component {
 	f := d.Factors[mode]
-	out := make([]Component, 0, f.Rows())
-	for i := 0; i < f.Rows(); i++ {
-		out = append(out, Component{Index: i, Weight: f.At(i, r)})
+	k = min(k, f.Rows())
+	if k <= 0 {
+		return nil
 	}
-	sort.Slice(out, func(a, b int) bool { return math.Abs(out[a].Weight) > math.Abs(out[b].Weight) })
-	if k < len(out) {
-		out = out[:k]
+	// worse is the ranking reversed; h[0] is the worst row kept.
+	worse := func(a, b Component) bool {
+		if wa, wb := math.Abs(a.Weight), math.Abs(b.Weight); wa != wb {
+			return wa < wb
+		}
+		return a.Index > b.Index
 	}
-	return out
+	h := make([]Component, k)
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && worse(h[c+1], h[c]) {
+				c++
+			}
+			if !worse(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := range h {
+		h[i] = Component{Index: i, Weight: f.At(i, r)}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < f.Rows(); i++ {
+		if c := (Component{Index: i, Weight: f.At(i, r)}); worse(h[0], c) {
+			h[0] = c
+			down(0)
+		}
+	}
+	sort.Slice(h, func(a, b int) bool { return worse(h[b], h[a]) })
+	return h
 }
 
 // Decompose runs CP-ALS on t with the selected algorithm. It is

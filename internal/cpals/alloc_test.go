@@ -35,3 +35,42 @@ func TestExactIterationAllocatesLessThanAFactor(t *testing.T) {
 		}
 	}
 }
+
+// A whole solve of a tall order-4 tensor allocates its factors, one
+// MTTKRP output slab the size of the largest mode, the mode indexes and
+// little else: the outputs of the other modes are views of that slab, not
+// matrices of their own (which would add the three smaller modes' 2.3 MB
+// here).
+func TestSolveAllocatesOneOutputSlab(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	dims := []int{12000, 8000, 6000, 4000}
+	const rank, nnz = 16, 30000
+	x := tensor.GenLowRank(1, nnz, 8, 0.1, dims...)
+	nnzs := x.NNZ()
+	var factors, index uint64
+	for _, d := range dims {
+		factors += uint64(d * rank * 8)
+		// Perm, RowPtr and the counting sort's cursor per row.
+		index += uint64(nnzs*4 + d*8 + 4)
+	}
+	slab := uint64(dims[0] * rank * 8)
+	// Grams, pseudo-inverses, lambda, the fit's blocks and the pool's
+	// four goroutines: about 350 KB over the whole solve.
+	const slack = 512 << 10
+	bound := factors + slab + index + slack
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := SolveWith(x, Options{Rank: rank, MaxIters: 3, Seed: 1, Parallelism: 4}, Update{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("the solve allocated %d bytes, want at most %d (factors %d + slab %d + mode indexes %d + slack %d)",
+			got, bound, factors, slab, index, slack)
+	} else {
+		t.Logf("the solve allocated %d bytes of a %d bound", got, bound)
+	}
+}

@@ -2,6 +2,7 @@ package cpals
 
 import (
 	"fmt"
+	"slices"
 
 	"cstf/internal/ckpt"
 	"cstf/internal/la"
@@ -119,7 +120,8 @@ func SolveWith(t *tensor.COO, o Options, u Update) (*Result, error) {
 	}
 	w := o.Workers()
 	s := &als{t: t, w: w, rule: u.Rule, smp: u.Sampler, src: u.Source,
-		normX: t.Norm(), lambda: la.VecClone(o.InitLambda), ws: &Workspace{}}
+		normX: t.Norm(), lambda: la.VecClone(o.InitLambda),
+		ws: &Workspace{slab: make([]float64, slices.Max(t.Dims)*o.Rank)}}
 	switch {
 	case s.src != nil:
 	case o.CSFKernel:
@@ -161,8 +163,9 @@ type als struct {
 	lambda []float64
 	// factors are normalized; grams[n] is factors[n]'s gram.
 	factors, grams []*la.Dense
-	// lastM is the last mode's MTTKRP result, which the fit reads. The
-	// MTTKRP outputs alias ws; nothing in the Result retains them.
+	// lastM is the last mode's MTTKRP result, which the fit reads. Every
+	// mode's MTTKRP output is a view of the one ws slab; nothing in the
+	// Result retains them.
 	lastM *la.Dense
 	ws    *Workspace
 	// sampled records that an update of this iteration solved a row set,

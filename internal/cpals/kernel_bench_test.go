@@ -1,6 +1,7 @@
 package cpals
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -75,4 +76,32 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSolveTall runs a two-iteration SolveWith at the repository
+// benchmark's als4-tall shape (order 4, 300 k nonzeros, rank 64) and reports
+// the megabytes one solve allocates, next to the factors' size: most of it
+// is the factors and one MTTKRP output slab the size of the largest mode.
+// The mode indexes are built before the timer.
+func BenchmarkSolveTall(b *testing.B) {
+	dims := []int{120000, 80000, 60000, 40000}
+	const rank = 64
+	x := tensor.GenLowRank(1, 300_000, 8, 0.1, dims...)
+	x.ModeIndexes(0)
+	var factorBytes int
+	for _, d := range dims {
+		factorBytes += d * rank * 8
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveWith(x, Options{Rank: rank, MaxIters: 2, Seed: 1}, Update{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/solve")
+	b.ReportMetric(float64(factorBytes)/1e6, "factor-MB")
 }

@@ -15,33 +15,33 @@ import (
 // result is bitwise identical for every worker count, and bitwise identical
 // to the entry-order reference MTTKRP.
 
-// Workspace holds the reusable scratch of a CP-ALS run: one output matrix
-// per mode, reused across iterations instead of reallocated order×iters
-// times. A zero Workspace is ready to use; it is NOT safe for concurrent
-// runs — give each concurrent Solve its own.
+// Workspace holds the reusable scratch of a CP-ALS run: one slab that every
+// mode's MTTKRP output is a view of, sized to the largest mode, instead of
+// one output matrix per mode. Reusing it is safe because a mode update reads
+// its own M only before the next mode's Out, and the one M read after its
+// update — the last mode's, by the fit — is read before the next
+// iteration's first Out. A zero Workspace is ready to use and grows on
+// demand; it is NOT safe for concurrent runs — give each concurrent Solve
+// its own.
 type Workspace struct {
-	outs []*la.Dense
+	slab []float64
 }
 
-// Out returns the cached rows×rank output matrix for `mode`, zeroed.
-// The zeroing fans out over the same worker pool as the kernels.
-func (w *Workspace) Out(mode, rows, rank, workers int) *la.Dense {
-	for len(w.outs) <= mode {
-		w.outs = append(w.outs, nil)
+// Out returns a zeroed rows×rank view of the slab. The view is live and
+// shared: the next Out, for any mode, zeroes and overwrites it. The mode
+// argument is unused; the zeroing fans out over the same worker pool as the
+// kernels.
+func (w *Workspace) Out(_, rows, rank, workers int) *la.Dense {
+	n := rows * rank
+	if cap(w.slab) < n {
+		w.slab = make([]float64, n)
+		return la.NewDenseFrom(rows, rank, w.slab)
 	}
-	m := w.outs[mode]
-	if m == nil || m.Rows != rows || m.Cols != rank {
-		m = la.NewDense(rows, rank)
-		w.outs[mode] = m
-		return m
-	}
+	d := w.slab[:n]
 	la.RowBlocksApply(workers, rows, func(lo, hi int) {
-		d := m.Data[lo*rank : hi*rank]
-		for i := range d {
-			d[i] = 0
-		}
+		clear(d[lo*rank : hi*rank])
 	})
-	return m
+	return la.NewDenseFrom(rows, rank, d)
 }
 
 // MTTKRPWorkers computes the mode-n MTTKRP on up to `workers` goroutines,

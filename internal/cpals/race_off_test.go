@@ -1,0 +1,5 @@
+//go:build !race
+
+package cpals
+
+const raceEnabled = false

@@ -116,7 +116,9 @@ func LoadCheckpoint(path string) (*Model, error) {
 // Order returns the number of tensor modes.
 func (m *Model) Order() int { return len(m.Dims) }
 
-// Factor returns the factor matrix of one mode (not a copy; read-only).
+// Factor returns the factor matrix of one mode: the live matrix, not a copy,
+// and possibly shared with the decomposition the model was built from
+// (cstf.Decomposition.Server), so it is read-only.
 func (m *Model) Factor(mode int) *la.Dense { return m.factors[mode] }
 
 // Lambda returns the component weights (not a copy; read-only).

@@ -37,15 +37,15 @@ func (o ServeOptions) config() serve.Config {
 }
 
 // Server starts a model server answering Predict/TopK/Similar queries
-// against this decomposition. Lambda and the factor matrices are cloned
-// into an immutable serving snapshot, so the decomposition may keep
-// evolving (e.g. a resumed solve) without disturbing in-flight queries.
-// The caller must Close the returned server; serve.NewHandler exposes it
-// over HTTP and Server.Watch hot-reloads newer checkpoints.
+// against this decomposition. The served model shares the decomposition's
+// factor matrices, which nothing writes: Matrix is read-only and a resumed
+// solve returns a new Decomposition. Lambda is an exported slice, so it is
+// cloned. The caller must Close the returned server; serve.NewHandler
+// exposes it over HTTP and Server.Watch hot-reloads newer checkpoints.
 func (d *Decomposition) Server(o ServeOptions) (*serve.Server, error) {
 	factors := make([]*la.Dense, len(d.Factors))
 	for n, f := range d.Factors {
-		factors[n] = f.d.Clone()
+		factors[n] = f.d
 	}
 	m, err := serve.NewModel(la.VecClone(d.Lambda), factors, 0, o.Workers)
 	if err != nil {

@@ -1,14 +1,19 @@
 package cstf
 
 import (
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"cstf/internal/la"
 	"cstf/internal/serve"
 )
 
@@ -94,30 +99,65 @@ func TestTrainCheckpointServeRoundTrip(t *testing.T) {
 	}
 }
 
-// Server clones the factors: mutating the served snapshot is impossible and
-// the decomposition's own matrices stay untouched by serving.
-func TestServerClonesFactors(t *testing.T) {
+// Server serves the decomposition's own factor matrices, without a copy:
+// serving only reads them, and Lambda, which callers can write, is cloned.
+func TestServerSharesDecompositionFactors(t *testing.T) {
 	x := RandomTensor(8, 300, 20, 15, 10)
 	dec, err := Decompose(x, Options{Rank: 2, MaxIters: 2, NoConvergenceCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := dec.Factors[0].Row(3)
-	s, err := dec.Server(ServeOptions{})
+	factorHash := func() uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, f := range dec.Factors {
+			for _, v := range f.d.Data {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		return h.Sum64()
+	}
+	before := factorHash()
+	// No cache: a later answer must come from the model, not a stored one.
+	s, err := dec.Server(ServeOptions{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	served := s.Model().Factor(0).Row(3)
-	for j := range before {
-		if before[j] != served[j] {
-			t.Fatal("served factors differ from decomposition")
+	for n, f := range dec.Factors {
+		if served := s.Model().Factor(n); &served.Data[0] != &f.d.Data[0] {
+			t.Fatalf("mode %d: served factor is a copy, want the decomposition's own", n)
 		}
 	}
-	// Mutate the server's copy; the decomposition must be unaffected.
-	served[0] = 1e9
-	if after := dec.Factors[0].Row(3); after[0] == 1e9 {
-		t.Fatal("Server aliased the decomposition's factor storage")
+
+	ctx := context.Background()
+	query := func() (float64, []serve.Scored) {
+		p, err := s.Predict(ctx, 3, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := s.TopK(ctx, 1, 0, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, top
+	}
+	p0, top0 := query()
+	dec.Lambda[0] = 1e9
+	p1, top1 := query()
+	if p1 != p0 || !reflect.DeepEqual(top1, top0) {
+		t.Fatalf("writing dec.Lambda changed served answers: predict %v -> %v, topk %v -> %v", p0, p1, top0, top1)
+	}
+
+	m, err := serve.NewModel([]float64{1, 1}, []*la.Dense{s.Model().Factor(0), s.Model().Factor(1), s.Model().Factor(2)}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Swap(m)
+	query()
+	if factorHash() != before {
+		t.Fatal("serving wrote the decomposition's factors")
 	}
 }
 
