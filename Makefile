@@ -45,7 +45,7 @@ race:
 # times over under the race detector: what passes once by scheduling luck
 # does not pass this. Not part of `make ci` (it takes minutes); run it after
 # touching anything concurrent.
-FLAKE_PKGS := ./internal/par ./internal/cluster ./internal/serve ./internal/stream ./internal/dist ./internal/fleet
+FLAKE_PKGS := ./internal/par ./internal/tensor ./internal/cluster ./internal/serve ./internal/stream ./internal/dist ./internal/fleet
 flake:
 	$(GO) test -count=20 -race $(FLAKE_PKGS)
 

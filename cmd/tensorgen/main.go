@@ -133,7 +133,7 @@ func parseDims(s string) ([]int, error) {
 	dims := make([]int, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
+		if err != nil || v <= 0 || int64(v) > 1<<32 { // indices are 32-bit
 			return nil, fmt.Errorf("bad mode size %q", p)
 		}
 		dims = append(dims, v)

@@ -63,6 +63,8 @@ func (t *Tensor) Norm() float64 { return t.coo.Norm() }
 func (t *Tensor) At(idx ...int) float64 { return t.coo.At(idx...) }
 
 // Dedup sorts the entries and merges duplicate coordinates by summing.
+// Every entry whose summed value is exactly zero is dropped, a lone
+// explicit zero included.
 func (t *Tensor) Dedup() { t.coo.DedupSum() }
 
 // Entry returns the i-th stored nonzero as (coordinate, value).

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cstf/internal/la"
+	"cstf/internal/tensor"
 )
 
 func TestTensorBasics(t *testing.T) {
@@ -38,6 +39,33 @@ func TestTensorBasics(t *testing.T) {
 	x.Dedup()
 	if x.NNZ() != 2 || x.At(0, 1, 2) != 2.5 {
 		t.Fatal("dedup failed")
+	}
+}
+
+// Indices are stored in 32 bits: both constructors refuse a mode they
+// could not index, where Append used to wrap the index silently, and take
+// one of exactly 2³².
+func TestConstructorsRejectModesAbove32Bits(t *testing.T) {
+	ctors := map[string]func(dims ...int){
+		"cstf.NewTensor": func(dims ...int) { NewTensor(dims...) },
+		"tensor.New":     func(dims ...int) { tensor.New(dims...) },
+	}
+	for name, ctor := range ctors {
+		for _, d := range []int{1<<32 + 1, 5_000_000_000} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(3, %d) did not panic", name, d)
+					}
+				}()
+				ctor(3, d)
+			}()
+		}
+	}
+	x := NewTensor(1<<32, 2)
+	x.Append(1.5, 1<<32-1, 1)
+	if x.At(1<<32-1, 1) != 1.5 || x.At(0, 1) != 0 {
+		t.Fatal("the last index of a 2^32 mode did not round-trip")
 	}
 }
 

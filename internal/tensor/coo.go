@@ -32,7 +32,8 @@ type COO struct {
 	modeIdx []*ModeIndex // lazily built per-mode sort/segment indexes
 }
 
-// New returns an empty tensor with the given mode sizes.
+// New returns an empty tensor with the given mode sizes. An index is
+// stored in 32 bits, so no mode may hold more than 2³² of them.
 func New(dims ...int) *COO {
 	if len(dims) < 1 || len(dims) > MaxOrder {
 		panic(fmt.Sprintf("tensor: order %d out of range [1,%d]", len(dims), MaxOrder))
@@ -40,6 +41,9 @@ func New(dims ...int) *COO {
 	for _, d := range dims {
 		if d <= 0 {
 			panic("tensor: non-positive mode size")
+		}
+		if uint64(d) > 1<<32 {
+			panic(fmt.Sprintf("tensor: mode size %d above 2^32, the 32-bit index range", d))
 		}
 	}
 	return &COO{Dims: append([]int(nil), dims...)}
@@ -112,7 +116,8 @@ func (t *COO) Sort() {
 }
 
 // DedupSum sorts the tensor and merges duplicate coordinates by summing
-// their values, dropping entries that cancel to exactly zero.
+// their values. Every entry whose summed value is exactly zero is dropped:
+// a run that cancels, and a lone explicit zero too.
 func (t *COO) DedupSum() {
 	if len(t.Entries) == 0 {
 		return

@@ -17,6 +17,23 @@ func refSort(es []Entry, order int) {
 	sort.Slice(es, func(i, j int) bool { return Less(order, &es[i], &es[j]) })
 }
 
+// cmpKeyed is the key comparison slices.SortFunc sorted the records with
+// before the sort was specialized to them.
+func cmpKeyed(a, b keyed) int {
+	switch {
+	case a.hi != b.hi:
+		if a.hi < b.hi {
+			return -1
+		}
+		return 1
+	case a.lo < b.lo:
+		return -1
+	case a.lo > b.lo:
+		return 1
+	}
+	return 0
+}
+
 func refDedupSum(es []Entry, order int) []Entry {
 	if len(es) == 0 {
 		return es

@@ -2,9 +2,10 @@ package tensor
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 	"unsafe"
+
+	"cstf/internal/par"
 )
 
 // Sort (and through it DedupSum) orders entries by a packed key instead of
@@ -12,9 +13,10 @@ import (
 // the key, mode 0 most significant, as wide as the largest index present in
 // that mode (a mode whose indices are all 0 takes no bits). Comparing two
 // keys as integers is then exactly Less on their coordinates, and
-// slices.SortFunc runs the same pdqsort as sort.Slice, so with the same
-// comparison outcomes the permutation — and the order DedupSum sums
-// duplicates in — is the one the entry sort produced, bit for bit.
+// sortKeyed (pdqsort.go) takes the steps of the pdqsort sort.Slice runs,
+// so with the same comparison outcomes the permutation — and the order
+// DedupSum sums duplicates in — is the one the entry sort produced, bit for
+// bit, on any number of cores.
 //
 // The keyed records are written over the entries' own buffer: a record is
 // 24 bytes and an entry 40, so record i never reaches past entry i when
@@ -30,21 +32,6 @@ type keyed struct {
 	val    float64
 }
 
-func cmpKeyed(a, b keyed) int {
-	switch {
-	case a.hi != b.hi:
-		if a.hi < b.hi {
-			return -1
-		}
-		return 1
-	case a.lo < b.lo:
-		return -1
-	case a.lo > b.lo:
-		return 1
-	}
-	return 0
-}
-
 // keyLayout is where each mode's field sits in the key: the bits from
 // shift[m] up, counting from the least significant, under mask[m].
 type keyLayout struct {
@@ -53,13 +40,27 @@ type keyLayout struct {
 	mask  [MaxOrder]uint64
 }
 
+// scanChunk is how many entries one task of layoutFor's scan reads.
+const scanChunk = 1 << 16
+
 // layoutFor sizes the key fields from the indices present in es; ok is
 // false when they need more than 128 bits.
 func layoutFor(order int, es []Entry) (l keyLayout, ok bool) {
-	var seen [MaxOrder]uint32 // OR of every index: same bit length as the max
-	for i := range es {
+	// OR of every index, which has the max's bit length; each chunk ORs its
+	// own, and OR does not care in what order they are merged.
+	chunks := make([][MaxOrder]uint32, (len(es)+scanChunk-1)/scanChunk)
+	par.Run(0, len(chunks), func(c int) {
+		seen := &chunks[c]
+		for i := c * scanChunk; i < min((c+1)*scanChunk, len(es)); i++ {
+			for m := 0; m < order; m++ {
+				seen[m] |= es[i].Idx[m]
+			}
+		}
+	})
+	var seen [MaxOrder]uint32
+	for c := range chunks {
 		for m := 0; m < order; m++ {
-			seen[m] |= es[i].Idx[m]
+			seen[m] |= chunks[c][m]
 		}
 	}
 	l.order = order
@@ -114,7 +115,7 @@ func sortEntries(es []Entry, order int) {
 		e := es[i] // read entry i before record i covers part of it
 		recs[i] = l.pack(&e)
 	}
-	slices.SortFunc(recs, cmpKeyed)
+	sortKeyed(recs, par.Workers(0))
 	for i := len(es) - 1; i >= 0; i-- {
 		es[i] = l.unpack(recs[i])
 	}
