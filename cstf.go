@@ -62,8 +62,9 @@ func (t *Tensor) Norm() float64 { return t.coo.Norm() }
 // At returns the value at a coordinate (O(nnz); intended for spot checks).
 func (t *Tensor) At(idx ...int) float64 { return t.coo.At(idx...) }
 
-// Dedup sorts the entries and merges duplicate coordinates by summing.
-// Every entry whose summed value is exactly zero is dropped, a lone
+// Dedup sorts the entries and merges duplicate coordinates by summing them
+// in the order they were added, so the sums do not depend on how the sort
+// runs. Every entry whose summed value is exactly zero is dropped, a lone
 // explicit zero included.
 func (t *Tensor) Dedup() { t.coo.DedupSum() }
 

@@ -53,15 +53,15 @@ func TestDecomposeGoldenHash(t *testing.T) {
 		set           func(*cstf.Options)
 		fleet         int // Metrics.DistWorkers of every run
 	}{
-		{cstf.Serial, "cd0e7ebbb5923bfe", "", nil, 0},
-		{cstf.COO, "9b4608a0ab184a45", "", nil, 0},
-		{cstf.QCOO, "500270ad1bb89729", "afd280c78f0ef893", nil, 0},
-		{cstf.BigTensor, "9298352897619de7", "745b600f1db56fbb", nil, 0},
-		{cstf.Dist, "cd0e7ebbb5923bfe", "", func(o *cstf.Options) { o.Dist.LocalWorkers = 2 }, 2},
-		{cstf.RALS, "da128133e60aad75", "", ralsGolden, 0},
-		{cstf.RALS, "da128133e60aad75", "", func(o *cstf.Options) { ralsGolden(o); o.Dist.LocalWorkers = 2 }, 2},
-		{cstf.NCP, "b2bb22e88cd73293", "", nil, 0},
-		{cstf.NCP, "b2bb22e88cd73293", "", func(o *cstf.Options) { o.Dist.LocalWorkers = 2 }, 2},
+		{cstf.Serial, "2444b37d7ee69463", "", nil, 0},
+		{cstf.COO, "8128c73b79a44945", "", nil, 0},
+		{cstf.QCOO, "b82f527d90e5e14c", "a3713a343a1abf33", nil, 0},
+		{cstf.BigTensor, "6eade69907478399", "01a54fd83db78d64", nil, 0},
+		{cstf.Dist, "2444b37d7ee69463", "", func(o *cstf.Options) { o.Dist.LocalWorkers = 2 }, 2},
+		{cstf.RALS, "0be54f3ae1c8fa5e", "", ralsGolden, 0},
+		{cstf.RALS, "0be54f3ae1c8fa5e", "", func(o *cstf.Options) { ralsGolden(o); o.Dist.LocalWorkers = 2 }, 2},
+		{cstf.NCP, "d32551f5496b31a7", "", nil, 0},
+		{cstf.NCP, "d32551f5496b31a7", "", func(o *cstf.Options) { o.Dist.LocalWorkers = 2 }, 2},
 	}
 	for _, c := range cases {
 		for _, p := range []int{1, 4} {

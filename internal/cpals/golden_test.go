@@ -37,7 +37,9 @@ func resultHash(res *Result, extra ...[]float64) string {
 // third is collapsingTensor, whose factors pass through la.FlushBelow; it
 // was captured on the commit that introduced the flush. The csf rows run the
 // same tensors through the CSF kernel (Options.CSFKernel), whose factored
-// sums differ from the COO kernel's in the last bits.
+// sums differ from the COO kernel's in the last bits. The order3 rows were
+// re-pinned when DedupSum came to sum duplicates in input order, which
+// changed GenZipf's tensor in the last bits.
 func TestSolveGoldenHash(t *testing.T) {
 	collapsing, collapsingOpts := collapsingTensor()
 	cases := []struct {
@@ -47,10 +49,10 @@ func TestSolveGoldenHash(t *testing.T) {
 		csf         bool
 		want        string
 	}{
-		{"order3", tensor.GenZipf(11, 6000, 0.7, 60, 50, 40), 6, 4, false, "c0f7660e5a4294a2"},
+		{"order3", tensor.GenZipf(11, 6000, 0.7, 60, 50, 40), 6, 4, false, "5585a93faa91dd7f"},
 		{"order4", tensor.GenLowRank(12, 5000, 3, 0.1, 30, 25, 20, 15), 5, 4, false, "161d1181ee28c3cc"},
 		{"collapsing", collapsing, collapsingOpts.Rank, collapsingOpts.MaxIters, false, "fab6ee9777bdd519"},
-		{"order3 csf", tensor.GenZipf(11, 6000, 0.7, 60, 50, 40), 6, 4, true, "3ec2a1979939ad23"},
+		{"order3 csf", tensor.GenZipf(11, 6000, 0.7, 60, 50, 40), 6, 4, true, "b0b02944d8150b87"},
 		{"order4 csf", tensor.GenLowRank(12, 5000, 3, 0.1, 30, 25, 20, 15), 5, 4, true, "6549f2b4406ff29f"},
 	}
 	for _, c := range cases {

@@ -85,10 +85,10 @@ func TestChainGoldenHash(t *testing.T) {
 		name, want string
 		solve      func(o cpals.Options, cp *ckpt.File) (*cpals.Result, error)
 	}{
-		{"serial", "9850e2e6c02df766", func(o cpals.Options, _ *ckpt.File) (*cpals.Result, error) {
+		{"serial", "0e3a02e5283f8975", func(o cpals.Options, _ *ckpt.File) (*cpals.Result, error) {
 			return cpals.Solve(base, o)
 		}},
-		{"ncp", "648832cb913c4e64", func(o cpals.Options, cp *ckpt.File) (*cpals.Result, error) {
+		{"ncp", "4a2431ab012af884", func(o cpals.Options, cp *ckpt.File) (*cpals.Result, error) {
 			inner := 3
 			if cp != nil {
 				inner = cp.NTF.InnerIters

@@ -109,15 +109,17 @@ func Less(order int, a, b *Entry) bool {
 	return false
 }
 
-// Sort orders the entries lexicographically by index (see sort.go).
+// Sort orders the entries lexicographically by index, stably: entries with
+// equal coordinates keep their input order (see sort.go).
 func (t *COO) Sort() {
 	sortEntries(t.Entries, t.Order())
 	t.InvalidateIndex()
 }
 
 // DedupSum sorts the tensor and merges duplicate coordinates by summing
-// their values. Every entry whose summed value is exactly zero is dropped:
-// a run that cancels, and a lone explicit zero too.
+// their values in input order, so the sums are the same for any stable sort
+// and any worker count. Every entry whose summed value is exactly zero is
+// dropped: a run that cancels, and a lone explicit zero too.
 func (t *COO) DedupSum() {
 	if len(t.Entries) == 0 {
 		return

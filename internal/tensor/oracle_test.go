@@ -10,28 +10,12 @@ import (
 
 // The reference implementations below are the serial set-up code the
 // chunked generators and the keyed sort replaced: the draw loops on one
-// stream, Sort as sort.Slice over entries, and DedupSum's merge over that
-// order. The fast paths must match them bit for bit.
+// stream, Sort as sort.SliceStable over entries, and DedupSum's merge over
+// that order, which sums equal coordinates in input order. The fast paths
+// must match them bit for bit.
 
 func refSort(es []Entry, order int) {
-	sort.Slice(es, func(i, j int) bool { return Less(order, &es[i], &es[j]) })
-}
-
-// cmpKeyed is the key comparison slices.SortFunc sorted the records with
-// before the sort was specialized to them.
-func cmpKeyed(a, b keyed) int {
-	switch {
-	case a.hi != b.hi:
-		if a.hi < b.hi {
-			return -1
-		}
-		return 1
-	case a.lo < b.lo:
-		return -1
-	case a.lo > b.lo:
-		return 1
-	}
-	return 0
+	sort.SliceStable(es, func(i, j int) bool { return Less(order, &es[i], &es[j]) })
 }
 
 func refDedupSum(es []Entry, order int) []Entry {
@@ -180,7 +164,7 @@ func TestKeyedSortMatchesReference(t *testing.T) {
 		sortEntries(got, order)
 		refSort(want, order)
 		if i := firstDiff(got, want); i >= 0 {
-			t.Fatalf("%s order %d: Sort differs from sort.Slice at %d", c.name, order, i)
+			t.Fatalf("%s order %d: Sort differs from sort.SliceStable at %d", c.name, order, i)
 		}
 
 		got, want = append([]Entry(nil), in...), append([]Entry(nil), in...)

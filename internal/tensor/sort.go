@@ -2,7 +2,7 @@ package tensor
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"cstf/internal/par"
@@ -12,11 +12,9 @@ import (
 // comparing [MaxOrder]uint32 arrays. Each mode's index is a bit field of
 // the key, mode 0 most significant, as wide as the largest index present in
 // that mode (a mode whose indices are all 0 takes no bits). Comparing two
-// keys as integers is then exactly Less on their coordinates, and
-// sortKeyed (pdqsort.go) takes the steps of the pdqsort sort.Slice runs,
-// so with the same comparison outcomes the permutation — and the order
-// DedupSum sums duplicates in — is the one the entry sort produced, bit for
-// bit, on any number of cores.
+// keys as integers is then exactly Less on their coordinates. The sort is
+// stable: entries with equal coordinates keep their input order, which is
+// the order DedupSum sums them in, so any stable sort gives the same bits.
 //
 // The keyed records are written over the entries' own buffer: a record is
 // 24 bytes and an entry 40, so record i never reaches past entry i when
@@ -102,12 +100,37 @@ func (l *keyLayout) unpack(k keyed) Entry {
 	return e
 }
 
-// sortEntries sorts es in place by coordinate, in the order sort.Slice with
-// Less would leave them.
+// cmpKeyed orders records by their key as one 128-bit integer.
+func cmpKeyed(a, b keyed) int {
+	switch {
+	case a.hi != b.hi:
+		if a.hi < b.hi {
+			return -1
+		}
+		return 1
+	case a.lo < b.lo:
+		return -1
+	case a.lo > b.lo:
+		return 1
+	}
+	return 0
+}
+
+// sortEntries sorts es in place by coordinate, stably.
 func sortEntries(es []Entry, order int) {
 	l, ok := layoutFor(order, es)
 	if !ok {
-		sort.Slice(es, func(i, j int) bool { return Less(order, &es[i], &es[j]) })
+		slices.SortStableFunc(es, func(a, b Entry) int {
+			for m := 0; m < order; m++ {
+				if a.Idx[m] != b.Idx[m] {
+					if a.Idx[m] < b.Idx[m] {
+						return -1
+					}
+					return 1
+				}
+			}
+			return 0
+		})
 		return
 	}
 	recs := unsafe.Slice((*keyed)(unsafe.Pointer(unsafe.SliceData(es))), len(es))
@@ -115,7 +138,7 @@ func sortEntries(es []Entry, order int) {
 		e := es[i] // read entry i before record i covers part of it
 		recs[i] = l.pack(&e)
 	}
-	sortKeyed(recs, par.Workers(0))
+	slices.SortStableFunc(recs, cmpKeyed)
 	for i := len(es) - 1; i >= 0; i-- {
 		es[i] = l.unpack(recs[i])
 	}
