@@ -125,8 +125,9 @@ type Options struct {
 	// so results match the COO kernel only to floating-point tolerance —
 	// but remain bitwise identical across Parallelism values, and are the
 	// bitwise reference for distributed runs with the CSF kernel enabled.
-	// The tensor must be duplicate-free (tensor.NewCSF enforces it). Serial
-	// and ncp read it; rals, whose samples have no trees, does not.
+	// Duplicate coordinates become one leaf, summed in input order
+	// (tensor.NewCSF). Serial and ncp read it; rals, whose samples have no
+	// trees, does not.
 	CSFKernel bool
 
 	// Ctx, when non-nil, is checked between ALS iterations; a cancelled

@@ -104,6 +104,37 @@ func TestCSFKernelBitwiseMatchesSerialCSF(t *testing.T) {
 	}
 }
 
+// A tensor with runs of duplicate coordinates, each spread over the input:
+// the workers' trees sum every run in input order, as the single-process
+// trees do, so the dist CSF path still reproduces serial CSF bit for bit.
+func TestCSFKernelSumsDuplicatesLikeSerialCSF(t *testing.T) {
+	x := plantedTensor()
+	raw := tensor.New(x.Dims...)
+	for _, part := range []float64{0.5, 0.3, 0.2} {
+		for _, e := range x.Entries {
+			raw.Entries = append(raw.Entries, tensor.Entry{Idx: e.Idx, Val: e.Val * part})
+		}
+	}
+	opts := solveOpts()
+	opts.CSFKernel = true
+	want, err := cpals.Solve(raw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartInProcess(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cfg := c.Config()
+	cfg.UseCSF = true
+	got, _, err := Solve(raw, opts, cpals.Update{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "csf workers, duplicates", want, got)
+}
+
 // TestChaosReassignmentResyncsFullFactor kills a worker mid-run with delta
 // broadcasts active. The substitute inherits the dead worker's tasks and
 // touched-row sets; because its resident factors are stale for the

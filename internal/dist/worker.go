@@ -385,8 +385,10 @@ func (s *wsession) execMTTKRP(t *Task, hello *Hello, factors []*la.Dense) (*Resu
 // execMTTKRPCSF is the optional SPLATT-kernel variant of PartialMTTKRP: a
 // CSF tree is built once per resident shard (rooted at the shard's mode,
 // remaining modes ascending — the BuildCSFs ordering) and walked with
-// fiber reuse. Because NewCSF sorts entries deterministically and every
-// root's subtree is a pure function of that root's entry set, the output
+// fiber reuse. Because NewCSF sorts entries stably, a shard lists each
+// row's entries in the tensor's order (the mode index is stable too), and
+// every root's subtree is a pure function of that root's entries in that
+// order — duplicates included, summed in input order — the output
 // rows are bitwise identical to the corresponding rows of a full-tensor
 // CSF MTTKRP — the dist CSF path reproduces the single-process CSF solver
 // exactly, though not the COO reference (the factored arithmetic differs).
@@ -415,7 +417,7 @@ func (s *wsession) execMTTKRPCSF(t *Task, hello *Hello, factors []*la.Dense, sh 
 				mo = append(mo, m)
 			}
 		}
-		csf = tensor.NewCSF(tc, mo) // panics on duplicates; execGuarded reports it
+		csf = tensor.NewCSF(tc, mo)
 		s.mu.Lock()
 		s.csfs[key] = csf
 		s.mu.Unlock()

@@ -6,10 +6,14 @@ import (
 )
 
 // The set-up microbenchmarks at the shapes of the repository's benchmark
-// workloads: als3-zipf / dist2-zipf3 generate zipf3, serve-stream generates
-// the recsys tensor. `make bench-tensor` runs them once each.
+// workloads: als3-zipf / dist2-zipf3 generate zipf3, als4-tall an order-4
+// tensor, serve-stream the recsys tensor. `make bench-tensor` runs them
+// once each.
 
-var zipf3Dims = []int{40000, 30000, 20000}
+var (
+	zipf3Dims    = []int{40000, 30000, 20000}
+	als4TallDims = []int{120000, 80000, 60000, 40000} // a 66-bit key
+)
 
 var sink *COO // keeps the generated tensors observable
 
@@ -21,11 +25,17 @@ func BenchmarkGenZipf(b *testing.B) {
 	}
 }
 
-// BenchmarkDedupSum times DedupSum alone on GenZipf's raw draws (2 M
-// entries, 46-bit keys); each iteration starts from a fresh copy.
+// BenchmarkDedupSum times DedupSum alone on raw draws, each iteration from
+// a fresh copy: GenZipf's at als3-zipf's shape (2 M entries, a 46-bit key,
+// the 16 B in-place records) and uniform ones at als4-tall's (300 k
+// entries, a 66-bit key, the 24 B records and their scratch array).
 func BenchmarkDedupSum(b *testing.B) {
-	raw := zipfEntries(1, 2_000_000, 0.7, zipf3Dims)
-	x := New(zipf3Dims...)
+	b.Run("zipf3", func(b *testing.B) { benchDedupSum(b, zipfEntries(1, 2_000_000, 0.7, zipf3Dims), zipf3Dims) })
+	b.Run("als4-tall", func(b *testing.B) { benchDedupSum(b, uniformEntries(1, 300_000, als4TallDims), als4TallDims) })
+}
+
+func benchDedupSum(b *testing.B, raw []Entry, dims []int) {
+	x := New(dims...)
 	x.Entries = make([]Entry, len(raw))
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {

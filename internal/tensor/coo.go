@@ -109,10 +109,13 @@ func Less(order int, a, b *Entry) bool {
 	return false
 }
 
+// naturalOrder lists the modes in order, mode 0 first.
+var naturalOrder = [MaxOrder]int{0, 1, 2, 3, 4, 5, 6, 7}
+
 // Sort orders the entries lexicographically by index, stably: entries with
 // equal coordinates keep their input order (see sort.go).
 func (t *COO) Sort() {
-	sortEntries(t.Entries, t.Order())
+	sortEntries(t.Entries, naturalOrder[:t.Order()])
 	t.InvalidateIndex()
 }
 

@@ -2,8 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
 )
 
 // CSF is the compressed sparse fiber format of SPLATT (Smith et al.,
@@ -27,7 +26,9 @@ type CSF struct {
 }
 
 // NewCSF builds a CSF tree for the given mode ordering (a permutation of
-// 0..order-1). Duplicate coordinates must have been merged (DedupSum).
+// 0..order-1). Entries with equal coordinates become one leaf whose value
+// is their sum in input order, as DedupSum sums them; a sum of zero is
+// kept.
 func NewCSF(t *COO, modeOrder []int) *CSF {
 	order := t.Order()
 	if len(modeOrder) != order {
@@ -41,8 +42,9 @@ func NewCSF(t *COO, modeOrder []int) *CSF {
 		seen[m] = true
 	}
 
-	// Sort entries lexicographically in ModeOrder.
-	entries := sortedByModeOrder(t, modeOrder)
+	// Sort a copy lexicographically in ModeOrder, stably.
+	entries := slices.Clone(t.Entries)
+	sortEntries(entries, modeOrder)
 
 	c := &CSF{
 		ModeOrder: append([]int(nil), modeOrder...),
@@ -76,7 +78,8 @@ func NewCSF(t *COO, modeOrder []int) *CSF {
 			}
 		}
 		if newAt == order {
-			panic("tensor: CSF requires deduplicated entries (call DedupSum first)")
+			c.Vals[len(c.Vals)-1] += e.Val
+			continue
 		}
 		for l := newAt; l < order; l++ {
 			c.Idx[l] = append(c.Idx[l], e.Idx[modeOrder[l]])
@@ -91,73 +94,6 @@ func NewCSF(t *COO, modeOrder []int) *CSF {
 		c.Ptr[l] = append(c.Ptr[l], int32(counts[l+1]))
 	}
 	return c
-}
-
-// sortedByModeOrder returns the entries sorted lexicographically in
-// modeOrder. When every coordinate packs into one uint64 key (the common
-// case — total index bits <= 64) the sort is an LSD radix sort over packed
-// keys, which is what makes per-shard CSF construction cheap enough to do
-// once per (mode, shard) in the distributed workers. Otherwise it falls
-// back to a comparison sort. Both paths produce the identical (unique)
-// lexicographic order, so the resulting CSF tree — and every MTTKRP on it —
-// is bitwise independent of the path taken.
-func sortedByModeOrder(t *COO, modeOrder []int) []Entry {
-	var totalBits uint
-	for _, d := range t.Dims {
-		totalBits += uint(bits.Len(uint(d - 1)))
-	}
-	if totalBits == 0 || totalBits > 64 {
-		entries := append([]Entry(nil), t.Entries...)
-		sort.Slice(entries, func(a, b int) bool {
-			for _, m := range modeOrder {
-				if entries[a].Idx[m] != entries[b].Idx[m] {
-					return entries[a].Idx[m] < entries[b].Idx[m]
-				}
-			}
-			return false
-		})
-		return entries
-	}
-
-	// Pack coordinates most-significant-first in modeOrder; lexicographic
-	// order on coordinates == numeric order on keys.
-	type keyed struct {
-		key uint64
-		idx int32
-	}
-	n := len(t.Entries)
-	a := make([]keyed, n)
-	for i := range t.Entries {
-		var key uint64
-		for _, m := range modeOrder {
-			key = key<<uint(bits.Len(uint(t.Dims[m]-1))) | uint64(t.Entries[i].Idx[m])
-		}
-		a[i] = keyed{key, int32(i)}
-	}
-	b := make([]keyed, n)
-	for shift := uint(0); shift < totalBits; shift += 8 {
-		var count [256]int
-		for i := range a {
-			count[byte(a[i].key>>shift)]++
-		}
-		pos := 0
-		for d := 0; d < 256; d++ {
-			c := count[d]
-			count[d] = pos
-			pos += c
-		}
-		for i := range a {
-			d := byte(a[i].key >> shift)
-			b[count[d]] = a[i]
-			count[d]++
-		}
-		a, b = b, a
-	}
-	entries := make([]Entry, n)
-	for i := range a {
-		entries[i] = t.Entries[a[i].idx]
-	}
-	return entries
 }
 
 // NNZ returns the number of stored nonzeros.

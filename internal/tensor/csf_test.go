@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,16 +108,37 @@ func TestCSFValidation(t *testing.T) {
 			NewCSF(x, bad)
 		}()
 	}
-	// Duplicates must be rejected.
+}
+
+// Duplicate coordinates become one leaf, summed in input order as DedupSum
+// sums them: the tree is the one built from the deduplicated tensor, in any
+// mode order.
+func TestCSFSumsDuplicatesInInputOrder(t *testing.T) {
+	p, q, r := 0.1, 0.2, 0.3 // (p+q)+r != p+(q+r)
 	dup := New(3, 3, 3)
-	dup.Append(1, 1, 1, 1)
-	dup.Append(2, 1, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate coordinates must panic")
+	dup.Append(5, 2, 0, 0)
+	dup.Append(p, 1, 1, 1)
+	dup.Append(4, 0, 2, 1)
+	dup.Append(q, 1, 1, 1)
+	dup.Append(r, 1, 1, 1)
+	if c := NewCSF(dup, []int{0, 1, 2}); !slices.Equal(c.Vals, []float64{4, (p + q) + r, 5}) {
+		t.Fatalf("leaves %v", c.Vals)
+	}
+	// Every coordinate three times, its parts far apart in the input.
+	x := GenUniform(3, 400, 4, 3, 5)
+	raw := New(x.Dims...)
+	for _, part := range []float64{0.5, 0.3, 0.2} {
+		for _, e := range x.Entries {
+			raw.Entries = append(raw.Entries, Entry{Idx: e.Idx, Val: e.Val * part})
 		}
-	}()
-	NewCSF(dup, []int{0, 1, 2})
+	}
+	dedup := raw.Clone()
+	dedup.DedupSum()
+	for _, mo := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
+		if got, want := NewCSF(raw, mo), NewCSF(dedup, mo); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mode order %v: CSF of the raw entries differs from the deduplicated tensor's", mo)
+		}
+	}
 }
 
 func TestCSFEmpty(t *testing.T) {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"cmp"
 	"math"
 	"sort"
 	"testing"
@@ -19,10 +20,16 @@ func refSort(es []Entry, order int) {
 }
 
 func refDedupSum(es []Entry, order int) []Entry {
+	refSort(es, order)
+	return refMerge(es, order)
+}
+
+// refMerge sums each run of equal coordinates of the sorted es in order and
+// drops every sum that is exactly zero.
+func refMerge(es []Entry, order int) []Entry {
 	if len(es) == 0 {
 		return es
 	}
-	refSort(es, order)
 	out := es[:0]
 	cur := es[0]
 	for _, e := range es[1:] {
@@ -161,7 +168,7 @@ func TestKeyedSortMatchesReference(t *testing.T) {
 		}
 
 		got, want := append([]Entry(nil), in...), append([]Entry(nil), in...)
-		sortEntries(got, order)
+		sortEntries(got, naturalOrder[:order])
 		refSort(want, order)
 		if i := firstDiff(got, want); i >= 0 {
 			t.Fatalf("%s order %d: Sort differs from sort.SliceStable at %d", c.name, order, i)
@@ -187,29 +194,53 @@ func TestKeyLayout(t *testing.T) {
 		copy(e.Idx[:], idx)
 		return []Entry{e}
 	}
-	if _, ok := layoutFor(4, at(1<<32-1, 1<<32-1, 1<<32-1, 1<<32-1)); !ok {
-		t.Fatal("four 32-bit fields fit 128 bits")
+	if _, w := layoutFor(naturalOrder[:4], at(1<<32-1, 1<<32-1, 1<<32-1, 1<<32-1)); w != 128 {
+		t.Fatalf("four 32-bit fields take %d bits", w)
 	}
-	if _, ok := layoutFor(5, at(1<<32-1, 1<<32-1, 1<<32-1, 1<<32-1, 1)); ok {
-		t.Fatal("129 bits do not fit")
+	if _, w := layoutFor(naturalOrder[:5], at(1<<32-1, 1<<32-1, 1<<32-1, 1<<32-1, 1)); w != 129 {
+		t.Fatalf("129 bits measured as %d", w)
 	}
 	// Widths follow the indices present, not Dims: an all-zero mode takes
 	// no bits.
-	l, ok := layoutFor(8, at(0, 1<<16-1, 0, 1<<16-1, 1<<16-1, 1<<16-1, 1<<16-1, 1<<16-1))
-	if !ok || l.mask[0] != 0 || l.mask[2] != 0 || l.shift[1] != 80 {
-		t.Fatalf("layout %+v ok=%v", l, ok)
+	l, w := layoutFor(naturalOrder[:8], at(0, 1<<16-1, 0, 1<<16-1, 1<<16-1, 1<<16-1, 1<<16-1, 1<<16-1))
+	if w != 96 || l.mask[0] != 0 || l.mask[2] != 0 || l.shift[1] != 80 {
+		t.Fatalf("layout %+v, %d bits", l, w)
+	}
+	// A field order puts its first mode in the most significant bits.
+	l, w = layoutFor([]int{2, 0, 1}, at(1, 3, 7))
+	if w != 6 || l.shift[2] != 3 || l.shift[0] != 2 || l.shift[1] != 0 {
+		t.Fatalf("mode order 2,0,1: layout %+v, %d bits", l, w)
+	}
+	cmpKey := func(a, b [2]uint64) int {
+		if a[1] != b[1] {
+			return cmp.Compare(a[1], b[1])
+		}
+		return cmp.Compare(a[0], b[0])
 	}
 	src := rng.New(1)
-	es := oracleCase(2, 200, []int{1 << 32, 7, 1 << 20, 1 << 31})
-	l, _ = layoutFor(4, es)
-	for i := range es {
-		e := es[i]
-		if got := l.unpack(l.pack(&e)); got != e {
-			t.Fatalf("round trip %v -> %v", e, got)
+	for _, bounds := range [][]int{{1 << 32, 7, 1 << 20, 1 << 31}, {1 << 20, 7, 1 << 30}} {
+		es := oracleCase(2, 200, bounds)
+		order := len(bounds)
+		l, w := layoutFor(naturalOrder[:order], es)
+		key := func(e *Entry) [2]uint64 {
+			if w <= 64 {
+				r := pack[[1]uint64](&l, e)
+				if got := unpack(&l, &r); got != *e {
+					t.Fatalf("%d-bit round trip %v -> %v", w, *e, got)
+				}
+				return [2]uint64{r.key[0]}
+			}
+			r := pack[[2]uint64](&l, e)
+			if got := unpack(&l, &r); got != *e {
+				t.Fatalf("%d-bit round trip %v -> %v", w, *e, got)
+			}
+			return r.key
 		}
-		f := es[src.Intn(len(es))]
-		if c := cmpKeyed(l.pack(&e), l.pack(&f)); (c < 0) != Less(4, &e, &f) || (c == 0) != (e.Idx == f.Idx) {
-			t.Fatalf("key order disagrees with Less on %v, %v", e.Idx, f.Idx)
+		for i := range es {
+			e, f := es[i], es[src.Intn(len(es))]
+			if c := cmpKey(key(&e), key(&f)); (c < 0) != Less(order, &e, &f) || (c == 0) != (e.Idx == f.Idx) {
+				t.Fatalf("%d-bit key order disagrees with Less on %v, %v", w, e.Idx, f.Idx)
+			}
 		}
 	}
 }
