@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"encoding/binary"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cstf/internal/chaos"
@@ -176,7 +179,10 @@ func TestChaosReassignmentResyncsFullFactor(t *testing.T) {
 // TestMidFlightKillWithDeltas is the in-flight reassignment path (kill
 // AFTER dispatch) under delta broadcasts: tasks already on the dead
 // worker's socket are re-dispatched to a substitute that needs a resync,
-// and the result still matches serial bit for bit.
+// and the result still matches serial bit for bit. Worker 2 holds back
+// everything it would send once its stage-3 task (iteration 0's first
+// mode-2 task) has arrived, so that task is still in flight when the kill
+// lands, however fast the worker computes it.
 func TestMidFlightKillWithDeltas(t *testing.T) {
 	x := sparseTensor()
 	opts := sparseOpts()
@@ -184,10 +190,7 @@ func TestMidFlightKillWithDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := StartInProcess(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := startHeld(t, 3, 2, 2)
 	defer c.Close()
 	cfg := c.Config()
 	var once sync.Once
@@ -204,4 +207,89 @@ func TestMidFlightKillWithDeltas(t *testing.T) {
 	if stats.WorkerDeaths != 1 || stats.Reassignments == 0 {
 		t.Fatalf("want one death with reassignments, got %+v", stats)
 	}
+}
+
+// startHeld starts n in-process workers as StartInProcess does, except
+// that worker slot holds back what it sends once it has read a task for
+// mode (see holdListener).
+func startHeld(t *testing.T, n, slot, mode int) *LocalCluster {
+	t.Helper()
+	c := &LocalCluster{}
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+		w := NewWorker()
+		if i == slot {
+			go w.Serve(holdListener{Listener: ln, mode: mode})
+		} else {
+			go w.Serve(ln)
+		}
+		c.Addrs = append(c.Addrs, ln.Addr().String())
+		c.Kills = append(c.Kills, w.Close)
+		c.closers = append(c.closers, func() { w.Close() })
+	}
+	return c
+}
+
+// holdListener hands a worker connections that stop sending once the
+// worker has read a task for the given mode: from then on every write
+// blocks until the connection is closed, so that task's result never
+// reaches the coordinator, and a kill after dispatch always finds it in
+// flight.
+type holdListener struct {
+	net.Listener
+	mode int
+}
+
+func (l holdListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdConn{Conn: c, mode: l.mode, closed: make(chan struct{})}, nil
+}
+
+type holdConn struct {
+	net.Conn
+	mode   int
+	in     []byte // read bytes not yet parsed into whole frames
+	hold   atomic.Bool
+	closed chan struct{}
+	once   sync.Once
+}
+
+// Read passes the coordinator's bytes through and parses their frames
+// before the worker sees them, so the hold is set before the task runs.
+func (c *holdConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.in = append(c.in, p[:n]...)
+	for len(c.in) >= frameHeaderLen {
+		end := frameHeaderLen + int(binary.BigEndian.Uint32(c.in[1:]))
+		if len(c.in) < end {
+			break
+		}
+		if MsgType(c.in[0]) == MsgTask {
+			if t, err := DecodeTask(c.in[frameHeaderLen:end]); err == nil && t.Mode == c.mode {
+				c.hold.Store(true)
+			}
+		}
+		c.in = c.in[end:]
+	}
+	return n, err
+}
+
+func (c *holdConn) Write(p []byte) (int, error) {
+	if c.hold.Load() {
+		<-c.closed
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *holdConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
 }

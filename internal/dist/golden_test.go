@@ -75,6 +75,8 @@ func TestExactKillGoldenHash(t *testing.T) {
 		{"least squares", "d0e0cb0d8930ee12", cpals.Update{}},
 		{"nonnegative", "80b5b24efbff1ab9", nonneg},
 	}
+	// The in-flight arm's worker 1 holds back its stage-2 (mode-1) result,
+	// so the kill always finds that task in flight.
 	kills := map[string]func(c *LocalCluster, cfg *Config){
 		"chaos crash": func(_ *LocalCluster, cfg *Config) {
 			cfg.Plan = chaos.NewPlanFromEvents(chaos.Event{Kind: chaos.NodeCrash, Node: 1, Stage: 2})
@@ -97,10 +99,7 @@ func TestExactKillGoldenHash(t *testing.T) {
 			t.Fatalf("%s: serial hash %s, want %s", up.name, hash, up.want)
 		}
 		for name, arm := range kills {
-			c, err := StartInProcess(3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := startHeld(t, 3, 1, 1)
 			cfg := c.Config()
 			cfg.DisableRejoin = true
 			arm(c, &cfg)

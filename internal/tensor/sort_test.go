@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"cstf/internal/rng"
 )
 
 // Sort is stable for any worker count: it leaves the entries in the order
@@ -86,5 +88,71 @@ func TestDedupSumSortsInPlace(t *testing.T) {
 			n, got, hist+slack, hist, slack)
 	} else {
 		t.Logf("DedupSum allocated %d bytes of a %d bound", got, hist+slack)
+	}
+}
+
+// sortCase builds n order-3 entries whose coordinates order as key(i) does.
+func sortCase(n int, key func(i int) uint32) []Entry {
+	es := make([]Entry, n)
+	for i := range es {
+		k := key(i)
+		es[i].Idx = [MaxOrder]uint32{k >> 10, k & 1023, 0}
+	}
+	return es
+}
+
+// The radix passes hand their chunks to other goroutines but must not
+// change the permutation: on key patterns a comparison sort finds hard,
+// every worker count leaves the entries in slices.SortStableFunc's order.
+// Every input spans more than four scan chunks.
+func TestSortKeyedForkKeepsPermutation(t *testing.T) {
+	n := 4*scanChunk + 1001
+	src := rng.New(9)
+	cases := []struct {
+		name string
+		es   []Entry
+	}{
+		{"16 keys", sortCase(n, func(int) uint32 { return uint32(src.Intn(16)) })},
+		{"ascending with repeats", sortCase(n, func(i int) uint32 { return uint32(i / 3) })},
+		{"descending", sortCase(n, func(i int) uint32 { return uint32(n - i) })},
+		{"organ pipe", sortCase(n, func(i int) uint32 { return uint32(min(i, n-1-i)) })},
+		{"saw tooth", sortCase(n, func(i int) uint32 { return uint32(i % 5003) })},
+		{"zipf3", zipfEntries(1, n, 0.7, zipf3Dims)},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		// A value of its own per entry: two orders of equal keys then
+		// differ in the values.
+		for i := range c.es {
+			c.es[i].Val = float64(i)
+		}
+		want := slices.Clone(c.es)
+		refSort(want, 3)
+		for _, workers := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(workers)
+			x := &COO{Dims: make([]int, 3), Entries: slices.Clone(c.es)}
+			x.Sort()
+			if i := firstDiff(x.Entries, want); i >= 0 {
+				t.Fatalf("%s, %d workers: entry %d differs from the stable sort", c.name, workers, i)
+			}
+		}
+	}
+}
+
+// DedupSum sums duplicate runs in input order; on a tie-heavy draw over
+// several radix chunks the sums must be the reference's bit for bit at
+// every worker count.
+func TestDedupSumForkedMatchesReference(t *testing.T) {
+	in := oracleCase(11, 4*scanChunk+77, []int{23, 17, 11})
+	want := refDedupSum(slices.Clone(in), 3)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(workers)
+		x := &COO{Dims: []int{23, 17, 11}, Entries: slices.Clone(in)}
+		x.DedupSum()
+		if i := firstDiff(x.Entries, want); i >= 0 {
+			t.Fatalf("%d workers: DedupSum differs from the reference at %d of %d/%d",
+				workers, i, len(x.Entries), len(want))
+		}
 	}
 }
