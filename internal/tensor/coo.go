@@ -128,11 +128,21 @@ func (t *COO) DedupSum() {
 		return
 	}
 	t.Sort()
-	out := t.Entries[:0]
-	ord := t.Order()
-	cur := t.Entries[0]
-	for _, e := range t.Entries[1:] {
-		if !Less(ord, &cur, &e) && !Less(ord, &e, &cur) {
+	t.Entries = sumRuns(t.Entries, t.Order())
+	t.InvalidateIndex()
+}
+
+// sumRuns merges each run of equal coordinates in sorted es into one entry
+// whose value is the run's sum in order, drops every entry whose value is
+// then exactly zero, and returns what is left, at the front of es.
+func sumRuns(es []Entry, order int) []Entry {
+	out := es[:0]
+	if len(es) == 0 {
+		return out
+	}
+	cur := es[0]
+	for _, e := range es[1:] {
+		if !Less(order, &cur, &e) && !Less(order, &e, &cur) {
 			cur.Val += e.Val
 			continue
 		}
@@ -144,8 +154,7 @@ func (t *COO) DedupSum() {
 	if cur.Val != 0 {
 		out = append(out, cur)
 	}
-	t.Entries = out
-	t.InvalidateIndex()
+	return out
 }
 
 // MaxModeSize returns the largest mode size (the "Max mode size" column of

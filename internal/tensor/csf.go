@@ -26,9 +26,10 @@ type CSF struct {
 }
 
 // NewCSF builds a CSF tree for the given mode ordering (a permutation of
-// 0..order-1). Entries with equal coordinates become one leaf whose value
-// is their sum in input order, as DedupSum sums them; a sum of zero is
-// kept.
+// 0..order-1) over the entries DedupSum would leave: entries with equal
+// coordinates become one leaf whose value is their sum in input order, and
+// no leaf holds exactly zero. NewCSF(t) is therefore NewCSF of t after
+// DedupSum.
 func NewCSF(t *COO, modeOrder []int) *CSF {
 	order := t.Order()
 	if len(modeOrder) != order {
@@ -42,9 +43,10 @@ func NewCSF(t *COO, modeOrder []int) *CSF {
 		seen[m] = true
 	}
 
-	// Sort a copy lexicographically in ModeOrder, stably.
+	// Sort a copy lexicographically in ModeOrder, stably, and sum its runs.
 	entries := slices.Clone(t.Entries)
 	sortEntries(entries, modeOrder)
+	entries = sumRuns(entries, order)
 
 	c := &CSF{
 		ModeOrder: append([]int(nil), modeOrder...),
@@ -69,17 +71,12 @@ func NewCSF(t *COO, modeOrder []int) *CSF {
 		newAt := 0 // first level whose index differs from the previous entry
 		if i > 0 {
 			prev := &entries[i-1]
-			newAt = order
 			for l, m := range modeOrder {
 				if e.Idx[m] != prev.Idx[m] {
 					newAt = l
 					break
 				}
 			}
-		}
-		if newAt == order {
-			c.Vals[len(c.Vals)-1] += e.Val
-			continue
 		}
 		for l := newAt; l < order; l++ {
 			c.Idx[l] = append(c.Idx[l], e.Idx[modeOrder[l]])

@@ -111,20 +111,23 @@ func TestCSFValidation(t *testing.T) {
 }
 
 // Duplicate coordinates become one leaf, summed in input order as DedupSum
-// sums them: the tree is the one built from the deduplicated tensor, in any
-// mode order.
+// sums them, and a run that cancels leaves no leaf: the tree is the one
+// built from the deduplicated tensor, in any mode order.
 func TestCSFSumsDuplicatesInInputOrder(t *testing.T) {
 	p, q, r := 0.1, 0.2, 0.3 // (p+q)+r != p+(q+r)
 	dup := New(3, 3, 3)
 	dup.Append(5, 2, 0, 0)
 	dup.Append(p, 1, 1, 1)
+	dup.Append(7, 0, 0, 2)
 	dup.Append(4, 0, 2, 1)
 	dup.Append(q, 1, 1, 1)
+	dup.Append(-7, 0, 0, 2)
 	dup.Append(r, 1, 1, 1)
-	if c := NewCSF(dup, []int{0, 1, 2}); !slices.Equal(c.Vals, []float64{4, (p + q) + r, 5}) {
-		t.Fatalf("leaves %v", c.Vals)
+	if c := NewCSF(dup, []int{0, 1, 2}); !slices.Equal(c.Vals, []float64{4, (p + q) + r, 5}) || c.Fibers()[0] != 3 {
+		t.Fatalf("leaves %v, fibers %v", c.Vals, c.Fibers())
 	}
-	// Every coordinate three times, its parts far apart in the input.
+	// Every coordinate three times, its parts far apart in the input; the
+	// first ten get a fourth part that cancels their sum.
 	x := GenUniform(3, 400, 4, 3, 5)
 	raw := New(x.Dims...)
 	for _, part := range []float64{0.5, 0.3, 0.2} {
@@ -132,10 +135,17 @@ func TestCSFSumsDuplicatesInInputOrder(t *testing.T) {
 			raw.Entries = append(raw.Entries, Entry{Idx: e.Idx, Val: e.Val * part})
 		}
 	}
+	for _, e := range x.Entries[:10] {
+		sum := e.Val*0.5 + e.Val*0.3 + e.Val*0.2
+		raw.Entries = append(raw.Entries, Entry{Idx: e.Idx, Val: -sum})
+	}
 	dedup := raw.Clone()
 	dedup.DedupSum()
+	if dedup.NNZ() != x.NNZ()-10 {
+		t.Fatalf("DedupSum kept %d of %d entries, want the ten cancelled runs gone", dedup.NNZ(), x.NNZ())
+	}
 	for _, mo := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
-		if got, want := NewCSF(raw, mo), NewCSF(dedup, mo); !reflect.DeepEqual(got, want) {
+		if got, want := NewCSF(raw, mo), NewCSF(dedup, mo); !reflect.DeepEqual(got, want) || got.NNZ() != dedup.NNZ() {
 			t.Fatalf("mode order %v: CSF of the raw entries differs from the deduplicated tensor's", mo)
 		}
 	}

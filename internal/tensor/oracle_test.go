@@ -206,6 +206,29 @@ func TestKeyLayout(t *testing.T) {
 	if w != 96 || l.mask[0] != 0 || l.mask[2] != 0 || l.shift[1] != 80 {
 		t.Fatalf("layout %+v, %d bits", l, w)
 	}
+	// An all-zero mode above fields that fill the key exactly packs and
+	// unpacks inside it.
+	const max = 1<<32 - 1
+	for _, c := range []struct {
+		order int
+		es    []Entry
+	}{{3, at(0, max, max)}, {5, at(0, max, max, max, max)}} {
+		l, w := layoutFor(naturalOrder[:c.order], c.es)
+		e, got := c.es[0], Entry{}
+		switch w {
+		case 64:
+			r := pack[[1]uint64](&l, &e)
+			got = unpack(&l, &r)
+		case 128:
+			r := pack[[2]uint64](&l, &e)
+			got = unpack(&l, &r)
+		default:
+			t.Fatalf("order %d below an all-zero mode: %d bits, want 64 or 128", c.order, w)
+		}
+		if got != e {
+			t.Fatalf("%d-bit round trip below an all-zero mode: %v -> %v", w, e.Idx, got.Idx)
+		}
+	}
 	// A field order puts its first mode in the most significant bits.
 	l, w = layoutFor([]int{2, 0, 1}, at(1, 3, 7))
 	if w != 6 || l.shift[2] != 3 || l.shift[0] != 2 || l.shift[1] != 0 {

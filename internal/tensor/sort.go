@@ -70,6 +70,11 @@ func layoutFor(fields []int, es []Entry) (l keyLayout, keyBits uint) {
 	for i := len(fields) - 1; i >= 0; i-- {
 		m := fields[i]
 		w := uint(bits.Len32(seen[m]))
+		if w == 0 {
+			// An empty field sits at bit 0: its shift must name a word of
+			// the key even when the fields below it fill every word.
+			continue
+		}
 		l.shift[m], l.mask[m] = keyBits, 1<<w-1
 		keyBits += w
 	}

@@ -28,6 +28,8 @@ func TestSortIsStableAtAnyWorkerCount(t *testing.T) {
 		{"als4-tall shape, 66-bit keys", 4, uniformEntries(2, 100_000, als4TallDims)},
 		{"80-bit keys", 5, oracleCase(3, 100_000, []int{1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 16})},
 		{"over 128 bits", 5, oracleCase(4, 20_000, []int{max32, max32, max32, max32, 3})},
+		{"64 bits below an all-zero mode", 3, oracleCase(8, 70_000, []int{1, max32, max32})},
+		{"128 bits below an all-zero mode", 5, oracleCase(9, 70_000, []int{1, max32, max32, max32, max32})},
 		{"runs of three and more", 3, oracleCase(5, 140_000, []int{23, 17, 11})},
 		{"8-bit keys, one pass", 1, oracleCase(6, 70_000, []int{256})},
 		{"empty", 3, nil},
@@ -63,6 +65,23 @@ func TestSortIsStableAtAnyWorkerCount(t *testing.T) {
 				t.Fatalf("%s, %d workers: DedupSum differs from the reference at %d", c.name, workers, i)
 			}
 		}
+	}
+}
+
+// A mode whose indices are all 0 takes no key bits, even when it is the
+// most significant field and the others fill a 64-bit key exactly.
+func TestAllZeroModeAboveAFullKey(t *testing.T) {
+	x := New(1, 1<<32, 1<<32)
+	x.Append(1, 0, 4e9, 4e9)
+	x.Append(2, 0, 3e9, 3e9)
+	x.Append(3, 0, 4e9, 4e9)
+	if c := NewCSF(x, []int{0, 2, 1}); !slices.Equal(c.Vals, []float64{2, 4}) {
+		t.Fatalf("CSF leaves %v, want [2 4]", c.Vals)
+	}
+	x.DedupSum()
+	want := []Entry{{Idx: [MaxOrder]uint32{0, 3e9, 3e9}, Val: 2}, {Idx: [MaxOrder]uint32{0, 4e9, 4e9}, Val: 4}}
+	if !slices.Equal(x.Entries, want) {
+		t.Fatalf("DedupSum left %v, want %v", x.Entries, want)
 	}
 }
 
