@@ -43,9 +43,11 @@ race:
 
 # The packages whose tests start goroutines, sockets or worker pools, twenty
 # times over under the race detector: what passes once by scheduling luck
-# does not pass this. Not part of `make ci` (it takes minutes); run it after
-# touching anything concurrent.
-FLAKE_PKGS := ./internal/par ./internal/tensor ./internal/cluster ./internal/serve ./internal/stream ./internal/dist ./internal/fleet
+# does not pass this. cpals is here because the COO source's zero-row marks
+# are written by FactorUpdated and read on the kernel's pool goroutines. Not
+# part of `make ci` (it takes minutes); run it after touching anything
+# concurrent.
+FLAKE_PKGS := ./internal/par ./internal/cpals ./internal/tensor ./internal/cluster ./internal/serve ./internal/stream ./internal/dist ./internal/fleet
 flake:
 	$(GO) test -count=20 -race $(FLAKE_PKGS)
 
@@ -72,7 +74,8 @@ bench-la:
 
 # The solver microbenchmarks, same deal: the MTTKRP kernel per access path
 # and storage order (ns/nnz per mode) at the als3-zipf and als4-tall shapes,
-# and a whole als4-tall-shaped solve (MB allocated per solve).
+# als4-tall's collapsed model with and without the zero-term skip, and a
+# whole als4-tall-shaped solve (MB allocated per solve).
 bench-cpals:
 	$(GO) test ./internal/cpals -run '^$$' -bench . -benchtime 1x
 
@@ -82,10 +85,11 @@ bench-cpals:
 bench-dist:
 	$(GO) test ./internal/dist -run '^$$' -bench . -benchtime 1x
 
-# The set-up microbenchmarks, same deal: GenZipf, DedupSum alone (ns/nnz)
-# and GenRecsys at the benchmark workloads' shapes. BenchmarkPaperSetup —
-# delicious3d at a tenth of full scale, about a gigabyte — runs only when
-# named: go test ./internal/tensor -run '^$$' -bench PaperSetup -benchtime 1x
+# The set-up microbenchmarks, same deal: GenZipf, DedupSum alone (ns/nnz),
+# GenLowRank and GenRecsys at the benchmark workloads' shapes.
+# BenchmarkPaperSetup — delicious3d at a tenth of full scale, about a
+# gigabyte — runs only when named:
+# go test ./internal/tensor -run '^$$' -bench PaperSetup -benchtime 1x
 bench-tensor:
 	$(GO) test ./internal/tensor -run '^$$' -bench . -benchtime 1x
 

@@ -2,7 +2,10 @@ package cpals
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"cstf/internal/ckpt"
 	"cstf/internal/la"
@@ -27,17 +30,35 @@ type Source interface {
 }
 
 // COOSource is the Source of the shared-memory COO kernel (MTTKRPWorkers)
-// on Workers goroutines.
-type COOSource struct{ Workers int }
+// on Workers goroutines. It drops the nonzeros whose terms are exactly zero
+// (DESIGN §9), but only against factors it was told about: FactorUpdated
+// marks a factor's all-zero rows, and a call skips only when every other
+// mode's factor is the very matrix last marked for that mode. A COOSource
+// built mid-run, or handed factors no FactorUpdated named, runs the plain
+// gather.
+type COOSource struct {
+	Workers int
+	zero    []zeroRows // per mode, from the last FactorUpdated
+}
+
+// zeroRows are the marks FactorUpdated took of one factor.
+type zeroRows struct {
+	// f is the factor marked; nil when it held an entry that is not finite
+	// or exceeds 1 in magnitude, against which nothing is skipped.
+	f     *la.Dense
+	bits  []uint64 // bit i: row i of f is all ±0
+	count int      // rows marked
+}
 
 // MTTKRP walks a row set as ranges of x's mode index: each run of listed
 // rows with no other nonzero between them is one range, cut at row
 // boundaries into parts of about an even share of the listed rows'
 // nonzeros per worker. Every row sees its nonzeros in mode-index order, so
 // its bits are MTTKRPWorkers' however the ranges fall.
-func (s COOSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []int, out *la.Dense) error {
+func (s *COOSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []int, out *la.Dense) error {
+	skip := s.skipMarks(x, mode, factors)
 	if rows == nil {
-		MTTKRPWorkers(x, mode, factors, s.Workers, out, nil)
+		mttkrpWorkers(x, mode, factors, s.Workers, out, skip)
 		return nil
 	}
 	w := par.Workers(s.Workers)
@@ -57,12 +78,89 @@ func (s COOSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []i
 		}
 	}
 	par.Run(w, len(ranges), func(k int) {
-		MTTKRPAccumulate(out, 0, x.Entries, mi.Perm[ranges[k][0]:ranges[k][1]], mode, factors)
+		mttkrpAccumulate(out, 0, x.Entries, mi.Perm[ranges[k][0]:ranges[k][1]], mode, factors, skip)
 	})
 	return nil
 }
 
-func (COOSource) FactorUpdated(int, *la.Dense) {}
+// skipMarks returns the marks of the modes other than mode when the
+// skipping gather is exact and pays on x, else nil. Exact: every other
+// factor is the matrix last marked for its mode, so each is finite and
+// bounded by 1 in magnitude. Pays: the marked rows of one other mode hold at
+// least 1/skipShare of x's nonzeros.
+func (s *COOSource) skipMarks(x *tensor.COO, mode int, factors []*la.Dense) *zeroMarks {
+	var marks zeroMarks
+	c, most := 0, 0
+	for m, f := range factors {
+		if m == mode {
+			continue
+		}
+		if m >= len(s.zero) || s.zero[m].f != f || f == nil || f.Rows != x.Dims[m] {
+			return nil
+		}
+		z := &s.zero[m]
+		marks[c] = z.bits
+		c++
+		if z.count == 0 || most*skipShare >= len(x.Entries) {
+			continue
+		}
+		ptr, d := x.ModeIndex(m).RowPtr, 0
+		for k, word := range z.bits {
+			for ; word != 0; word &= word - 1 {
+				i := k*64 + bits.TrailingZeros64(word)
+				d += int(ptr[i+1] - ptr[i])
+			}
+		}
+		most = max(most, d)
+	}
+	if most == 0 || most*skipShare < len(x.Entries) {
+		return nil
+	}
+	return &marks
+}
+
+// FactorUpdated marks the all-zero rows of f, the factor of mode from now
+// on, in one pass over its entries on the worker pool.
+func (s *COOSource) FactorUpdated(mode int, f *la.Dense) {
+	if mode >= len(s.zero) {
+		s.zero = append(s.zero, make([]zeroRows, mode+1-len(s.zero))...)
+	}
+	z := &s.zero[mode]
+	z.f, z.count = nil, 0
+	if words := (f.Rows + 63) / 64; cap(z.bits) >= words {
+		z.bits = z.bits[:words]
+	} else {
+		z.bits = make([]uint64, words)
+	}
+	const one = 0x3ff0000000000000 // the bits of 1.0
+	var unbounded atomic.Bool
+	var count atomic.Int64
+	// par.BlockSize is a multiple of 64, so the blocks write disjoint words.
+	par.ForBlocks(s.Workers, f.Rows, func(lo, hi int) {
+		clear(z.bits[lo/64 : (hi+63)/64])
+		n := 0
+		for i := lo; i < hi; i++ {
+			// The bits of the row's largest magnitude (NaN's the largest
+			// of all): 0 exactly when the row is all ±0.
+			var top uint64
+			for _, v := range f.Row(i) {
+				top = max(top, math.Float64bits(v)&^(1<<63))
+			}
+			if top > one {
+				unbounded.Store(true)
+				return
+			}
+			if top == 0 {
+				z.bits[i/64] |= 1 << (i % 64)
+				n++
+			}
+		}
+		count.Add(int64(n))
+	})
+	if !unbounded.Load() {
+		z.f, z.count = f, int(count.Load())
+	}
+}
 
 // csfSource is the Source of the CSF kernel over per-mode trees of the
 // solve's own tensor, which is the only x it is handed.
@@ -127,7 +225,7 @@ func SolveWith(t *tensor.COO, o Options, u Update) (*Result, error) {
 	case o.CSFKernel:
 		s.src = NewCSFSource(t, w)
 	default:
-		s.src = COOSource{w}
+		s.src = &COOSource{Workers: w}
 	}
 	if _, csf := s.src.(csfSource); !csf {
 		t.ModeIndexes(w)

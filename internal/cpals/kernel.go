@@ -13,6 +13,15 @@ import (
 // (EXPERIMENTS.md), so it is a constant.
 const gatherBlock = 256
 
+// skipShare gates the skipping gather (COOSource, DESIGN §9): a call drops
+// the nonzeros with exactly-zero terms only when one other mode's zero rows
+// hold at least 1/skipShare of them. Where little is dropped its
+// per-nonzero test is a loss: ungated, als3-zipf's iteration went from
+// 299–330 ms to 428–454 ms and serve-stream's from 168–181 ms to 205–231 ms
+// (2-vCPU Xeon, alternating runs), while on als4-tall's collapsed model over
+// 99 % of the terms drop.
+const skipShare = 4
+
 // warmBytes caps the factor and output rows one block reads, so that what the
 // warm pass loads is still cached when the compute pass gets to it: past
 // about 1 MB per block the rank-64 order-4 kernel runs 2x slower, not faster.
@@ -21,7 +30,7 @@ const warmBytes = 128 << 10
 
 // block is one block of nonzeros as columns: output row, value, and the
 // index along each other mode (ascending mode order). The kernel has two
-// feeders that fill one: MTTKRPAccumulate gathers entries into stack
+// feeders that fill one: mttkrpAccumulate gathers entries into stack
 // buffers, MTTKRPColumns slices columns that are already resident.
 type block struct {
 	rows []uint32
@@ -45,7 +54,28 @@ func plan(rank, mode int, factors []*la.Dense, others *[tensor.MaxOrder - 1]int)
 	return nOther, blockLen
 }
 
-// MTTKRPAccumulate is the per-nonzero COO MTTKRP over array-of-entries
+// zeroMarks holds, for each mode other than the output mode (ascending), a
+// bitset of the factor rows that are all ±0: bit i of marks[c] is row i of
+// the c-th other mode's factor.
+type zeroMarks [tensor.MaxOrder - 1][]uint64
+
+// zeroTerm reports whether e's term is exactly ±0 and may be dropped: its
+// value is finite and one of its other-mode rows is marked. The marks must
+// come from factors whose every entry is finite and at most 1 in magnitude,
+// so that no partial product reaches Inf before it meets the zero row.
+func (z *zeroMarks) zeroTerm(e *tensor.Entry, others []int) bool {
+	if !(math.Abs(e.Val) <= math.MaxFloat64) {
+		return false // Inf or NaN times zero is NaN
+	}
+	for c, m := range others {
+		if i := e.Idx[m]; z[c][i>>6]>>(i&63)&1 != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// mttkrpAccumulate is the per-nonzero COO MTTKRP over array-of-entries
 // storage. It adds the mode-`mode` terms of a sequence of nonzeros to out,
 // whose row 0 is output row rowLo: the nonzeros are entries[perm[0]],
 // entries[perm[1]], ... when perm is non-nil (a slice of
@@ -57,7 +87,12 @@ func plan(rank, mode int, factors []*la.Dense, others *[tensor.MaxOrder - 1]int)
 // factor entries in ascending mode order, each product rounded, then one
 // addition into the output — so callers that present each output row's
 // nonzeros in storage order get the reference's bits (DESIGN §9).
-func MTTKRPAccumulate(out *la.Dense, rowLo int, entries []tensor.Entry, perm []int32, mode int, factors []*la.Dense) {
+//
+// Given zero-row marks it gathers only the nonzeros whose terms are not
+// exactly zero. Dropping a ±0 term changes no output bit when out starts at
+// +0 (a sum that starts at +0 never becomes -0), so with marks out must be
+// zero on entry.
+func mttkrpAccumulate(out *la.Dense, rowLo int, entries []tensor.Entry, perm []int32, mode int, factors []*la.Dense, skip *zeroMarks) {
 	n := len(entries)
 	if perm != nil {
 		n = len(perm)
@@ -70,19 +105,42 @@ func MTTKRPAccumulate(out *la.Dense, rowLo int, entries []tensor.Entry, perm []i
 		b      block
 	)
 	nOther, blockLen := plan(out.Cols, mode, factors, &others)
-	for lo := 0; lo < n; lo += blockLen {
-		cnt := min(blockLen, n-lo)
-		// Gather: loads only, so the cache misses of a block overlap
-		// instead of each waiting behind the previous nonzero's arithmetic.
-		for j := range rows[:cnt] {
-			p := lo + j
-			if perm != nil {
-				p = int(perm[p])
+	for lo := 0; lo < n; {
+		cnt := 0
+		if skip == nil {
+			cnt = min(blockLen, n-lo)
+			// Gather: loads only, so the cache misses of a block overlap
+			// instead of each waiting behind the previous nonzero's
+			// arithmetic.
+			for j := range rows[:cnt] {
+				p := lo + j
+				if perm != nil {
+					p = int(perm[p])
+				}
+				e := &entries[p]
+				rows[j], vals[j] = e.Idx[mode], e.Val
+				for c, m := range others[:nOther] {
+					cols[c][j] = e.Idx[m]
+				}
 			}
-			e := &entries[p]
-			rows[j], vals[j] = e.Idx[mode], e.Val
-			for c, m := range others[:nOther] {
-				cols[c][j] = e.Idx[m]
+			lo += cnt
+		} else {
+			// The same gather, filling the block with the nonzeros that
+			// survive the marks.
+			for ; lo < n && cnt < blockLen; lo++ {
+				p := lo
+				if perm != nil {
+					p = int(perm[p])
+				}
+				e := &entries[p]
+				if skip.zeroTerm(e, others[:nOther]) {
+					continue
+				}
+				rows[cnt], vals[cnt] = e.Idx[mode], e.Val
+				for c, m := range others[:nOther] {
+					cols[c][cnt] = e.Idx[m]
+				}
+				cnt++
 			}
 		}
 		b.rows, b.vals = rows[:cnt], vals[:cnt]
@@ -93,7 +151,7 @@ func MTTKRPAccumulate(out *la.Dense, rowLo int, entries []tensor.Entry, perm []i
 	}
 }
 
-// MTTKRPColumns is MTTKRPAccumulate over nonzeros that are already stored as
+// MTTKRPColumns is mttkrpAccumulate over nonzeros that are already stored as
 // columns (a dist worker's resident shard): rows[i], vals[i] and cols[c][i]
 // are nonzero i's output row, value and index along the c-th mode other than
 // `mode`, ascending. Same blocks, same body, same bits; nothing is copied.

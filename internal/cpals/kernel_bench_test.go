@@ -10,14 +10,14 @@ import (
 	"cstf/internal/tensor"
 )
 
-// BenchmarkMTTKRPKernel times MTTKRPAccumulate on one goroutine over every
+// BenchmarkMTTKRPKernel times mttkrpAccumulate on one goroutine over every
 // mode of the two tensor shapes the repository's benchmark trains on
 // (als3-zipf, als4-tall), and reports nanoseconds per nonzero per mode.
 // "perm" walks the tensor through ModeIndex.Perm as the shared-memory solver
 // does; "linear" scans a copy of the entries already in Perm order;
 // "columns" scans the same nonzeros stored by column (MTTKRPColumns), as a
 // dist worker scans its shard. "sorted" and "shuffled" are the storage order
-// of the entries Perm points into.
+// of the entries Perm points into. "collapsed" is benchCollapsed.
 func BenchmarkMTTKRPKernel(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -61,9 +61,9 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 							start := time.Now()
 							switch access {
 							case "perm":
-								MTTKRPAccumulate(outs[n], 0, x.Entries, x.ModeIndex(n).Perm, n, factors)
+								mttkrpAccumulate(outs[n], 0, x.Entries, x.ModeIndex(n).Perm, n, factors, nil)
 							case "linear":
-								MTTKRPAccumulate(outs[n], 0, shards[n], nil, n, factors)
+								mttkrpAccumulate(outs[n], 0, shards[n], nil, n, factors, nil)
 							default:
 								c := &columns[n]
 								MTTKRPColumns(outs[n], 0, c.rows, c.vals, c.cols, n, factors)
@@ -75,6 +75,73 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 				})
 			}
 		}
+	}
+	b.Run("lowrank4-r64/collapsed", benchCollapsed)
+}
+
+// benchCollapsed is als4-tall's steady state: every factor row zero but
+// 64/63/65/65 live ones, the rows of the first nonzeros drawn, normalized.
+// "plain" is mttkrpAccumulate over the mode index; "skip" is a COOSource
+// told about the factors, which drops the nonzeros that meet a zero row
+// (gate included), and it also reports the ms its FactorUpdated scans take
+// over all four factors, once per iteration of a solve.
+func benchCollapsed(b *testing.B) {
+	const rank = 64
+	x := tensor.GenLowRank(1, 300_000, 8, 0.1, 120000, 80000, 60000, 40000)
+	order := x.Order()
+	live := []int{64, 63, 65, 65}
+	factors := make([]*la.Dense, order)
+	outs := make([]*la.Dense, order)
+	for n := range factors {
+		f := la.NewDense(x.Dims[n], rank)
+		for p := 0; live[n] > 0; p++ {
+			i := int(x.Entries[p].Idx[n])
+			if row := f.Row(i); row[0] == 0 {
+				for c := range row {
+					row[c] = FactorInitValue(3, n, i, c)
+				}
+				live[n]--
+			}
+		}
+		la.NormalizeColumnsParallel(f, 1)
+		factors[n] = f
+		outs[n] = la.NewDense(x.Dims[n], rank)
+		x.ModeIndex(n)
+	}
+	for _, skip := range []bool{false, true} {
+		name := "plain"
+		if skip {
+			name = "skip"
+		}
+		b.Run(name, func(b *testing.B) {
+			src := &COOSource{Workers: 1}
+			var kernel, scan time.Duration
+			for i := 0; i < b.N; i++ {
+				if skip {
+					start := time.Now()
+					for n, f := range factors {
+						src.FactorUpdated(n, f)
+					}
+					scan += time.Since(start)
+				}
+				for n := 0; n < order; n++ {
+					outs[n].Zero()
+					start := time.Now()
+					if skip {
+						if err := src.MTTKRP(x, n, factors, nil, outs[n]); err != nil {
+							b.Fatal(err)
+						}
+					} else {
+						mttkrpAccumulate(outs[n], 0, x.Entries, x.ModeIndex(n).Perm, n, factors, nil)
+					}
+					kernel += time.Since(start)
+				}
+			}
+			b.ReportMetric(float64(kernel.Nanoseconds())/float64(b.N*order*x.NNZ()), "ns/nnz")
+			if skip {
+				b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N)/1e6, "scan-ms")
+			}
+		})
 	}
 }
 

@@ -161,7 +161,7 @@ func TestKernelBitwiseEqualsOracle(t *testing.T) {
 							shard = append(shard, x.Entries[p])
 						}
 						got := la.NewDense(r.RowHi-r.RowLo, rank)
-						MTTKRPAccumulate(got, r.RowLo, shard, nil, mode, factors)
+						mttkrpAccumulate(got, r.RowLo, shard, nil, mode, factors, nil)
 						c := columnsOf(shard, mode, order)
 						fromCols := rowsView(start, r.RowLo, r.RowHi) // non-zero on entry
 						MTTKRPColumns(fromCols, r.RowLo, c.rows, c.vals, c.cols, mode, factors)
@@ -192,8 +192,8 @@ func TestKernelBitwiseEqualsOracle(t *testing.T) {
 							t.Fatalf("%s: cut %d is not inside row 3", label, cut)
 						}
 						got := la.NewDense(x.Dims[mode], rank)
-						MTTKRPAccumulate(got, 0, x.Entries, mi.Perm[:cut], mode, factors)
-						MTTKRPAccumulate(got, 0, x.Entries, mi.Perm[cut:], mode, factors)
+						mttkrpAccumulate(got, 0, x.Entries, mi.Perm[:cut], mode, factors, nil)
+						mttkrpAccumulate(got, 0, x.Entries, mi.Perm[cut:], mode, factors, nil)
 						if d := la.MaxAbsDiff(got, want); d != 0 {
 							t.Fatalf("%s: cut at %d differs by %g", label, cut, d)
 						}
@@ -209,7 +209,7 @@ func TestKernelBitwiseEqualsOracle(t *testing.T) {
 					row := la.NewDense(1, rank)
 					for i := 0; i < x.Dims[mode]; i++ {
 						row.Zero()
-						MTTKRPAccumulate(row, i, x.Entries, mi.Perm[mi.RowPtr[i]:mi.RowPtr[i+1]], mode, factors)
+						mttkrpAccumulate(row, i, x.Entries, mi.Perm[mi.RowPtr[i]:mi.RowPtr[i+1]], mode, factors, nil)
 						if la.VecMaxAbsDiff(row.Data, want.Row(i)) != 0 {
 							t.Fatalf("%s: row %d alone differs", label, i)
 						}

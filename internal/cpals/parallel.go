@@ -46,7 +46,7 @@ func (w *Workspace) Out(_, rows, rank, workers int) *la.Dense {
 
 // MTTKRPWorkers computes the mode-n MTTKRP on up to `workers` goroutines,
 // adding into out (allocated when nil; must be t.Dims[mode]×rank, and zeroed
-// for a plain MTTKRP). Each goroutine runs MTTKRPAccumulate over one
+// for a plain MTTKRP). Each goroutine runs mttkrpAccumulate over one
 // row-aligned range of the mode index. The result is bitwise identical to
 // MTTKRP for every worker count. The kernel keeps its scratch on the stack,
 // so the last parameter is unused; it stays for the callers that pass one.
@@ -57,14 +57,20 @@ func MTTKRPWorkers(t *tensor.COO, mode int, factors []*la.Dense, workers int, ou
 	if out == nil {
 		out = la.NewDense(t.Dims[mode], factors[0].Cols)
 	}
+	mttkrpWorkers(t, mode, factors, workers, out, nil)
+	return out
+}
+
+// mttkrpWorkers is MTTKRPWorkers into a given out, with the zero-row marks
+// of mttkrpAccumulate.
+func mttkrpWorkers(t *tensor.COO, mode int, factors []*la.Dense, workers int, out *la.Dense, skip *zeroMarks) {
 	workers = par.Workers(workers)
 	mi := t.ModeIndex(mode)
 	ranges := mi.Ranges(workers)
 	par.Run(workers, len(ranges), func(k int) {
 		r := ranges[k]
-		MTTKRPAccumulate(out, 0, t.Entries, mi.Perm[r.Lo:r.Hi], mode, factors)
+		mttkrpAccumulate(out, 0, t.Entries, mi.Perm[r.Lo:r.Hi], mode, factors, skip)
 	})
-	return out
 }
 
 // MTTKRPCSFWorkers is the parallel SPLATT-style CSF kernel: root fibers are

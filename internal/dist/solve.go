@@ -116,12 +116,14 @@ func (k *remoteSource) lapLocal() {
 
 // FactorUpdated ships the updated factor to the fleet — a delta of the rows
 // each worker reads, or the full matrix under noDelta — and records it for
-// rejoin resyncs.
+// rejoin resyncs. Once the fleet has collapsed it goes to the local kernel.
 func (k *remoteSource) FactorUpdated(mode int, f *la.Dense) {
 	k.lapLocal()
 	k.cur[mode] = f
 	if k.local == nil {
 		k.s.FactorUpdate(mode, f)
+	} else {
+		k.local.FactorUpdated(mode, f)
 	}
 	k.s.lap(&k.s.stats.Phases.FactorUpdate)
 }
@@ -164,7 +166,7 @@ func (k *remoteSource) degrade(err error) {
 	if k.s.cfg.UseCSF {
 		k.local = cpals.NewCSFSource(k.s.t, k.w)
 	} else {
-		k.local = cpals.COOSource{Workers: k.w}
+		k.local = &cpals.COOSource{Workers: k.w}
 	}
 }
 

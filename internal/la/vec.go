@@ -4,7 +4,7 @@ import "math"
 
 // The length-R vector helpers below serve the reference MTTKRP, the CSF
 // kernel, the fit inner products and the serving scans. The per-nonzero COO
-// hot path does not go through them: it is cpals.MTTKRPAccumulate, one fused
+// hot path does not go through them: it is cpals.mttkrpAccumulate, one fused
 // loop.
 
 // VecHadamardInto sets dst[i] = a[i] * b[i].
@@ -155,7 +155,7 @@ func nonzeros(nz *[64]uint8, x []float64) int {
 // vecMatChunk adds sum_i x[i] * (row i of m) to dst over the entries of x
 // that nz names, in nz order; m is row-major with len(dst) columns. Every
 // product is rounded by an explicit conversion before it is added: no fused
-// multiply-add on arm64, as in cpals.MTTKRPAccumulate.
+// multiply-add on arm64, as in cpals.mttkrpAccumulate.
 func vecMatChunk(dst, x []float64, nz []uint8, m []float64) {
 	c := len(dst)
 	j := 0

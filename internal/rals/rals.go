@@ -157,7 +157,7 @@ func (o *Options) Update(t *tensor.COO) (cpals.Update, error) {
 	if o.StartIter%epochLen != 0 {
 		return cpals.Update{}, fmt.Errorf("rals: StartIter %d is not an epoch boundary (ResampleEvery %d)", o.StartIter, epochLen)
 	}
-	return cpals.Update{Source: cpals.COOSource{Workers: o.Workers()}, Sampler: newSampler(t, *o, epochLen, budgets)}, nil
+	return cpals.Update{Source: &cpals.COOSource{Workers: o.Workers()}, Sampler: newSampler(t, *o, epochLen, budgets)}, nil
 }
 
 // Solve runs randomized CP-ALS: the shared cpals mode update with the

@@ -7,8 +7,8 @@ import (
 
 // The set-up microbenchmarks at the shapes of the repository's benchmark
 // workloads: als3-zipf / dist2-zipf3 generate zipf3, als4-tall an order-4
-// tensor, serve-stream the recsys tensor. `make bench-tensor` runs them
-// once each.
+// planted low-rank tensor, serve-stream the recsys tensor. `make
+// bench-tensor` runs them once each.
 
 var (
 	zipf3Dims    = []int{40000, 30000, 20000}
@@ -46,6 +46,14 @@ func benchDedupSum(b *testing.B, raw []Entry, dims []int) {
 		wall += time.Since(start)
 	}
 	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N)/float64(len(raw)), "ns/nnz")
+}
+
+// BenchmarkGenLowRank times GenLowRank at als4-tall's shape: the serial
+// draws, the planted values on every core, then DedupSum.
+func BenchmarkGenLowRank(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sink = GenLowRank(1, 300_000, 8, 0.1, als4TallDims...)
+	}
 }
 
 // BenchmarkGenRecsys times GenRecsys at serve-stream's shape.

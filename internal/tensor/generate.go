@@ -290,26 +290,37 @@ func GenLowRank(seed uint64, nnz, r int, noise float64, dims ...int) *COO {
 		return 0.1 + rng.UniformAt(seed, uint64(m), uint64(i), uint64(col))
 	}
 
+	// The draws stay serial — NormFloat64 takes a varying number of them —
+	// with each entry's normal variate parked in Val. The planted values,
+	// nearly all of the work, are then computed on every core.
 	t.Entries = make([]Entry, 0, nnz)
 	for len(t.Entries) < nnz {
 		var e Entry
 		for m, d := range dims {
 			e.Idx[m] = uint32(src.Intn(d))
 		}
-		var v float64
-		for col := 0; col < r; col++ {
-			p := 1.0
-			for m := 0; m < order; m++ {
-				p *= factorVal(m, int(e.Idx[m]), col)
-			}
-			v += p
-		}
 		if noise > 0 {
-			v += noise * src.NormFloat64()
+			e.Val = src.NormFloat64()
 		}
-		e.Val = v
 		t.Entries = append(t.Entries, e)
 	}
+	par.ForBlocks(0, len(t.Entries), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &t.Entries[i]
+			var v float64
+			for col := 0; col < r; col++ {
+				p := 1.0
+				for m := 0; m < order; m++ {
+					p *= factorVal(m, int(e.Idx[m]), col)
+				}
+				v += p
+			}
+			if noise > 0 {
+				v += noise * e.Val
+			}
+			e.Val = v
+		}
+	})
 	t.DedupSum()
 	return t
 }
