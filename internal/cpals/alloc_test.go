@@ -37,10 +37,12 @@ func TestExactIterationAllocatesLessThanAFactor(t *testing.T) {
 }
 
 // A whole solve of a tall order-4 tensor allocates its factors, one
-// MTTKRP output slab the size of the largest mode, the mode indexes and
-// little else: the outputs of the other modes are views of that slab, not
-// matrices of their own (which would add the three smaller modes' 2.3 MB
-// here).
+// MTTKRP output slab the size of the largest mode, each mode's segment
+// table and little else: the outputs of the other modes are views of that
+// slab, not matrices of their own (which would add the three smaller modes'
+// 2.3 MB here), and the mode columns it streams are mapped outside the Go
+// heap for the solve alone — exactly 8 + 4·(order−1) bytes a nonzero per
+// mode not in storage order, none once it returns.
 func TestSolveAllocatesOneOutputSlab(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -49,28 +51,58 @@ func TestSolveAllocatesOneOutputSlab(t *testing.T) {
 	const rank, nnz = 16, 30000
 	x := tensor.GenLowRank(1, nnz, 8, 0.1, dims...)
 	nnzs := x.NNZ()
-	var factors, index uint64
-	for _, d := range dims {
+	var factors, rowPtrs, columns uint64
+	for m, d := range dims {
 		factors += uint64(d * rank * 8)
-		// Perm, RowPtr and the counting sort's cursor per row.
-		index += uint64(nnzs*4 + d*8 + 4)
+		rowPtrs += uint64(d*4 + 4)
+		if !inStorageOrder(x, m) {
+			columns += uint64(nnzs * (8 + 4*(len(dims)-1)))
+		}
+	}
+	// DedupSum leaves the nonzeros in mode 0's order.
+	if want := uint64(nnzs * (8 + 4*(len(dims)-1)) * (len(dims) - 1)); columns != want {
+		t.Fatalf("the copied modes take %d bytes, want %d (every mode but 0)", columns, want)
 	}
 	slab := uint64(dims[0] * rank * 8)
 	// Grams, pseudo-inverses, lambda, the fit's blocks and the pool's
 	// four goroutines: about 350 KB over the whole solve.
 	const slack = 512 << 10
-	bound := factors + slab + index + slack
+	bound := factors + slab + rowPtrs + slack
 
 	var before, after runtime.MemStats
+	var during []int64
+	o := Options{Rank: rank, MaxIters: 3, Seed: 1, Parallelism: 4, OnIteration: func(int, float64) bool {
+		during = append(during, liveResident.Load())
+		return false
+	}}
 	runtime.ReadMemStats(&before)
-	if _, err := SolveWith(x, Options{Rank: rank, MaxIters: 3, Seed: 1, Parallelism: 4}, Update{}); err != nil {
+	if _, err := SolveWith(x, o, Update{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-		t.Errorf("the solve allocated %d bytes, want at most %d (factors %d + slab %d + mode indexes %d + slack %d)",
-			got, bound, factors, slab, index, slack)
+		t.Errorf("the solve allocated %d bytes, want at most %d (factors %d + slab %d + segment tables %d + slack %d)",
+			got, bound, factors, slab, rowPtrs, slack)
 	} else {
 		t.Logf("the solve allocated %d bytes of a %d bound", got, bound)
 	}
+	for it, got := range during {
+		if uint64(got) != columns {
+			t.Errorf("iteration %d: %d bytes of mode columns mapped, want %d", it, got, columns)
+		}
+	}
+	if got := liveResident.Load(); got != 0 {
+		t.Errorf("%d bytes of mode columns still mapped after the solve", got)
+	}
+}
+
+// inStorageOrder reports whether x's index along mode never decreases in
+// storage order, so that a solve streams the entries and copies nothing.
+func inStorageOrder(x *tensor.COO, mode int) bool {
+	for i := 1; i < len(x.Entries); i++ {
+		if x.Entries[i].Idx[mode] < x.Entries[i-1].Idx[mode] {
+			return false
+		}
+	}
+	return true
 }

@@ -35,10 +35,14 @@ type Source interface {
 // marks a factor's all-zero rows, and a call skips only when every other
 // mode's factor is the very matrix last marked for that mode. A COOSource
 // built mid-run, or handed factors no FactorUpdated named, runs the plain
-// gather.
+// gather. The one SolveWith builds for a solve without a Sampler, of a
+// tensor that caches no complete set of mode indexes, streams its full-mode
+// MTTKRPs out of mode columns (resident.go) it holds for the solve; every
+// other reaches the nonzeros through the mode index.
 type COOSource struct {
 	Workers int
 	zero    []zeroRows // per mode, from the last FactorUpdated
+	res     *resident  // the solve's mode columns while SolveWith runs
 }
 
 // zeroRows are the marks FactorUpdated took of one factor.
@@ -58,7 +62,11 @@ type zeroRows struct {
 func (s *COOSource) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []int, out *la.Dense) error {
 	skip := s.skipMarks(x, mode, factors)
 	if rows == nil {
-		mttkrpWorkers(x, mode, factors, s.Workers, out, skip)
+		if s.res != nil && s.res.x == x {
+			s.res.mttkrp(mode, factors, s.Workers, out, skip)
+		} else {
+			mttkrpWorkers(x, mode, factors, s.Workers, out, skip)
+		}
 		return nil
 	}
 	w := par.Workers(s.Workers)
@@ -104,7 +112,7 @@ func (s *COOSource) skipMarks(x *tensor.COO, mode int, factors []*la.Dense) *zer
 		if z.count == 0 || most*skipShare >= len(x.Entries) {
 			continue
 		}
-		ptr, d := x.ModeIndex(m).RowPtr, 0
+		ptr, d := s.rowPtr(x, m), 0
 		for k, word := range z.bits {
 			for ; word != 0; word &= word - 1 {
 				i := k*64 + bits.TrailingZeros64(word)
@@ -117,6 +125,15 @@ func (s *COOSource) skipMarks(x *tensor.COO, mode int, factors []*la.Dense) *zer
 		return nil
 	}
 	return &marks
+}
+
+// rowPtr is x's segment table along mode m: the mode columns' when the
+// source holds x's, else the mode index's.
+func (s *COOSource) rowPtr(x *tensor.COO, m int) []int32 {
+	if s.res != nil && s.res.x == x {
+		return s.res.modes[m].rowPtr
+	}
+	return x.ModeIndex(m).RowPtr
 }
 
 // FactorUpdated marks the all-zero rows of f, the factor of mode from now
@@ -220,14 +237,28 @@ func SolveWith(t *tensor.COO, o Options, u Update) (*Result, error) {
 	s := &als{t: t, w: w, rule: u.Rule, smp: u.Sampler, src: u.Source,
 		normX: t.Norm(), lambda: la.VecClone(o.InitLambda),
 		ws: &Workspace{slab: make([]float64, slices.Max(t.Dims)*o.Rank)}}
+	indexed := true // the source reads the mode indexes
 	switch {
 	case s.src != nil:
+		_, csf := s.src.(csfSource)
+		indexed = !csf
 	case o.CSFKernel:
-		s.src = NewCSFSource(t, w)
+		s.src, indexed = NewCSFSource(t, w), false
 	default:
-		s.src = &COOSource{Workers: w}
+		coo := &COOSource{Workers: w}
+		if u.Sampler == nil && !t.ModeIndexesCached() {
+			// Every update contracts t in full and the tensor caches no
+			// mode indexes to gather through: stream each mode's columns
+			// for the solve instead of building them. Where the indexes
+			// are cached already (a stream updater's full sweep after a
+			// window, a Serial solve after a dist solve of the tensor)
+			// the columns would only add their bytes beside them.
+			defer coo.keepColumns(t, w)()
+			indexed = coo.res == nil
+		}
+		s.src = coo
 	}
-	if _, csf := s.src.(csfSource); !csf {
+	if indexed {
 		t.ModeIndexes(w)
 	}
 	for n := range t.Dims {

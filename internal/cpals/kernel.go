@@ -29,13 +29,31 @@ const skipShare = 4
 const warmBytes = 128 << 10
 
 // block is one block of nonzeros as columns: output row, value, and the
-// index along each other mode (ascending mode order). The kernel has two
-// feeders that fill one: mttkrpAccumulate gathers entries into stack
-// buffers, MTTKRPColumns slices columns that are already resident.
+// index along each other mode (ascending mode order). The kernel has three
+// feeders that fill one: mttkrpAccumulate gathers entries into a gatherBuf,
+// modeColumns.accumulate slices a solve's resident mode columns, and
+// MTTKRPColumns slices columns that are already resident in full.
 type block struct {
 	rows []uint32
 	vals []float64
 	cols [tensor.MaxOrder - 1][]uint32
+}
+
+// gatherBuf is the stack buffer a feeder gathers one block into.
+type gatherBuf struct {
+	rows [gatherBlock]uint32
+	vals [gatherBlock]float64
+	cols [tensor.MaxOrder - 1][gatherBlock]uint32
+}
+
+// block is the first cnt nonzeros of g. (It returns the block rather than
+// filling one through a pointer, which would move g to the heap.)
+func (g *gatherBuf) block(cnt, nOther int) (b block) {
+	b.rows, b.vals = g.rows[:cnt], g.vals[:cnt]
+	for c := range g.cols[:nOther] {
+		b.cols[c] = g.cols[c][:cnt]
+	}
+	return b
 }
 
 // plan lists the modes other than `mode`, ascending, into others and returns
@@ -59,16 +77,18 @@ func plan(rank, mode int, factors []*la.Dense, others *[tensor.MaxOrder - 1]int)
 // the c-th other mode's factor.
 type zeroMarks [tensor.MaxOrder - 1][]uint64
 
-// zeroTerm reports whether e's term is exactly ±0 and may be dropped: its
-// value is finite and one of its other-mode rows is marked. The marks must
-// come from factors whose every entry is finite and at most 1 in magnitude,
-// so that no partial product reaches Inf before it meets the zero row.
-func (z *zeroMarks) zeroTerm(e *tensor.Entry, others []int) bool {
-	if !(math.Abs(e.Val) <= math.MaxFloat64) {
+// zeroTerm reports whether the term of nonzero j of g — its value and its
+// indices along the nOther other modes gathered, its row not yet — is
+// exactly ±0 and may be dropped: its value is finite and one of its
+// other-mode rows is marked. The marks must come from factors whose every
+// entry is finite and at most 1 in magnitude, so that no partial product
+// reaches Inf before it meets the zero row.
+func (z *zeroMarks) zeroTerm(g *gatherBuf, j, nOther int) bool {
+	if !(math.Abs(g.vals[j]) <= math.MaxFloat64) {
 		return false // Inf or NaN times zero is NaN
 	}
-	for c, m := range others {
-		if i := e.Idx[m]; z[c][i>>6]>>(i&63)&1 != 0 {
+	for c := range nOther {
+		if i := g.cols[c][j]; z[c][i>>6]>>(i&63)&1 != 0 {
 			return true
 		}
 	}
@@ -99,10 +119,7 @@ func mttkrpAccumulate(out *la.Dense, rowLo int, entries []tensor.Entry, perm []i
 	}
 	var (
 		others [tensor.MaxOrder - 1]int
-		rows   [gatherBlock]uint32
-		vals   [gatherBlock]float64
-		cols   [tensor.MaxOrder - 1][gatherBlock]uint32
-		b      block
+		g      gatherBuf
 	)
 	nOther, blockLen := plan(out.Cols, mode, factors, &others)
 	for lo := 0; lo < n; {
@@ -112,41 +129,39 @@ func mttkrpAccumulate(out *la.Dense, rowLo int, entries []tensor.Entry, perm []i
 			// Gather: loads only, so the cache misses of a block overlap
 			// instead of each waiting behind the previous nonzero's
 			// arithmetic.
-			for j := range rows[:cnt] {
+			for j := range g.rows[:cnt] {
 				p := lo + j
 				if perm != nil {
 					p = int(perm[p])
 				}
 				e := &entries[p]
-				rows[j], vals[j] = e.Idx[mode], e.Val
+				g.rows[j], g.vals[j] = e.Idx[mode], e.Val
 				for c, m := range others[:nOther] {
-					cols[c][j] = e.Idx[m]
+					g.cols[c][j] = e.Idx[m]
 				}
 			}
 			lo += cnt
 		} else {
-			// The same gather, filling the block with the nonzeros that
-			// survive the marks.
+			// The same gather, keeping the nonzeros that survive the
+			// marks: each is gathered into the next free slot, which the
+			// next one overwrites when its term is zero.
 			for ; lo < n && cnt < blockLen; lo++ {
 				p := lo
 				if perm != nil {
 					p = int(perm[p])
 				}
 				e := &entries[p]
-				if skip.zeroTerm(e, others[:nOther]) {
-					continue
-				}
-				rows[cnt], vals[cnt] = e.Idx[mode], e.Val
+				g.vals[cnt] = e.Val
 				for c, m := range others[:nOther] {
-					cols[c][cnt] = e.Idx[m]
+					g.cols[c][cnt] = e.Idx[m]
 				}
-				cnt++
+				if !skip.zeroTerm(&g, cnt, nOther) {
+					g.rows[cnt] = e.Idx[mode]
+					cnt++
+				}
 			}
 		}
-		b.rows, b.vals = rows[:cnt], vals[:cnt]
-		for c := range others[:nOther] {
-			b.cols[c] = cols[c][:cnt]
-		}
+		b := g.block(cnt, nOther)
 		accumulateBlock(out, rowLo, factors, others[:nOther], &b)
 	}
 }

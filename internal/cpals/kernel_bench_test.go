@@ -16,8 +16,10 @@ import (
 // "perm" walks the tensor through ModeIndex.Perm as the shared-memory solver
 // does; "linear" scans a copy of the entries already in Perm order;
 // "columns" scans the same nonzeros stored by column (MTTKRPColumns), as a
-// dist worker scans its shard. "sorted" and "shuffled" are the storage order
-// of the entries Perm points into. "collapsed" is benchCollapsed.
+// dist worker scans its shard; "resident" streams the mode columns a Serial
+// solve holds, as its MTTKRPs do (with sorted storage mode 0 scans the
+// entries in place). "sorted" and "shuffled" are the storage order of the
+// entries Perm points into. "collapsed" is benchCollapsed.
 func BenchmarkMTTKRPKernel(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -52,7 +54,9 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 				}
 				columns[n] = columnsOf(shards[n], n, order)
 			}
-			for _, access := range []string{"perm", "linear", "columns"} {
+			held := &COOSource{}
+			release := held.keepColumns(x, 0)
+			for _, access := range []string{"perm", "linear", "columns", "resident"} {
 				b.Run(s.name+"/"+storage+"/"+access, func(b *testing.B) {
 					var kernel time.Duration
 					for i := 0; i < b.N; i++ {
@@ -64,6 +68,8 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 								mttkrpAccumulate(outs[n], 0, x.Entries, x.ModeIndex(n).Perm, n, factors, nil)
 							case "linear":
 								mttkrpAccumulate(outs[n], 0, shards[n], nil, n, factors, nil)
+							case "resident":
+								held.res.mttkrp(n, factors, 1, outs[n], nil)
 							default:
 								c := &columns[n]
 								MTTKRPColumns(outs[n], 0, c.rows, c.vals, c.cols, n, factors)
@@ -74,6 +80,7 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 					b.ReportMetric(float64(kernel.Nanoseconds())/float64(b.N*order*x.NNZ()), "ns/nnz")
 				})
 			}
+			release()
 		}
 	}
 	b.Run("lowrank4-r64/collapsed", benchCollapsed)
@@ -149,12 +156,12 @@ func benchCollapsed(b *testing.B) {
 // benchmark's als4-tall shape (order 4, 300 k nonzeros, rank 64) and reports
 // the megabytes one solve allocates, next to the factors' size: most of it
 // is the factors and one MTTKRP output slab the size of the largest mode.
-// The mode indexes are built before the timer.
+// The mode columns the solve streams are mapped outside the Go heap and are
+// not in the count.
 func BenchmarkSolveTall(b *testing.B) {
 	dims := []int{120000, 80000, 60000, 40000}
 	const rank = 64
 	x := tensor.GenLowRank(1, 300_000, 8, 0.1, dims...)
-	x.ModeIndexes(0)
 	var factorBytes int
 	for _, d := range dims {
 		factorBytes += d * rank * 8

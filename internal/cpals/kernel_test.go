@@ -118,14 +118,25 @@ func (c entryColumns) slice(lo, hi int) entryColumns {
 }
 
 // The fused kernel must reproduce the entry-order oracle bit for bit, for
-// every schedule the repository runs it under and through both feeders of
-// its block body: worker ranges over the mode index, a shard at a row offset
-// scanned linearly as entries and as columns, one row at a time, and a row
-// run cut between two calls — inside a block and exactly at a block boundary.
+// every schedule the repository runs it under and through all three feeders
+// of its block body: worker ranges over the mode index and over a solve's
+// mode columns, a shard at a row offset scanned linearly as entries and as
+// columns, one row at a time, and a row run cut between two calls — inside
+// a block and exactly at a block boundary — through the Perm gather and
+// through the mode columns.
 func TestKernelBitwiseEqualsOracle(t *testing.T) {
 	for order := 2; order <= 5; order++ {
 		for _, sorted := range []bool{true, false} {
 			x := kernelTestTensor(order, sorted)
+			// Sorted storage leaves mode 0 in place; shuffled copies every
+			// mode.
+			held := &COOSource{}
+			t.Cleanup(held.keepColumns(x, 2))
+			for m := range order {
+				if copied := held.res.modes[m].vals != nil; copied != (m > 0 || !sorted) {
+					t.Fatalf("order %d sorted %v: mode %d copied %v", order, sorted, m, copied)
+				}
+			}
 			for _, rank := range []int{1, 5, 16, 64} {
 				factors := make([]*la.Dense, order)
 				for n := range factors {
@@ -149,6 +160,16 @@ func TestKernelBitwiseEqualsOracle(t *testing.T) {
 						}
 						if d := la.MaxAbsDiff(MTTKRPWorkers(x, mode, factors, workers, start.Clone(), nil), wantFrom); d != 0 {
 							t.Fatalf("%s workers %d: non-zero out differs by %g", label, workers, d)
+						}
+						got := la.NewDense(x.Dims[mode], rank)
+						held.res.mttkrp(mode, factors, workers, got, nil)
+						if d := la.MaxAbsDiff(got, want); d != 0 {
+							t.Fatalf("%s workers %d: the mode columns differ by %g", label, workers, d)
+						}
+						got = start.Clone()
+						held.res.mttkrp(mode, factors, workers, got, nil)
+						if d := la.MaxAbsDiff(got, wantFrom); d != 0 {
+							t.Fatalf("%s workers %d: the mode columns into a non-zero out differ by %g", label, workers, d)
 						}
 					}
 
@@ -203,6 +224,16 @@ func TestKernelBitwiseEqualsOracle(t *testing.T) {
 						}
 						if d := la.MaxAbsDiff(got, want); d != 0 {
 							t.Fatalf("%s: columns cut at %d differ by %g", label, cut, d)
+						}
+						// The mode columns, the second part resuming inside
+						// row 3.
+						if mc := &held.res.modes[mode]; mc.vals != nil {
+							got.Zero()
+							mc.accumulate(got, tensor.NNZRange{RowLo: 0, RowHi: 4, Lo: 0, Hi: cut}, mode, factors, nil)
+							mc.accumulate(got, tensor.NNZRange{RowLo: 3, RowHi: x.Dims[mode], Lo: cut, Hi: len(all)}, mode, factors, nil)
+							if d := la.MaxAbsDiff(got, want); d != 0 {
+								t.Fatalf("%s: mode columns cut at %d differ by %g", label, cut, d)
+							}
 						}
 					}
 					// One row per call, as the stream updater runs it.

@@ -80,14 +80,17 @@ func specialTensor(order int) *tensor.COO {
 }
 
 // checkSource runs a COOSource told about factors over every mode of x on
-// three goroutines, whole and as a row set. Each output must be the plain
+// three goroutines, whole — through the mode index and through the mode
+// columns a solve holds — and as a row set. Each output must be the plain
 // kernel's bit for bit and the entry-order oracle's up to NaN payloads;
 // open reports, per mode, whether the skipping gather must run.
 func checkSource(t *testing.T, label string, x *tensor.COO, factors []*la.Dense, open func(mode int) bool) {
 	t.Helper()
-	src := &COOSource{Workers: 3}
+	src, held := &COOSource{Workers: 3}, &COOSource{Workers: 3}
+	defer held.keepColumns(x, 3)()
 	for n, f := range factors {
 		src.FactorUpdated(n, f)
+		held.FactorUpdated(n, f)
 	}
 	for mode := range factors {
 		want := MTTKRP(x, mode, factors)
@@ -95,15 +98,22 @@ func checkSource(t *testing.T, label string, x *tensor.COO, factors []*la.Dense,
 		if i := bitsEqual(plain.Data, want.Data, true); i >= 0 {
 			t.Fatalf("%s mode %d: the plain kernel differs from the oracle at element %d", label, mode, i)
 		}
-		if got := src.skipMarks(x, mode, factors) != nil; got != open(mode) {
-			t.Fatalf("%s mode %d: skipping gather %v, want %v", label, mode, got, open(mode))
-		}
 		out := la.NewDense(x.Dims[mode], factors[0].Cols)
-		if err := src.MTTKRP(x, mode, factors, nil, out); err != nil {
-			t.Fatal(err)
-		}
-		if i := bitsEqual(out.Data, plain.Data, false); i >= 0 {
-			t.Fatalf("%s mode %d: element %d is %x, the plain kernel's %x", label, mode, i, math.Float64bits(out.Data[i]), math.Float64bits(plain.Data[i]))
+		for _, s := range []*COOSource{src, held} {
+			through := "the mode index"
+			if s.res != nil {
+				through = "the mode columns"
+			}
+			if got := s.skipMarks(x, mode, factors) != nil; got != open(mode) {
+				t.Fatalf("%s mode %d, %s: skipping gather %v, want %v", label, mode, through, got, open(mode))
+			}
+			out.Zero()
+			if err := s.MTTKRP(x, mode, factors, nil, out); err != nil {
+				t.Fatal(err)
+			}
+			if i := bitsEqual(out.Data, plain.Data, false); i >= 0 {
+				t.Fatalf("%s mode %d, %s: element %d is %x, the plain kernel's %x", label, mode, through, i, math.Float64bits(out.Data[i]), math.Float64bits(plain.Data[i]))
+			}
 		}
 		var rows []int
 		for i := 0; i < x.Dims[mode]; i += 2 {
@@ -149,6 +159,12 @@ func TestSkippingGatherBitwiseEqualsOracle(t *testing.T) {
 				t.Fatalf("%s: no Inf value meets a zero row", label)
 			}
 			checkSource(t, label+" open", x, factors, func(int) bool { return true })
+			if rank == 16 {
+				// Sorted storage: mode 0's nonzeros stay in the entries.
+				y := x.Clone()
+				y.Sort()
+				checkSource(t, label+" open sorted", y, factors, func(int) bool { return true })
+			}
 
 			// Zero rows only where the tensor has no nonzero (index 1 and
 			// the last): nothing to drop, so the gate stays shut.
@@ -307,19 +323,25 @@ func (g *gateSpy) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []in
 }
 
 // The collapsing golden tensor opens the gate once its model has collapsed,
-// and the solve keeps its pinned bits.
+// through the mode index and through the mode columns a solve holds, and
+// the solve keeps its pinned bits either way.
 func TestCollapseOpensTheGate(t *testing.T) {
 	x, opts := collapsingTensor()
-	spy := &gateSpy{COOSource: &COOSource{Workers: opts.Parallelism}}
-	res, err := SolveWith(x, opts, Update{Source: spy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spy.open == 0 {
-		t.Errorf("none of %d MTTKRPs skipped", spy.calls)
-	}
-	t.Logf("%d of %d MTTKRPs skipped", spy.open, spy.calls)
-	if got, want := resultHash(res), "fab6ee9777bdd519"; got != want {
-		t.Errorf("hash %s, want TestSolveGoldenHash's %s", got, want)
+	for _, held := range []bool{false, true} {
+		spy := &gateSpy{COOSource: &COOSource{Workers: opts.Parallelism}}
+		if held {
+			defer spy.keepColumns(x, opts.Parallelism)()
+		}
+		res, err := SolveWith(x, opts, Update{Source: spy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spy.open == 0 {
+			t.Errorf("held columns %v: none of %d MTTKRPs skipped", held, spy.calls)
+		}
+		t.Logf("held columns %v: %d of %d MTTKRPs skipped", held, spy.open, spy.calls)
+		if got, want := resultHash(res), "fab6ee9777bdd519"; got != want {
+			t.Errorf("held columns %v: hash %s, want TestSolveGoldenHash's %s", held, got, want)
+		}
 	}
 }

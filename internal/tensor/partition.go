@@ -60,9 +60,13 @@ type NNZRange struct {
 // output regions are disjoint; empty ranges are dropped. The CUT POINTS
 // depend on `parts`, but per-row work does not, so kernels that own whole
 // rows stay deterministic across any partitioning.
-func (x *ModeIndex) Ranges(parts int) []NNZRange {
-	nnz := len(x.Perm)
-	rows := len(x.RowPtr) - 1
+func (x *ModeIndex) Ranges(parts int) []NNZRange { return RowRanges(x.RowPtr, parts) }
+
+// RowRanges is Ranges over any CSR-style segment table: row r owns
+// positions [rowPtr[r], rowPtr[r+1]) of a sequence in row order.
+func RowRanges(rowPtr []int32, parts int) []NNZRange {
+	rows := len(rowPtr) - 1
+	nnz := int(rowPtr[rows])
 	if parts < 1 {
 		parts = 1
 	}
@@ -72,23 +76,23 @@ func (x *ModeIndex) Ranges(parts int) []NNZRange {
 		// Target an even split of the REMAINING nonzeros over the
 		// remaining parts, then advance to the next row boundary at or
 		// past it.
-		done := int(x.RowPtr[row])
+		done := int(rowPtr[row])
 		target := done + (nnz-done+parts-p-1)/(parts-p)
 		hi := row
-		for hi < rows && int(x.RowPtr[hi+1]) <= target {
+		for hi < rows && int(rowPtr[hi+1]) <= target {
 			hi++
 		}
 		if hi == row {
 			hi = row + 1 // a single row exceeding the target still needs an owner
 		}
-		r := NNZRange{RowLo: row, RowHi: hi, Lo: int(x.RowPtr[row]), Hi: int(x.RowPtr[hi])}
+		r := NNZRange{RowLo: row, RowHi: hi, Lo: int(rowPtr[row]), Hi: int(rowPtr[hi])}
 		if r.Hi > r.Lo {
 			out = append(out, r)
 		}
 		row = hi
 	}
 	if row < rows { // leftover all-empty tail rows: nothing owns zero nonzeros
-		if last := int(x.RowPtr[rows]); len(out) > 0 && out[len(out)-1].Hi < last {
+		if last := int(rowPtr[rows]); len(out) > 0 && out[len(out)-1].Hi < last {
 			panic("tensor: mode ranges dropped nonzeros")
 		}
 	}
@@ -142,6 +146,19 @@ func (t *COO) ModeIndexes(workers int) []*ModeIndex {
 	out := make([]*ModeIndex, t.Order())
 	par.Run(workers, len(out), func(m int) { out[m] = t.ModeIndex(m) })
 	return out
+}
+
+// ModeIndexesCached reports whether every mode's index is cached, so that
+// ModeIndexes would build none.
+func (t *COO) ModeIndexesCached() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for m := range t.Order() {
+		if t.cachedIndex(m) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // InvalidateIndex drops all cached mode indexes. Mutating methods call it

@@ -141,6 +141,25 @@ func TestModeIndexesConcurrentAndCached(t *testing.T) {
 	}
 }
 
+func TestModeIndexesCached(t *testing.T) {
+	x := partitionTestTensor()
+	if x.ModeIndexesCached() {
+		t.Fatal("a fresh tensor reports its mode indexes cached")
+	}
+	x.ModeIndex(0)
+	if x.ModeIndexesCached() {
+		t.Fatal("one mode's index reported as every mode's")
+	}
+	x.ModeIndexes(2)
+	if !x.ModeIndexesCached() {
+		t.Fatal("ModeIndexes left an index uncached")
+	}
+	x.Append(1, 0, 0, 0)
+	if x.ModeIndexesCached() {
+		t.Fatal("the indexes outlived a mutation")
+	}
+}
+
 func TestModeIndexEmptyTensor(t *testing.T) {
 	x := New(3, 3)
 	mi := x.ModeIndex(0)
