@@ -76,8 +76,10 @@ bench-la:
 # The solver microbenchmarks, same deal: the MTTKRP kernel per access path
 # and storage order (ns/nnz per mode) at the als3-zipf and als4-tall shapes
 # — "resident" is the mode columns a Serial solve streams —
-# als4-tall's collapsed model with and without the zero-term skip, and a
-# whole als4-tall-shaped solve (MB allocated per solve).
+# als4-tall's collapsed model with and without the zero-term skip, the mode
+# update's tail after the MTTKRP, fused against the whole-matrix sequence
+# (ns/row, dense and collapsed factors), and a whole als4-tall-shaped solve
+# (MB allocated per solve).
 bench-cpals:
 	$(GO) test ./internal/cpals -run '^$$' -bench . -benchtime 1x
 

@@ -2,10 +2,8 @@ package cpals
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"cstf/internal/ckpt"
 	"cstf/internal/la"
@@ -25,14 +23,17 @@ type Source interface {
 	// source computes just those, the CSF and remote sources the whole mode.
 	MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, rows []int, out *la.Dense) error
 	// FactorUpdated announces that factor mode is now f: after the initial
-	// materialization and after every mode update.
-	FactorUpdated(mode int, f *la.Dense)
+	// materialization and after every mode update. Bit i of zero is set when
+	// row i of f is all ±0; zero is nil when f holds an entry that is not
+	// finite or exceeds 1 in magnitude, and the caller's to reuse once f is
+	// replaced.
+	FactorUpdated(mode int, f *la.Dense, zero []uint64)
 }
 
 // COOSource is the Source of the shared-memory COO kernel (MTTKRPWorkers)
 // on Workers goroutines. It drops the nonzeros whose terms are exactly zero
 // (DESIGN §9), but only against factors it was told about: FactorUpdated
-// marks a factor's all-zero rows, and a call skips only when every other
+// hands it a factor's all-zero rows, and a call skips only when every other
 // mode's factor is the very matrix last marked for that mode. A COOSource
 // built mid-run, or handed factors no FactorUpdated named, runs the plain
 // gather. The one SolveWith builds for a solve without a Sampler, of a
@@ -45,13 +46,12 @@ type COOSource struct {
 	res     *resident  // the solve's mode columns while SolveWith runs
 }
 
-// zeroRows are the marks FactorUpdated took of one factor.
+// zeroRows are the marks FactorUpdated was handed for one factor.
 type zeroRows struct {
-	// f is the factor marked; nil when it held an entry that is not finite
-	// or exceeds 1 in magnitude, against which nothing is skipped.
-	f     *la.Dense
-	bits  []uint64 // bit i: row i of f is all ±0
-	count int      // rows marked
+	// f is the factor marked; nil when it came without marks, and nothing
+	// is skipped against it.
+	f    *la.Dense
+	bits []uint64 // bit i: row i of f is all ±0
 }
 
 // MTTKRP walks a row set as ranges of x's mode index: each run of listed
@@ -109,7 +109,7 @@ func (s *COOSource) skipMarks(x *tensor.COO, mode int, factors []*la.Dense) *zer
 		z := &s.zero[m]
 		marks[c] = z.bits
 		c++
-		if z.count == 0 || most*skipShare >= len(x.Entries) {
+		if most*skipShare >= len(x.Entries) {
 			continue
 		}
 		ptr, d := s.rowPtr(x, m), 0
@@ -136,47 +136,15 @@ func (s *COOSource) rowPtr(x *tensor.COO, m int) []int32 {
 	return x.ModeIndex(m).RowPtr
 }
 
-// FactorUpdated marks the all-zero rows of f, the factor of mode from now
-// on, in one pass over its entries on the worker pool.
-func (s *COOSource) FactorUpdated(mode int, f *la.Dense) {
+// FactorUpdated keeps zero, the marks of f, the factor of mode from now on.
+func (s *COOSource) FactorUpdated(mode int, f *la.Dense, zero []uint64) {
 	if mode >= len(s.zero) {
 		s.zero = append(s.zero, make([]zeroRows, mode+1-len(s.zero))...)
 	}
-	z := &s.zero[mode]
-	z.f, z.count = nil, 0
-	if words := (f.Rows + 63) / 64; cap(z.bits) >= words {
-		z.bits = z.bits[:words]
-	} else {
-		z.bits = make([]uint64, words)
+	if zero == nil {
+		f = nil
 	}
-	const one = 0x3ff0000000000000 // the bits of 1.0
-	var unbounded atomic.Bool
-	var count atomic.Int64
-	// par.BlockSize is a multiple of 64, so the blocks write disjoint words.
-	par.ForBlocks(s.Workers, f.Rows, func(lo, hi int) {
-		clear(z.bits[lo/64 : (hi+63)/64])
-		n := 0
-		for i := lo; i < hi; i++ {
-			// The bits of the row's largest magnitude (NaN's the largest
-			// of all): 0 exactly when the row is all ±0.
-			var top uint64
-			for _, v := range f.Row(i) {
-				top = max(top, math.Float64bits(v)&^(1<<63))
-			}
-			if top > one {
-				unbounded.Store(true)
-				return
-			}
-			if top == 0 {
-				z.bits[i/64] |= 1 << (i % 64)
-				n++
-			}
-		}
-		count.Add(int64(n))
-	})
-	if !unbounded.Load() {
-		z.f, z.count = f, int(count.Load())
-	}
+	s.zero[mode] = zeroRows{f, zero}
 }
 
 // csfSource is the Source of the CSF kernel over per-mode trees of the
@@ -191,7 +159,7 @@ func (s csfSource) MTTKRP(_ *tensor.COO, mode int, factors []*la.Dense, _ []int,
 	return nil
 }
 
-func (csfSource) FactorUpdated(int, *la.Dense) {}
+func (csfSource) FactorUpdated(int, *la.Dense, []uint64) {}
 
 // NewCSFSource builds the CSF trees of t for a Source that is only ever
 // handed t.
@@ -236,7 +204,7 @@ func SolveWith(t *tensor.COO, o Options, u Update) (*Result, error) {
 	w := o.Workers()
 	s := &als{t: t, w: w, rule: u.Rule, smp: u.Sampler, src: u.Source,
 		normX: t.Norm(), lambda: la.VecClone(o.InitLambda),
-		ws: &Workspace{slab: make([]float64, slices.Max(t.Dims)*o.Rank)}}
+		ws: &Workspace{slab: make([]float64, slices.Max(t.Dims)*o.Rank)}, tail: &tail{w: w, zero: make([][]uint64, t.Order())}}
 	indexed := true // the source reads the mode indexes
 	switch {
 	case s.src != nil:
@@ -269,9 +237,10 @@ func SolveWith(t *tensor.COO, o Options, u Update) (*Result, error) {
 		} else {
 			f = initFactorWorkers(o.Seed, n, t.Dims[n], o.Rank, w)
 		}
+		gram, zero := s.tail.refresh(f, f, nil, s.tail.marks(n, f.Rows))
 		s.factors = append(s.factors, f)
-		s.grams = append(s.grams, la.GramParallel(f, w))
-		s.src.FactorUpdated(n, f)
+		s.grams = append(s.grams, gram)
+		s.src.FactorUpdated(n, f, zero)
 	}
 	res, err := Run(s, t.Dims, o)
 	if res != nil {
@@ -297,6 +266,7 @@ type als struct {
 	// Result retains them.
 	lastM *la.Dense
 	ws    *Workspace
+	tail  *tail
 	// sampled records that an update of this iteration solved a row set,
 	// so the fit cannot come from lastM.
 	sampled bool
@@ -311,21 +281,21 @@ func (s *als) Step(n int) error {
 	if err := s.src.MTTKRP(x, n, s.factors, rows, m); err != nil {
 		return err
 	}
+	var scale []float64
 	if u == s.factors[n] && (rows != nil || s.rule.Nonneg) && len(s.lambda) == u.Cols {
 		// A_n * diag(lambda) is the current model (an empty lambda, a
 		// fresh start's, is all ones): skipped rows keep their
 		// contribution and coordinate descent warm-starts from it.
-		la.ScaleColumnsParallel(u, s.lambda, s.w)
+		scale = s.lambda
 	}
 	s.sampled = s.sampled || rows != nil
-	s.rule.apply(u, m, HadamardOfGramsExcept(s.grams, n), rows, s.w)
 	if u != s.factors[n] {
-		u = u.Clone() // the sampler keeps its matrix unnormalized
+		s.factors[n] = la.NewDense(u.Rows, u.Cols) // the sampler keeps its matrix unnormalized
 	}
-	s.lambda = la.NormalizeColumnsParallel(u, s.w)
-	s.factors[n] = u
-	s.grams[n] = la.GramParallel(u, s.w)
-	s.src.FactorUpdated(n, u)
+	z := s.tail.marks(n, u.Rows)
+	s.lambda = s.tail.solve(u, m, HadamardOfGramsExcept(s.grams, n), rows, scale, s.rule, z)
+	s.grams[n], z = s.tail.refresh(s.factors[n], u, s.lambda, z)
+	s.src.FactorUpdated(n, s.factors[n], z)
 	s.lastM = m
 	return nil
 }

@@ -89,9 +89,8 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 // benchCollapsed is als4-tall's steady state: every factor row zero but
 // 64/63/65/65 live ones, the rows of the first nonzeros drawn, normalized.
 // "plain" is mttkrpAccumulate over the mode index; "skip" is a COOSource
-// told about the factors, which drops the nonzeros that meet a zero row
-// (gate included), and it also reports the ms its FactorUpdated scans take
-// over all four factors, once per iteration of a solve.
+// told about the factors and their marks, which drops the nonzeros that
+// meet a zero row (gate included).
 func benchCollapsed(b *testing.B) {
 	const rank = 64
 	x := tensor.GenLowRank(1, 300_000, 8, 0.1, 120000, 80000, 60000, 40000)
@@ -122,15 +121,11 @@ func benchCollapsed(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			src := &COOSource{Workers: 1}
-			var kernel, scan time.Duration
+			for n, f := range factors {
+				src.FactorUpdated(n, f, scanMarks(f))
+			}
+			var kernel time.Duration
 			for i := 0; i < b.N; i++ {
-				if skip {
-					start := time.Now()
-					for n, f := range factors {
-						src.FactorUpdated(n, f)
-					}
-					scan += time.Since(start)
-				}
 				for n := 0; n < order; n++ {
 					outs[n].Zero()
 					start := time.Now()
@@ -145,9 +140,6 @@ func benchCollapsed(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(kernel.Nanoseconds())/float64(b.N*order*x.NNZ()), "ns/nnz")
-			if skip {
-				b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N)/1e6, "scan-ms")
-			}
 		})
 	}
 }

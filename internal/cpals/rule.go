@@ -37,27 +37,6 @@ type Rule struct {
 	Inner  int // coordinate-descent passes per row problem (Nonneg only)
 }
 
-// apply updates the rows of u from M and V: the listed rows (sorted,
-// unique) when rows is non-nil, every row otherwise. The rest keep their
-// value.
-func (r Rule) apply(u, m, v *la.Dense, rows []int, w int) {
-	pinv := r.pinv(v)
-	n := u.Rows
-	if rows != nil {
-		n = len(rows)
-	}
-	la.RowBlocksApply(w, n, func(lo, hi int) {
-		sat := make([]byte, u.Cols)
-		for k := lo; k < hi; k++ {
-			i := k
-			if rows != nil {
-				i = rows[k]
-			}
-			r.solveRow(u.Row(i), m.Row(i), v, pinv, sat)
-		}
-	})
-}
-
 // pinv is the least-squares rule's pinv(V); the nonnegative rule has none.
 func (r Rule) pinv(v *la.Dense) *la.Dense {
 	if r.Nonneg {

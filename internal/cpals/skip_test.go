@@ -89,8 +89,8 @@ func checkSource(t *testing.T, label string, x *tensor.COO, factors []*la.Dense,
 	src, held := &COOSource{Workers: 3}, &COOSource{Workers: 3}
 	defer held.keepColumns(x, 3)()
 	for n, f := range factors {
-		src.FactorUpdated(n, f)
-		held.FactorUpdated(n, f)
+		src.FactorUpdated(n, f, scanMarks(f))
+		held.FactorUpdated(n, f, scanMarks(f))
 	}
 	for mode := range factors {
 		want := MTTKRP(x, mode, factors)
@@ -211,7 +211,7 @@ func TestSourceSkipsOnlyAnnouncedFactors(t *testing.T) {
 	}
 	src := &COOSource{Workers: 2}
 	for n, f := range announced {
-		src.FactorUpdated(n, f)
+		src.FactorUpdated(n, f, scanMarks(f))
 	}
 	const mode = 0
 	marks := src.skipMarks(x, mode, announced)
@@ -256,16 +256,40 @@ func TestSourceSkipsOnlyAnnouncedFactors(t *testing.T) {
 		if late.skipMarks(x, mode, announced) != nil {
 			t.Fatalf("skips with mode %d's factor never announced", n)
 		}
-		late.FactorUpdated(n, announced[n])
+		late.FactorUpdated(n, announced[n], scanMarks(announced[n]))
 	}
 	if late.skipMarks(x, mode, announced) == nil {
 		t.Error("does not skip once every other mode's factor is announced")
 	}
 }
 
-// FactorUpdated marks exactly the all-zero rows, -0 ones included, from
-// blocks scanned on several goroutines, and marks nothing in a factor with
-// an entry above 1 in magnitude or a NaN.
+// scanMarks is the reference zero-row scan the tail's marks are held to:
+// one serial pass over f that marks its all-±0 rows, or nil where an entry
+// is not finite or exceeds 1 in magnitude.
+func scanMarks(f *la.Dense) []uint64 {
+	const one = 0x3ff0000000000000 // the bits of 1.0
+	z := make([]uint64, (f.Rows+63)/64)
+	for i := 0; i < f.Rows; i++ {
+		var top uint64
+		for _, v := range f.Row(i) {
+			top = max(top, math.Float64bits(v)&^(1<<63))
+		}
+		if top > one {
+			return nil
+		}
+		if top == 0 {
+			z[i/64] |= 1 << (i % 64)
+		}
+	}
+	return z
+}
+
+// The marks a solve hands FactorUpdated, taken on several goroutines, are
+// exactly the all-zero rows, -0 ones included: of an initial factor, in the
+// pass that takes its gram, and of an updated one, after normalize, where a
+// row that was live can have flushed to +0. A factor with an entry above 1
+// in magnitude or a NaN comes without marks, and nothing is skipped against
+// it.
 func TestFactorUpdatedMarksZeroRows(t *testing.T) {
 	f := InitFactor(1, 0, 5*par.BlockSize+7, 3)
 	for i := 0; i < f.Rows; i++ {
@@ -279,32 +303,44 @@ func TestFactorUpdatedMarksZeroRows(t *testing.T) {
 		}
 	}
 	f.Row(3)[1] = 0 // a zero entry in a live row
+	tl := &tail{w: 4, zero: make([][]uint64, 2)}
 	src := &COOSource{Workers: 4}
-	src.FactorUpdated(1, f)
+	_, zero := tl.refresh(f, f, nil, tl.marks(1, f.Rows))
+	src.FactorUpdated(1, f, zero)
 	z := src.zero[1]
 	if z.f != f {
 		t.Fatal("a factor in [-1, 1] is not marked")
 	}
-	want := 0
 	for i := 0; i < f.Rows; i++ {
 		marked := z.bits[i/64]>>(i%64)&1 == 1
 		if marked != (i%7 == 0) {
 			t.Fatalf("row %d: marked %v", i, marked)
 		}
-		if marked {
-			want++
-		}
-	}
-	if z.count != want {
-		t.Errorf("count %d, want %d", z.count, want)
 	}
 	for _, v := range []float64{1.5, math.Inf(-1), math.NaN()} {
 		g := f.Clone()
 		g.Row(g.Rows - 1)[2] = v
-		src.FactorUpdated(1, g)
+		_, zero := tl.refresh(g, g, nil, make([]uint64, (g.Rows+63)/64))
+		src.FactorUpdated(1, g, zero)
 		if src.zero[1].f != nil {
 			t.Errorf("a factor holding %g is marked", v)
 		}
+	}
+
+	// Row 5 is live before normalize, 1e-200 in every column, and all +0
+	// after it: the flush zeroes it, and the update marks it.
+	g := f.Clone()
+	for c := range g.Row(5) {
+		g.Row(5)[c] = 1e-200
+	}
+	_, _, zero = tl.update(1, g, g, g, la.Identity(3), []int{}, nil, Rule{})
+	if g.Row(5)[0] != 0 || g.Row(5)[2] != 0 {
+		t.Fatalf("row 5 is %v after normalize, want it flushed", g.Row(5))
+	}
+	src.FactorUpdated(1, g, zero)
+	z = src.zero[1]
+	if z.f != g || z.bits[0]>>5&1 != 1 {
+		t.Error("the flushed row is not marked")
 	}
 }
 

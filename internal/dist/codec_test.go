@@ -448,7 +448,7 @@ func (r *sampleRecorder) MTTKRP(x *tensor.COO, mode int, factors []*la.Dense, _ 
 	return nil
 }
 
-func (r *sampleRecorder) FactorUpdated(int, *la.Dense) {}
+func (r *sampleRecorder) FactorUpdated(int, *la.Dense, []uint64) {}
 
 // The column decoder against the reference on arbitrary bytes: valid frames
 // of every order, then each of them mutated — bytes overwritten, the entry

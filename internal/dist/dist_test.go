@@ -209,7 +209,7 @@ func TestAllWorkersDead(t *testing.T) {
 		}
 	}
 
-	degrades := func(t *testing.T, csf bool, want *cpals.Result) {
+	degrades := func(t *testing.T, x *tensor.COO, o cpals.Options, csf bool, want *cpals.Result) {
 		c, err := StartInProcess(2)
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestAllWorkersDead(t *testing.T) {
 		cfg := c.Config()
 		cfg.UseCSF = csf
 		cfg.AfterDispatch = killAll(c)
-		res, st, err := Solve(x, solveOpts(), cpals.Update{}, cfg)
+		res, st, err := Solve(x, o, cpals.Update{}, cfg)
 		if err != nil {
 			t.Fatalf("degraded solve failed: %v", err)
 		}
@@ -227,7 +227,19 @@ func TestAllWorkersDead(t *testing.T) {
 		}
 		sameBits(t, "degraded", want, res)
 	}
-	t.Run("degrades", func(t *testing.T) { degrades(t, false, serial) })
+	t.Run("degrades", func(t *testing.T) { degrades(t, x, solveOpts(), false, serial) })
+	// A model that collapses onto a few live rows: once the fallback has
+	// been told every mode's factor and its zero rows, it drops the terms
+	// that meet one, and still matches Serial bit for bit.
+	t.Run("degrades-collapsed", func(t *testing.T) {
+		y := tensor.GenLowRank(21, 3000, 3, 0.1, 1200, 800, 600, 400)
+		o := cpals.Options{Rank: 24, MaxIters: 8, Seed: 5, Parallelism: 2}
+		want, err := cpals.Solve(y, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degrades(t, y, o, false, want)
+	})
 	// Under UseCSF the coordinator falls back to the CSF kernel, so the
 	// reference is the serial CSF solve.
 	t.Run("degrades-csf", func(t *testing.T) {
@@ -237,7 +249,7 @@ func TestAllWorkersDead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		degrades(t, true, want)
+		degrades(t, x, solveOpts(), true, want)
 	})
 
 	t.Run("floor-disabled", func(t *testing.T) {

@@ -117,13 +117,13 @@ func (k *remoteSource) lapLocal() {
 // FactorUpdated ships the updated factor to the fleet — a delta of the rows
 // each worker reads, or the full matrix under noDelta — and records it for
 // rejoin resyncs. Once the fleet has collapsed it goes to the local kernel.
-func (k *remoteSource) FactorUpdated(mode int, f *la.Dense) {
+func (k *remoteSource) FactorUpdated(mode int, f *la.Dense, zero []uint64) {
 	k.lapLocal()
 	k.cur[mode] = f
 	if k.local == nil {
 		k.s.FactorUpdate(mode, f)
 	} else {
-		k.local.FactorUpdated(mode, f)
+		k.local.FactorUpdated(mode, f, zero)
 	}
 	k.s.lap(&k.s.stats.Phases.FactorUpdate)
 }

@@ -109,27 +109,38 @@ func GramAccumulate(g *Dense, m *Dense) {
 	if g.Rows != m.Cols || g.Cols != m.Cols {
 		panic("la: gram accumulate dimension mismatch")
 	}
-	c := m.Cols
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*c : (i+1)*c]
-		for a, ra := range row {
-			if ra == 0 {
-				continue
-			}
-			gr := g.Data[a*c : (a+1)*c]
-			b := a
-			for ; b+4 <= c; b += 4 {
-				r, s := row[b:b+4:b+4], gr[b:b+4:b+4]
-				s[0] += float64(ra * r[0])
-				s[1] += float64(ra * r[1])
-				s[2] += float64(ra * r[2])
-				s[3] += float64(ra * r[3])
-			}
-			for ; b < c; b++ {
-				gr[b] += float64(ra * row[b])
-			}
+		GramAddRow(g.Data, m.Row(i))
+	}
+	MirrorUpper(g)
+}
+
+// GramAddRow adds the upper triangle of row' * row into g, a row-major
+// len(row) x len(row) matrix: GramAccumulate's row body.
+func GramAddRow(g, row []float64) {
+	c := len(row)
+	for a, ra := range row {
+		if ra == 0 {
+			continue
+		}
+		gr := g[a*c : (a+1)*c]
+		b := a
+		for ; b+4 <= c; b += 4 {
+			r, s := row[b:b+4:b+4], gr[b:b+4:b+4]
+			s[0] += float64(ra * r[0])
+			s[1] += float64(ra * r[1])
+			s[2] += float64(ra * r[2])
+			s[3] += float64(ra * r[3])
+		}
+		for ; b < c; b++ {
+			gr[b] += float64(ra * row[b])
 		}
 	}
+}
+
+// MirrorUpper copies the upper triangle of the square g onto its lower one.
+func MirrorUpper(g *Dense) {
+	c := g.Cols
 	for a := 0; a < c; a++ {
 		for b := a + 1; b < c; b++ {
 			g.Data[b*c+a] = g.Data[a*c+b]
@@ -215,10 +226,7 @@ func (m *Dense) FrobeniusNorm() float64 {
 func (m *Dense) ColumnNorms() []float64 {
 	sums := make([]float64, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			sums[j] += v * v
-		}
+		AddSquares(sums, m.Row(i))
 	}
 	for j := range sums {
 		sums[j] = math.Sqrt(sums[j])
@@ -234,18 +242,25 @@ func (m *Dense) ColumnNorms() []float64 {
 // product of up to seven entries (tensor order <= 8) stays a normal number.
 const FlushBelow = 0x1p-128
 
-// scaleRows divides rows [lo, hi) of m by norms element by element, storing
-// quotients of magnitude below FlushBelow (-0 included) as +0.
-func (m *Dense) scaleRows(lo, hi int, norms []float64) {
-	for i := lo; i < hi; i++ {
-		row := m.Row(i)
-		for j, n := range norms {
-			v := row[j] / n
-			if math.Abs(v) < FlushBelow {
-				v = 0
-			}
-			row[j] = v
+// ScaleRow stores src[j] / norms[j] in dst[j] (dst may be src), quotients
+// of magnitude below FlushBelow (-0 included) as +0: the row body of every
+// column normalization.
+func ScaleRow(dst, src, norms []float64) {
+	dst, src = dst[:len(norms)], src[:len(norms)]
+	for j, n := range norms {
+		v := src[j] / n
+		if math.Abs(v) < FlushBelow {
+			v = 0
 		}
+		dst[j] = v
+	}
+}
+
+// AddSquares adds row[j]*row[j] into p[j]: the row body of the column norms.
+func AddSquares(p, row []float64) {
+	p = p[:len(row)]
+	for j, v := range row {
+		p[j] += v * v
 	}
 }
 
@@ -260,7 +275,9 @@ func (m *Dense) NormalizeColumns() []float64 {
 			norms[j] = 1
 		}
 	}
-	m.scaleRows(0, m.Rows, norms)
+	for i := 0; i < m.Rows; i++ {
+		ScaleRow(m.Row(i), m.Row(i), norms)
+	}
 	return norms
 }
 

@@ -19,9 +19,6 @@ import (
 func GramParallel(m *Dense, workers int) *Dense {
 	g := NewDense(m.Cols, m.Cols)
 	nb := par.NumBlocks(m.Rows)
-	if nb == 0 {
-		return g
-	}
 	if nb == 1 {
 		GramAccumulate(g, m)
 		return g
@@ -34,9 +31,7 @@ func GramParallel(m *Dense, workers int) *Dense {
 		partials[b] = p
 	})
 	for _, p := range partials {
-		for i, v := range p.Data {
-			g.Data[i] += v
-		}
+		VecAdd(g.Data, p.Data)
 	}
 	return g
 }
@@ -51,17 +46,12 @@ func ColumnNormsParallel(m *Dense, workers int) []float64 {
 		lo, hi := par.Block(b, m.Rows)
 		p := make([]float64, m.Cols)
 		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, v := range row {
-				p[j] += v * v
-			}
+			AddSquares(p, m.Row(i))
 		}
 		partials[b] = p
 	})
 	for _, p := range partials {
-		for j, v := range p {
-			sums[j] += v
-		}
+		VecAdd(sums, p)
 	}
 	for j := range sums {
 		sums[j] = math.Sqrt(sums[j])
@@ -83,7 +73,9 @@ func NormalizeColumnsParallel(m *Dense, workers int) []float64 {
 	}
 	par.Run(workers, par.NumBlocks(m.Rows), func(b int) {
 		lo, hi := par.Block(b, m.Rows)
-		m.scaleRows(lo, hi, norms)
+		for i := lo; i < hi; i++ {
+			ScaleRow(m.Row(i), m.Row(i), norms)
+		}
 	})
 	return norms
 }
